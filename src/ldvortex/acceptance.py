@@ -14,6 +14,7 @@ import numpy as np
 
 from .energy import fd_gradient_check, hessian_apply, total_energy
 from .errors import LdError
+from .exports import jsonable
 from .harness import census, convergence_study, field_sweep, flux_check
 from .minimize import Layout, minimize, newton_critical
 from .observables import observables
@@ -54,7 +55,7 @@ class CriterionResult:
     def to_dict(self) -> dict:
         return {"index": self.index, "name": self.name, "passed": self.passed,
                 "elapsed": self.elapsed, "budget": self.budget,
-                "details": self.details}
+                "details": jsonable(self.details)}
 
 
 def _crit_gradient(preset: Preset) -> tuple[bool, dict]:

@@ -23,8 +23,21 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def jsonable(value):
+    """Copy of a JSON payload in plain Python types: NumPy scalars and
+    arrays inside dicts, lists and tuples become bools, ints, floats and
+    lists."""
+    if isinstance(value, dict):
+        return {key: jsonable(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
+
+
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
 def params_dict(params: LdParameters) -> dict:

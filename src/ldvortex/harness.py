@@ -1,6 +1,5 @@
 """Verification experiments: convergence studies, the critical-point
-census, field sweeps with transition detection, flux quantization, and
-the acceptance suite.
+census, field sweeps with transition detection, and flux quantization.
 
 Every experiment is deterministic for fixed seeds; independent jobs
 (random starts, field points) can fan out over a process pool and are
@@ -153,9 +152,9 @@ def census(params: LdParameters, r: float, n_random: int = 50,
 
     Newton from the 2^N perturbative seeds, deduped by observable
     distance, classified by inertia; then n_random random-start descents,
-    each matched to a census member.  The energy shell is three times the
-    linear upper bound (the analytic cutoff below which the census is
-    exhaustive is not constructive).
+    each counted as converged or not and matched to a census member.  The
+    energy shell is three times the linear upper bound (the analytic cutoff
+    below which the census is exhaustive is not constructive).
     """
     t0 = time.time()
     pr = params.with_coupling(float(r))
@@ -212,6 +211,7 @@ def census(params: LdParameters, r: float, n_random: int = 50,
         descents = [_census_descent_job(a) for a in job_args]
 
     shell = 3.0 * energy_bound_coefficient(pr) * pr.coupling
+    n_converged = sum(d["converged"] for d in descents)
     match_dists, matched, in_shell = [], 0, 0
     for d in descents:
         dist_min = min(distance(observables(d["state"], pr, grid), o)
@@ -231,7 +231,7 @@ def census(params: LdParameters, r: float, n_random: int = 50,
         "newton_iterations": [c.newton_iterations for c in points],
         "min_pairwise_distance": min_pair,
         "newton_failures": failures,
-        "n_random": n_random, "n_matched": matched,
+        "n_random": n_random, "n_converged": n_converged, "n_matched": matched,
         "match_distances": match_dists, "n_in_shell": in_shell,
         "energy_shell": shell,
     }
@@ -242,6 +242,7 @@ def census(params: LdParameters, r: float, n_random: int = 50,
         "inertia_multiset_binomial": inertias == binom == predicted,
         "unique_minimizer_is_vortex_plane": bool(min_is_vp),
         "energy_order_matches_g0": bool(order_ok),
+        "all_descents_converged": n_converged == n_random,
         "all_descents_matched": matched == n_random,
     }
     rec.wall_time = time.time() - t0
@@ -252,9 +253,13 @@ def census(params: LdParameters, r: float, n_random: int = 50,
 # Field sweep.
 
 def count_interior_maxima(profile: np.ndarray) -> int:
-    """Strict interior local maxima of a 1D profile."""
-    y = np.asarray(profile)
-    return int(np.sum((y[1:-1] > y[:-2]) & (y[1:-1] > y[2:])))
+    """Interior local maxima of a 1D profile: rises followed by falls, with
+    steps below 1e-12 * max(1, max|y|) taken as flat, so a flat top (or a
+    top whose tie is broken by rounding noise) counts once."""
+    y = np.asarray(profile, dtype=float)
+    dy = np.diff(y)
+    dy = dy[np.abs(dy) > 1e-12 * max(1.0, float(np.max(np.abs(y))))]
+    return int(np.sum((dy[:-1] > 0.0) & (dy[1:] < 0.0)))
 
 
 def _sweep_point_job(args) -> dict:

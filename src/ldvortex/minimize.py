@@ -4,8 +4,12 @@ The free DOFs of a gauge-fixed state are f on all planes, phi on planes
 1..N and a on all planes.  They are packed x-major (all DOFs of one grid
 column together) so the Hessian is a symmetric banded matrix with
 bandwidth 4N+2: couplings reach at most one grid column and one plane
-away.  Newton solves the banded system directly; a curvature-memory
-(L-BFGS) descent with Armijo backtracking handles minimization.
+away.  Newton solves the banded system directly.  Minimization is a
+curvature-memory (L-BFGS) descent with Armijo backtracking on the energy;
+once the gradient sup-norm drops to NEWTON_SWITCH it finishes with
+modified Newton steps on the banded Hessian (Levenberg-shifted until the
+Cholesky factorization succeeds), because L-BFGS crawls along the O(r)
+curvature of the phase torus against O(1/(kappa dx)^2) stiff modes.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .state import LayeredState
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 40
+NEWTON_SWITCH = 1e-4  # gradient sup-norm at which descent turns to Newton
+MAX_SHIFTS = 20  # Levenberg escalations tried per Newton step
 
 
 @lru_cache(maxsize=32)
@@ -112,17 +118,63 @@ class MinimizeReport:
     energy_trace: np.ndarray = field(repr=False)
     grad_trace: np.ndarray = field(repr=False)
     step_trace: np.ndarray = field(repr=False)
+    newton_steps: int = 0
 
     def to_dict(self) -> dict:
         return {"iterations": self.iterations, "grad_norm": self.grad_norm,
                 "energy": self.energy, "converged": self.converged,
-                "line_search_failures": self.line_search_failures}
+                "line_search_failures": self.line_search_failures,
+                "newton_steps": self.newton_steps}
+
+
+def _armijo(efun, x: np.ndarray, e: float, d: np.ndarray, slope: float):
+    """Backtrack t = 1, 1/2, ... along d until the energy drops by at least
+    ARMIJO_C * t * slope; returns (x_new, e_new, t), or None on a stall."""
+    t = 1.0
+    for _ in range(MAX_BACKTRACKS):
+        x_new = x + t * d
+        e_new = efun(x_new)
+        if math.isfinite(e_new) and e_new <= e + ARMIJO_C * t * slope:
+            return x_new, e_new, t
+        t *= BACKTRACK
+    return None
+
+
+def _newton_direction(x: np.ndarray, g: np.ndarray, params: LdParameters,
+                      grid: Grid1D, layout: Layout) -> np.ndarray | None:
+    """Solve (H + mu I) d = -g on the banded Hessian with the smallest mu in
+    0, 1e-8 max|diag H|, then x10, at which H + mu I factors as positive
+    definite; None if no shift within MAX_SHIFTS does."""
+    ab, bw = assemble_banded_hessian(_x_to_state(x, layout), params, grid)
+    upper = ab[:bw + 1]
+    scale = float(np.max(np.abs(upper[bw]))) or 1.0
+    mu = 0.0
+    for _ in range(MAX_SHIFTS):
+        shifted = upper.copy()
+        shifted[bw] += mu
+        try:
+            factor = sla.cholesky_banded(shifted)
+        except sla.LinAlgError:
+            mu = 1e-8 * scale if mu == 0.0 else 10.0 * mu
+            continue
+        d = sla.cho_solve_banded((factor, False), -g)
+        return d if np.all(np.isfinite(d)) else None
+    return None
 
 
 def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
              tol: float = 1e-8, max_iter: int = 4000,
              memory: int = 12) -> MinimizeReport:
-    """Curvature-memory descent (L-BFGS two-loop) with Armijo backtracking.
+    """Energy descent: L-BFGS (two-loop) with Armijo backtracking, finished
+    by a modified Newton tail.
+
+    While the gradient sup-norm exceeds NEWTON_SWITCH each step is an
+    L-BFGS step, retried once along steepest descent if its line search
+    stalls.  Below the switch each step first tries a Newton step on the
+    Levenberg-shifted banded Hessian under the same energy line search;
+    an accepted one clears the curvature memory, a rejected one falls back
+    to the L-BFGS step.  Every step lowers the energy, so the descent ends
+    at minima.
 
     Terminates when the sup-norm of the gradient drops to tol or the
     iteration budget runs out.  The energy trace is nonincreasing; a
@@ -146,6 +198,7 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
     gnorms = [float(np.max(np.abs(g)))]
     steps: list[float] = []
     failures = 0
+    newton_steps = 0
     iterations = 0
 
     def two_loop(grad: np.ndarray) -> np.ndarray:
@@ -163,39 +216,35 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
             q += (alpha - beta) * s
         return -q
 
-    while gnorms[-1] > tol and iterations < max_iter:
-        d = two_loop(g)
-        slope = float(g @ d)
-        if not (slope < 0.0) or not np.all(np.isfinite(d)):
-            s_hist.clear(); y_hist.clear(); rho_hist.clear()
-            d = -g
-            slope = -float(g @ g)
+    def clear_memory() -> None:
+        s_hist.clear(); y_hist.clear(); rho_hist.clear()
 
-        t = 1.0
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            x_new = x + t * d
-            e_new = efun(x_new)
-            if math.isfinite(e_new) and e_new <= e + ARMIJO_C * t * slope:
-                accepted = True
-                break
-            t *= BACKTRACK
-        if not accepted and s_hist:
-            # Memory may be stale; retry once along steepest descent.
-            s_hist.clear(); y_hist.clear(); rho_hist.clear()
-            d = -g
-            slope = -float(g @ g)
-            t = 1.0
-            for _ in range(MAX_BACKTRACKS):
-                x_new = x + t * d
-                e_new = efun(x_new)
-                if math.isfinite(e_new) and e_new <= e + ARMIJO_C * t * slope:
-                    accepted = True
-                    break
-                t *= BACKTRACK
-        if not accepted:
+    while gnorms[-1] > tol and iterations < max_iter:
+        step = None
+        if gnorms[-1] <= NEWTON_SWITCH:
+            d = _newton_direction(x, g, params, grid, layout)
+            slope = float(g @ d) if d is not None else 0.0
+            if slope < 0.0:
+                step = _armijo(efun, x, e, d, slope)
+            if step is not None:
+                newton_steps += 1
+                clear_memory()
+        if step is None:
+            d = two_loop(g)
+            slope = float(g @ d)
+            if not (slope < 0.0) or not np.all(np.isfinite(d)):
+                clear_memory()
+                d = -g
+                slope = -float(g @ g)
+            step = _armijo(efun, x, e, d, slope)
+            if step is None and s_hist:
+                # Memory may be stale; retry once along steepest descent.
+                clear_memory()
+                step = _armijo(efun, x, e, -g, -float(g @ g))
+        if step is None:
             failures += 1
             break
+        x_new, e_new, t = step
 
         g_new = gfun(x_new)
         if not np.all(np.isfinite(g_new)):
@@ -225,6 +274,7 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
         energy_trace=np.asarray(energies),
         grad_trace=np.asarray(gnorms),
         step_trace=np.asarray(steps),
+        newton_steps=newton_steps,
     )
 
 

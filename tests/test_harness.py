@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ldvortex import harness
 from ldvortex.errors import DegenerateField, NoCompleteCycle
 from ldvortex.harness import (census, convergence_study, count_interior_maxima,
                               field_sweep, flux_check)
@@ -38,6 +39,7 @@ def test_census_small(desk):
     assert rec.data["count"] == 4
     assert sorted(rec.data["inertias"]) == [0, 1, 1, 2]
     assert rec.data["min_pairwise_distance"] >= 0.1
+    assert rec.data["n_converged"] == 6
     assert rec.data["n_matched"] == 6
     assert rec.data["n_in_shell"] == 6
     assert max(rec.data["newton_iterations"]) <= 10
@@ -48,6 +50,20 @@ def test_census_deterministic(desk):
     r2 = census(desk, 1e-3, n_random=2, dx=1.0 / 16.0, seed=5)
     assert r1.data["energies"] == r2.data["energies"]
     assert r1.data["match_distances"] == r2.data["match_distances"]
+
+
+def test_census_reports_unconverged_descents(desk, monkeypatch):
+    descend = harness.minimize
+
+    def short_descent(state0, params, grid, **kwargs):
+        return descend(state0, params, grid, **{**kwargs, "max_iter": 3})
+
+    monkeypatch.setattr(harness, "minimize", short_descent)
+    rec = census(desk, 1e-3, n_random=2, dx=1.0 / 16.0, seed=5)
+    assert rec.data["n_converged"] == 0
+    assert not rec.checks["all_descents_converged"]
+    assert not rec.passed
+    assert rec.checks["census_complete"]
 
 
 def test_census_degenerate_field_raises():
@@ -102,6 +118,13 @@ def test_count_interior_maxima():
     y = np.array([0.0, 1.0, 0.0, 2.0, 0.0])
     assert count_interior_maxima(y) == 2
     assert count_interior_maxima(np.array([3.0, 1.0, 0.0, 1.0, 5.0])) == 0
+    # A flat top counts once, whether its tie is exact or broken by noise.
+    top = 6.400155882318721
+    assert count_interior_maxima(np.array([6.0, 6.3, top, top, 6.3, 6.0])) == 1
+    assert count_interior_maxima(np.array([6.0, 6.3, top, top + 2e-15, 6.3, 6.0])) == 1
+    assert count_interior_maxima(np.array([0.0, 1.0, 1.0, 1.0, 0.0, 2.0, 2.0, 0.0])) == 2
+    # A flat shoulder on a monotone profile is not a maximum.
+    assert count_interior_maxima(np.array([0.0, 1.0, 1.0, 2.0])) == 0
 
 
 def test_flux_quantization_at_high_field():

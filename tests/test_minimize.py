@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from ldvortex.energy import Cotangent, hessian_apply, total_energy
 from ldvortex.errors import NoConvergence, SingularHessian
-from ldvortex.minimize import (Layout, dense_hessian, inertia, minimize,
-                               newton_critical)
+from ldvortex.minimize import (NEWTON_SWITCH, Layout, dense_hessian, inertia,
+                               minimize, newton_critical)
 from ldvortex.observables import observables
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.perturbation import (leading_min_energy, seed_state,
@@ -133,3 +134,58 @@ def test_minimize_energy_not_above_start(desk, desk_grid, rng):
     rep = minimize(state, desk, desk_grid, tol=1e-6, max_iter=500)
     assert rep.energy <= e0
     assert np.all(np.diff(rep.energy_trace) <= 1e-15)
+
+
+def test_newton_tail_finishes_random_descent(desk, desk_grid, rng):
+    rep = minimize(random_low_energy_state(desk, desk_grid, rng), desk,
+                   desk_grid, tol=1e-8, max_iter=1000)
+    assert rep.converged
+    assert rep.iterations <= 1000
+    assert rep.newton_steps >= 1
+    assert rep.to_dict()["newton_steps"] == rep.newton_steps
+    assert np.all(np.diff(rep.energy_trace) <= 0.0)
+
+
+def test_newton_tail_waits_for_the_switch(desk, desk_grid, rng):
+    rep = minimize(random_low_energy_state(desk, desk_grid, rng), desk,
+                   desk_grid, tol=10.0 * NEWTON_SWITCH, max_iter=1000)
+    assert rep.converged
+    assert rep.newton_steps == 0
+
+
+def test_newton_tail_shifts_singular_zero_coupling_hessian(desk, coarse_grid,
+                                                           rng, monkeypatch):
+    factor = sla.cholesky_banded
+    outcomes = []
+
+    def counted(ab, *args, **kwargs):
+        try:
+            out = factor(ab, *args, **kwargs)
+        except sla.LinAlgError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+        return out
+
+    monkeypatch.setattr(sla, "cholesky_banded", counted)
+    params = desk.with_coupling(0.0)
+    rep = minimize(random_low_energy_state(params, coarse_grid, rng),
+                   params, coarse_grid, tol=1e-9, max_iter=1000)
+    assert rep.converged
+    assert rep.newton_steps >= 1
+    assert False in outcomes  # the unshifted Hessian did not factor
+    assert np.all(np.diff(rep.energy_trace) <= 0.0)
+
+
+def test_newton_tail_converges_stalled_n3_census_descent(desk):
+    """Census descent i = 28 of the N = 3 acceptance census (seed 34); pure
+    L-BFGS stopped at |g| = 4.4e-5 after 12 000 iterations."""
+    params = LdParameters(3, desk.half_width, desk.spacing, desk.kappa,
+                          desk.applied_field, 1e-3)
+    grid = Grid1D.build(params, dx=1.0 / 30.0)
+    start = random_low_energy_state(params, grid,
+                                    np.random.default_rng(34 * 100003 + 17 * 28))
+    rep = minimize(start, params, grid, tol=1e-8, max_iter=12000)
+    assert rep.converged
+    assert rep.newton_steps >= 1
+    assert np.all(np.diff(rep.energy_trace) <= 0.0)
