@@ -22,8 +22,7 @@ from .params import Grid1D, LdParameters
 from .perturbation import seed_state, vortex_plane_delta
 from .state import (gauge_transform, random_low_energy_state,
                     random_rough_state, uniform_field_state)
-from .validity import (c0, f_dip_threshold, lambda_lower, lambda_upper,
-                       rstar_lower)
+from .validity import c0, lambda_lower, lambda_upper, rstar_lower
 from .energy import Cotangent
 
 

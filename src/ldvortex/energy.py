@@ -61,10 +61,6 @@ class Cotangent:
                    float(np.max(np.abs(self.dphi))),
                    float(np.max(np.abs(self.da))))
 
-    def norm2(self) -> float:
-        return math.sqrt(float(np.sum(self.df**2)) + float(np.sum(self.dphi**2))
-                         + float(np.sum(self.da**2)))
-
 
 def _check(state: LayeredState, params: LdParameters, grid: Grid1D) -> None:
     state.check_grid(params, grid)

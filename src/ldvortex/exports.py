@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .observables import Observables, mids_to_nodes, observables
+from .observables import mids_to_nodes, observables
 from .params import Grid1D, LdParameters
 from .state import LayeredState
 
@@ -135,7 +135,3 @@ def write_nucleation_csv(path, diagram) -> None:
                                        diagram.M_minus, diagram.M_plus,
                                        diagram.is_transition)]
     write_table_csv(path, ["H", "epsilon", "M_minus", "M_plus", "is_transition"], rows)
-
-
-def write_enumeration_json(path, seeds) -> None:
-    write_json(path, {"seeds": [s.to_dict() for s in seeds]})

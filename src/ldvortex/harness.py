@@ -16,17 +16,14 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import DegenerateField, NoCompleteCycle, NoConvergence
-from .energy import total_energy, fd_gradient_check, hessian_apply, gradient
-from .minimize import (Layout, CriticalPoint, minimize, newton_critical,
-                       default_newton_tol)
-from .observables import (Observables, delta_estimate, distance, observables)
+from .exports import params_dict
+from .minimize import CriticalPoint, minimize, newton_critical, default_newton_tol
+from .observables import delta_estimate, distance, observables
 from .params import Grid1D, LdParameters, default_dx, require_valid, wrap_to_pi
 from .perturbation import (enumerate_seeds, g0, interior_u1_closed_form,
-                           leading_min_energy, seed_state,
-                           vortex_plane_delta, vortex_plane_observables)
-from .state import (LayeredState, gauge_transform, random_low_energy_state,
-                    random_rough_state, uniform_field_state,
-                    zero_coupling_minimizer)
+                           seed_state, vortex_plane_delta,
+                           vortex_plane_observables)
+from .state import LayeredState, random_low_energy_state
 from .validity import energy_bound_coefficient
 
 
@@ -54,12 +51,6 @@ class ExperimentRecord:
 def _loglog_slope(x, y) -> float:
     return float(np.polyfit(np.log(np.asarray(x, dtype=float)),
                             np.log(np.asarray(y, dtype=float)), 1)[0])
-
-
-def _params_dict(params: LdParameters) -> dict:
-    return {"N": params.num_gaps, "L": params.half_width, "p": params.spacing,
-            "kappa": params.kappa, "H": params.applied_field,
-            "r": params.coupling}
 
 
 def _branch_minimum(params: LdParameters, grid: Grid1D, delta,
@@ -110,7 +101,7 @@ def convergence_study(params: LdParameters, r_list, dx: float | None = None,
         minima.append(cp.energy)
         bounds_ok.append(cp.energy <= energy_bound_coefficient(pr) * r)
 
-    rec = ExperimentRecord("convergence_study", _params_dict(params))
+    rec = ExperimentRecord("convergence_study", params_dict(params))
     rec.parameters["dx"] = grid.dx
     rec.data = {"r_list": r_list, "energy_gap": e_gap, "h_gap": h_gap,
                 "jz_gap": jz_gap, "f_gap": f_gap, "phi_gap": phi_gap,
@@ -220,7 +211,7 @@ def census(params: LdParameters, r: float, n_random: int = 50,
         matched += dist_min <= match_threshold
         in_shell += d["energy"] <= shell
 
-    rec = ExperimentRecord("census", _params_dict(pr))
+    rec = ExperimentRecord("census", params_dict(pr))
     rec.parameters["dx"] = grid.dx
     rec.data = {
         "count": n_pts, "expected": 2**N,
@@ -361,7 +352,7 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
     expected_flips = [k * steps for k in range(1, int(H_grid[-1] / steps) + 1)
                       if H_grid[0] < k * steps < H_grid[-1]]
 
-    rec = ExperimentRecord("field_sweep", _params_dict(params))
+    rec = ExperimentRecord("field_sweep", params_dict(params))
     rec.parameters["dx"] = dx
     rec.data = {"H_grid": H_grid.tolist(), "epsilon": eps.tolist(),
                 "configs": configs.tolist(), "n_maxima": maxima.tolist(),

@@ -10,6 +10,10 @@ once the gradient sup-norm drops to NEWTON_SWITCH it finishes with
 modified Newton steps on the banded Hessian (Levenberg-shifted until the
 Cholesky factorization succeeds), because L-BFGS crawls along the O(r)
 curvature of the phase torus against O(1/(kappa dx)^2) stiff modes.
+
+Inertia needs only the N+1 Hessian eigenvalues nearest zero; shift-invert
+Lanczos on the sparse Hessian computes just those, with no dense matrix or
+full-band eigensolve (scipy.sparse loads only when a spectrum is asked for).
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ BACKTRACK = 0.5
 MAX_BACKTRACKS = 40
 NEWTON_SWITCH = 1e-4  # gradient sup-norm at which descent turns to Newton
 MAX_SHIFTS = 20  # Levenberg escalations tried per Newton step
+V0_SEED = 0  # seed of the fixed Lanczos start vector
 
 
 @lru_cache(maxsize=32)
@@ -289,6 +294,10 @@ def assemble_banded_hessian(state: LayeredState, params: LdParameters,
     ncolors = min(2 * bw + 1, n)
     zrow = np.zeros((1, grid.M + 1))
     f, phi, a = state.f, state.phi, state.a
+    # Row bw + d of column j is H[j + d, j]: entry j + bw + d of Hv padded
+    # by bw zeros on each side (zeros fall outside the matrix).
+    pad = np.zeros(bw)
+    band_rows = np.arange(2 * bw + 1)[:, None]
     for c in range(ncolors):
         v = np.zeros(n)
         js = np.arange(c, n, ncolors)
@@ -296,54 +305,66 @@ def assemble_banded_hessian(state: LayeredState, params: LdParameters,
         uf, udphi, ua = layout.unpack(v)
         uphi = np.vstack([zrow, udphi])
         Hf, Hphi, Ha = hessian_apply_arrays(f, phi, a, uf, uphi, ua, params, grid)
-        Hv = layout.pack(Hf, Hphi[1:], Ha)
-        for d in range(-bw, bw + 1):
-            rows = js + d
-            ok = (rows >= 0) & (rows < n)
-            ab[bw + d, js[ok]] = Hv[rows[ok]]
+        Hv = np.concatenate([pad, layout.pack(Hf, Hphi[1:], Ha), pad])
+        ab[:, js] = Hv[js + band_rows]
     return ab, bw
 
 
-def banded_to_dense(ab: np.ndarray, bw: int) -> np.ndarray:
-    """Expand banded storage to a dense symmetric matrix (small systems)."""
-    n = ab.shape[1]
-    H = np.zeros((n, n))
-    for d in range(-bw, bw + 1):
-        cols = np.arange(max(0, -d), n - max(0, d))
-        H[cols + d, cols] = ab[bw + d, cols]
-    return H
+def sparse_hessian(state: LayeredState, params: LdParameters, grid: Grid1D):
+    """Free-DOF Hessian as a sparse DIA matrix whose storage is the band of
+    assemble_banded_hessian itself (ab[bw - k] holds diagonal offset k)."""
+    import scipy.sparse as sp
 
-
-def dense_hessian(state: LayeredState, params: LdParameters,
-                  grid: Grid1D) -> np.ndarray:
-    """Dense free-DOF Hessian (for spectral diagnostics on small grids)."""
-    ab, bw = assemble_banded_hessian(state, params, grid)
-    return banded_to_dense(ab, bw)
-
-
-def hessian_eigenvalues(state: LayeredState, params: LdParameters,
-                        grid: Grid1D) -> np.ndarray:
-    """All eigenvalues of the free-DOF Hessian, ascending (banded solver)."""
     ab, bw = assemble_banded_hessian(state, params, grid)
     n = ab.shape[1]
-    lower = ab[bw:, :]
+    return sp.dia_array((ab, np.arange(bw, -bw - 1, -1)), shape=(n, n))
+
+
+def nearest_eigenvalues(A, k: int, sigma: float, M=None) -> np.ndarray:
+    """The k eigenvalues of the banded symmetric pencil (A, M) nearest sigma
+    (M = I when None), ascending: shift-invert Lanczos (eigsh) on one banded
+    LU factorization (LAPACK gbtrf) of A - sigma M.  The start vector is
+    fixed, so repeated calls return identical values."""
+    import scipy.sparse as sp
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    n = A.shape[0]
+    shifted = sp.dia_array(A - sigma * (sp.eye_array(n) if M is None else M))
+    bw = int(np.max(np.abs(shifted.offsets)))
+    width = min(n, shifted.data.shape[1])
+    ab = np.zeros((3 * bw + 1, n))  # gbtrf layout: bw fill rows, then the band
+    ab[2 * bw - shifted.offsets, :width] = shifted.data[:, :width]
+    lu, piv, info = dgbtrf(ab, bw, bw)
+    if info != 0:
+        raise FactorizationFailure(f"banded LU of the shifted matrix failed (info {info})")
+    solve = LinearOperator((n, n), dtype=float,
+                           matvec=lambda x: dgbtrs(lu, bw, bw, x, piv)[0])
+    v0 = np.random.default_rng(V0_SEED).standard_normal(n)
     try:
-        return sla.eig_banded(lower, lower=True, eigvals_only=True)
-    except sla.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
-        raise FactorizationFailure(str(exc)) from exc
+        eigs = eigsh(A, k, M=M, sigma=sigma, OPinv=solve, v0=v0,
+                     return_eigenvectors=False)
+    except ArpackError as exc:  # ArpackNoConvergence included
+        raise FactorizationFailure(f"shift-invert eigensolve failed: {exc}") from exc
+    if not np.all(np.isfinite(eigs)):
+        raise FactorizationFailure("shift-invert eigensolve gave non-finite values")
+    return np.sort(eigs)
 
 
 def inertia(state: LayeredState, params: LdParameters, grid: Grid1D,
             k: int | None = None) -> int:
     """Number of negative eigenvalues among the k smallest-magnitude
-    eigenvalues of the free-DOF Hessian (k defaults to N+1)."""
+    eigenvalues of the free-DOF Hessian (k defaults to N+1).  Only those k
+    are computed, by shift-invert Lanczos at sigma = 0 on the sparse Hessian."""
     if k is None:
         k = params.num_gaps + 1
     if k < params.num_gaps + 1:
         raise ValueError(f"k must be >= N+1 = {params.num_gaps + 1}, got {k}")
-    eigs = hessian_eigenvalues(state, params, grid)
-    smallest = eigs[np.argsort(np.abs(eigs))[:k]]
-    return int(np.sum(smallest < 0.0))
+    n = Layout.build(params.num_gaps, grid.M).size
+    if k >= n:
+        raise ValueError(f"k must be < n = {n}, got {k}")
+    eigs = nearest_eigenvalues(sparse_hessian(state, params, grid), k, 0.0)
+    return int(np.sum(eigs < 0.0))
 
 
 @dataclass(frozen=True)

@@ -40,10 +40,6 @@ class Observables:
     def num_gaps(self) -> int:
         return self.h.shape[0]
 
-    @property
-    def num_mids(self) -> int:
-        return self.h.shape[1]
-
 
 def observables(state: LayeredState, params: LdParameters,
                 grid: Grid1D) -> Observables:

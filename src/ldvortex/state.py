@@ -13,12 +13,12 @@ that discrete gauge invariance is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .params import Grid1D, LdParameters, PhaseConfig, as_phase_config, require_valid
+from .params import Grid1D, LdParameters, as_phase_config, require_valid
 
 #: phi_0 is considered gauge fixed when its sup norm is below this.
 GAUGE_FIX_TOL = 1e-12

@@ -8,9 +8,10 @@ estimate first allows f to dip to 1/2.  The two pure constants C_u and c
 that the estimates leave unspecified are exposed with default 1.
 
 numerical_gap measures the same spectral gap directly on the discrete
-Hessian; the sandwich against the analytic bounds is reported rather than
-asserted because the discrete norm and the analytic one differ by bounded
-equivalence factors.
+Hessian, by shift-invert Lanczos on the sparse pencil (Hessian, norm
+Gram matrix) with no dense path; the sandwich against the analytic
+bounds is reported rather than asserted because the discrete norm and
+the analytic one differ by bounded equivalence factors.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .errors import DomainError, FactorizationFailure
+from .errors import DomainError
 from .params import Grid1D, LdParameters, require_valid
 from .state import zero_coupling_minimizer
 
@@ -160,33 +160,12 @@ def validity_report(params: LdParameters, C_u: float = 1.0, c: float = 1.0,
 # ---------------------------------------------------------------------------
 # Discrete spectral gap.
 
-def _node_mass_stiffness(M: int, dx: float) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid mass and midpoint-difference stiffness on M+1 nodes."""
-    W = np.full(M + 1, dx)
-    W[0] = W[-1] = 0.5 * dx
-    K = np.zeros((M + 1, M + 1))
-    main = np.full(M + 1, 2.0 / dx)
-    main[0] = main[-1] = 1.0 / dx
-    K[np.arange(M + 1), np.arange(M + 1)] = main
-    K[np.arange(M), np.arange(1, M + 1)] = -1.0 / dx
-    K[np.arange(1, M + 1), np.arange(M)] = -1.0 / dx
-    return np.diag(W), K
+GAP_SHIFT = -1e-2  # below the nonnegative spectrum of the gap pencil
 
 
-def _mid_mass_stiffness(M: int, dx: float) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint mass and interior-node-difference stiffness on M midpoints."""
-    W = dx * np.eye(M)
-    K = np.zeros((M, M))
-    main = np.full(M, 2.0 / dx)
-    main[0] = main[-1] = 1.0 / dx
-    K[np.arange(M), np.arange(M)] = main
-    K[np.arange(M - 1), np.arange(1, M)] = -1.0 / dx
-    K[np.arange(1, M), np.arange(M - 1)] = -1.0 / dx
-    return W, K
-
-
-def discrete_norm_matrix(params: LdParameters, grid: Grid1D) -> np.ndarray:
-    """Gram matrix of the discrete analogue of the linearization norm:
+def discrete_norm_matrix(params: LdParameters, grid: Grid1D):
+    """Sparse (CSC) Gram matrix of the discrete analogue of the
+    linearization norm:
     p sum_n int (u'^2 + u^2 + v'^2 + v^2) for the plane fields, and
     int int |a|^2 + int int (curl a)^2 for the gauge field.
 
@@ -199,61 +178,66 @@ def discrete_norm_matrix(params: LdParameters, grid: Grid1D) -> np.ndarray:
     quadrature differences are the bounded factors the gap report quotes.
     The 2D mass integral uses the linear-in-z reconstruction of A_x
     between traces (Simpson combination of adjacent planes); the curl term
-    is exactly the per-gap field deviation."""
+    is exactly the per-gap field deviation.
+
+    Each node field (f on every plane, phi on planes 1..N) gets a
+    tridiagonal block p (trapezoid mass + difference stiffness); each gap
+    couples the traces of its two planes at every midpoint."""
+    import scipy.sparse as sp
+
     from .minimize import Layout
 
     N, p, M, dx = params.num_gaps, params.spacing, grid.M, grid.dx
     layout = Layout.build(N, M)
-    B = np.zeros((layout.size, layout.size))
 
-    Wn, Kn = _node_mass_stiffness(M, dx)
-    node_block = p * (Wn + Kn)
-    for n in range(N + 1):
-        B[np.ix_(layout.idx_f[n], layout.idx_f[n])] += node_block
-    for n in range(N):
-        B[np.ix_(layout.idx_phi[n], layout.idx_phi[n])] += node_block
+    nodes = np.vstack([layout.idx_f, layout.idx_phi])
+    diag = np.full(M + 1, dx + 2.0 / dx)  # trapezoid mass + stiffness
+    diag[0] = diag[-1] = 0.5 * dx + 1.0 / dx
+    node_diag = np.broadcast_to(p * diag, nodes.shape)
+    left, right = nodes[:, :-1].ravel(), nodes[:, 1:].ravel()
+    node_off = np.full(left.size, -p / dx)
 
-    Wm = dx * np.eye(M)
-    for n in range(1, N + 1):
-        up, lo = layout.idx_a[n], layout.idx_a[n - 1]
-        B[np.ix_(up, up)] += (p / 3.0) * Wm
-        B[np.ix_(lo, lo)] += (p / 3.0) * Wm
-        B[np.ix_(up, lo)] += (p / 6.0) * Wm
-        B[np.ix_(lo, up)] += (p / 6.0) * Wm
-        # curl of the reconstruction = per-gap field deviation.
-        zc = (dx / p) * np.eye(M)
-        B[np.ix_(up, up)] += zc
-        B[np.ix_(lo, lo)] += zc
-        B[np.ix_(up, lo)] -= zc
-        B[np.ix_(lo, up)] -= zc
-    return B
+    # Simpson mass of the reconstruction plus its curl (p/3, p/6 and dx/p).
+    up, lo = layout.idx_a[1:].ravel(), layout.idx_a[:-1].ravel()
+    gap_same = np.full(up.size, (p / 3.0) * dx + dx / p)
+    gap_cross = np.full(up.size, (p / 6.0) * dx - dx / p)
+
+    rows = np.concatenate([nodes.ravel(), left, right, up, lo, up, lo])
+    cols = np.concatenate([nodes.ravel(), right, left, up, lo, lo, up])
+    vals = np.concatenate([node_diag.ravel(), node_off, node_off,
+                           gap_same, gap_same, gap_cross, gap_cross])
+    return sp.csc_array((vals, (rows, cols)), shape=(layout.size, layout.size))
 
 
 def gap_spectrum(params: LdParameters, grid: Grid1D | None = None,
                  count: int | None = None) -> np.ndarray:
-    """Generalized eigenvalues of (half the Hessian at the r = 0 minimizer)
-    against the discrete norm, ascending.  The first N vanish (the phase
-    manifold); the (N+1)-th is the measured spectral gap."""
-    from .minimize import dense_hessian
+    """The count (default N+1) smallest generalized eigenvalues of half the
+    Hessian at the r = 0 minimizer against the discrete norm, ascending.
+    The first N vanish (the phase manifold); the (N+1)-th is the measured
+    spectral gap.  The pencil is positive semidefinite, so the eigenvalues
+    nearest GAP_SHIFT < 0 are the smallest, and shift-invert Lanczos
+    computes only those."""
+    from .minimize import Layout, nearest_eigenvalues, sparse_hessian
 
     require_valid(params)
+    if count is None:
+        count = params.num_gaps + 1
     base = params.with_coupling(0.0)
     if grid is None:
         grid = Grid1D.build(base)
+    n = Layout.build(base.num_gaps, grid.M).size
+    if not 1 <= count < n:
+        raise ValueError(f"count must be >= 1 and < n = {n}, got {count}")
     state = zero_coupling_minimizer(base, grid)
-    Q = 0.5 * dense_hessian(state, base, grid)
+    Q = 0.5 * sparse_hessian(state, base, grid)
     B = discrete_norm_matrix(base, grid)
-    try:
-        eigs = sla.eigh(Q, B, eigvals_only=True)
-    except sla.LinAlgError as exc:
-        raise FactorizationFailure(str(exc)) from exc
-    return eigs if count is None else eigs[:count]
+    return nearest_eigenvalues(Q, count, GAP_SHIFT, M=B)
 
 
 def numerical_gap(params: LdParameters, grid: Grid1D | None = None) -> float:
     """The measured spectral gap: (N+1)-th smallest normalized eigenvalue
     of the discrete Hessian at the r = 0 minimizer."""
-    eigs = gap_spectrum(params, grid, count=params.num_gaps + 1)
+    eigs = gap_spectrum(params, grid)
     return float(eigs[params.num_gaps])
 
 

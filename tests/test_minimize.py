@@ -5,13 +5,14 @@ import pytest
 import scipy.linalg as sla
 
 from ldvortex.energy import Cotangent, hessian_apply, total_energy
-from ldvortex.errors import NoConvergence, SingularHessian
-from ldvortex.minimize import (NEWTON_SWITCH, Layout, dense_hessian, inertia,
-                               minimize, newton_critical)
+from ldvortex.errors import FactorizationFailure, NoConvergence, SingularHessian
+from ldvortex.minimize import (NEWTON_SWITCH, Layout, inertia, minimize,
+                               nearest_eigenvalues, newton_critical,
+                               sparse_hessian)
 from ldvortex.observables import observables
 from ldvortex.params import Grid1D, LdParameters
-from ldvortex.perturbation import (leading_min_energy, seed_state,
-                                   vortex_plane_delta)
+from ldvortex.perturbation import (enumerate_seeds, leading_min_energy,
+                                   seed_state, vortex_plane_delta)
 from ldvortex.state import (random_low_energy_state, random_rough_state,
                             uniform_field_state, zero_coupling_minimizer)
 
@@ -112,12 +113,58 @@ def test_inertia_requires_enough_eigenvalues(desk, desk_grid):
     state = uniform_field_state(desk, desk_grid)
     with pytest.raises(ValueError):
         inertia(state, desk, desk_grid, k=desk.num_gaps)
+    n = Layout.build(desk.num_gaps, desk_grid.M).size
+    with pytest.raises(ValueError, match="k must be < n"):
+        inertia(state, desk, desk_grid, k=n)
+
+
+def _dense_inertia(H: np.ndarray, k: int) -> int:
+    eigs = np.linalg.eigvalsh(H)
+    return int(np.sum(eigs[np.argsort(np.abs(eigs))[:k]] < 0.0))
+
+
+def test_inertia_matches_dense_reference(desk, rng):
+    grid = Grid1D.build(desk, dx=1.0 / 16.0)
+    k = desk.num_gaps + 1
+    states = [newton_critical(seed_state(desk, grid, s.delta), desk, grid,
+                              tol=1e-9).state for s in enumerate_seeds(desk)]
+    states.append(random_rough_state(desk, grid, rng))
+    counts = []
+    for state in states:
+        H = sparse_hessian(state, desk, grid)
+        counts.append(inertia(state, desk, grid))
+        assert counts[-1] == _dense_inertia(H.toarray(), k)
+    assert sorted(counts[:-1]) == [0, 1, 1, 2]
+
+
+def test_nearest_eigenvalues_repeat_bit_for_bit(desk, rng):
+    grid = Grid1D.build(desk, dx=1.0 / 16.0)
+    H = sparse_hessian(random_rough_state(desk, grid, rng), desk, grid)
+    first = nearest_eigenvalues(H, desk.num_gaps + 1, 0.0)
+    second = nearest_eigenvalues(H, desk.num_gaps + 1, 0.0)
+    assert np.array_equal(first, second)
+
+
+def test_eigensolver_failures_are_factorization_failures(monkeypatch):
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    singular = sp.diags_array(np.arange(6.0)).tocsc()
+    with pytest.raises(FactorizationFailure):
+        nearest_eigenvalues(singular, 2, 0.0)
+
+    def stalled(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.zeros(0), None)
+
+    monkeypatch.setattr(spla, "eigsh", stalled)
+    with pytest.raises(FactorizationFailure):
+        nearest_eigenvalues(singular, 2, -1.0)
 
 
 def test_banded_assembly_matches_hessian_apply(desk, rng):
     grid = Grid1D.build(desk, dx=1.0 / 16.0)
     state = random_rough_state(desk, grid, rng)
-    H = dense_hessian(state, desk, grid)
+    H = sparse_hessian(state, desk, grid).toarray()
     layout = Layout.build(desk.num_gaps, grid.M)
     assert np.max(np.abs(H - H.T)) <= 1e-12
     for j in rng.permutation(layout.size)[:20]:

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from ldvortex.errors import DomainError
+from ldvortex.minimize import Layout, sparse_hessian
 from ldvortex.params import Grid1D, LdParameters
+from ldvortex.state import zero_coupling_minimizer
 from ldvortex.validity import (c0, discrete_norm_matrix, energy_bound_coefficient,
                                f_dip_threshold, gap_spectrum, k_factor,
                                lambda_lower, lambda_upper, numerical_gap,
@@ -100,10 +103,31 @@ def test_gap_spectrum_kernel_dimension(desk):
     assert eigs[params.num_gaps] > 1e-3
 
 
+def test_gap_spectrum_matches_dense_pencil(desk):
+    params = desk.with_coupling(0.0)
+    grid = Grid1D.build(params, dx=1.0 / 16.0)
+    N = params.num_gaps
+    Q = 0.5 * sparse_hessian(zero_coupling_minimizer(params, grid), params, grid)
+    B = discrete_norm_matrix(params, grid)
+    ref = sla.eigh(Q.toarray(), B.toarray(), eigvals_only=True)[:N + 2]
+    eigs = gap_spectrum(params, grid, count=N + 2)
+    assert np.all(np.abs(eigs[:N] - ref[:N]) <= 1e-10)
+    assert np.all(np.abs(eigs[N:] - ref[N:]) <= 1e-10 * ref[N:])
+    assert np.array_equal(eigs, gap_spectrum(params, grid, count=N + 2))
+    assert gap_spectrum(params, grid).shape == (N + 1,)
+
+
+def test_gap_spectrum_rejects_count_at_size(desk):
+    grid = Grid1D.build(desk, dx=1.0 / 16.0)
+    n = Layout.build(desk.num_gaps, grid.M).size
+    with pytest.raises(ValueError, match="count must be"):
+        gap_spectrum(desk, grid, count=n)
+
+
 def test_norm_matrix_is_spd(desk):
     params = desk.with_coupling(0.0)
     grid = Grid1D.build(params, dx=1.0 / 16.0)
-    B = discrete_norm_matrix(params, grid)
+    B = discrete_norm_matrix(params, grid).toarray()
     assert np.max(np.abs(B - B.T)) == 0.0
     assert np.linalg.eigvalsh(B)[0] > 0.0
 
