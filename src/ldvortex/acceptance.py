@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,7 +99,9 @@ def _crit_zero_coupling(preset: Preset) -> tuple[bool, dict]:
                 "h_deviation": h_dev, "iterations": rep.iterations}
 
 
+@lru_cache(maxsize=None)
 def _study(preset: Preset):
+    """The convergence study behind criteria 3 and 4, run once per preset."""
     return convergence_study(preset.params, [4e-3, 2e-3, 1e-3], dx=1.0 / 96.0)
 
 

@@ -165,7 +165,10 @@ def hessian_apply_arrays(f, phi, a, uf, uphi, ua, params: LdParameters,
                          grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Directional derivative of gradient_arrays along (uf, uphi, ua).
 
-    uphi must include a plane-0 row (zeros when gauge fixed).
+    uphi must include a plane-0 row (zeros when gauge fixed).  The
+    directions may carry leading axes, e.g. (k, N+1, M+1) for k directions;
+    the products then carry the same leading axes, each one bit-identical
+    to the product along that direction alone.
     """
     p, kappa, r = params.spacing, params.kappa, params.coupling
     dx = grid.dx
@@ -177,36 +180,36 @@ def hessian_apply_arrays(f, phi, a, uf, uphi, ua, params: LdParameters,
     cosPhi = np.cos(Phi)
     sinPhi = np.sin(Phi)
 
-    duf = np.diff(uf, axis=1) / dx
-    dV = np.diff(uphi, axis=1) / dx - ua
-    dfm = 0.5 * (uf[:, 1:] + uf[:, :-1])
-    dPhi = uphi[1:] - uphi[:-1]
-    dh = (ua[1:] - ua[:-1]) / p
+    duf = np.diff(uf, axis=-1) / dx
+    dV = np.diff(uphi, axis=-1) / dx - ua
+    dfm = 0.5 * (uf[..., 1:] + uf[..., :-1])
+    dPhi = uphi[..., 1:, :] - uphi[..., :-1, :]
+    dh = (ua[..., 1:, :] - ua[..., :-1, :]) / p
 
     Hf = p * wt * 2.0 * (3.0 * f**2 - 1.0) * uf
     mid_lin = p * dx * (2.0 * V * dV * fm + V**2 * dfm) / kappa**2
     grad_lin = p * dx * (2.0 * duf / dx) / kappa**2
-    Hf[:, :-1] += mid_lin - grad_lin
-    Hf[:, 1:] += mid_lin + grad_lin
+    Hf[..., :-1] += mid_lin - grad_lin
+    Hf[..., 1:] += mid_lin + grad_lin
     jf = 0.5 * r * p * wt
-    Hf[1:] += jf * (2.0 * uf[1:] - 2.0 * uf[:-1] * cosPhi
-                    + 2.0 * f[:-1] * sinPhi * dPhi)
-    Hf[:-1] += jf * (2.0 * uf[:-1] - 2.0 * uf[1:] * cosPhi
-                     + 2.0 * f[1:] * sinPhi * dPhi)
+    Hf[..., 1:, :] += jf * (2.0 * uf[..., 1:, :] - 2.0 * uf[..., :-1, :] * cosPhi
+                            + 2.0 * f[:-1] * sinPhi * dPhi)
+    Hf[..., :-1, :] += jf * (2.0 * uf[..., :-1, :] - 2.0 * uf[..., 1:, :] * cosPhi
+                             + 2.0 * f[1:] * sinPhi * dPhi)
 
-    Hphi = np.zeros_like(phi)
+    Hphi = np.zeros(np.broadcast_shapes(phi.shape, uphi.shape))
     tlin = (2.0 * p / kappa**2) * (dV * fm**2 + 2.0 * V * fm * dfm)
-    Hphi[:, :-1] -= tlin
-    Hphi[:, 1:] += tlin
-    jlin = jf * 2.0 * ((uf[1:] * f[:-1] + f[1:] * uf[:-1]) * sinPhi
+    Hphi[..., :-1] -= tlin
+    Hphi[..., 1:] += tlin
+    jlin = jf * 2.0 * ((uf[..., 1:, :] * f[:-1] + f[1:] * uf[..., :-1, :]) * sinPhi
                        + f[1:] * f[:-1] * cosPhi * dPhi)
-    Hphi[1:] += jlin
-    Hphi[:-1] -= jlin
+    Hphi[..., 1:, :] += jlin
+    Hphi[..., :-1, :] -= jlin
 
     Ha = -(2.0 * p * dx / kappa**2) * (dV * fm**2 + 2.0 * V * fm * dfm)
     ghl = (2.0 * dx / kappa**2) * dh
-    Ha[1:] += ghl
-    Ha[:-1] -= ghl
+    Ha[..., 1:, :] += ghl
+    Ha[..., :-1, :] -= ghl
     return Hf, Hphi, Ha
 
 

@@ -26,6 +26,10 @@ from .perturbation import (enumerate_seeds, g0, interior_u1_closed_form,
 from .state import LayeredState, random_low_energy_state
 from .validity import energy_bound_coefficient
 
+#: Step budget of every experiment descent.  Each step factors a band; the
+#: descents of the acceptance census take at most 27 steps.
+DESCENT_MAX_ITER = 500
+
 
 @dataclass
 class ExperimentRecord:
@@ -57,7 +61,7 @@ def _branch_minimum(params: LdParameters, grid: Grid1D, delta,
                     tol: float) -> CriticalPoint:
     """Descent from the perturbative seed followed by a Newton polish."""
     rep = minimize(seed_state(params, grid, delta), params, grid,
-                   tol=max(tol, 1e-6), max_iter=2000)
+                   tol=max(tol, 1e-6), max_iter=DESCENT_MAX_ITER)
     return newton_critical(rep.state, params, grid, tol=tol)
 
 
@@ -129,7 +133,7 @@ def _census_descent_job(args) -> dict:
     grid = Grid1D.build(params, dx)
     rng = np.random.default_rng(seed)
     start = random_low_energy_state(params, grid, rng)
-    rep = minimize(start, params, grid, tol=1e-8, max_iter=12000)
+    rep = minimize(start, params, grid, tol=1e-8, max_iter=DESCENT_MAX_ITER)
     return {"energy": rep.energy, "grad_norm": rep.grad_norm,
             "converged": rep.converged, "state": rep.state}
 
@@ -260,11 +264,11 @@ def _sweep_point_job(args) -> dict:
     best = None
     for delta_b in (0.0, math.pi):
         rep = minimize(seed_state(ph, grid, delta_b), ph, grid,
-                       tol=tol, max_iter=2000)
+                       tol=tol, max_iter=DESCENT_MAX_ITER)
         if best is None or rep.energy < best.energy:
             best = rep
     if warm is not None:
-        rep = minimize(warm, ph, grid, tol=tol, max_iter=2000)
+        rep = minimize(warm, ph, grid, tol=tol, max_iter=DESCENT_MAX_ITER)
         if rep.energy < best.energy:
             best = rep
     obs = observables(best.state, ph, grid)

@@ -4,12 +4,13 @@ The free DOFs of a gauge-fixed state are f on all planes, phi on planes
 1..N and a on all planes.  They are packed x-major (all DOFs of one grid
 column together) so the Hessian is a symmetric banded matrix with
 bandwidth 4N+2: couplings reach at most one grid column and one plane
-away.  Newton solves the banded system directly.  Minimization is a
-curvature-memory (L-BFGS) descent with Armijo backtracking on the energy;
-once the gradient sup-norm drops to NEWTON_SWITCH it finishes with
-modified Newton steps on the banded Hessian (Levenberg-shifted until the
-Cholesky factorization succeeds), because L-BFGS crawls along the O(r)
-curvature of the phase torus against O(1/(kappa dx)^2) stiff modes.
+away.  The band is assembled from one batched Hessian-vector product over
+2*bw+1 comb vectors.  Newton solves the banded system directly.
+Minimization takes modified Newton steps on the banded Hessian
+(Levenberg-shifted until the Cholesky factorization succeeds) under an
+Armijo line search on the energy, because the Hessian mixes N eigenvalues
+of size O(r) along the phase torus with stiff modes of size
+O(1/(kappa dx)^2), which a gradient-based descent crawls across.
 
 Inertia needs only the N+1 Hessian eigenvalues nearest zero; shift-invert
 Lanczos on the sparse Hessian computes just those, with no dense matrix or
@@ -18,6 +19,7 @@ full-band eigensolve (scipy.sparse loads only when a spectrum is asked for).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -35,9 +37,10 @@ from .state import LayeredState
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 40
-NEWTON_SWITCH = 1e-4  # gradient sup-norm at which descent turns to Newton
 MAX_SHIFTS = 20  # Levenberg escalations tried per Newton step
 V0_SEED = 0  # seed of the fixed Lanczos start vector
+
+log = logging.getLogger("ldvortex")
 
 
 @lru_cache(maxsize=32)
@@ -72,14 +75,15 @@ class Layout:
         return Layout(N, M, idx_f, idx_phi, idx_a, size, bw)
 
     def pack(self, f: np.ndarray, dphi: np.ndarray, a: np.ndarray) -> np.ndarray:
-        x = np.empty(self.size)
-        x[self.idx_f] = f
-        x[self.idx_phi] = dphi
-        x[self.idx_a] = a
+        """Flatten (f, dphi, a); leading axes, shared by all three, are kept."""
+        x = np.empty(f.shape[:-2] + (self.size,))
+        x[..., self.idx_f] = f
+        x[..., self.idx_phi] = dphi
+        x[..., self.idx_a] = a
         return x
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return x[self.idx_f], x[self.idx_phi], x[self.idx_a]
+        return x[..., self.idx_f], x[..., self.idx_phi], x[..., self.idx_a]
 
 
 def _state_to_x(state: LayeredState, layout: Layout) -> np.ndarray:
@@ -112,7 +116,9 @@ def _flat_functions(params: LdParameters, grid: Grid1D, layout: Layout):
 
 @dataclass(frozen=True)
 class MinimizeReport:
-    """Descent outcome with the full per-iteration trace."""
+    """Descent outcome with the full per-iteration trace.  Every iteration
+    is a Newton or a steepest-descent step; levenberg_shifts counts the
+    Cholesky factorizations that failed and raised the shift."""
 
     state: LayeredState
     iterations: int
@@ -124,12 +130,16 @@ class MinimizeReport:
     grad_trace: np.ndarray = field(repr=False)
     step_trace: np.ndarray = field(repr=False)
     newton_steps: int = 0
+    steepest_steps: int = 0
+    levenberg_shifts: int = 0
 
     def to_dict(self) -> dict:
         return {"iterations": self.iterations, "grad_norm": self.grad_norm,
                 "energy": self.energy, "converged": self.converged,
                 "line_search_failures": self.line_search_failures,
-                "newton_steps": self.newton_steps}
+                "newton_steps": self.newton_steps,
+                "steepest_steps": self.steepest_steps,
+                "levenberg_shifts": self.levenberg_shifts}
 
 
 def _armijo(efun, x: np.ndarray, e: float, d: np.ndarray, slope: float):
@@ -146,10 +156,12 @@ def _armijo(efun, x: np.ndarray, e: float, d: np.ndarray, slope: float):
 
 
 def _newton_direction(x: np.ndarray, g: np.ndarray, params: LdParameters,
-                      grid: Grid1D, layout: Layout) -> np.ndarray | None:
+                      grid: Grid1D, layout: Layout,
+                      counts: dict[str, int]) -> np.ndarray | None:
     """Solve (H + mu I) d = -g on the banded Hessian with the smallest mu in
     0, 1e-8 max|diag H|, then x10, at which H + mu I factors as positive
-    definite; None if no shift within MAX_SHIFTS does."""
+    definite; None if no shift within MAX_SHIFTS does.  Each failed
+    factorization adds one to counts["shifts"]."""
     ab, bw = assemble_banded_hessian(_x_to_state(x, layout), params, grid)
     upper = ab[:bw + 1]
     scale = float(np.max(np.abs(upper[bw]))) or 1.0
@@ -160,6 +172,7 @@ def _newton_direction(x: np.ndarray, g: np.ndarray, params: LdParameters,
         try:
             factor = sla.cholesky_banded(shifted)
         except sla.LinAlgError:
+            counts["shifts"] += 1
             mu = 1e-8 * scale if mu == 0.0 else 10.0 * mu
             continue
         d = sla.cho_solve_banded((factor, False), -g)
@@ -168,22 +181,20 @@ def _newton_direction(x: np.ndarray, g: np.ndarray, params: LdParameters,
 
 
 def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
-             tol: float = 1e-8, max_iter: int = 4000,
-             memory: int = 12) -> MinimizeReport:
-    """Energy descent: L-BFGS (two-loop) with Armijo backtracking, finished
-    by a modified Newton tail.
+             tol: float = 1e-8, max_iter: int = 4000) -> MinimizeReport:
+    """Energy descent by modified Newton steps with Armijo backtracking.
 
-    While the gradient sup-norm exceeds NEWTON_SWITCH each step is an
-    L-BFGS step, retried once along steepest descent if its line search
-    stalls.  Below the switch each step first tries a Newton step on the
-    Levenberg-shifted banded Hessian under the same energy line search;
-    an accepted one clears the curvature memory, a rejected one falls back
-    to the L-BFGS step.  Every step lowers the energy, so the descent ends
+    Each step solves the Levenberg-shifted banded Newton system (see
+    _newton_direction) and backtracks along it on the energy.  When no
+    shift factors, the direction is not a descent direction or its line
+    search stalls, the step is one steepest-descent step under the same
+    line search instead.  Every step lowers the energy, so the descent ends
     at minima.
 
     Terminates when the sup-norm of the gradient drops to tol or the
     iteration budget runs out.  The energy trace is nonincreasing; a
-    stalled line search returns the best state so far with converged=False.
+    stalled steepest-descent line search returns the best state so far
+    with converged=False.
     """
     require_valid(params)
     state0.check_grid(params, grid)
@@ -196,79 +207,39 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
     if not (math.isfinite(e) and np.all(np.isfinite(g))):
         raise NonFinite("non-finite energy or gradient at the start state")
 
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
     energies = [e]
     gnorms = [float(np.max(np.abs(g)))]
     steps: list[float] = []
+    counts = {"newton": 0, "steepest": 0, "shifts": 0}
     failures = 0
-    newton_steps = 0
     iterations = 0
-
-    def two_loop(grad: np.ndarray) -> np.ndarray:
-        q = grad.copy()
-        alphas = []
-        for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-            alpha = rho * float(s @ q)
-            q -= alpha * y
-            alphas.append(alpha)
-        if y_hist:
-            gamma = float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
-            q *= gamma
-        for (s, y, rho), alpha in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-            beta = rho * float(y @ q)
-            q += (alpha - beta) * s
-        return -q
-
-    def clear_memory() -> None:
-        s_hist.clear(); y_hist.clear(); rho_hist.clear()
 
     while gnorms[-1] > tol and iterations < max_iter:
         step = None
-        if gnorms[-1] <= NEWTON_SWITCH:
-            d = _newton_direction(x, g, params, grid, layout)
-            slope = float(g @ d) if d is not None else 0.0
-            if slope < 0.0:
-                step = _armijo(efun, x, e, d, slope)
-            if step is not None:
-                newton_steps += 1
-                clear_memory()
-        if step is None:
-            d = two_loop(g)
-            slope = float(g @ d)
-            if not (slope < 0.0) or not np.all(np.isfinite(d)):
-                clear_memory()
-                d = -g
-                slope = -float(g @ g)
+        d = _newton_direction(x, g, params, grid, layout, counts)
+        slope = float(g @ d) if d is not None else 0.0
+        if slope < 0.0:
             step = _armijo(efun, x, e, d, slope)
-            if step is None and s_hist:
-                # Memory may be stale; retry once along steepest descent.
-                clear_memory()
-                step = _armijo(efun, x, e, -g, -float(g @ g))
-        if step is None:
-            failures += 1
-            break
-        x_new, e_new, t = step
-
-        g_new = gfun(x_new)
-        if not np.all(np.isfinite(g_new)):
+        if step is not None:
+            counts["newton"] += 1
+        else:
+            step = _armijo(efun, x, e, -g, -float(g @ g))
+            if step is None:
+                failures += 1
+                break
+            counts["steepest"] += 1
+        x, e, t = step
+        g = gfun(x)
+        if not np.all(np.isfinite(g)):
             raise NonFinite("non-finite gradient during descent")
-        s = x_new - x
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            s_hist.append(s)
-            y_hist.append(y)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > memory:
-                s_hist.pop(0); y_hist.pop(0); rho_hist.pop(0)
-        x, e, g = x_new, e_new, g_new
         iterations += 1
         energies.append(e)
         gnorms.append(float(np.max(np.abs(g))))
         steps.append(t)
 
+    log.debug("minimize: %d iterations (%d Newton, %d steepest), %d Levenberg "
+              "shifts, |g|inf %.3e", iterations, counts["newton"],
+              counts["steepest"], counts["shifts"], gnorms[-1])
     return MinimizeReport(
         state=_x_to_state(x, layout),
         iterations=iterations,
@@ -279,35 +250,33 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
         energy_trace=np.asarray(energies),
         grad_trace=np.asarray(gnorms),
         step_trace=np.asarray(steps),
-        newton_steps=newton_steps,
+        newton_steps=counts["newton"],
+        steepest_steps=counts["steepest"],
+        levenberg_shifts=counts["shifts"],
     )
 
 
 def assemble_banded_hessian(state: LayeredState, params: LdParameters,
                             grid: Grid1D) -> tuple[np.ndarray, int]:
     """Assemble the free-DOF Hessian in LAPACK banded storage
-    ab[bw + i - j, j] = H[i, j] using Hessian-vector products on comb
-    vectors (one product per color, colors spaced beyond the bandwidth)."""
+    ab[bw + i - j, j] = H[i, j] from one batched Hessian-vector product on
+    the comb vectors (one 0/1 comb per color, colors spaced beyond the
+    bandwidth)."""
     layout = Layout.build(params.num_gaps, grid.M)
     n, bw = layout.size, layout.bandwidth
-    ab = np.zeros((2 * bw + 1, n))
     ncolors = min(2 * bw + 1, n)
-    zrow = np.zeros((1, grid.M + 1))
-    f, phi, a = state.f, state.phi, state.a
-    # Row bw + d of column j is H[j + d, j]: entry j + bw + d of Hv padded
-    # by bw zeros on each side (zeros fall outside the matrix).
-    pad = np.zeros(bw)
-    band_rows = np.arange(2 * bw + 1)[:, None]
-    for c in range(ncolors):
-        v = np.zeros(n)
-        js = np.arange(c, n, ncolors)
-        v[js] = 1.0
-        uf, udphi, ua = layout.unpack(v)
-        uphi = np.vstack([zrow, udphi])
-        Hf, Hphi, Ha = hessian_apply_arrays(f, phi, a, uf, uphi, ua, params, grid)
-        Hv = np.concatenate([pad, layout.pack(Hf, Hphi[1:], Ha), pad])
-        ab[:, js] = Hv[js + band_rows]
-    return ab, bw
+    js = np.arange(n)
+    combs = np.zeros((ncolors, n))
+    combs[js % ncolors, js] = 1.0
+    uf, udphi, ua = layout.unpack(combs)
+    uphi = np.concatenate([np.zeros((ncolors, 1, grid.M + 1)), udphi], axis=1)
+    Hf, Hphi, Ha = hessian_apply_arrays(state.f, state.phi, state.a,
+                                        uf, uphi, ua, params, grid)
+    # Row bw + d of column j is H[j + d, j]: entry j + bw + d of the product
+    # on j's comb, padded by bw zeros on each side (zeros fall outside the
+    # matrix).
+    HV = np.pad(layout.pack(Hf, Hphi[:, 1:], Ha), ((0, 0), (bw, bw)))
+    return HV[js % ncolors, js + np.arange(2 * bw + 1)[:, None]], bw
 
 
 def sparse_hessian(state: LayeredState, params: LdParameters, grid: Grid1D):

@@ -163,13 +163,15 @@ class Grid1D:
     """Uniform staggered grid on [-L, L].
 
     Amplitudes and phases live at the M+1 nodes, tangential gauge-field
-    traces at the M midpoints.
+    traces at the M midpoints; weights are the read-only trapezoid weights
+    over the nodes.
     """
 
     num_intervals: int
     dx: float
     nodes: np.ndarray = field(repr=False)
     mids: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
     @property
     def M(self) -> int:
@@ -191,15 +193,16 @@ class Grid1D:
         actual = 2.0 * params.half_width / M
         nodes = np.linspace(-params.half_width, params.half_width, M + 1)
         mids = 0.5 * (nodes[:-1] + nodes[1:])
-        nodes.setflags(write=False)
-        mids.setflags(write=False)
-        return Grid1D(M, actual, nodes, mids)
+        weights = np.full(M + 1, actual)
+        weights[0] = weights[-1] = 0.5 * actual
+        for arr in (nodes, mids, weights):
+            arr.setflags(write=False)
+        return Grid1D(M, actual, nodes, mids, weights)
 
     def trapezoid_weights(self) -> np.ndarray:
-        """Trapezoid quadrature weights over the nodes."""
-        w = np.full(self.num_intervals + 1, self.dx)
-        w[0] = w[-1] = 0.5 * self.dx
-        return w
+        """Trapezoid quadrature weights over the nodes (the stored read-only
+        array, computed once in build)."""
+        return self.weights
 
 
 def wrap_angle(delta: np.ndarray | float) -> np.ndarray | float:

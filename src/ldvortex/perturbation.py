@@ -23,11 +23,14 @@ from itertools import product
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DegenerateField
+from .errors import DegenerateField, InvalidParameters
 from .observables import Observables
 from .params import (DEGENERACY_TOL, Grid1D, LdParameters, PhaseConfig,
                      as_phase_config, require_valid, wrap_to_pi)
 from .state import LayeredState, zero_coupling_minimizer
+
+#: Largest N whose 2^N seeds are enumerated (4 096 seeds).
+MAX_SEED_GAPS = 12
 
 
 def _require_nondegenerate(params: LdParameters) -> float:
@@ -78,8 +81,12 @@ class SeedInfo:
 def enumerate_seeds(params: LdParameters) -> list[SeedInfo]:
     """All 2^N phase configurations delta_n in {0, pi}, sorted by reduced
     energy; the predicted inertia counts gaps with (sin(HpL)/H) cos(delta_n) < 0
-    (the reduced Hessian is diagonal)."""
+    (the reduced Hessian is diagonal).  N above MAX_SEED_GAPS raises
+    InvalidParameters: each seed costs a Newton solve in the census."""
     require_valid(params)
+    if params.num_gaps > MAX_SEED_GAPS:
+        raise InvalidParameters(
+            f"2^N seeds at N = {params.num_gaps}: N must be <= {MAX_SEED_GAPS}")
     s = _require_nondegenerate(params)
     sH = s / params.applied_field
     out = []

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from ldvortex import harness
-from ldvortex.errors import DegenerateField, NoCompleteCycle
+from ldvortex.errors import DegenerateField, InvalidParameters, NoCompleteCycle
 from ldvortex.harness import (census, convergence_study, count_interior_maxima,
                               field_sweep, flux_check)
 from ldvortex.minimize import newton_critical
 from ldvortex.params import Grid1D, LdParameters
-from ldvortex.perturbation import seed_state, vortex_plane_delta
+from ldvortex.perturbation import (MAX_SEED_GAPS, enumerate_seeds, seed_state,
+                                   vortex_plane_delta)
 
 
 def test_convergence_study_slopes(desk):
@@ -70,6 +71,21 @@ def test_census_degenerate_field_raises():
     params = LdParameters(1, 2.0, 0.5, 1.0, math.pi, 1e-3)
     with pytest.raises(DegenerateField):
         census(params, 1e-3, n_random=0)
+
+
+def test_census_refuses_too_many_seeds_before_any_solve(desk, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a solve or a process pool was started")
+
+    for name in ("newton_critical", "minimize", "seed_state",
+                 "ProcessPoolExecutor"):
+        monkeypatch.setattr(harness, name, no_work)
+    params = LdParameters(MAX_SEED_GAPS + 1, desk.half_width, desk.spacing,
+                          desk.kappa, desk.applied_field, 1e-3)
+    with pytest.raises(InvalidParameters, match="2\\^N seeds"):
+        enumerate_seeds(params)
+    with pytest.raises(InvalidParameters, match="2\\^N seeds"):
+        census(params, 1e-3, n_random=2, jobs=2)
 
 
 def test_field_sweep_detects_first_transition(desk):

@@ -1,20 +1,25 @@
+import importlib
+import logging
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from ldvortex.energy import Cotangent, hessian_apply, total_energy
+from ldvortex.energy import (Cotangent, hessian_apply, hessian_apply_arrays,
+                             total_energy)
 from ldvortex.errors import FactorizationFailure, NoConvergence, SingularHessian
-from ldvortex.minimize import (NEWTON_SWITCH, Layout, inertia, minimize,
-                               nearest_eigenvalues, newton_critical,
-                               sparse_hessian)
+from ldvortex.minimize import (Layout, inertia, minimize, nearest_eigenvalues,
+                               newton_critical, sparse_hessian)
 from ldvortex.observables import observables
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.perturbation import (enumerate_seeds, leading_min_energy,
                                    seed_state, vortex_plane_delta)
 from ldvortex.state import (random_low_energy_state, random_rough_state,
                             uniform_field_state, zero_coupling_minimizer)
+
+# The package re-exports the function `minimize` under the module's name.
+minimize_mod = importlib.import_module("ldvortex.minimize")
 
 
 def test_infinite_tolerance_returns_start(desk, desk_grid):
@@ -193,11 +198,47 @@ def test_newton_tail_finishes_random_descent(desk, desk_grid, rng):
     assert np.all(np.diff(rep.energy_trace) <= 0.0)
 
 
-def test_newton_tail_waits_for_the_switch(desk, desk_grid, rng):
-    rep = minimize(random_low_energy_state(desk, desk_grid, rng), desk,
-                   desk_grid, tol=10.0 * NEWTON_SWITCH, max_iter=1000)
+def test_failed_newton_direction_falls_back_to_one_steepest_step(
+        desk, desk_grid, rng, monkeypatch, caplog):
+    direction = minimize_mod._newton_direction
+    calls = []
+
+    def first_fails(*args, **kwargs):
+        calls.append(None)
+        return None if len(calls) == 1 else direction(*args, **kwargs)
+
+    monkeypatch.setattr(minimize_mod, "_newton_direction", first_fails)
+    with caplog.at_level(logging.DEBUG, logger="ldvortex"):
+        rep = minimize(random_low_energy_state(desk, desk_grid, rng), desk,
+                       desk_grid, tol=1e-8, max_iter=500)
     assert rep.converged
-    assert rep.newton_steps == 0
+    assert rep.steepest_steps == 1
+    assert rep.newton_steps == rep.iterations - 1 >= 1
+    assert rep.line_search_failures == 0
+    assert rep.to_dict()["steepest_steps"] == 1
+    assert np.all(np.diff(rep.energy_trace) <= 0.0)
+    [line] = [r.getMessage() for r in caplog.records if r.name == "ldvortex"]
+    assert f"{rep.iterations} iterations" in line and "1 steepest" in line
+
+
+def test_batched_hessian_apply_matches_single_products(desk, rng):
+    grid = Grid1D.build(desk, dx=1.0 / 16.0)
+    state = random_rough_state(desk, grid, rng)
+    layout = Layout.build(desk.num_gaps, grid.M)
+    vs = rng.standard_normal((5, layout.size))
+
+    def apply(v):
+        uf, udphi, ua = layout.unpack(v)
+        zeros = np.zeros(udphi.shape[:-2] + (1, grid.M + 1))
+        uphi = np.concatenate([zeros, udphi], axis=-2)
+        Hf, Hphi, Ha = hessian_apply_arrays(state.f, state.phi, state.a,
+                                            uf, uphi, ua, desk, grid)
+        return layout.pack(Hf, Hphi[..., 1:, :], Ha)
+
+    batched = apply(vs)
+    assert batched.shape == vs.shape
+    for v, row in zip(vs, batched):
+        assert np.array_equal(apply(v), row)
 
 
 def test_newton_tail_shifts_singular_zero_coupling_hessian(desk, coarse_grid,
@@ -221,6 +262,7 @@ def test_newton_tail_shifts_singular_zero_coupling_hessian(desk, coarse_grid,
     assert rep.converged
     assert rep.newton_steps >= 1
     assert False in outcomes  # the unshifted Hessian did not factor
+    assert rep.levenberg_shifts == outcomes.count(False)
     assert np.all(np.diff(rep.energy_trace) <= 0.0)
 
 
@@ -232,7 +274,7 @@ def test_newton_tail_converges_stalled_n3_census_descent(desk):
     grid = Grid1D.build(params, dx=1.0 / 30.0)
     start = random_low_energy_state(params, grid,
                                     np.random.default_rng(34 * 100003 + 17 * 28))
-    rep = minimize(start, params, grid, tol=1e-8, max_iter=12000)
+    rep = minimize(start, params, grid, tol=1e-8, max_iter=500)
     assert rep.converged
     assert rep.newton_steps >= 1
     assert np.all(np.diff(rep.energy_trace) <= 0.0)

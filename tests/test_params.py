@@ -91,6 +91,17 @@ def test_trapezoid_weights_sum_to_length(desk_grid):
     assert np.sum(desk_grid.trapezoid_weights()) == pytest.approx(2.0, rel=1e-14)
 
 
+def test_trapezoid_weights_are_cached_read_only(desk_grid):
+    first = desk_grid.trapezoid_weights()
+    assert first is desk_grid.trapezoid_weights()
+    assert not first.flags.writeable
+    expected = np.full(desk_grid.M + 1, desk_grid.dx)
+    expected[0] = expected[-1] = 0.5 * desk_grid.dx
+    assert np.array_equal(first, expected)
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+
+
 @given(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=6))
 def test_phase_config_stores_canonical_representative(deltas):
     cfg = PhaseConfig(np.array(deltas))
