@@ -23,8 +23,8 @@ import numpy as np
 from . import exports
 from .acceptance import PRESETS, run_acceptance
 from .energy import total_energy
-from .errors import InvalidParameters, LdError
-from .harness import census, field_sweep, flux_check
+from .errors import LdError
+from .harness import census, field_sweep, flux_check, require_jobs
 from .minimize import minimize, newton_critical
 from .observables import lift_field_2d, observables
 from .params import Grid1D, LdParameters, validate
@@ -97,10 +97,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise LdError("invalid parameters: " + "; ".join(report.errors))
     for w in report.warnings:
         log.warning(w)
-    jobs, cores = int(merged["jobs"]), len(os.sched_getaffinity(0))
-    if not 1 <= jobs <= cores:
-        raise InvalidParameters(
-            f"--jobs must be between 1 and the {cores} usable cores, got {jobs}")
+    jobs = int(merged["jobs"])
+    require_jobs(jobs)
     return RunConfig(params, merged["dx"], float(merged["tol"]),
                      int(merged["max_iter"]), int(merged["seed"]),
                      jobs, merged["out"], merged["format"])

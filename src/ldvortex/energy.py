@@ -165,6 +165,10 @@ def hessian_apply_arrays(f, phi, a, uf, uphi, ua, params: LdParameters,
                          grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Directional derivative of gradient_arrays along (uf, uphi, ua).
 
+    This is the independent reference for the Hessian: it linearizes the
+    gradient kernel, while minimize.assemble_banded_hessian writes the
+    second derivatives term by term, and the tests hold the two together.
+
     uphi must include a plane-0 row (zeros when gauge fixed).  The
     directions may carry leading axes, e.g. (k, N+1, M+1) for k directions;
     the products then carry the same leading axes, each one bit-identical

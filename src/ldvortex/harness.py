@@ -9,13 +9,15 @@ merged in deterministic key order.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DegenerateField, NoCompleteCycle, NoConvergence
+from .errors import (DegenerateField, InvalidParameters, NoCompleteCycle,
+                     NoConvergence)
 from .exports import params_dict
 from .minimize import CriticalPoint, minimize, newton_critical, default_newton_tol
 from .observables import delta_estimate, distance, observables
@@ -29,6 +31,15 @@ from .validity import energy_bound_coefficient
 #: Step budget of every experiment descent.  Each step factors a band; the
 #: descents of the acceptance census take at most 27 steps.
 DESCENT_MAX_ITER = 500
+
+
+def require_jobs(jobs: int) -> None:
+    """Raise InvalidParameters unless 1 <= jobs <= the usable cores: the
+    pool size of census and field_sweep (--jobs on the command line)."""
+    cores = len(os.sched_getaffinity(0))
+    if not 1 <= jobs <= cores:
+        raise InvalidParameters(
+            f"--jobs must be between 1 and the {cores} usable cores, got {jobs}")
 
 
 @dataclass
@@ -152,6 +163,7 @@ def census(params: LdParameters, r: float, n_random: int = 50,
     below which the census is exhaustive is not constructive).
     """
     t0 = time.time()
+    require_jobs(jobs)
     pr = params.with_coupling(float(r))
     require_valid(pr)
     if pr.is_degenerate:
@@ -296,6 +308,7 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
     of the ground energy, compared against 4 N p^2 L^2 r / (k pi).
     """
     t0 = time.time()
+    require_jobs(jobs)
     require_valid(params)
     H_grid = np.asarray(H_grid, dtype=float)
     if np.any(np.diff(H_grid) <= 0) or H_grid.size < 8:

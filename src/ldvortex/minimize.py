@@ -4,8 +4,10 @@ The free DOFs of a gauge-fixed state are f on all planes, phi on planes
 1..N and a on all planes.  They are packed x-major (all DOFs of one grid
 column together) so the Hessian is a symmetric banded matrix with
 bandwidth 4N+2: couplings reach at most one grid column and one plane
-away.  The band is assembled from one batched Hessian-vector product over
-2*bw+1 comb vectors.  Newton solves the banded system directly.
+away.  The band is assembled straight from the stencil: every energy term
+is local, so its second derivatives form small dense blocks that one
+bincount sums into the band in O(n).  Newton solves the banded system
+directly.
 Minimization takes modified Newton steps on the banded Hessian
 (Levenberg-shifted until the Cholesky factorization succeeds) under an
 Armijo line search on the energy, because the Hessian mixes N eigenvalues
@@ -29,7 +31,7 @@ import scipy.linalg as sla
 
 from .errors import (FactorizationFailure, NoConvergence, NonFinite,
                      SingularHessian)
-from .energy import energy_arrays, gradient_arrays, hessian_apply_arrays
+from .energy import energy_arrays, gradient_arrays
 from .observables import delta_estimate, observables
 from .params import Grid1D, LdParameters, require_valid
 from .state import LayeredState
@@ -55,6 +57,39 @@ def _layout_cached(N: int, M: int):
     for arr in (idx_f, idx_phi, idx_a):
         arr.setflags(write=False)
     return idx_f, idx_phi, idx_a, size, S + N
+
+
+# Upper-triangle entries (row, column) of the local Hessian blocks, in the
+# order assemble_banded_hessian computes their values.  Midpoint block over
+# (f_m, f_m+1, phi_m, phi_m+1, a_m), Josephson block over (f_n-1, f_n,
+# phi_n-1, phi_n), field block over (a_n-1, a_n).
+_MID_PAIRS = ((0, 0), (1, 1), (0, 1), (2, 2), (3, 3), (2, 3), (4, 4), (2, 4),
+              (3, 4), (0, 2), (0, 3), (1, 2), (1, 3), (0, 4), (1, 4))
+_JOS_PAIRS = ((0, 0), (1, 1), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 2),
+              (3, 3), (2, 3))
+_FLD_PAIRS = ((0, 0), (1, 1), (0, 1))
+
+
+@lru_cache(maxsize=32)
+def _band_index_cached(N: int, M: int) -> np.ndarray:
+    """Flat position in the (2*bw+1, n) band of every block entry that
+    assemble_banded_hessian writes, always in the lower triangle
+    (ab[bw + i - j, j] with i >= j); entries on the gauge-fixed phi_0 go to
+    the extra slot (2*bw+1)*n.  Read-only."""
+    idx_f, idx_phi, idx_a, n, bw = _layout_cached(N, M)
+    phi = np.vstack([np.full((1, M + 1), -1), idx_phi])
+    mid = (idx_f[:, :-1], idx_f[:, 1:], phi[:, :-1], phi[:, 1:], idx_a)
+    jos = (idx_f[:-1], idx_f[1:], phi[:-1], phi[1:])
+    fld = (idx_a[:-1], idx_a[1:])
+    blocks = ([(mid[i], mid[j]) for i, j in _MID_PAIRS] + [(idx_f, idx_f)]
+              + [(jos[i], jos[j]) for i, j in _JOS_PAIRS]
+              + [(fld[i], fld[j]) for i, j in _FLD_PAIRS])
+    rows = np.concatenate([u.ravel() for u, _ in blocks])
+    cols = np.concatenate([v.ravel() for _, v in blocks])
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    flat = np.where(lo < 0, (2 * bw + 1) * n, (bw + hi - lo) * n + lo)
+    flat.setflags(write=False)
+    return flat
 
 
 @dataclass(frozen=True)
@@ -259,24 +294,56 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
 def assemble_banded_hessian(state: LayeredState, params: LdParameters,
                             grid: Grid1D) -> tuple[np.ndarray, int]:
     """Assemble the free-DOF Hessian in LAPACK banded storage
-    ab[bw + i - j, j] = H[i, j] from one batched Hessian-vector product on
-    the comb vectors (one 0/1 comb per color, colors spaced beyond the
-    bandwidth)."""
-    layout = Layout.build(params.num_gaps, grid.M)
+    ab[bw + i - j, j] = H[i, j] straight from the stencil, in O(n).
+
+    The Hessian is a sum of local blocks: per plane and midpoint a 5x5
+    block from (f')^2 and V^2 fm^2, the node term 2 p w (3 f^2 - 1) on the
+    f diagonal, per gap and node a 4x4 Josephson block, and per gap and
+    midpoint a 2x2 field block (their variables are listed above
+    _MID_PAIRS).  One bincount sums the upper triangle of every block into
+    the lower band, which is then mirrored: the band is exactly symmetric
+    and its entries outside the matrix are exactly 0."""
+    N, M = params.num_gaps, grid.M
+    p, kappa, r = params.spacing, params.kappa, params.coupling
+    dx = grid.dx
+    wt = grid.trapezoid_weights()
+    f, phi, a = state.f, state.phi, state.a
+    layout = Layout.build(N, M)
     n, bw = layout.size, layout.bandwidth
-    ncolors = min(2 * bw + 1, n)
-    js = np.arange(n)
-    combs = np.zeros((ncolors, n))
-    combs[js % ncolors, js] = 1.0
-    uf, udphi, ua = layout.unpack(combs)
-    uphi = np.concatenate([np.zeros((ncolors, 1, grid.M + 1)), udphi], axis=1)
-    Hf, Hphi, Ha = hessian_apply_arrays(state.f, state.phi, state.a,
-                                        uf, uphi, ua, params, grid)
-    # Row bw + d of column j is H[j + d, j]: entry j + bw + d of the product
-    # on j's comb, padded by bw zeros on each side (zeros fall outside the
-    # matrix).
-    HV = np.pad(layout.pack(Hf, Hphi[:, 1:], Ha), ((0, 0), (bw, bw)))
-    return HV[js % ncolors, js + np.arange(2 * bw + 1)[:, None]], bw
+
+    # Midpoint blocks: c ((f_m+1 - f_m)/dx)^2 + c V^2 fm^2.
+    c = p * dx / kappa**2
+    V = np.diff(phi, axis=1) / dx - a
+    fm = 0.5 * (f[:, 1:] + f[:, :-1])
+    ff = 0.5 * c * V**2
+    stiff = 2.0 * c / dx**2
+    aa = 2.0 * c * fm**2
+    fa = 2.0 * c * V * fm
+    pp, pa, fp = aa / dx**2, aa / dx, fa / dx
+    mid = np.stack([ff + stiff, ff + stiff, ff - stiff, pp, pp, -pp, aa, pa,
+                    -pa, -fp, fp, -fp, fp, -fa, -fa])
+
+    # Josephson blocks: (r p w / 2) (f_n^2 + f_n-1^2 - 2 f_n f_n-1 cos Phi).
+    Phi = phi[1:] - phi[:-1]
+    jw = np.broadcast_to(r * p * wt, Phi.shape)
+    jc = jw * np.cos(Phi)
+    js = jw * np.sin(Phi)
+    jpp = f[1:] * f[:-1] * jc
+    jos = np.stack([jw, jw, -jc, -f[1:] * js, f[1:] * js, -f[:-1] * js,
+                    f[:-1] * js, jpp, jpp, -jpp])
+
+    # Node term p w (f^2 - 1)^2 / 2; field blocks (p dx / kappa^2)
+    # ((a_n - a_n-1)/p - H)^2.
+    node = 2.0 * p * wt * (3.0 * f**2 - 1.0)
+    s = 2.0 * dx / (kappa**2 * p)
+    values = np.concatenate([mid.ravel(), node.ravel(), jos.ravel(),
+                             np.repeat([s, s, -s], N * M)])
+    # The last bin collects the entries on the gauge-fixed phi_0.
+    ab = np.bincount(_band_index_cached(N, M), values,
+                     minlength=(2 * bw + 1) * n + 1)[:-1].reshape(2 * bw + 1, n)
+    for k in range(1, bw + 1):
+        ab[bw - k, k:] = ab[bw + k, :n - k]
+    return ab, bw
 
 
 def sparse_hessian(state: LayeredState, params: LdParameters, grid: Grid1D):

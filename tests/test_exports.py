@@ -2,9 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ldvortex.acceptance import run_criterion
-from ldvortex.exports import jsonable, write_json
+from ldvortex.exports import (jsonable, read_field_csv, write_field_csv,
+                              write_json)
+from ldvortex.observables import mids_to_nodes, observables
+from ldvortex.params import Grid1D, LdParameters
+from ldvortex.state import LayeredState
 
 
 def test_write_json_coerces_numpy_values(tmp_path):
@@ -24,3 +31,35 @@ def test_write_json_coerces_numpy_values(tmp_path):
 def test_criterion_report_round_trips_through_json(index):
     report = run_criterion(index).to_dict()
     assert json.loads(json.dumps(report)) == report
+
+
+@st.composite
+def small_states(draw):
+    N = draw(st.integers(1, 3))
+    params = LdParameters(N, draw(st.floats(0.5, 4.0)), 0.5, 1.0,
+                          draw(st.floats(0.5, 9.0)), 1e-3)
+    grid = Grid1D.build(params, dx=2.0 * params.half_width / 16)
+    M = grid.M
+
+    def field(shape, bound):
+        return draw(arrays(np.float64, shape, elements=st.floats(-bound, bound)))
+
+    state = LayeredState(field((N + 1, M + 1), 2.0), field((N + 1, M + 1), 50.0),
+                         field((N + 1, M), 50.0))
+    return state, params, grid
+
+
+@given(small_states())
+@settings(max_examples=30, deadline=None)
+def test_field_csv_round_trips_bit_for_bit(tmp_path_factory, case):
+    state, params, grid = case
+    path = tmp_path_factory.mktemp("csv") / "fields.csv"
+    write_field_csv(path, state, params, grid)
+    back = read_field_csv(path)
+    obs = observables(state, params, grid)
+    written = {"x": grid.nodes, "f": state.f, "V": mids_to_nodes(obs.V),
+               "Phi": obs.Phi, "h": mids_to_nodes(obs.h),
+               "jx": mids_to_nodes(obs.jx), "jz": mids_to_nodes(obs.jz)}
+    for key, value in written.items():
+        assert back[key].shape == value.shape, key
+        assert back[key].tobytes() == np.ascontiguousarray(value).tobytes(), key

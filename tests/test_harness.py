@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -86,6 +87,21 @@ def test_census_refuses_too_many_seeds_before_any_solve(desk, monkeypatch):
         enumerate_seeds(params)
     with pytest.raises(InvalidParameters, match="2\\^N seeds"):
         census(params, 1e-3, n_random=2, jobs=2)
+
+
+@pytest.mark.parametrize("jobs", [0, -1, len(os.sched_getaffinity(0)) + 1])
+def test_jobs_outside_usable_cores_fail_before_any_solve(jobs, desk,
+                                                         monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a solve or a process pool was started")
+
+    for name in ("newton_critical", "minimize", "seed_state",
+                 "ProcessPoolExecutor"):
+        monkeypatch.setattr(harness, name, no_work)
+    with pytest.raises(InvalidParameters, match="usable cores"):
+        census(desk, 1e-3, n_random=2, jobs=jobs)
+    with pytest.raises(InvalidParameters, match="usable cores"):
+        field_sweep(desk, np.linspace(2.0, 3.0, 11), jobs=jobs)
 
 
 def test_field_sweep_detects_first_transition(desk):

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ldvortex.energy import (Cotangent, hessian_apply, hessian_apply_arrays,
-                             total_energy)
+from ldvortex.energy import hessian_apply_arrays, total_energy
 from ldvortex.errors import FactorizationFailure, NoConvergence, SingularHessian
-from ldvortex.minimize import (Layout, inertia, minimize, nearest_eigenvalues,
-                               newton_critical, sparse_hessian)
+from ldvortex.minimize import (Layout, assemble_banded_hessian, inertia,
+                               minimize, nearest_eigenvalues, newton_critical,
+                               sparse_hessian)
 from ldvortex.observables import observables
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.perturbation import (enumerate_seeds, leading_min_energy,
@@ -123,6 +125,19 @@ def test_inertia_requires_enough_eigenvalues(desk, desk_grid):
         inertia(state, desk, desk_grid, k=n)
 
 
+@given(st.sampled_from([1, 2, 3]), st.floats(2.0, 9.0), st.floats(1e-4, 1e-2))
+@settings(max_examples=25, deadline=None)
+def test_measured_inertia_equals_predicted_inertia(N, H, r):
+    """Newton from each of the 2^N seeds lands on a critical point whose
+    measured inertia is the number of wrong phases the reduction predicts."""
+    params = LdParameters(N, 1.0, 0.5, 1.0, H, r)
+    assume(abs(math.sin(params.hpl)) >= 0.2)
+    grid = Grid1D.build(params, dx=1.0 / 16.0)
+    for s in enumerate_seeds(params):
+        cp = newton_critical(seed_state(params, grid, s.delta), params, grid)
+        assert cp.inertia == s.predicted_inertia, s.delta
+
+
 def _dense_inertia(H: np.ndarray, k: int) -> int:
     eigs = np.linalg.eigvalsh(H)
     return int(np.sum(eigs[np.argsort(np.abs(eigs))[:k]] < 0.0))
@@ -167,17 +182,32 @@ def test_eigensolver_failures_are_factorization_failures(monkeypatch):
 
 
 def test_banded_assembly_matches_hessian_apply(desk, rng):
-    grid = Grid1D.build(desk, dx=1.0 / 16.0)
-    state = random_rough_state(desk, grid, rng)
-    H = sparse_hessian(state, desk, grid).toarray()
-    layout = Layout.build(desk.num_gaps, grid.M)
-    assert np.max(np.abs(H - H.T)) <= 1e-12
-    for j in rng.permutation(layout.size)[:20]:
-        e = np.zeros(layout.size)
-        e[j] = 1.0
-        col = hessian_apply(state, Cotangent(*layout.unpack(e)), desk, grid)
-        colv = layout.pack(col.df, col.dphi, col.da)
-        assert np.array_equal(H[:, j], colv)
+    """Every band entry against one batched reference product on the
+    identity, to roundoff: the stencil assembly sums the same terms in
+    another order, so equality holds only to a few ulps of max|H|."""
+    for N, r in ((1, 1e-3), (2, 0.3), (3, 1e-3)):
+        params = LdParameters(N, desk.half_width, desk.spacing, desk.kappa,
+                              desk.applied_field, r)
+        grid = Grid1D.build(params, dx=1.0 / 16.0)
+        state = random_rough_state(params, grid, rng)
+        layout = Layout.build(N, grid.M)
+        n = layout.size
+        uf, udphi, ua = layout.unpack(np.eye(n))
+        uphi = np.concatenate([np.zeros((n, 1, grid.M + 1)), udphi], axis=1)
+        Hf, Hphi, Ha = hessian_apply_arrays(state.f, state.phi, state.a,
+                                            uf, uphi, ua, params, grid)
+        H = layout.pack(Hf, Hphi[:, 1:], Ha).T  # product j is column j
+
+        ab, bw = assemble_banded_hessian(state, params, grid)
+        assert ab.shape == (2 * bw + 1, n)
+        band = np.zeros((n, n))
+        for k in range(-bw, bw + 1):
+            j = np.arange(max(0, -k), min(n, n - k))
+            band[j + k, j] = ab[bw + k, j]
+        assert np.max(np.abs(band - H)) <= 1e-13 * np.max(np.abs(H))
+        for k in range(1, bw + 1):
+            assert np.array_equal(ab[bw + k, :n - k], ab[bw - k, k:])
+            assert not ab[bw + k, n - k:].any() and not ab[bw - k, :k].any()
 
 
 def test_minimize_energy_not_above_start(desk, desk_grid, rng):
