@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .energy import fd_gradient_check, hessian_apply, total_energy
+from .energy import Cotangent, fd_gradient_check, hessian_apply, total_energy
 from .errors import LdError
 from .exports import jsonable
 from .harness import census, convergence_study, field_sweep, flux_check
@@ -24,7 +24,6 @@ from .perturbation import seed_state, vortex_plane_delta
 from .state import (gauge_transform, random_low_energy_state,
                     random_rough_state, uniform_field_state)
 from .validity import c0, lambda_lower, lambda_upper, rstar_lower
-from .energy import Cotangent
 
 
 @dataclass(frozen=True)

@@ -323,19 +323,13 @@ def fd_gradient_check(state: LayeredState, params: LdParameters, grid: Grid1D,
     if not (1e-9 <= eps <= 1e-3):
         raise ValueError(f"eps must lie in [1e-9, 1e-3], got {eps}")
     _check(state, params, grid)
-    from .minimize import Layout  # local import to avoid a cycle
+    from .minimize import Layout, _flat_functions  # local import to avoid a cycle
 
     layout = Layout.build(params.num_gaps, grid.M)
     x0 = layout.pack(state.f, state.phi[1:], state.a).astype(np.longdouble)
     g = gradient(state, params, grid)
     ga = layout.pack(g.df, g.dphi, g.da)
-    zrow = np.zeros((1, grid.M + 1), dtype=np.longdouble)
-
-    def energy_of(x: np.ndarray) -> np.longdouble:
-        f, dphi, a = layout.unpack(x)
-        phi = np.vstack([zrow, dphi])
-        b, j, fl = energy_arrays(f, phi, a, params, grid)
-        return b + j + fl
+    energy_of, _ = _flat_functions(params, grid, layout)
 
     e0 = float(energy_of(x0))
     floor = 1e-6 * max(1.0, abs(e0))

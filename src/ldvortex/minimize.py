@@ -8,11 +8,13 @@ away.  The band is assembled straight from the stencil: every energy term
 is local, so its second derivatives form small dense blocks that one
 bincount sums into the band in O(n).  Newton solves the banded system
 directly.
-Minimization takes modified Newton steps on the banded Hessian
-(Levenberg-shifted until the Cholesky factorization succeeds) under an
-Armijo line search on the energy, because the Hessian mixes N eigenvalues
-of size O(r) along the phase torus with stiff modes of size
-O(1/(kappa dx)^2), which a gradient-based descent crawls across.
+Minimization and the saddle search share one modified Newton step: the
+Levenberg-shifted banded system (H + mu I) d = -g with mu raised from 0
+until H + mu I factors, under one Armijo backtracking search.  Minima
+factor by Cholesky and search on the energy; saddles factor by banded LU
+and search on |grad|^2.  Descent takes Newton steps because the Hessian
+mixes N eigenvalues of size O(r) along the phase torus with stiff modes of
+size O(1/(kappa dx)^2), which a gradient-based descent crawls across.
 
 Inertia needs only the N+1 Hessian eigenvalues nearest zero; shift-invert
 Lanczos on the sparse Hessian computes just those, with no dense matrix or
@@ -177,40 +179,44 @@ class MinimizeReport:
                 "levenberg_shifts": self.levenberg_shifts}
 
 
-def _armijo(efun, x: np.ndarray, e: float, d: np.ndarray, slope: float):
-    """Backtrack t = 1, 1/2, ... along d until the energy drops by at least
+def _armijo(fun, x: np.ndarray, e: float, d: np.ndarray, slope: float):
+    """Backtrack t = 1, 1/2, ... along d until the merit fun (the energy for
+    minimize, |grad|^2 for newton_critical) drops by at least
     ARMIJO_C * t * slope; returns (x_new, e_new, t), or None on a stall."""
     t = 1.0
     for _ in range(MAX_BACKTRACKS):
         x_new = x + t * d
-        e_new = efun(x_new)
+        e_new = fun(x_new)
         if math.isfinite(e_new) and e_new <= e + ARMIJO_C * t * slope:
             return x_new, e_new, t
         t *= BACKTRACK
     return None
 
 
-def _newton_direction(x: np.ndarray, g: np.ndarray, params: LdParameters,
-                      grid: Grid1D, layout: Layout,
-                      counts: dict[str, int]) -> np.ndarray | None:
-    """Solve (H + mu I) d = -g on the banded Hessian with the smallest mu in
-    0, 1e-8 max|diag H|, then x10, at which H + mu I factors as positive
-    definite; None if no shift within MAX_SHIFTS does.  Each failed
-    factorization adds one to counts["shifts"]."""
+def _shifted_newton(x: np.ndarray, g: np.ndarray, params: LdParameters,
+                    grid: Grid1D, layout: Layout, counts: dict[str, int],
+                    definite: bool) -> np.ndarray | None:
+    """Solve (H + mu I) d = -g on the banded Hessian at x, assembled once,
+    for mu = 0, then 1e-8 max|diag H|, then x10 each time, until the
+    factorization succeeds, at most MAX_SHIFTS tries.  definite (minima)
+    factors by Cholesky, whose success is the positive-definiteness test;
+    otherwise (saddles) by banded LU.  Each failed factorization adds one to
+    counts["shifts"]; None if no shift factors or d is not finite."""
     ab, bw = assemble_banded_hessian(_x_to_state(x, layout), params, grid)
-    upper = ab[:bw + 1]
-    scale = float(np.max(np.abs(upper[bw]))) or 1.0
+    scale = float(np.max(np.abs(ab[bw]))) or 1.0
     mu = 0.0
     for _ in range(MAX_SHIFTS):
-        shifted = upper.copy()
+        shifted = (ab[:bw + 1] if definite else ab).copy()
         shifted[bw] += mu
         try:
-            factor = sla.cholesky_banded(shifted)
+            if definite:
+                d = sla.cho_solve_banded((sla.cholesky_banded(shifted), False), -g)
+            else:
+                d = sla.solve_banded((bw, bw), shifted, -g)
         except sla.LinAlgError:
             counts["shifts"] += 1
             mu = 1e-8 * scale if mu == 0.0 else 10.0 * mu
             continue
-        d = sla.cho_solve_banded((factor, False), -g)
         return d if np.all(np.isfinite(d)) else None
     return None
 
@@ -220,7 +226,7 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
     """Energy descent by modified Newton steps with Armijo backtracking.
 
     Each step solves the Levenberg-shifted banded Newton system (see
-    _newton_direction) and backtracks along it on the energy.  When no
+    _shifted_newton, Cholesky) and backtracks along it on the energy.  When no
     shift factors, the direction is not a descent direction or its line
     search stalls, the step is one steepest-descent step under the same
     line search instead.  Every step lowers the energy, so the descent ends
@@ -251,7 +257,7 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
 
     while gnorms[-1] > tol and iterations < max_iter:
         step = None
-        d = _newton_direction(x, g, params, grid, layout, counts)
+        d = _shifted_newton(x, g, params, grid, layout, counts, definite=True)
         slope = float(g @ d) if d is not None else 0.0
         if slope < 0.0:
             step = _armijo(efun, x, e, d, slope)
@@ -429,13 +435,15 @@ def default_newton_tol(params: LdParameters) -> float:
 
 
 def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
-                    tol: float | None = None, max_newton: int = 60,
-                    inertia_k: int | None = None) -> CriticalPoint:
+                    tol: float | None = None, max_newton: int = 60) -> CriticalPoint:
     """Full Newton iteration on grad(energy) = 0 with a direct banded solve.
 
-    A merit line search on |grad|^2 guards each step; Levenberg diagonal
-    damping takes over when the pure Newton direction stalls.  Requires
-    r > 0: at r = 0 the Hessian has an exact N-dimensional kernel.
+    Each step solves the Levenberg-shifted banded Newton system with the
+    descent's shift schedule (see _shifted_newton), factored by banded LU
+    because saddles make H indefinite, and backtracks with the descent's
+    Armijo search on the merit |grad|^2.  A step with no factorable shift
+    or a stalled search raises NoConvergence.  Requires r > 0: at r = 0 the
+    Hessian has an exact N-dimensional kernel.
     """
     require_valid(params)
     state0.check_grid(params, grid)
@@ -451,40 +459,23 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
     if not np.all(np.isfinite(g)):
         raise NonFinite("non-finite gradient at the Newton start")
     history = [float(np.max(np.abs(g)))]
+    trial = {}
+
+    def merit(y: np.ndarray) -> float:
+        trial["g"] = gfun(y)  # the accepted point is always the last trial
+        return float(trial["g"] @ trial["g"])
 
     for _ in range(max_newton):
         if history[-1] <= tol:
             break
-        ab, bw = assemble_banded_hessian(_x_to_state(x, layout), params, grid)
-        mu = 0.0
-        scale = float(np.max(np.abs(ab[bw]))) or 1.0
-        merit = float(g @ g)
-        accepted = False
-        for _damp in range(12):
-            abd = ab.copy()
-            if mu > 0.0:
-                abd[bw] += mu
-            try:
-                d = sla.solve_banded((bw, bw), abd, -g)
-            except sla.LinAlgError:
-                d = None
-            if d is not None and np.all(np.isfinite(d)):
-                t = 1.0
-                for _ in range(MAX_BACKTRACKS):
-                    x_new = x + t * d
-                    g_new = gfun(x_new)
-                    if (np.all(np.isfinite(g_new))
-                            and float(g_new @ g_new) <= (1.0 - 2.0 * ARMIJO_C * t) * merit):
-                        accepted = True
-                        break
-                    t *= BACKTRACK
-            if accepted:
-                break
-            mu = 1e-8 * scale if mu == 0.0 else mu * 100.0
-        if not accepted:
+        d = _shifted_newton(x, g, params, grid, layout, {"shifts": 0},
+                            definite=False)
+        m = float(g @ g)
+        step = None if d is None else _armijo(merit, x, m, d, -2.0 * m)
+        if step is None:
             raise NoConvergence(
                 f"Newton stalled at residual {history[-1]:.3e} (tol {tol:.1e})")
-        x, g = x_new, g_new
+        x, g = step[0], trial["g"]
         history.append(float(np.max(np.abs(g))))
 
     if history[-1] > tol:
@@ -496,7 +487,7 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
     return CriticalPoint(
         state=state,
         residual=history[-1],
-        inertia=inertia(state, params, grid, inertia_k),
+        inertia=inertia(state, params, grid),
         delta_hat=delta_estimate(obs, params, grid),
         energy=efun(x),
         newton_iterations=len(history) - 1,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatch
-from .params import Grid1D, LdParameters, wrap_to_pi
+from .params import Grid1D, LdParameters, wrap_angle, wrap_to_pi
 from .state import LayeredState
 
 
@@ -93,7 +93,7 @@ def delta_estimate(obs: Observables, params: LdParameters,
     resid = obs.Phi - drift
     mean_sin = np.mean(np.sin(resid), axis=1)
     mean_cos = np.mean(np.cos(resid), axis=1)
-    return np.mod(np.arctan2(mean_sin, mean_cos), 2.0 * np.pi)
+    return wrap_angle(np.arctan2(mean_sin, mean_cos))
 
 
 def mids_to_nodes(arr: np.ndarray) -> np.ndarray:

@@ -45,27 +45,6 @@ class LdParameters:
     applied_field: float
     coupling: float
 
-    # Short aliases matching the usual symbols.
-    @property
-    def N(self) -> int:
-        return self.num_gaps
-
-    @property
-    def L(self) -> float:
-        return self.half_width
-
-    @property
-    def p(self) -> float:
-        return self.spacing
-
-    @property
-    def H(self) -> float:
-        return self.applied_field
-
-    @property
-    def r(self) -> float:
-        return self.coupling
-
     @property
     def hpl(self) -> float:
         """The phase H*p*L that controls degeneracy and vortex nucleation."""

@@ -109,7 +109,6 @@ def zero_coupling_minimizer(params: LdParameters, grid: Grid1D,
     """
     require_valid(params)
     cfg = as_phase_config(delta, params.num_gaps)
-    H, p = params.applied_field, params.spacing
     base = uniform_field_state(params, grid)
     phi = base.phi + cfg.alphas()[:, None]
     return LayeredState(base.f, phi, base.a)

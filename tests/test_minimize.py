@@ -1,6 +1,7 @@
 import importlib
 import logging
 import math
+import types
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from ldvortex.errors import FactorizationFailure, NoConvergence, SingularHessian
 from ldvortex.minimize import (Layout, assemble_banded_hessian, inertia,
                                minimize, nearest_eigenvalues, newton_critical,
                                sparse_hessian)
-from ldvortex.observables import observables
+from ldvortex.observables import distance, observables
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.perturbation import (enumerate_seeds, leading_min_energy,
                                    seed_state, vortex_plane_delta)
@@ -94,6 +95,46 @@ def test_newton_saddle_with_unit_inertia(desk, desk_grid):
     d = cp.delta_hat
     assert abs(math.cos(d[0]) + 1.0) < 1e-2
     assert abs(math.cos(d[1]) - 1.0) < 1e-2
+
+
+def _failing_banded_solves(monkeypatch, fails) -> list:
+    """Route minimize's banded LU solves through a namespace whose
+    solve_banded raises LinAlgError while fails(call number) is true."""
+    calls = []
+
+    def solve_banded(*args, **kwargs):
+        calls.append(None)
+        if fails(len(calls)):
+            raise sla.LinAlgError("singular matrix")
+        return sla.solve_banded(*args, **kwargs)
+
+    linalg = types.SimpleNamespace(**vars(sla))
+    linalg.solve_banded = solve_banded
+    monkeypatch.setattr(minimize_mod, "sla", linalg)
+    return calls
+
+
+def test_newton_shifts_past_a_failed_banded_solve(desk, desk_grid,
+                                                  monkeypatch):
+    start = seed_state(desk, desk_grid, [math.pi, 0.0])
+    plain = newton_critical(start, desk, desk_grid, tol=1e-9)
+    calls = _failing_banded_solves(monkeypatch, lambda k: k == 1)
+    shifted = newton_critical(start, desk, desk_grid, tol=1e-9)
+    assert len(calls) == shifted.newton_iterations + 1
+    assert shifted.residual <= 1e-9
+    assert shifted.inertia == plain.inertia == 1
+    assert abs(shifted.energy - plain.energy) <= 1e-12 * abs(plain.energy)
+    dist = distance(observables(shifted.state, desk, desk_grid),
+                    observables(plain.state, desk, desk_grid))
+    assert dist <= 1e-9
+
+
+def test_newton_stalls_when_no_shift_solves(desk, desk_grid, monkeypatch):
+    calls = _failing_banded_solves(monkeypatch, lambda k: True)
+    with pytest.raises(NoConvergence, match="stalled at residual"):
+        newton_critical(seed_state(desk, desk_grid, 0.0), desk, desk_grid,
+                        tol=1e-9)
+    assert len(calls) == minimize_mod.MAX_SHIFTS
 
 
 def test_newton_rejects_zero_coupling(desk, desk_grid):
@@ -230,14 +271,14 @@ def test_newton_tail_finishes_random_descent(desk, desk_grid, rng):
 
 def test_failed_newton_direction_falls_back_to_one_steepest_step(
         desk, desk_grid, rng, monkeypatch, caplog):
-    direction = minimize_mod._newton_direction
+    direction = minimize_mod._shifted_newton
     calls = []
 
     def first_fails(*args, **kwargs):
         calls.append(None)
         return None if len(calls) == 1 else direction(*args, **kwargs)
 
-    monkeypatch.setattr(minimize_mod, "_newton_direction", first_fails)
+    monkeypatch.setattr(minimize_mod, "_shifted_newton", first_fails)
     with caplog.at_level(logging.DEBUG, logger="ldvortex"):
         rep = minimize(random_low_energy_state(desk, desk_grid, rng), desk,
                        desk_grid, tol=1e-8, max_iter=500)

@@ -6,8 +6,8 @@ from scipy.integrate import quad
 
 from ldvortex.energy import total_energy
 from ldvortex.errors import ShapeMismatch
-from ldvortex.observables import (delta_estimate, distance, lift_field_2d,
-                                  observables)
+from ldvortex.observables import (Observables, delta_estimate, distance,
+                                  lift_field_2d, observables)
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.state import (LayeredState, gauge_fix, gauge_transform,
                             random_rough_state, uniform_field_state,
@@ -166,6 +166,19 @@ def test_delta_estimate_recovers_offsets(desk, desk_grid):
     state = zero_coupling_minimizer(desk, desk_grid, target)
     est = delta_estimate(observables(state, desk, desk_grid), desk, desk_grid)
     assert np.allclose(est, target, atol=1e-10)
+
+
+def test_delta_estimate_folds_the_seam_to_zero(desk, desk_grid):
+    """A residual phase just below 0 rounds up to 2*pi under np.mod; the
+    estimate stays in [0, 2*pi) and reads exactly 0."""
+    N, M = desk.num_gaps, desk_grid.M
+    drift = desk.applied_field * desk.spacing * desk_grid.nodes
+    Phi = np.tile(drift - 3e-16, (N, 1))
+    assert np.all(Phi - drift < 0.0)
+    mid = np.zeros((N, M))
+    obs = Observables(np.zeros((N + 1, M)), Phi, mid, np.zeros((N + 1, M)), mid)
+    est = delta_estimate(obs, desk, desk_grid)
+    assert est.tolist() == [0.0] * N
 
 
 def test_lift_field_2d_shapes_and_uniform_value(desk, desk_grid):
