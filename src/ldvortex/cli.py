@@ -70,8 +70,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--H", type=float, default=None, help="applied field")
     parser.add_argument("--r", type=float, default=None, help="Josephson coupling")
     parser.add_argument("--dx", type=float, default=None, help="grid spacing override")
-    parser.add_argument("--tol", type=float, default=None, help="solver tolerance")
-    parser.add_argument("--max-iter", type=int, default=None, dest="max_iter")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed")
     parser.add_argument("--jobs", type=int, default=None, help="worker pool size")
     parser.add_argument("--out", type=str, default=None, help="output path")
@@ -79,6 +77,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         choices=("json", "csv"), help="output format")
     parser.add_argument("--config", type=str, default=None,
                         help="JSON config file (flags override)")
+
+
+def _add_descent(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--tol", type=float, default=None, help="solver tolerance")
+    parser.add_argument("--max-iter", type=int, default=None, dest="max_iter")
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -115,8 +118,7 @@ def _emit(cfg: RunConfig, payload: dict) -> None:
         exports.write_json(cfg.out, payload)
         log.info("wrote %s", cfg.out)
     else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(exports.dumps(payload))
 
 
 def _cmd_minimize(args) -> int:
@@ -259,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("minimize", help="minimize the free energy")
     _add_common(cmd)
+    _add_descent(cmd)
     cmd.set_defaults(fn=_cmd_minimize)
 
     cmd = sub.add_parser("census", help="enumerate low-energy critical points")
@@ -297,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("export-field", help="export observable fields as CSV")
     _add_common(cmd)
+    _add_descent(cmd)
     cmd.add_argument("--source", choices=("minimize", "seed", "uniform"),
                      default="minimize")
     cmd.add_argument("--nz-per-gap", type=int, default=0, dest="nz_per_gap")

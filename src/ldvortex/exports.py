@@ -36,8 +36,13 @@ def jsonable(value):
     return value
 
 
+def dumps(payload: dict) -> str:
+    """The JSON text of a payload, as written by write_json and the CLI."""
+    return json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(dumps(payload))
 
 
 def params_dict(params: LdParameters) -> dict:

@@ -42,6 +42,15 @@ def require_jobs(jobs: int) -> None:
             f"--jobs must be between 1 and the {cores} usable cores, got {jobs}")
 
 
+def _fan_out(job, args: list, jobs: int) -> list:
+    """[job(a) for a in args], run on `jobs` processes when jobs > 1 and
+    there are at least two args."""
+    if jobs > 1 and len(args) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(job, args))
+    return [job(a) for a in args]
+
+
 @dataclass
 class ExperimentRecord:
     """Uniform container for experiment outputs."""
@@ -211,11 +220,7 @@ def census(params: LdParameters, r: float, n_random: int = 50,
 
     # Random-start descents.
     job_args = [(pr, grid.dx, seed * 100003 + 17 * i) for i in range(n_random)]
-    if jobs > 1 and n_random > 0:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            descents = list(pool.map(_census_descent_job, job_args))
-    else:
-        descents = [_census_descent_job(a) for a in job_args]
+    descents = _fan_out(_census_descent_job, job_args, jobs)
 
     shell = 3.0 * energy_bound_coefficient(pr) * pr.coupling
     n_converged = sum(d["converged"] for d in descents)
@@ -270,7 +275,7 @@ def count_interior_maxima(profile: np.ndarray) -> int:
 
 
 def _sweep_point_job(args) -> dict:
-    params, H, dx, tol, warm = args
+    params, H, dx, tol = args
     ph = params.with_field(float(H))
     grid = Grid1D.build(ph, dx)
     best = None
@@ -278,10 +283,6 @@ def _sweep_point_job(args) -> dict:
         rep = minimize(seed_state(ph, grid, delta_b), ph, grid,
                        tol=tol, max_iter=DESCENT_MAX_ITER)
         if best is None or rep.energy < best.energy:
-            best = rep
-    if warm is not None:
-        rep = minimize(warm, ph, grid, tol=tol, max_iter=DESCENT_MAX_ITER)
-        if rep.energy < best.energy:
             best = rep
     obs = observables(best.state, ph, grid)
     dh = delta_estimate(obs, ph, grid)
@@ -291,16 +292,16 @@ def _sweep_point_job(args) -> dict:
         config = math.pi
     else:
         config = math.nan
-    return {"H": float(H), "energy": best.energy, "config": config,
+    return {"energy": best.energy, "config": config,
             "delta_hat": dh.tolist(),
-            "n_maxima": count_interior_maxima(np.mean(obs.h, axis=0)),
-            "h_profile": np.mean(obs.h, axis=0), "state": best.state}
+            "n_maxima": count_interior_maxima(np.mean(obs.h, axis=0))}
 
 
 def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
                 tol: float | None = None, jobs: int = 1,
                 jump_tolerance: float = 0.10) -> ExperimentRecord:
-    """Warm-started minimization along an increasing field grid.
+    """Minimization along an increasing field grid: each field keeps the
+    lower of the descents from the seeds delta = 0 and pi (a tie keeps 0).
 
     Detects the collective flips of the reduced phases (robust first-order
     transition marker), counts interior maxima of h, and measures the
@@ -322,17 +323,8 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
     if tol is None:
         tol = 3.0 * default_newton_tol(params) / 10.0  # ~3e-8 at r=1e-3
 
-    if jobs > 1:
-        args = [(params, H, dx, tol, None) for H in H_grid]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point_job, args))
-    else:
-        results = []
-        warm = None
-        for H in H_grid:
-            res = _sweep_point_job((params, H, dx, tol, warm))
-            warm = res.pop("state")
-            results.append(res)
+    results = _fan_out(_sweep_point_job,
+                       [(params, H, dx, tol) for H in H_grid], jobs)
 
     eps = np.array([res["energy"] for res in results])
     configs = np.array([res["config"] for res in results])
@@ -408,7 +400,8 @@ def flux_check(state: LayeredState, params: LdParameters,
     """Flux p * int h dx over every complete Josephson-current cycle.
 
     A cycle runs between consecutive same-sign zero crossings of j_z in a
-    gap; each complete cycle should carry one flux quantum (2*pi).
+    gap; each complete cycle should carry one flux quantum (2*pi).  The
+    integral is exact for h interpolated linearly between midpoints.
     """
     obs = observables(state, params, grid)
     out: list[CycleFlux] = []
@@ -423,11 +416,10 @@ def flux_check(state: LayeredState, params: LdParameters,
                 else:
                     xc = x[k] - y[k] * (x[k + 1] - x[k]) / (y[k + 1] - y[k])
                 crossings.append(xc)
-        for i in range(len(crossings) - 2):
-            xa, xb = crossings[i], crossings[i + 2]
-            dense = np.linspace(xa, xb, 4001)
-            hval = np.interp(dense, x, obs.h[n])
-            flux = params.spacing * float(np.trapezoid(hval, dense))
+        for xa, xb in zip(crossings, crossings[2:]):
+            knots = np.concatenate(([xa], x[(x > xa) & (x < xb)], [xb]))
+            hval = np.interp(knots, x, obs.h[n])
+            flux = params.spacing * float(np.trapezoid(hval, knots))
             out.append(CycleFlux(n, float(xa), float(xb), flux))
     if not out:
         raise NoCompleteCycle("no complete Josephson cycle inside the sample")

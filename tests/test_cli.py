@@ -45,3 +45,56 @@ def test_eigensolver_failure_exits_1_without_traceback(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: shift-invert eigensolve failed")
     assert "Traceback" not in err
+
+
+GRID = ["--dx", "0.125"]
+
+
+def run(argv) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--tol", "1e-7", "--max-iter", "200"],
+    ["census", "--random-starts", "1"],
+    ["sweep", "--H-min", "5.4", "--H-max", "7", "--H-points", "9"],
+    ["perturb"],
+    ["validity"],
+    ["validity", "--numerical-gap"],
+    ["flux", "--H", "8"],
+], ids=["minimize", "census", "sweep", "perturb", "validity",
+        "validity-numerical-gap", "flux"])
+def test_subcommand_prints_json_and_exits_0(argv, capsys):
+    assert run(argv + GRID) == 0
+    assert isinstance(json.loads(capsys.readouterr().out), dict)
+
+
+def test_export_field_writes_csv_and_exits_0(tmp_path):
+    out = tmp_path / "seed.csv"
+    assert run(["export-field", "--source", "seed", "--out", str(out)] + GRID) == 0
+    assert out.read_text().startswith("x,gap_or_plane,")
+
+
+def test_invalid_parameters_exit_1(capsys):
+    assert run(["minimize", "--N", "0"] + GRID) == 1
+    assert capsys.readouterr().err.startswith("error: invalid parameters")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--preset", "nope"],
+    ["census", "--tol", "1e-6"],
+    ["sweep", "--max-iter", "10"],
+], ids=["unknown-preset", "census-tol", "sweep-max-iter"])
+def test_usage_errors_exit_2(argv, no_pool):
+    assert run(argv) == 2
+
+
+def test_flag_beats_config_file_beats_default(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"N": 1, "H": 4.0}))
+    assert run(["perturb", "--config", str(config), "--H", "5"]) == 0
+    params = json.loads(capsys.readouterr().out)["parameters"]
+    assert (params["N"], params["H"], params["L"]) == (1, 5.0, cli.DEFAULTS["L"])

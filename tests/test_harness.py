@@ -131,14 +131,25 @@ def test_field_sweep_meissner_profile(desk):
     assert abs(grid.mids[np.argmin(h)]) <= grid.dx
 
 
-def test_field_sweep_warm_start_consistency(desk):
-    """Away from transitions the warm-started minima match seeded solves."""
+def test_field_sweep_warm_start_consistency(desk, monkeypatch):
+    """Every field point runs the same two seed descents, so a serial
+    sweep and a parallel one give the same minima, bit for bit."""
     H_grid = np.linspace(3.0, 4.0, 11)
+    descend, calls = harness.minimize, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].applied_field)
+        return descend(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "minimize", counted)
     warm = field_sweep(desk, H_grid)
+    assert len(calls) == 2 * len(H_grid)
+    monkeypatch.setattr(harness, "minimize", descend)
     cold = field_sweep(desk, H_grid, jobs=2)
     e1 = np.array(warm.data["epsilon"])
     e2 = np.array(cold.data["epsilon"])
     assert np.max(np.abs(e1 - e2) / np.abs(e1)) <= 1e-8
+    assert warm.to_dict()["data"] == cold.to_dict()["data"]
 
 
 def test_field_sweep_rejects_degenerate_grid(desk):
