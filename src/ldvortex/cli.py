@@ -62,26 +62,33 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+# Flags that only some subcommands read; each is registered only there.
+OPTIONAL_FLAGS = {
+    "dx": ("--dx", float, "grid spacing override"),
+    "seed": ("--seed", int, "RNG seed"),
+    "jobs": ("--jobs", int, "worker pool size"),
+    "tol": ("--tol", float, "solver tolerance"),
+    "max_iter": ("--max-iter", int, "descent step budget"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *optional: str) -> None:
+    """The model flags, --out, --format and --config, plus the named
+    OPTIONAL_FLAGS."""
     parser.add_argument("--N", type=int, default=None, help="number of gaps")
     parser.add_argument("--L", type=float, default=None, help="half width")
     parser.add_argument("--p", type=float, default=None, help="plane spacing")
     parser.add_argument("--kappa", type=float, default=None, help="GL parameter")
     parser.add_argument("--H", type=float, default=None, help="applied field")
     parser.add_argument("--r", type=float, default=None, help="Josephson coupling")
-    parser.add_argument("--dx", type=float, default=None, help="grid spacing override")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed")
-    parser.add_argument("--jobs", type=int, default=None, help="worker pool size")
     parser.add_argument("--out", type=str, default=None, help="output path")
     parser.add_argument("--format", type=str, default=None,
                         choices=("json", "csv"), help="output format")
     parser.add_argument("--config", type=str, default=None,
                         help="JSON config file (flags override)")
-
-
-def _add_descent(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=None, help="solver tolerance")
-    parser.add_argument("--max-iter", type=int, default=None, dest="max_iter")
+    for key in optional:
+        flag, kind, text = OPTIONAL_FLAGS[key]
+        parser.add_argument(flag, type=kind, default=None, dest=key, help=text)
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -216,14 +223,13 @@ def _cmd_flux(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg = _merge_config(args)
     if args.preset not in PRESETS:
         print(f"error: unknown preset {args.preset!r}; available: "
               f"{', '.join(sorted(PRESETS))}", file=sys.stderr)
         return 2
     report = run_acceptance(args.preset)
-    if cfg.out:
-        exports.write_json(cfg.out, report.to_dict())
+    if args.out:
+        exports.write_json(args.out, report.to_dict())
     print(f"acceptance {'PASSED' if report.passed else 'FAILED'} "
           f"({sum(r.passed for r in report.results)}/{len(report.results)})")
     return 0 if report.passed else 1
@@ -260,17 +266,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     cmd = sub.add_parser("minimize", help="minimize the free energy")
-    _add_common(cmd)
-    _add_descent(cmd)
+    _add_common(cmd, "dx", "tol", "max_iter")
     cmd.set_defaults(fn=_cmd_minimize)
 
     cmd = sub.add_parser("census", help="enumerate low-energy critical points")
-    _add_common(cmd)
+    _add_common(cmd, "dx", "seed", "jobs")
     cmd.add_argument("--random-starts", type=int, default=50)
     cmd.set_defaults(fn=_cmd_census)
 
     cmd = sub.add_parser("sweep", help="field sweep with transition detection")
-    _add_common(cmd)
+    _add_common(cmd, "dx", "jobs")
     cmd.add_argument("--H-min", type=float, default=2.0)
     cmd.add_argument("--H-max", type=float, default=8.0)
     cmd.add_argument("--H-points", type=int, default=61)
@@ -283,24 +288,23 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(fn=_cmd_perturb)
 
     cmd = sub.add_parser("validity", help="analytic validity bounds")
-    _add_common(cmd)
+    _add_common(cmd, "dx")
     cmd.add_argument("--numerical-gap", action="store_true",
                      dest="numerical_gap",
                      help="include the measured spectral gap (needs a solve)")
     cmd.set_defaults(fn=_cmd_validity)
 
     cmd = sub.add_parser("flux", help="per-cycle flux quantization check")
-    _add_common(cmd)
+    _add_common(cmd, "dx")
     cmd.set_defaults(fn=_cmd_flux)
 
     cmd = sub.add_parser("check", help="run the acceptance suite")
-    _add_common(cmd)
     cmd.add_argument("--preset", type=str, default="desk-N2")
+    cmd.add_argument("--out", type=str, default=None, help="report path")
     cmd.set_defaults(fn=_cmd_check)
 
     cmd = sub.add_parser("export-field", help="export observable fields as CSV")
-    _add_common(cmd)
-    _add_descent(cmd)
+    _add_common(cmd, "dx", "tol", "max_iter")
     cmd.add_argument("--source", choices=("minimize", "seed", "uniform"),
                      default="minimize")
     cmd.add_argument("--nz-per-gap", type=int, default=0, dest="nz_per_gap")

@@ -6,18 +6,22 @@ column together) so the Hessian is a symmetric banded matrix with
 bandwidth 4N+2: couplings reach at most one grid column and one plane
 away.  The band is assembled straight from the stencil: every energy term
 is local, so its second derivatives form small dense blocks that one
-bincount sums into the band in O(n).  Newton solves the banded system
-directly.
+bincount sums into the band in O(n).
 Minimization and the saddle search share one modified Newton step: the
-Levenberg-shifted banded system (H + mu I) d = -g with mu raised from 0
-until H + mu I factors, under one Armijo backtracking search.  Minima
-factor by Cholesky and search on the energy; saddles factor by banded LU
-and search on |grad|^2.  Descent takes Newton steps because the Hessian
-mixes N eigenvalues of size O(r) along the phase torus with stiff modes of
-size O(1/(kappa dx)^2), which a gradient-based descent crawls across.
+Levenberg-shifted banded system (H + mu I) d = -g, raised in mu until it
+factors, under one Armijo backtracking search.  Every shifted system is
+factored and solved by one LAPACK driver call (banded_solve): Cholesky
+(dpbsv) for minima, which search on the energy, banded LU (dgbsv) for
+saddles, which search on |grad|^2.  A descent remembers its last accepted
+shift and starts the next step at a tenth of it.  Descent takes Newton
+steps because the Hessian mixes N eigenvalues of size O(r) along the phase
+torus with stiff modes of size O(1/(kappa dx)^2), which a gradient-based
+descent crawls across.
 
-Inertia needs only the N+1 Hessian eigenvalues nearest zero; shift-invert
-Lanczos on the sparse Hessian computes just those, with no dense matrix or
+Inertia needs only the N+1 Hessian eigenvalues nearest zero.  A band that
+factors by Cholesky is positive definite, so its inertia is 0 with no
+eigensolve; otherwise shift-invert Lanczos on a banded LU written straight
+from the band computes just those eigenvalues, with no dense matrix or
 full-band eigensolve (scipy.sparse loads only when a spectrum is asked for).
 """
 
@@ -193,32 +197,52 @@ def _armijo(fun, x: np.ndarray, e: float, d: np.ndarray, slope: float):
     return None
 
 
+def banded_solve(ab: np.ndarray, rhs: np.ndarray, definite: bool,
+                 mu: float) -> np.ndarray | None:
+    """Solve (H + mu I) x = rhs for H in the (2*bw+1, n) band of
+    assemble_banded_hessian, factoring and solving in one LAPACK driver
+    call: dpbsv on the upper half when definite (its success is the
+    positive-definiteness test), dgbsv otherwise.  These are the routines
+    that scipy.linalg's cholesky_banded/cho_solve_banded and solve_banded
+    call, so x is the same to the bit; no finiteness check is made.
+    Returns None when the factorization fails."""
+    bw = (ab.shape[0] - 1) // 2
+    if definite:
+        upper = np.array(ab[:bw + 1], order="F")
+        upper[bw] += mu
+        _, x, info = sla.lapack.dpbsv(upper, rhs, overwrite_ab=True)
+    else:
+        full = np.zeros((3 * bw + 1, ab.shape[1]), order="F")  # bw fill rows
+        full[bw:] = ab
+        full[2 * bw] += mu
+        _, _, x, info = sla.lapack.dgbsv(bw, bw, full, rhs, overwrite_ab=True)
+    return x if info == 0 else None
+
+
 def _shifted_newton(x: np.ndarray, g: np.ndarray, params: LdParameters,
                     grid: Grid1D, layout: Layout, counts: dict[str, int],
-                    definite: bool) -> np.ndarray | None:
-    """Solve (H + mu I) d = -g on the banded Hessian at x, assembled once,
-    for mu = 0, then 1e-8 max|diag H|, then x10 each time, until the
-    factorization succeeds, at most MAX_SHIFTS tries.  definite (minima)
-    factors by Cholesky, whose success is the positive-definiteness test;
-    otherwise (saddles) by banded LU.  Each failed factorization adds one to
-    counts["shifts"]; None if no shift factors or d is not finite."""
+                    definite: bool, mu_last: float = 0.0
+                    ) -> tuple[np.ndarray | None, float]:
+    """Solve (H + mu I) d = -g on the banded Hessian at x, assembled once.
+    mu starts at mu_last / 10, or at 0 when that is below the first nonzero
+    shift 1e-8 max|diag H|, and rises to that shift from 0, then x10 each
+    time, until banded_solve factors, at most MAX_SHIFTS tries.  definite
+    (minima) factors by Cholesky, otherwise (saddles) by banded LU.  Each
+    failed factorization adds one to counts["shifts"].  Returns (d, mu) with
+    the shift that factored, or (None, mu_last) if no shift factors or d is
+    not finite; raises NonFinite for a non-finite band."""
     ab, bw = assemble_banded_hessian(_x_to_state(x, layout), params, grid)
-    scale = float(np.max(np.abs(ab[bw]))) or 1.0
-    mu = 0.0
+    if not np.all(np.isfinite(ab)):
+        raise NonFinite("non-finite Hessian band")
+    floor = 1e-8 * (float(np.max(np.abs(ab[bw]))) or 1.0)
+    mu = mu_last / 10.0 if mu_last / 10.0 >= floor else 0.0
     for _ in range(MAX_SHIFTS):
-        shifted = (ab[:bw + 1] if definite else ab).copy()
-        shifted[bw] += mu
-        try:
-            if definite:
-                d = sla.cho_solve_banded((sla.cholesky_banded(shifted), False), -g)
-            else:
-                d = sla.solve_banded((bw, bw), shifted, -g)
-        except sla.LinAlgError:
-            counts["shifts"] += 1
-            mu = 1e-8 * scale if mu == 0.0 else 10.0 * mu
-            continue
-        return d if np.all(np.isfinite(d)) else None
-    return None
+        d = banded_solve(ab, -g, definite, mu)
+        if d is not None:
+            return (d, mu) if np.all(np.isfinite(d)) else (None, mu_last)
+        counts["shifts"] += 1
+        mu = floor if mu == 0.0 else 10.0 * mu
+    return None, mu_last
 
 
 def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
@@ -226,10 +250,11 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
     """Energy descent by modified Newton steps with Armijo backtracking.
 
     Each step solves the Levenberg-shifted banded Newton system (see
-    _shifted_newton, Cholesky) and backtracks along it on the energy.  When no
-    shift factors, the direction is not a descent direction or its line
-    search stalls, the step is one steepest-descent step under the same
-    line search instead.  Every step lowers the energy, so the descent ends
+    _shifted_newton, Cholesky), starting from a tenth of the shift the last
+    step accepted (the Levenberg-Marquardt damping update), and backtracks
+    along it on the energy.  When no shift factors, the direction is not a
+    descent direction or its line search stalls, the step is one
+    steepest-descent step under the same line search instead.  Every step lowers the energy, so the descent ends
     at minima.
 
     Terminates when the sup-norm of the gradient drops to tol or the
@@ -254,10 +279,12 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
     counts = {"newton": 0, "steepest": 0, "shifts": 0}
     failures = 0
     iterations = 0
+    mu = 0.0
 
     while gnorms[-1] > tol and iterations < max_iter:
         step = None
-        d = _shifted_newton(x, g, params, grid, layout, counts, definite=True)
+        d, mu = _shifted_newton(x, g, params, grid, layout, counts,
+                                definite=True, mu_last=mu)
         slope = float(g @ d) if d is not None else 0.0
         if slope < 0.0:
             step = _armijo(efun, x, e, d, slope)
@@ -352,39 +379,34 @@ def assemble_banded_hessian(state: LayeredState, params: LdParameters,
     return ab, bw
 
 
-def sparse_hessian(state: LayeredState, params: LdParameters, grid: Grid1D):
-    """Free-DOF Hessian as a sparse DIA matrix whose storage is the band of
-    assemble_banded_hessian itself (ab[bw - k] holds diagonal offset k)."""
-    import scipy.sparse as sp
-
-    ab, bw = assemble_banded_hessian(state, params, grid)
-    n = ab.shape[1]
-    return sp.dia_array((ab, np.arange(bw, -bw - 1, -1)), shape=(n, n))
-
-
-def nearest_eigenvalues(A, k: int, sigma: float, M=None) -> np.ndarray:
-    """The k eigenvalues of the banded symmetric pencil (A, M) nearest sigma
-    (M = I when None), ascending: shift-invert Lanczos (eigsh) on one banded
-    LU factorization (LAPACK gbtrf) of A - sigma M.  The start vector is
-    fixed, so repeated calls return identical values."""
-    import scipy.sparse as sp
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
+def nearest_eigenvalues(ab: np.ndarray, k: int, sigma: float,
+                        M=None) -> np.ndarray:
+    """The k eigenvalues nearest sigma, ascending, of the symmetric pencil
+    (A, M), with A given by its (2*bw+1, n) band ab[bw + i - j, j] = A[i, j]
+    and M sparse within that band (M = I when None): shift-invert Lanczos
+    (eigsh) on one banded LU factorization (LAPACK gbtrf) of A - sigma M,
+    written straight into gbtrf storage.  The start vector is fixed, so
+    repeated calls return identical values."""
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    n = A.shape[0]
-    shifted = sp.dia_array(A - sigma * (sp.eye_array(n) if M is None else M))
-    bw = int(np.max(np.abs(shifted.offsets)))
-    width = min(n, shifted.data.shape[1])
-    ab = np.zeros((3 * bw + 1, n))  # gbtrf layout: bw fill rows, then the band
-    ab[2 * bw - shifted.offsets, :width] = shifted.data[:, :width]
-    lu, piv, info = dgbtrf(ab, bw, bw)
+    bw, n = (ab.shape[0] - 1) // 2, ab.shape[1]
+    shifted = np.zeros((3 * bw + 1, n), order="F")  # bw fill rows, then A
+    shifted[bw:] = ab
+    if M is None:
+        shifted[2 * bw] -= sigma
+    else:
+        m = M.tocoo()
+        m.sum_duplicates()
+        shifted[2 * bw + m.row - m.col, m.col] -= sigma * m.data
+    lu, piv, info = sla.lapack.dgbtrf(shifted, bw, bw, overwrite_ab=True)
     if info != 0:
         raise FactorizationFailure(f"banded LU of the shifted matrix failed (info {info})")
     solve = LinearOperator((n, n), dtype=float,
-                           matvec=lambda x: dgbtrs(lu, bw, bw, x, piv)[0])
+                           matvec=lambda x: sla.lapack.dgbtrs(lu, bw, bw, x, piv)[0])
     v0 = np.random.default_rng(V0_SEED).standard_normal(n)
     try:
-        eigs = eigsh(A, k, M=M, sigma=sigma, OPinv=solve, v0=v0,
+        # In shift-invert mode eigsh reads only the shape and dtype of A.
+        eigs = eigsh(solve, k, M=M, sigma=sigma, OPinv=solve, v0=v0,
                      return_eigenvectors=False)
     except ArpackError as exc:  # ArpackNoConvergence included
         raise FactorizationFailure(f"shift-invert eigensolve failed: {exc}") from exc
@@ -396,8 +418,10 @@ def nearest_eigenvalues(A, k: int, sigma: float, M=None) -> np.ndarray:
 def inertia(state: LayeredState, params: LdParameters, grid: Grid1D,
             k: int | None = None) -> int:
     """Number of negative eigenvalues among the k smallest-magnitude
-    eigenvalues of the free-DOF Hessian (k defaults to N+1).  Only those k
-    are computed, by shift-invert Lanczos at sigma = 0 on the sparse Hessian."""
+    eigenvalues of the free-DOF Hessian (k defaults to N+1).  A Hessian
+    whose band factors by Cholesky is positive definite, so the count is 0
+    with no eigensolve; otherwise only those k are computed, by shift-invert
+    Lanczos at sigma = 0 on the band."""
     if k is None:
         k = params.num_gaps + 1
     if k < params.num_gaps + 1:
@@ -405,13 +429,17 @@ def inertia(state: LayeredState, params: LdParameters, grid: Grid1D,
     n = Layout.build(params.num_gaps, grid.M).size
     if k >= n:
         raise ValueError(f"k must be < n = {n}, got {k}")
-    eigs = nearest_eigenvalues(sparse_hessian(state, params, grid), k, 0.0)
-    return int(np.sum(eigs < 0.0))
+    ab, _ = assemble_banded_hessian(state, params, grid)
+    if banded_solve(ab, np.zeros(n), True, 0.0) is not None:
+        return 0
+    return int(np.sum(nearest_eigenvalues(ab, k, 0.0) < 0.0))
 
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """Converged Newton output with stability classification."""
+    """Converged Newton output with stability classification;
+    levenberg_shifts counts the banded LU factorizations that failed and
+    raised the shift."""
 
     state: LayeredState
     residual: float
@@ -420,11 +448,13 @@ class CriticalPoint:
     energy: float
     newton_iterations: int
     residual_history: np.ndarray = field(repr=False)
+    levenberg_shifts: int = 0
 
     def to_dict(self) -> dict:
         return {"residual": self.residual, "inertia": self.inertia,
                 "delta_hat": self.delta_hat.tolist(), "energy": self.energy,
                 "newton_iterations": self.newton_iterations,
+                "levenberg_shifts": self.levenberg_shifts,
                 "residual_history": self.residual_history.tolist()}
 
 
@@ -439,11 +469,12 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
     """Full Newton iteration on grad(energy) = 0 with a direct banded solve.
 
     Each step solves the Levenberg-shifted banded Newton system with the
-    descent's shift schedule (see _shifted_newton), factored by banded LU
-    because saddles make H indefinite, and backtracks with the descent's
-    Armijo search on the merit |grad|^2.  A step with no factorable shift
-    or a stalled search raises NoConvergence.  Requires r > 0: at r = 0 the
-    Hessian has an exact N-dimensional kernel.
+    descent's shift schedule, restarted from mu = 0 at every step (see
+    _shifted_newton), factored by banded LU because saddles make H
+    indefinite, and backtracks with the descent's Armijo search on the
+    merit |grad|^2.  A step with no factorable shift or a stalled search
+    raises NoConvergence.  Requires r > 0: at r = 0 the Hessian has an exact
+    N-dimensional kernel.
     """
     require_valid(params)
     state0.check_grid(params, grid)
@@ -460,6 +491,7 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
         raise NonFinite("non-finite gradient at the Newton start")
     history = [float(np.max(np.abs(g)))]
     trial = {}
+    counts = {"shifts": 0}
 
     def merit(y: np.ndarray) -> float:
         trial["g"] = gfun(y)  # the accepted point is always the last trial
@@ -468,8 +500,8 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
     for _ in range(max_newton):
         if history[-1] <= tol:
             break
-        d = _shifted_newton(x, g, params, grid, layout, {"shifts": 0},
-                            definite=False)
+        d, _ = _shifted_newton(x, g, params, grid, layout, counts,
+                               definite=False)
         m = float(g @ g)
         step = None if d is None else _armijo(merit, x, m, d, -2.0 * m)
         if step is None:
@@ -492,4 +524,5 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
         energy=efun(x),
         newton_iterations=len(history) - 1,
         residual_history=np.asarray(history),
+        levenberg_shifts=counts["shifts"],
     )

@@ -163,7 +163,7 @@ def _solve_u1(rhs: np.ndarray, params: LdParameters, grid: Grid1D) -> np.ndarray
     # weight, so after scaling their off-diagonal doubles.
     ab[0, 1] = -2.0 / (k2 * dx**2)
     ab[2, -2] = -2.0 / (k2 * dx**2)
-    return np.stack([sla.solve_banded((1, 1), ab, row) for row in rhs])
+    return sla.solve_banded((1, 1), ab, rhs.T).T
 
 
 def lagrange_means(params: LdParameters, delta) -> tuple[np.ndarray, np.ndarray]:

@@ -217,7 +217,7 @@ def gap_spectrum(params: LdParameters, grid: Grid1D | None = None,
     spectral gap.  The pencil is positive semidefinite, so the eigenvalues
     nearest GAP_SHIFT < 0 are the smallest, and shift-invert Lanczos
     computes only those."""
-    from .minimize import Layout, nearest_eigenvalues, sparse_hessian
+    from .minimize import Layout, assemble_banded_hessian, nearest_eigenvalues
 
     require_valid(params)
     if count is None:
@@ -229,9 +229,9 @@ def gap_spectrum(params: LdParameters, grid: Grid1D | None = None,
     if not 1 <= count < n:
         raise ValueError(f"count must be >= 1 and < n = {n}, got {count}")
     state = zero_coupling_minimizer(base, grid)
-    Q = 0.5 * sparse_hessian(state, base, grid)
+    ab, _ = assemble_banded_hessian(state, base, grid)
     B = discrete_norm_matrix(base, grid)
-    return nearest_eigenvalues(Q, count, GAP_SHIFT, M=B)
+    return nearest_eigenvalues(0.5 * ab, count, GAP_SHIFT, M=B)
 
 
 def numerical_gap(params: LdParameters, grid: Grid1D | None = None) -> float:

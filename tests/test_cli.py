@@ -58,17 +58,17 @@ def run(argv) -> int:
 
 
 @pytest.mark.parametrize("argv", [
-    ["minimize", "--tol", "1e-7", "--max-iter", "200"],
-    ["census", "--random-starts", "1"],
-    ["sweep", "--H-min", "5.4", "--H-max", "7", "--H-points", "9"],
+    ["minimize", "--tol", "1e-7", "--max-iter", "200"] + GRID,
+    ["census", "--random-starts", "1", "--seed", "3", "--jobs", "1"] + GRID,
+    ["sweep", "--H-min", "5.4", "--H-max", "7", "--H-points", "9"] + GRID,
     ["perturb"],
-    ["validity"],
-    ["validity", "--numerical-gap"],
-    ["flux", "--H", "8"],
+    ["validity"] + GRID,
+    ["validity", "--numerical-gap"] + GRID,
+    ["flux", "--H", "8"] + GRID,
 ], ids=["minimize", "census", "sweep", "perturb", "validity",
         "validity-numerical-gap", "flux"])
 def test_subcommand_prints_json_and_exits_0(argv, capsys):
-    assert run(argv + GRID) == 0
+    assert run(argv) == 0
     assert isinstance(json.loads(capsys.readouterr().out), dict)
 
 
@@ -85,9 +85,22 @@ def test_invalid_parameters_exit_1(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["check", "--preset", "nope"],
+    ["check", "--preset", "nope", "--N", "0"],
+    ["check", "--dx", "0.1"],
+    ["check", "--config", "run.json"],
     ["census", "--tol", "1e-6"],
     ["sweep", "--max-iter", "10"],
-], ids=["unknown-preset", "census-tol", "sweep-max-iter"])
+    ["sweep", "--seed", "5"],
+    ["minimize", "--seed", "5"],
+    ["minimize", "--jobs", "1"],
+    ["validity", "--jobs", "1"],
+    ["perturb", "--seed", "5"],
+    ["perturb", "--jobs", "1"],
+    ["perturb", "--dx", "0.5"],
+], ids=["unknown-preset", "check-preset-first", "check-dx", "check-config",
+        "census-tol", "sweep-max-iter", "sweep-seed", "minimize-seed",
+        "minimize-jobs", "validity-jobs", "perturb-seed", "perturb-jobs",
+        "perturb-dx"])
 def test_usage_errors_exit_2(argv, no_pool):
     assert run(argv) == 2
 

@@ -1,7 +1,6 @@
 import importlib
 import logging
 import math
-import types
 
 import numpy as np
 import pytest
@@ -11,9 +10,9 @@ from hypothesis import strategies as st
 
 from ldvortex.energy import hessian_apply_arrays, total_energy
 from ldvortex.errors import FactorizationFailure, NoConvergence, SingularHessian
-from ldvortex.minimize import (Layout, assemble_banded_hessian, inertia,
-                               minimize, nearest_eigenvalues, newton_critical,
-                               sparse_hessian)
+from ldvortex.minimize import (Layout, assemble_banded_hessian, banded_solve,
+                               inertia, minimize, nearest_eigenvalues,
+                               newton_critical)
 from ldvortex.observables import distance, observables
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.perturbation import (enumerate_seeds, leading_min_energy,
@@ -98,19 +97,20 @@ def test_newton_saddle_with_unit_inertia(desk, desk_grid):
 
 
 def _failing_banded_solves(monkeypatch, fails) -> list:
-    """Route minimize's banded LU solves through a namespace whose
-    solve_banded raises LinAlgError while fails(call number) is true."""
+    """Route minimize's banded LU (saddle, definite=False) solves through a
+    banded_solve that fails while fails(call number) is true; the Cholesky
+    calls pass through uncounted."""
     calls = []
+    solve = minimize_mod.banded_solve
 
-    def solve_banded(*args, **kwargs):
-        calls.append(None)
-        if fails(len(calls)):
-            raise sla.LinAlgError("singular matrix")
-        return sla.solve_banded(*args, **kwargs)
+    def banded_solve(ab, rhs, definite, mu):
+        if not definite:
+            calls.append(None)
+            if fails(len(calls)):
+                return None
+        return solve(ab, rhs, definite, mu)
 
-    linalg = types.SimpleNamespace(**vars(sla))
-    linalg.solve_banded = solve_banded
-    monkeypatch.setattr(minimize_mod, "sla", linalg)
+    monkeypatch.setattr(minimize_mod, "banded_solve", banded_solve)
     return calls
 
 
@@ -121,12 +121,89 @@ def test_newton_shifts_past_a_failed_banded_solve(desk, desk_grid,
     calls = _failing_banded_solves(monkeypatch, lambda k: k == 1)
     shifted = newton_critical(start, desk, desk_grid, tol=1e-9)
     assert len(calls) == shifted.newton_iterations + 1
+    assert (plain.levenberg_shifts, shifted.levenberg_shifts) == (0, 1)
+    assert shifted.to_dict()["levenberg_shifts"] == 1
     assert shifted.residual <= 1e-9
     assert shifted.inertia == plain.inertia == 1
     assert abs(shifted.energy - plain.energy) <= 1e-12 * abs(plain.energy)
     dist = distance(observables(shifted.state, desk, desk_grid),
                     observables(plain.state, desk, desk_grid))
     assert dist <= 1e-9
+
+
+def test_banded_solve_matches_scipy_bit_for_bit(desk, rng):
+    """One LAPACK driver call gives the solution of SciPy's factor-then-solve
+    wrappers to the bit, and None exactly where they raise LinAlgError."""
+    failed = {True: 0, False: 0}
+    for N, dx in ((1, 1.0 / 16.0), (2, 1.0 / 20.0), (3, 1.0 / 12.0)):
+        params = LdParameters(N, desk.half_width, desk.spacing, desk.kappa,
+                              desk.applied_field, 1e-3)
+        grid = Grid1D.build(params, dx=dx)
+        ab, bw = assemble_banded_hessian(random_rough_state(params, grid, rng),
+                                         params, grid)
+        singular = ab.copy()
+        singular[:, ab.shape[1] // 2] = 0.0  # a zero column
+        rhs = rng.standard_normal(ab.shape[1])
+        scale = float(np.max(np.abs(ab[bw])))
+        for band in (ab, singular):
+            for mu in (0.0, 1e-8 * scale, 1e-2 * scale, 10.0 * scale):
+                for definite in (True, False):
+                    shifted = (band[:bw + 1] if definite else band).copy()
+                    shifted[bw] += mu
+                    try:
+                        if definite:
+                            ref = sla.cho_solve_banded(
+                                (sla.cholesky_banded(shifted), False), rhs)
+                        else:
+                            ref = sla.solve_banded((bw, bw), shifted, rhs)
+                    except sla.LinAlgError:
+                        ref = None
+                    got = banded_solve(band, rhs, definite, mu)
+                    assert (got is None) == (ref is None), (N, mu, definite)
+                    assert ref is None or np.array_equal(got, ref)
+                    failed[definite] += ref is None
+    assert 0 < failed[True] < 24 and 0 < failed[False] < 24
+
+
+def test_descent_shift_starts_at_a_tenth_of_the_last_accepted(
+        desk, coarse_grid, monkeypatch):
+    """Levenberg-Marquardt damping update: each step's first shift is the
+    previous step's accepted shift / 10, or 0 below 1e-8 max|diag H|; every
+    descent starts from 0."""
+    solve = minimize_mod.banded_solve
+    calls = []  # (band, mu, factored)
+
+    def recorded(ab, rhs, definite, mu):
+        out = solve(ab, rhs, definite, mu)
+        calls.append((ab, mu, out is not None))
+        return out
+
+    monkeypatch.setattr(minimize_mod, "banded_solve", recorded)
+    for seed in (11 * 100003, 11 * 100003 + 17):
+        start = random_low_energy_state(desk, coarse_grid,
+                                        np.random.default_rng(seed))
+        calls.clear()
+        rep = minimize(start, desk, coarse_grid, tol=1e-8, max_iter=500)
+        assert rep.converged and rep.steepest_steps == 0
+        steps = []  # per step: floor, tried shifts
+        for ab, mu, ok in calls:
+            if not steps or ab is not steps[-1][0]:
+                bw = (ab.shape[0] - 1) // 2
+                steps.append((ab, 1e-8 * float(np.max(np.abs(ab[bw]))), []))
+            steps[-1][2].append((mu, ok))
+        assert len(steps) == rep.iterations
+        assert sum(len(tried) - 1 for _, _, tried in steps) == rep.levenberg_shifts
+        assert steps[0][2][0][0] == 0.0
+        warm = cold = 0  # steps after a shifted one, started shifted or at 0
+        for (_, _, prev), (_, floor, tried) in zip(steps, steps[1:]):
+            last = prev[-1][0] / 10.0
+            assert tried[0][0] == (last if last >= floor else 0.0)
+            warm += tried[0][0] > 0.0
+            cold += last > 0.0 and tried[0][0] == 0.0
+            for (mu, ok), (nxt, _) in zip(tried, tried[1:]):
+                assert not ok and nxt == (floor if mu == 0.0 else 10.0 * mu)
+            assert tried[-1][1]
+        assert warm >= 1 and cold >= 1
 
 
 def test_newton_stalls_when_no_shift_solves(desk, desk_grid, monkeypatch):
@@ -157,6 +234,22 @@ def test_inertia_counts_wrong_phases(desk, desk_grid):
     assert mixed.inertia == 1
 
 
+def test_definite_hessian_needs_no_eigensolve(desk, desk_grid, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    vp = newton_critical(seed_state(desk, desk_grid, 0.0), desk, desk_grid,
+                         tol=1e-9)
+
+    def stalled(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.zeros(0), None)
+
+    monkeypatch.setattr(spla, "eigsh", stalled)
+    assert inertia(vp.state, desk, desk_grid) == 0
+    with pytest.raises(FactorizationFailure):
+        inertia(random_rough_state(desk, desk_grid, np.random.default_rng(1)),
+                desk, desk_grid)
+
+
 def test_inertia_requires_enough_eigenvalues(desk, desk_grid):
     state = uniform_field_state(desk, desk_grid)
     with pytest.raises(ValueError):
@@ -179,6 +272,13 @@ def test_measured_inertia_equals_predicted_inertia(N, H, r):
         assert cp.inertia == s.predicted_inertia, s.delta
 
 
+def _dense(ab: np.ndarray) -> np.ndarray:
+    """The matrix whose band is ab[bw + i - j, j] = A[i, j]."""
+    bw, n = (ab.shape[0] - 1) // 2, ab.shape[1]
+    return sum(np.diag(ab[bw - k, max(k, 0):n + min(k, 0)], k)
+               for k in range(-bw, bw + 1))
+
+
 def _dense_inertia(H: np.ndarray, k: int) -> int:
     eigs = np.linalg.eigvalsh(H)
     return int(np.sum(eigs[np.argsort(np.abs(eigs))[:k]] < 0.0))
@@ -192,25 +292,25 @@ def test_inertia_matches_dense_reference(desk, rng):
     states.append(random_rough_state(desk, grid, rng))
     counts = []
     for state in states:
-        H = sparse_hessian(state, desk, grid)
+        ab, _ = assemble_banded_hessian(state, desk, grid)
         counts.append(inertia(state, desk, grid))
-        assert counts[-1] == _dense_inertia(H.toarray(), k)
+        assert counts[-1] == _dense_inertia(_dense(ab), k)
     assert sorted(counts[:-1]) == [0, 1, 1, 2]
 
 
 def test_nearest_eigenvalues_repeat_bit_for_bit(desk, rng):
     grid = Grid1D.build(desk, dx=1.0 / 16.0)
-    H = sparse_hessian(random_rough_state(desk, grid, rng), desk, grid)
-    first = nearest_eigenvalues(H, desk.num_gaps + 1, 0.0)
-    second = nearest_eigenvalues(H, desk.num_gaps + 1, 0.0)
+    ab, _ = assemble_banded_hessian(random_rough_state(desk, grid, rng), desk,
+                                    grid)
+    first = nearest_eigenvalues(ab, desk.num_gaps + 1, 0.0)
+    second = nearest_eigenvalues(ab, desk.num_gaps + 1, 0.0)
     assert np.array_equal(first, second)
 
 
 def test_eigensolver_failures_are_factorization_failures(monkeypatch):
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    singular = sp.diags_array(np.arange(6.0)).tocsc()
+    singular = np.arange(6.0)[None, :]  # the band of diag(0, 1, ..., 5)
     with pytest.raises(FactorizationFailure):
         nearest_eigenvalues(singular, 2, 0.0)
 
@@ -241,10 +341,7 @@ def test_banded_assembly_matches_hessian_apply(desk, rng):
 
         ab, bw = assemble_banded_hessian(state, params, grid)
         assert ab.shape == (2 * bw + 1, n)
-        band = np.zeros((n, n))
-        for k in range(-bw, bw + 1):
-            j = np.arange(max(0, -k), min(n, n - k))
-            band[j + k, j] = ab[bw + k, j]
+        band = _dense(ab)
         assert np.max(np.abs(band - H)) <= 1e-13 * np.max(np.abs(H))
         for k in range(1, bw + 1):
             assert np.array_equal(ab[bw + k, :n - k], ab[bw - k, k:])
@@ -276,7 +373,7 @@ def test_failed_newton_direction_falls_back_to_one_steepest_step(
 
     def first_fails(*args, **kwargs):
         calls.append(None)
-        return None if len(calls) == 1 else direction(*args, **kwargs)
+        return (None, 0.0) if len(calls) == 1 else direction(*args, **kwargs)
 
     monkeypatch.setattr(minimize_mod, "_shifted_newton", first_fails)
     with caplog.at_level(logging.DEBUG, logger="ldvortex"):
@@ -314,19 +411,15 @@ def test_batched_hessian_apply_matches_single_products(desk, rng):
 
 def test_newton_tail_shifts_singular_zero_coupling_hessian(desk, coarse_grid,
                                                            rng, monkeypatch):
-    factor = sla.cholesky_banded
+    solve = minimize_mod.banded_solve
     outcomes = []
 
-    def counted(ab, *args, **kwargs):
-        try:
-            out = factor(ab, *args, **kwargs)
-        except sla.LinAlgError:
-            outcomes.append(False)
-            raise
-        outcomes.append(True)
+    def counted(ab, rhs, definite, mu):
+        out = solve(ab, rhs, definite, mu)
+        outcomes.append(out is not None)
         return out
 
-    monkeypatch.setattr(sla, "cholesky_banded", counted)
+    monkeypatch.setattr(minimize_mod, "banded_solve", counted)
     params = desk.with_coupling(0.0)
     rep = minimize(random_low_energy_state(params, coarse_grid, rng),
                    params, coarse_grid, tol=1e-9, max_iter=1000)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from ldvortex.errors import DomainError
-from ldvortex.minimize import Layout, sparse_hessian
+from ldvortex.minimize import Layout, assemble_banded_hessian
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.state import zero_coupling_minimizer
 from ldvortex.validity import (c0, discrete_norm_matrix, energy_bound_coefficient,
@@ -107,9 +107,13 @@ def test_gap_spectrum_matches_dense_pencil(desk):
     params = desk.with_coupling(0.0)
     grid = Grid1D.build(params, dx=1.0 / 16.0)
     N = params.num_gaps
-    Q = 0.5 * sparse_hessian(zero_coupling_minimizer(params, grid), params, grid)
+    ab, bw = assemble_banded_hessian(zero_coupling_minimizer(params, grid),
+                                     params, grid)
+    n = ab.shape[1]
+    Q = 0.5 * sum(np.diag(ab[bw - k, max(k, 0):n + min(k, 0)], k)
+                  for k in range(-bw, bw + 1))
     B = discrete_norm_matrix(params, grid)
-    ref = sla.eigh(Q.toarray(), B.toarray(), eigvals_only=True)[:N + 2]
+    ref = sla.eigh(Q, B.toarray(), eigvals_only=True)[:N + 2]
     eigs = gap_spectrum(params, grid, count=N + 2)
     assert np.all(np.abs(eigs[:N] - ref[:N]) <= 1e-10)
     assert np.all(np.abs(eigs[N:] - ref[N:]) <= 1e-10 * ref[N:])
