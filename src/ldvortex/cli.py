@@ -69,12 +69,12 @@ OPTIONAL_FLAGS = {
     "jobs": ("--jobs", int, "worker pool size"),
     "tol": ("--tol", float, "solver tolerance"),
     "max_iter": ("--max-iter", int, "descent step budget"),
+    "format": ("--format", str, "output format", "json", "csv"),
 }
 
 
 def _add_common(parser: argparse.ArgumentParser, *optional: str) -> None:
-    """The model flags, --out, --format and --config, plus the named
-    OPTIONAL_FLAGS."""
+    """The model flags, --out and --config, plus the named OPTIONAL_FLAGS."""
     parser.add_argument("--N", type=int, default=None, help="number of gaps")
     parser.add_argument("--L", type=float, default=None, help="half width")
     parser.add_argument("--p", type=float, default=None, help="plane spacing")
@@ -82,13 +82,12 @@ def _add_common(parser: argparse.ArgumentParser, *optional: str) -> None:
     parser.add_argument("--H", type=float, default=None, help="applied field")
     parser.add_argument("--r", type=float, default=None, help="Josephson coupling")
     parser.add_argument("--out", type=str, default=None, help="output path")
-    parser.add_argument("--format", type=str, default=None,
-                        choices=("json", "csv"), help="output format")
     parser.add_argument("--config", type=str, default=None,
                         help="JSON config file (flags override)")
     for key in optional:
-        flag, kind, text = OPTIONAL_FLAGS[key]
-        parser.add_argument(flag, type=kind, default=None, dest=key, help=text)
+        flag, kind, text, *choices = OPTIONAL_FLAGS[key]
+        parser.add_argument(flag, type=kind, default=None, dest=key, help=text,
+                            choices=choices or None)
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -102,10 +101,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     params = LdParameters(int(merged["N"]), float(merged["L"]),
                           float(merged["p"]), float(merged["kappa"]),
                           float(merged["H"]), float(merged["r"]))
-    report = validate(params)
-    if not report.valid:
-        raise LdError("invalid parameters: " + "; ".join(report.errors))
-    for w in report.warnings:
+    for w in validate(params):
         log.warning(w)
     jobs = int(merged["jobs"])
     require_jobs(jobs)
@@ -275,20 +271,20 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(fn=_cmd_census)
 
     cmd = sub.add_parser("sweep", help="field sweep with transition detection")
-    _add_common(cmd, "dx", "jobs")
+    _add_common(cmd, "dx", "jobs", "format")
     cmd.add_argument("--H-min", type=float, default=2.0)
     cmd.add_argument("--H-max", type=float, default=8.0)
     cmd.add_argument("--H-points", type=int, default=61)
     cmd.set_defaults(fn=_cmd_sweep)
 
     cmd = sub.add_parser("perturb", help="small-coupling enumeration and diagram")
-    _add_common(cmd)
+    _add_common(cmd, "format")
     cmd.add_argument("--H-max", type=float, default=None)
     cmd.add_argument("--H-points", type=int, default=121)
     cmd.set_defaults(fn=_cmd_perturb)
 
     cmd = sub.add_parser("validity", help="analytic validity bounds")
-    _add_common(cmd, "dx")
+    _add_common(cmd, "dx", "format")
     cmd.add_argument("--numerical-gap", action="store_true",
                      dest="numerical_gap",
                      help="include the measured spectral gap (needs a solve)")

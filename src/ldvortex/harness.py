@@ -21,7 +21,7 @@ from .errors import (DegenerateField, InvalidParameters, NoCompleteCycle,
 from .exports import params_dict
 from .minimize import CriticalPoint, minimize, newton_critical, default_newton_tol
 from .observables import delta_estimate, distance, observables
-from .params import Grid1D, LdParameters, default_dx, require_valid, wrap_to_pi
+from .params import Grid1D, LdParameters, default_dx, wrap_to_pi
 from .perturbation import (enumerate_seeds, g0, interior_u1_closed_form,
                            seed_state, vortex_plane_delta,
                            vortex_plane_observables)
@@ -96,7 +96,6 @@ def convergence_study(params: LdParameters, r_list, dx: float | None = None,
     fit log-log slopes (expected 1 for the energy, 2 for the observables;
     Phi is compared modulo one per-gap additive constant)."""
     t0 = time.time()
-    require_valid(params)
     r_list = [float(r) for r in r_list]
     if len(r_list) < 3 or any(np.diff(r_list) >= 0):
         raise ValueError("r_list must be decreasing with at least 3 entries")
@@ -174,7 +173,6 @@ def census(params: LdParameters, r: float, n_random: int = 50,
     t0 = time.time()
     require_jobs(jobs)
     pr = params.with_coupling(float(r))
-    require_valid(pr)
     if pr.is_degenerate:
         raise DegenerateField(f"census needs sin(HpL) != 0, got HpL = {pr.hpl:.6g}")
     grid = Grid1D.build(pr, dx)
@@ -310,14 +308,13 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
     """
     t0 = time.time()
     require_jobs(jobs)
-    require_valid(params)
     H_grid = np.asarray(H_grid, dtype=float)
     if np.any(np.diff(H_grid) <= 0) or H_grid.size < 8:
-        raise ValueError("H_grid must be increasing with enough points to fit")
+        raise InvalidParameters("H_grid must be increasing with enough points to fit")
     steps = math.pi / (params.spacing * params.half_width)
     if any(abs(H - k * steps) < 1e-3
            for H in H_grid for k in range(1, int(H_grid[-1] / steps) + 2)):
-        raise ValueError("H_grid passes within 1e-3 of a degenerate field")
+        raise InvalidParameters("H_grid passes within 1e-3 of a degenerate field")
     if dx is None:
         dx = default_dx(params.with_field(float(H_grid[-1])))
     if tol is None:

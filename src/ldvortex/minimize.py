@@ -39,7 +39,7 @@ from .errors import (FactorizationFailure, NoConvergence, NonFinite,
                      SingularHessian)
 from .energy import energy_arrays, gradient_arrays
 from .observables import delta_estimate, observables
-from .params import Grid1D, LdParameters, require_valid
+from .params import Grid1D, LdParameters
 from .state import LayeredState
 
 ARMIJO_C = 1e-4
@@ -262,7 +262,6 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
     stalled steepest-descent line search returns the best state so far
     with converged=False.
     """
-    require_valid(params)
     state0.check_grid(params, grid)
     layout = Layout.build(params.num_gaps, grid.M)
     efun, gfun = _flat_functions(params, grid, layout)
@@ -476,7 +475,6 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
     raises NoConvergence.  Requires r > 0: at r = 0 the Hessian has an exact
     N-dimensional kernel.
     """
-    require_valid(params)
     state0.check_grid(params, grid)
     if params.coupling == 0.0:
         raise SingularHessian("r = 0: the phase manifold gives an exact kernel")

@@ -7,6 +7,12 @@ related to the Josephson penetration depth by r = 2 / (lambda_J^2 kappa^2 p^2).
 
 The stack has N+1 superconducting planes z_n = n*p, n = 0..N, of width 2L
 in x, so there are N insulating gaps.
+
+An LdParameters object is valid by construction: its constructor refuses
+values outside the model's domain (N >= 1, 0 < L, 0 < p <= 1, kappa > 0,
+H > 0, r >= 0, all finite) with InvalidParameters, so code that receives
+one never checks it again.  validate() only reports the soft regime
+warnings.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ MIN_INTERVALS = 16
 class LdParameters:
     """Constants of the layered-superconductor model.
 
+    Every instance lies in the model's domain: the constructor (and so
+    with_coupling and with_field) raises InvalidParameters naming each
+    violated constraint.
+
     Attributes:
         num_gaps: N, number of insulating gaps (N+1 superconducting planes).
         half_width: L, half sample width in units of the penetration depth.
@@ -44,6 +54,23 @@ class LdParameters:
     kappa: float
     applied_field: float
     coupling: float
+
+    def __post_init__(self):
+        errors = []
+        if self.num_gaps < 1:
+            errors.append(f"num_gaps must be >= 1 (at least one gap), got {self.num_gaps}")
+        if not (self.half_width > 0.0 and math.isfinite(self.half_width)):
+            errors.append(f"half_width must be positive and finite, got {self.half_width}")
+        if not (0.0 < self.spacing <= 1.0):
+            errors.append(f"spacing must lie in (0, 1], got {self.spacing}")
+        if not (self.kappa > 0.0 and math.isfinite(self.kappa)):
+            errors.append(f"kappa must be positive and finite, got {self.kappa}")
+        if not (self.applied_field > 0.0 and math.isfinite(self.applied_field)):
+            errors.append(f"applied_field must be positive and finite, got {self.applied_field}")
+        if self.coupling < 0.0 or not math.isfinite(self.coupling):
+            errors.append(f"coupling must be >= 0 and finite, got {self.coupling}")
+        if errors:
+            raise InvalidParameters("invalid parameters: " + "; ".join(errors))
 
     @property
     def hpl(self) -> float:
@@ -71,64 +98,20 @@ class LdParameters:
                             self.kappa, H, self.coupling)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of validate(): hard errors and soft warnings, never raised."""
-
-    errors: tuple[str, ...]
-    warnings: tuple[str, ...]
-    degenerate: bool
-
-    @property
-    def valid(self) -> bool:
-        return not self.errors
-
-
-def validate(params: LdParameters) -> ValidationReport:
-    """Check the model invariants.
-
-    Non-positive dimensions are hard errors; the regime assumptions
-    kappa >= 1 and L >= 1 and a degenerate applied field sin(HpL) = 0
-    are warnings (degenerate fields only become hard errors in the
-    critical-point census).
-    """
-    errors: list[str] = []
-    warnings: list[str] = []
-
-    if params.num_gaps < 1:
-        errors.append(f"num_gaps must be >= 1 (at least one gap), got {params.num_gaps}")
-    if not (params.half_width > 0.0 and math.isfinite(params.half_width)):
-        errors.append(f"half_width must be positive and finite, got {params.half_width}")
-    if not (0.0 < params.spacing <= 1.0):
-        errors.append(f"spacing must lie in (0, 1], got {params.spacing}")
-    if not (params.kappa > 0.0 and math.isfinite(params.kappa)):
-        errors.append(f"kappa must be positive and finite, got {params.kappa}")
-    if not (params.applied_field > 0.0 and math.isfinite(params.applied_field)):
-        errors.append(f"applied_field must be positive and finite, got {params.applied_field}")
-    if params.coupling < 0.0 or not math.isfinite(params.coupling):
-        errors.append(f"coupling must be >= 0 and finite, got {params.coupling}")
-
-    if not errors:
-        if params.kappa < 1.0:
-            warnings.append(f"kappa = {params.kappa} < 1 is outside the validity regime")
-        if params.half_width < 1.0:
-            warnings.append(f"half_width = {params.half_width} < 1 is outside the validity regime")
-        degenerate = params.is_degenerate
-        if degenerate:
-            warnings.append(
-                f"applied field is degenerate: sin(HpL) = {math.sin(params.hpl):.3e} at HpL = {params.hpl:.6g}"
-            )
-    else:
-        degenerate = False
-
-    return ValidationReport(tuple(errors), tuple(warnings), degenerate)
-
-
-def require_valid(params: LdParameters) -> None:
-    """Raise InvalidParameters if validate() reports any hard error."""
-    report = validate(params)
-    if not report.valid:
-        raise InvalidParameters("; ".join(report.errors))
+def validate(params: LdParameters) -> tuple[str, ...]:
+    """Warnings only: the regime assumptions kappa >= 1 and L >= 1, and a
+    degenerate applied field sin(HpL) = 0 (a hard error only in the
+    critical-point census).  The hard constraints are the constructor's."""
+    warnings = []
+    if params.kappa < 1.0:
+        warnings.append(f"kappa = {params.kappa} < 1 is outside the validity regime")
+    if params.half_width < 1.0:
+        warnings.append(f"half_width = {params.half_width} < 1 is outside the validity regime")
+    if params.is_degenerate:
+        warnings.append(
+            f"applied field is degenerate: sin(HpL) = {math.sin(params.hpl):.3e} at HpL = {params.hpl:.6g}"
+        )
+    return tuple(warnings)
 
 
 def default_dx(params: LdParameters) -> float:
@@ -156,15 +139,10 @@ class Grid1D:
     def M(self) -> int:
         return self.num_intervals
 
-    @property
-    def half_width(self) -> float:
-        return -float(self.nodes[0])
-
     @staticmethod
     def build(params: LdParameters, dx: float | None = None) -> "Grid1D":
         """Build the grid for params; dx overrides the default rule but the
         interval count is floored at MIN_INTERVALS."""
-        require_valid(params)
         target = default_dx(params) if dx is None else float(dx)
         if not (target > 0.0 and math.isfinite(target)):
             raise InvalidParameters(f"dx must be positive and finite, got {target}")

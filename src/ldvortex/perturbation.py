@@ -26,7 +26,7 @@ import scipy.linalg as sla
 from .errors import DegenerateField, InvalidParameters
 from .observables import Observables
 from .params import (DEGENERACY_TOL, Grid1D, LdParameters, PhaseConfig,
-                     as_phase_config, require_valid, wrap_to_pi)
+                     as_phase_config, wrap_to_pi)
 from .state import LayeredState, zero_coupling_minimizer
 
 #: Largest N whose 2^N seeds are enumerated (4 096 seeds).
@@ -43,7 +43,6 @@ def _require_nondegenerate(params: LdParameters) -> float:
 
 def g0(params: LdParameters, delta) -> float:
     """Reduced energy per unit coupling on the degenerate manifold."""
-    require_valid(params)
     cfg = as_phase_config(delta, params.num_gaps)
     N, p, L, H = params.num_gaps, params.spacing, params.half_width, params.applied_field
     return 2.0 * N * p * L - (2.0 * math.sin(params.hpl) / H) * float(np.sum(np.cos(cfg.delta)))
@@ -52,14 +51,12 @@ def g0(params: LdParameters, delta) -> float:
 def vortex_plane_delta(params: LdParameters) -> float:
     """The offset (0 or pi) minimizing the reduced energy: 0 when
     sin(HpL)/(Hp) > 0, else pi."""
-    require_valid(params)
     s = _require_nondegenerate(params)
     return 0.0 if s / (params.applied_field * params.spacing) > 0.0 else math.pi
 
 
 def leading_min_energy(params: LdParameters) -> float:
     """Leading-order ground energy 2 N p (L - |sin(HpL)|/(Hp)) r."""
-    require_valid(params)
     N, p, L, H, r = (params.num_gaps, params.spacing, params.half_width,
                      params.applied_field, params.coupling)
     return 2.0 * N * p * (L - abs(math.sin(params.hpl)) / (H * p)) * r
@@ -83,7 +80,6 @@ def enumerate_seeds(params: LdParameters) -> list[SeedInfo]:
     energy; the predicted inertia counts gaps with (sin(HpL)/H) cos(delta_n) < 0
     (the reduced Hessian is diagonal).  N above MAX_SEED_GAPS raises
     InvalidParameters: each seed costs a Newton solve in the census."""
-    require_valid(params)
     if params.num_gaps > MAX_SEED_GAPS:
         raise InvalidParameters(
             f"2^N seeds at N = {params.num_gaps}: N must be <= {MAX_SEED_GAPS}")
@@ -118,16 +114,13 @@ class CorrectionFields:
 
     u1 is the amplitude correction at nodes (one row per plane), sv1 the
     supervelocity correction and b1 the per-gap field correction at
-    midpoints.  I and D are the Lagrange mean-value constants of the
-    current and field equations.  For every delta, b1 and sv1 vanish at
-    the sample edges and u1 is strictly negative.
+    midpoints.  For every delta, b1 and sv1 vanish at the sample edges and
+    u1 is strictly negative.
     """
 
     u1: np.ndarray = field(repr=False)     # (N+1, M+1)
     sv1: np.ndarray = field(repr=False)    # (N+1, M)
     b1: np.ndarray = field(repr=False)     # (N,   M)
-    I: np.ndarray = field(repr=False)      # (N+1,)
-    D: np.ndarray = field(repr=False)      # (N,)
 
 
 def _u1_rhs(delta: np.ndarray, params: LdParameters, x: np.ndarray) -> np.ndarray:
@@ -221,13 +214,11 @@ def first_order_correction(params: LdParameters, grid: Grid1D,
     of their first-order equations with the mean constants I_n and D_n,
     sampled at midpoints.
     """
-    require_valid(params)
     cfg = as_phase_config(delta, params.num_gaps)
     u1 = _solve_u1(_u1_rhs(cfg.delta, params, grid.nodes), params, grid)
-    I, D = lagrange_means(params, cfg)
     sv1 = supervelocity_correction(params, cfg, grid.mids)
     b1 = field_correction(params, cfg, grid.mids)
-    return CorrectionFields(u1, sv1, b1, I, D)
+    return CorrectionFields(u1, sv1, b1)
 
 
 def interior_amplitude_constants(params: LdParameters, delta_star: float
@@ -263,7 +254,6 @@ def seed_state(params: LdParameters, grid: Grid1D, delta) -> LayeredState:
     and phi integrates phi_n' = V_n + a_n with per-plane constants chosen
     so the circular mean of Phi_{n,n-1} - Hpx equals delta_n.
     """
-    require_valid(params)
     cfg = as_phase_config(delta, params.num_gaps)
     r, p, H = params.coupling, params.spacing, params.applied_field
     N = params.num_gaps
@@ -319,7 +309,6 @@ def vortex_plane_observables(params: LdParameters, grid: Grid1D) -> Observables:
     and Phi = delta + Hpx plus the Stokes-consistent order-r correction
     with the undetermined per-gap constants set to zero.
     """
-    require_valid(params)
     _require_nondegenerate(params)
     delta = vortex_plane_delta(params)
     N, p, H, kappa, r = (params.num_gaps, params.spacing, params.applied_field,
@@ -354,7 +343,6 @@ def critical_josephson_current(params: LdParameters) -> float:
 
 def nucleation_fields(params: LdParameters, H_max: float) -> list[float]:
     """Fields H_k = k pi/(pL) <= H_max where a new vortex plane enters."""
-    require_valid(params)
     if H_max <= 0.0:
         raise ValueError(f"H_max must be positive, got {H_max}")
     step = math.pi / (params.spacing * params.half_width)
@@ -399,12 +387,11 @@ def epsilon_and_jumps(params: LdParameters, H_grid) -> NucleationDiagram:
 
     The magnetization jump at H_k has magnitude 4 N p^2 L^2 r / (k pi).
     """
-    require_valid(params)
     H_grid = np.asarray(H_grid, dtype=float)
     if H_grid.ndim != 1 or H_grid.size == 0 or np.any(H_grid <= 0.0):
-        raise ValueError("H_grid must be a nonempty 1D array of positive fields")
+        raise InvalidParameters("H_grid must be a nonempty 1D array of positive fields")
     if np.any(np.diff(H_grid) <= 0.0):
-        raise ValueError("H_grid must be strictly increasing")
+        raise InvalidParameters("H_grid must be strictly increasing")
     N, p, L, r = (params.num_gaps, params.spacing, params.half_width,
                   params.coupling)
     Hk = np.asarray(nucleation_fields(params, float(H_grid[-1])))

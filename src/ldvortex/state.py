@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatch
-from .params import Grid1D, LdParameters, as_phase_config, require_valid
+from .params import Grid1D, LdParameters, as_phase_config
 
 #: phi_0 is considered gauge fixed when its sup norm is below this.
 GAUGE_FIX_TOL = 1e-12
@@ -91,7 +91,6 @@ def uniform_field_state(params: LdParameters, grid: Grid1D) -> LayeredState:
     Its observables are V = 0, h = H, Phi_{n,n-1} = p H x; only the
     Josephson energy is nonzero.
     """
-    require_valid(params)
     N, H, p = params.num_gaps, params.applied_field, params.spacing
     n = np.arange(N + 1)[:, None]
     f = np.ones((N + 1, grid.M + 1))
@@ -107,7 +106,6 @@ def zero_coupling_minimizer(params: LdParameters, grid: Grid1D,
     f = 1, h = H, V_n = 0 and Phi_{n,n-1} = delta_n + H p x; the manifold
     of such states is parametrized by the N phase offsets delta.
     """
-    require_valid(params)
     cfg = as_phase_config(delta, params.num_gaps)
     base = uniform_field_state(params, grid)
     phi = base.phi + cfg.alphas()[:, None]
@@ -147,7 +145,6 @@ def random_low_energy_state(params: LdParameters, grid: Grid1D,
     per-plane phase offsets uniform in [0, 2pi) on top of the field-consistent
     winding n p H x, smooth low-frequency phase ripples, and mildly
     perturbed traces.  Gauge fixed."""
-    require_valid(params)
     N, H, p, L = params.num_gaps, params.applied_field, params.spacing, params.half_width
     n = np.arange(N + 1)[:, None]
     f = rng.uniform(f_band[0], f_band[1], size=(N + 1, grid.M + 1))

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .params import Grid1D, LdParameters, require_valid
+from .params import Grid1D, LdParameters
 from .state import zero_coupling_minimizer
 
 
 def c0(params: LdParameters) -> float:
     """Elliptic constant of the field estimate:
     2 [1 + (4/pi^2) L^2 N^2 p^2 / (N^2 p^2 + 4 L^2)]^2."""
-    require_valid(params)
     L, Np = params.half_width, params.num_gaps * params.spacing
     frac = (L**2 * Np**2) / (Np**2 + 4.0 * L**2)
     return 2.0 * (1.0 + 4.0 / math.pi**2 * frac) ** 2
@@ -38,7 +37,6 @@ def c0(params: LdParameters) -> float:
 def lambda_lower(params: LdParameters) -> float:
     """Lower bound on the spectral gap of the r = 0 linearization:
     (1/(4 kappa^2)) min{1, (1 + 4L^2/pi^2)^-3}; independent of N."""
-    require_valid(params)
     if params.kappa < 1.0:
         raise DomainError(f"lambda_lower requires kappa >= 1, got {params.kappa}")
     L = params.half_width
@@ -47,13 +45,11 @@ def lambda_lower(params: LdParameters) -> float:
 
 def lambda_upper(params: LdParameters) -> float:
     """Upper bound on the spectral gap: 9 / (2 kappa^2 p^2 L^2)."""
-    require_valid(params)
     return 4.5 / (params.kappa * params.spacing * params.half_width) ** 2
 
 
 def k_factor(params: LdParameters, r: float) -> float:
     """Amplification factor K = (1/(Hp)) (1 + r L^2 kappa^2)(1 + r L)."""
-    require_valid(params)
     if r < 0.0:
         raise DomainError(f"k_factor requires r >= 0, got {r}")
     L, kappa = params.half_width, params.kappa
@@ -82,7 +78,6 @@ def rstar_lower(params: LdParameters, c: float = 1.0) -> float:
     """Implicit lower bound on the first degeneracy point of the
     linearization: the root of c * r [1 + K(r)(1 + r kappa^2 K(r))] =
     lambda_lower.  The left side is monotone increasing in r."""
-    require_valid(params)
     if c <= 0.0:
         raise DomainError(f"rstar_lower requires c > 0, got {c}")
     lam = lambda_lower(params)
@@ -98,7 +93,6 @@ def rstar_lower(params: LdParameters, c: float = 1.0) -> float:
 def f_dip_threshold(params: LdParameters, C_u: float = 1.0) -> float:
     """Coupling at which the amplitude estimate first allows f = 1/2:
     root of C_u r [1 + r kappa^2 K(r)^2] = 1/2."""
-    require_valid(params)
     if C_u <= 0.0:
         raise DomainError(f"f_dip_threshold requires C_u > 0, got {C_u}")
     kappa2 = params.kappa**2
@@ -219,7 +213,6 @@ def gap_spectrum(params: LdParameters, grid: Grid1D | None = None,
     computes only those."""
     from .minimize import Layout, assemble_banded_hessian, nearest_eigenvalues
 
-    require_valid(params)
     if count is None:
         count = params.num_gaps + 1
     base = params.with_coupling(0.0)
@@ -250,7 +243,6 @@ def trace_inequality_margin(params: LdParameters, M: int = 64,
     """Worst ratio of p * sum_n ||a_x(., z_n)||^2 to
     ((p+1)(N+1)/N) ||a_x||_{H1}^2 over random smooth 2D fields with zero
     normal trace (a_x = 0 at x = +-L); the inequality holds when <= 1."""
-    require_valid(params)
     N, p, L = params.num_gaps, params.spacing, params.half_width
     rng = np.random.default_rng(seed)
     nx = M + 1

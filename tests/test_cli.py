@@ -84,6 +84,17 @@ def test_invalid_parameters_exit_1(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["sweep", "--H-points", "3"] + GRID,
+    ["perturb", "--H-points", "0", "--format", "csv", "--out", "x.json"],
+], ids=["sweep-short-grid", "perturb-empty-grid"])
+def test_bad_field_grid_exits_1_without_traceback(argv, tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error: H_grid must be")
+
+
+@pytest.mark.parametrize("argv", [
     ["check", "--preset", "nope"],
     ["check", "--preset", "nope", "--N", "0"],
     ["check", "--dx", "0.1"],
@@ -97,10 +108,15 @@ def test_invalid_parameters_exit_1(capsys):
     ["perturb", "--seed", "5"],
     ["perturb", "--jobs", "1"],
     ["perturb", "--dx", "0.5"],
+    ["minimize", "--format", "csv"],
+    ["census", "--format", "csv"],
+    ["flux", "--format", "csv"],
+    ["export-field", "--format", "csv"],
 ], ids=["unknown-preset", "check-preset-first", "check-dx", "check-config",
         "census-tol", "sweep-max-iter", "sweep-seed", "minimize-seed",
         "minimize-jobs", "validity-jobs", "perturb-seed", "perturb-jobs",
-        "perturb-dx"])
+        "perturb-dx", "minimize-format", "census-format", "flux-format",
+        "export-field-format"])
 def test_usage_errors_exit_2(argv, no_pool):
     assert run(argv) == 2
 

@@ -74,13 +74,17 @@ def test_census_degenerate_field_raises():
         census(params, 1e-3, n_random=0)
 
 
-def test_census_refuses_too_many_seeds_before_any_solve(desk, monkeypatch):
+@pytest.fixture
+def no_solves(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a solve or a process pool was started")
 
     for name in ("newton_critical", "minimize", "seed_state",
                  "ProcessPoolExecutor"):
         monkeypatch.setattr(harness, name, no_work)
+
+
+def test_census_refuses_too_many_seeds_before_any_solve(desk, no_solves):
     params = LdParameters(MAX_SEED_GAPS + 1, desk.half_width, desk.spacing,
                           desk.kappa, desk.applied_field, 1e-3)
     with pytest.raises(InvalidParameters, match="2\\^N seeds"):
@@ -89,15 +93,14 @@ def test_census_refuses_too_many_seeds_before_any_solve(desk, monkeypatch):
         census(params, 1e-3, n_random=2, jobs=2)
 
 
+def test_negative_coupling_fails_before_any_solve(desk, no_solves):
+    with pytest.raises(InvalidParameters, match="coupling"):
+        census(desk, -1e-3, n_random=2)
+
+
 @pytest.mark.parametrize("jobs", [0, -1, len(os.sched_getaffinity(0)) + 1])
 def test_jobs_outside_usable_cores_fail_before_any_solve(jobs, desk,
-                                                         monkeypatch):
-    def no_work(*args, **kwargs):
-        raise AssertionError("a solve or a process pool was started")
-
-    for name in ("newton_critical", "minimize", "seed_state",
-                 "ProcessPoolExecutor"):
-        monkeypatch.setattr(harness, name, no_work)
+                                                         no_solves):
     with pytest.raises(InvalidParameters, match="usable cores"):
         census(desk, 1e-3, n_random=2, jobs=jobs)
     with pytest.raises(InvalidParameters, match="usable cores"):

@@ -11,25 +11,22 @@ from ldvortex.params import (Grid1D, LdParameters, PhaseConfig, default_dx,
 
 
 def test_validate_desk_is_clean(desk):
-    report = validate(desk)
-    assert report.valid
-    assert not report.degenerate
+    assert validate(desk) == ()
+    assert not desk.is_degenerate
     assert math.sin(desk.hpl) == pytest.approx(math.sin(1.5), abs=1e-15)
 
 
 def test_validate_degenerate_field_is_warning():
     # H p L = pi exactly: the first nucleation field.
     p = LdParameters(1, 2.0, 0.5, 1.0, math.pi, 1e-3)
-    report = validate(p)
-    assert report.valid
-    assert report.degenerate
-    assert any("degenerate" in w for w in report.warnings)
+    warnings = validate(p)
+    assert p.is_degenerate
+    assert any("degenerate" in w for w in warnings)
 
 
 def test_validate_no_gaps_is_error():
-    report = validate(LdParameters(0, 1.0, 0.5, 1.0, 3.0, 1e-3))
-    assert not report.valid
-    assert any("num_gaps" in e for e in report.errors)
+    with pytest.raises(InvalidParameters, match="num_gaps"):
+        LdParameters(0, 1.0, 0.5, 1.0, 3.0, 1e-3)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -40,13 +37,20 @@ def test_validate_hard_errors(field, value):
     kwargs = dict(num_gaps=2, half_width=1.0, spacing=0.5, kappa=1.0,
                   applied_field=3.0, coupling=1e-3)
     kwargs[field] = value
-    assert not validate(LdParameters(**kwargs)).valid
+    with pytest.raises(InvalidParameters, match=field):
+        LdParameters(**kwargs)
+
+
+def test_copies_with_bad_values_are_refused(desk):
+    with pytest.raises(InvalidParameters, match="coupling"):
+        desk.with_coupling(-1e-3)
+    with pytest.raises(InvalidParameters, match="applied_field"):
+        desk.with_field(0.0)
 
 
 def test_regime_warnings_are_soft():
-    report = validate(LdParameters(2, 0.5, 0.5, 0.8, 3.0, 1e-3))
-    assert report.valid
-    assert len(report.warnings) >= 2
+    warnings = validate(LdParameters(2, 0.5, 0.5, 0.8, 3.0, 1e-3))
+    assert len(warnings) >= 2
 
 
 @given(st.floats(1e-8, 10.0), st.floats(1.0, 50.0), st.floats(0.05, 1.0))
