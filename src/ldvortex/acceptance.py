@@ -129,8 +129,7 @@ def _crit_census(preset: Preset) -> tuple[bool, dict]:
         p = LdParameters(N, preset.params.half_width, preset.params.spacing,
                          preset.params.kappa, preset.params.applied_field,
                          1e-3)
-        rec = census(p, 1e-3, n_random=50, dx=preset.dx,
-                     newton_tol=1e-9, seed=31 + N)
+        rec = census(p, 1e-3, n_random=50, dx=preset.dx, seed=31 + N)
         details[f"N={N}"] = {"checks": rec.checks,
                              "count": rec.data["count"],
                              "max_residual": max(rec.data["residuals"]),

@@ -1,10 +1,14 @@
 """Command-line entry point.
 
 Subcommands: minimize, census, sweep, perturb, validity, flux, check,
-export-field.  Model parameters come from flags, falling back to a JSON
-config file (--config), falling back to built-in defaults; flags always
-win.  LD_VORTEX_LOG in {error, warn, info, debug} controls verbosity.
-Exit codes: 0 success, 1 failed acceptance, 2 usage error.
+export-field.  A --config file is a JSON object of flag names and values,
+such as {"N": 3, "max_iter": 200}, read as those flags (--N 3
+--max-iter 200) before the command line's own: a flag beats the file, the
+file beats the default, and a bad file value fails like the same bad flag.
+A switch such as --numerical-gap takes no value, so no file can set it.
+LD_VORTEX_LOG in {error, warn, info, debug} controls verbosity.
+Exit codes: 0 success; 1 failed acceptance, a solver failure or parameters
+outside the model's domain; 2 usage error, a bad config file included.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,7 @@ from . import exports
 from .acceptance import PRESETS, run_acceptance
 from .energy import total_energy
 from .errors import LdError
-from .harness import census, field_sweep, flux_check, require_jobs
+from .harness import census, field_sweep, flux_check
 from .minimize import minimize, newton_critical
 from .observables import lift_field_2d, observables
 from .params import Grid1D, LdParameters, validate
@@ -35,24 +38,6 @@ from .validity import validity_report
 
 log = logging.getLogger("ldvortex")
 
-DEFAULTS = {"N": 2, "L": 1.0, "p": 0.5, "kappa": 1.0, "H": 3.0, "r": 1e-3,
-            "dx": None, "tol": 1e-8, "max_iter": 4000, "seed": 0, "jobs": 1,
-            "out": None, "format": "json"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged run configuration: flag > config file > default."""
-
-    params: LdParameters
-    dx: float | None
-    tol: float
-    max_iter: int
-    seed: int
-    jobs: int
-    out: str | None
-    format: str
-
 
 def _setup_logging() -> None:
     level = os.environ.get("LD_VORTEX_LOG", "warn").lower()
@@ -62,100 +47,110 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def count(text: str) -> int:
+    """argparse type of the count flags: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _config_flags(path: str) -> list[str]:
+    """argparse type of --config: the file's {"key": value} pairs as the
+    flags ["--key", "value", ...], with "_" in a key read as "-"."""
+    try:
+        config = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise argparse.ArgumentTypeError(f"{path} must hold a JSON object")
+    return [text for key, value in config.items()
+            for text in ("--" + key.replace("_", "-"), str(value))]
+
+
 # Flags that only some subcommands read; each is registered only there.
 OPTIONAL_FLAGS = {
-    "dx": ("--dx", float, "grid spacing override"),
-    "seed": ("--seed", int, "RNG seed"),
-    "jobs": ("--jobs", int, "worker pool size"),
-    "tol": ("--tol", float, "solver tolerance"),
-    "max_iter": ("--max-iter", int, "descent step budget"),
-    "format": ("--format", str, "output format", "json", "csv"),
+    "dx": ("--dx", float, None, "grid spacing override"),
+    "seed": ("--seed", int, 0, "RNG seed"),
+    "jobs": ("--jobs", int, 1, "worker pool size"),
+    "tol": ("--tol", float, 1e-8, "solver tolerance"),
+    "max_iter": ("--max-iter", count, 4000, "descent step budget"),
+    "format": ("--format", str, "json", "output format", "json", "csv"),
 }
 
 
 def _add_common(parser: argparse.ArgumentParser, *optional: str) -> None:
     """The model flags, --out and --config, plus the named OPTIONAL_FLAGS."""
-    parser.add_argument("--N", type=int, default=None, help="number of gaps")
-    parser.add_argument("--L", type=float, default=None, help="half width")
-    parser.add_argument("--p", type=float, default=None, help="plane spacing")
-    parser.add_argument("--kappa", type=float, default=None, help="GL parameter")
-    parser.add_argument("--H", type=float, default=None, help="applied field")
-    parser.add_argument("--r", type=float, default=None, help="Josephson coupling")
+    parser.add_argument("--N", type=int, default=2, help="number of gaps")
+    parser.add_argument("--L", type=float, default=1.0, help="half width")
+    parser.add_argument("--p", type=float, default=0.5, help="plane spacing")
+    parser.add_argument("--kappa", type=float, default=1.0, help="GL parameter")
+    parser.add_argument("--H", type=float, default=3.0, help="applied field")
+    parser.add_argument("--r", type=float, default=1e-3, help="Josephson coupling")
     parser.add_argument("--out", type=str, default=None, help="output path")
-    parser.add_argument("--config", type=str, default=None,
-                        help="JSON config file (flags override)")
+    parser.add_argument("--config", type=_config_flags, default=None,
+                        help="JSON file holding an object of flag names (N, "
+                             "max_iter, ...) and values, read as those flags "
+                             "before the command line's own")
     for key in optional:
-        flag, kind, text, *choices = OPTIONAL_FLAGS[key]
-        parser.add_argument(flag, type=kind, default=None, dest=key, help=text,
-                            choices=choices or None)
+        flag, kind, default, text, *choices = OPTIONAL_FLAGS[key]
+        parser.add_argument(flag, type=kind, default=default, dest=key,
+                            help=text, choices=choices or None)
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = {}
-    if args.config is not None:
-        file_cfg = json.loads(Path(args.config).read_text())
-    merged = {}
-    for key, default in DEFAULTS.items():
-        flag = getattr(args, key, None)
-        merged[key] = flag if flag is not None else file_cfg.get(key, default)
-    params = LdParameters(int(merged["N"]), float(merged["L"]),
-                          float(merged["p"]), float(merged["kappa"]),
-                          float(merged["H"]), float(merged["r"]))
+def _params(args: argparse.Namespace) -> LdParameters:
+    params = LdParameters(args.N, args.L, args.p, args.kappa, args.H, args.r)
     for w in validate(params):
         log.warning(w)
-    jobs = int(merged["jobs"])
-    require_jobs(jobs)
-    return RunConfig(params, merged["dx"], float(merged["tol"]),
-                     int(merged["max_iter"]), int(merged["seed"]),
-                     jobs, merged["out"], merged["format"])
+    return params
 
 
-def _start_state(cfg: RunConfig, grid: Grid1D):
-    if cfg.params.coupling > 0.0 and not cfg.params.is_degenerate:
-        return seed_state(cfg.params, grid, vortex_plane_delta(cfg.params))
-    return uniform_field_state(cfg.params, grid)
+def _start_state(params: LdParameters, grid: Grid1D):
+    if params.coupling > 0.0 and not params.is_degenerate:
+        return seed_state(params, grid, vortex_plane_delta(params))
+    return uniform_field_state(params, grid)
 
 
-def _emit(cfg: RunConfig, payload: dict) -> None:
-    if cfg.out:
-        exports.write_json(cfg.out, payload)
-        log.info("wrote %s", cfg.out)
+def _emit(out: str | None, payload: dict) -> None:
+    if out:
+        exports.write_json(out, payload)
+        log.info("wrote %s", out)
     else:
         sys.stdout.write(exports.dumps(payload))
 
 
 def _cmd_minimize(args) -> int:
-    cfg = _merge_config(args)
-    grid = Grid1D.build(cfg.params, cfg.dx)
-    rep = minimize(_start_state(cfg, grid), cfg.params, grid,
-                   tol=cfg.tol, max_iter=cfg.max_iter)
-    payload = {"parameters": exports.params_dict(cfg.params), "dx": grid.dx,
+    params = _params(args)
+    grid = Grid1D.build(params, args.dx)
+    rep = minimize(_start_state(params, grid), params, grid,
+                   tol=args.tol, max_iter=args.max_iter)
+    payload = {"parameters": exports.params_dict(params), "dx": grid.dx,
                "report": rep.to_dict(),
-               "energy_breakdown": total_energy(rep.state, cfg.params,
+               "energy_breakdown": total_energy(rep.state, params,
                                                 grid).to_dict()}
-    _emit(cfg, payload)
-    if cfg.out:
-        stem = Path(cfg.out).with_suffix("")
-        exports.write_field_csv(f"{stem}.fields.csv", rep.state, cfg.params, grid)
+    _emit(args.out, payload)
+    if args.out:
+        stem = Path(args.out).with_suffix("")
+        exports.write_field_csv(f"{stem}.fields.csv", rep.state, params, grid)
         exports.write_trace_csv(f"{stem}.trace.csv", rep)
     return 0
 
 
 def _cmd_census(args) -> int:
-    cfg = _merge_config(args)
-    rec = census(cfg.params, cfg.params.coupling, n_random=args.random_starts,
-                 dx=cfg.dx, seed=cfg.seed, jobs=cfg.jobs)
-    _emit(cfg, rec.to_dict())
+    params = _params(args)
+    rec = census(params, params.coupling, n_random=args.random_starts,
+                 dx=args.dx, seed=args.seed, jobs=args.jobs)
+    _emit(args.out, rec.to_dict())
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _merge_config(args)
+    params = _params(args)
     H_grid = np.linspace(args.H_min, args.H_max, args.H_points)
-    rec = field_sweep(cfg.params, H_grid, dx=cfg.dx, jobs=cfg.jobs)
-    _emit(cfg, rec.to_dict())
-    if cfg.out and cfg.format == "csv":
-        stem = Path(cfg.out).with_suffix("")
+    rec = field_sweep(params, H_grid, dx=args.dx, jobs=args.jobs)
+    _emit(args.out, rec.to_dict())
+    if args.out and args.format == "csv":
+        stem = Path(args.out).with_suffix("")
         rows = [[float(H), float(e), float(c), int(m)]
                 for H, e, c, m in zip(rec.data["H_grid"], rec.data["epsilon"],
                                       rec.data["configs"], rec.data["n_maxima"])]
@@ -165,64 +160,59 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    cfg = _merge_config(args)
-    seeds = enumerate_seeds(cfg.params)
-    payload = {"parameters": exports.params_dict(cfg.params),
+    params = _params(args)
+    seeds = enumerate_seeds(params)
+    payload = {"parameters": exports.params_dict(params),
                "seeds": [s.to_dict() for s in seeds]}
-    _emit(cfg, payload)
-    if cfg.out and cfg.format == "csv":
-        H_max = args.H_max if args.H_max else 2.0 * cfg.params.applied_field
+    _emit(args.out, payload)
+    if args.out and args.format == "csv":
+        H_max = args.H_max if args.H_max else 2.0 * params.applied_field
         grid = np.linspace(0.5, H_max, args.H_points)
-        diagram = epsilon_and_jumps(cfg.params, grid)
+        diagram = epsilon_and_jumps(params, grid)
         exports.write_nucleation_csv(
-            str(Path(cfg.out).with_suffix("")) + ".nucleation.csv", diagram)
+            str(Path(args.out).with_suffix("")) + ".nucleation.csv", diagram)
     return 0
 
 
 def _cmd_validity(args) -> int:
-    cfg = _merge_config(args)
-    grid = Grid1D.build(cfg.params, cfg.dx) if args.numerical_gap else None
-    rep = validity_report(cfg.params, grid=grid)
-    if cfg.format == "csv":
+    params = _params(args)
+    grid = Grid1D.build(params, args.dx) if args.numerical_gap else None
+    rep = validity_report(params, grid=grid)
+    if args.format == "csv":
         rows = []
         for L in (1.0, 2.0, 4.0):
             for kappa in (1.0, 2.0, 4.0):
-                q = LdParameters(cfg.params.num_gaps, L, cfg.params.spacing,
-                                 kappa, cfg.params.applied_field,
-                                 cfg.params.coupling)
+                q = LdParameters(params.num_gaps, L, params.spacing, kappa,
+                                 params.applied_field, params.coupling)
                 v = validity_report(q)
                 rows.append([L, kappa, v.c0, v.lambda_lower, v.lambda_upper,
                              v.rstar_lower, v.f_dip_threshold])
         header = ["L", "kappa", "c0", "lambda_lower", "lambda_upper",
                   "rstar_lower", "f_dip_threshold"]
-        if cfg.out:
-            exports.write_table_csv(cfg.out, header, rows)
+        if args.out:
+            exports.write_table_csv(args.out, header, rows)
         else:
             print(",".join(header))
             for row in rows:
                 print(",".join(repr(float(v)) for v in row))
         return 0
-    _emit(cfg, {"parameters": exports.params_dict(cfg.params),
-                "report": rep.to_dict()})
+    _emit(args.out, {"parameters": exports.params_dict(params),
+                     "report": rep.to_dict()})
     return 0
 
 
 def _cmd_flux(args) -> int:
-    cfg = _merge_config(args)
-    grid = Grid1D.build(cfg.params, cfg.dx)
-    cp = newton_critical(_start_state(cfg, grid), cfg.params, grid)
-    cycles = flux_check(cp.state, cfg.params, grid)
-    _emit(cfg, {"parameters": exports.params_dict(cfg.params),
-                "flux_quantum": 2.0 * math.pi,
-                "cycles": [c.to_dict() for c in cycles]})
+    params = _params(args)
+    grid = Grid1D.build(params, args.dx)
+    cp = newton_critical(_start_state(params, grid), params, grid)
+    cycles = flux_check(cp.state, params, grid)
+    _emit(args.out, {"parameters": exports.params_dict(params),
+                     "flux_quantum": 2.0 * math.pi,
+                     "cycles": [c.to_dict() for c in cycles]})
     return 0
 
 
 def _cmd_check(args) -> int:
-    if args.preset not in PRESETS:
-        print(f"error: unknown preset {args.preset!r}; available: "
-              f"{', '.join(sorted(PRESETS))}", file=sys.stderr)
-        return 2
     report = run_acceptance(args.preset)
     if args.out:
         exports.write_json(args.out, report.to_dict())
@@ -232,23 +222,23 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_export_field(args) -> int:
-    cfg = _merge_config(args)
-    if not cfg.out:
+    params = _params(args)
+    if not args.out:
         raise LdError("export-field requires --out")
-    grid = Grid1D.build(cfg.params, cfg.dx)
+    grid = Grid1D.build(params, args.dx)
     if args.source == "uniform":
-        state = uniform_field_state(cfg.params, grid)
+        state = uniform_field_state(params, grid)
     elif args.source == "seed":
-        state = _start_state(cfg, grid)
+        state = _start_state(params, grid)
     else:
-        rep = minimize(_start_state(cfg, grid), cfg.params, grid,
-                       tol=cfg.tol, max_iter=cfg.max_iter)
+        rep = minimize(_start_state(params, grid), params, grid,
+                       tol=args.tol, max_iter=args.max_iter)
         state = rep.state
-    exports.write_field_csv(cfg.out, state, cfg.params, grid)
+    exports.write_field_csv(args.out, state, params, grid)
     if args.nz_per_gap > 0:
-        obs = observables(state, cfg.params, grid)
-        z, hmap = lift_field_2d(obs, cfg.params, args.nz_per_gap)
-        exports.write_lift_csv(str(Path(cfg.out).with_suffix("")) + ".lift.csv",
+        obs = observables(state, params, grid)
+        z, hmap = lift_field_2d(obs, params, args.nz_per_gap)
+        exports.write_lift_csv(str(Path(args.out).with_suffix("")) + ".lift.csv",
                                grid.mids, z, hmap)
     return 0
 
@@ -267,20 +257,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("census", help="enumerate low-energy critical points")
     _add_common(cmd, "dx", "seed", "jobs")
-    cmd.add_argument("--random-starts", type=int, default=50)
+    cmd.add_argument("--random-starts", type=count, default=50)
     cmd.set_defaults(fn=_cmd_census)
 
     cmd = sub.add_parser("sweep", help="field sweep with transition detection")
     _add_common(cmd, "dx", "jobs", "format")
     cmd.add_argument("--H-min", type=float, default=2.0)
     cmd.add_argument("--H-max", type=float, default=8.0)
-    cmd.add_argument("--H-points", type=int, default=61)
+    cmd.add_argument("--H-points", type=count, default=61)
     cmd.set_defaults(fn=_cmd_sweep)
 
     cmd = sub.add_parser("perturb", help="small-coupling enumeration and diagram")
     _add_common(cmd, "format")
     cmd.add_argument("--H-max", type=float, default=None)
-    cmd.add_argument("--H-points", type=int, default=121)
+    cmd.add_argument("--H-points", type=count, default=121)
     cmd.set_defaults(fn=_cmd_perturb)
 
     cmd = sub.add_parser("validity", help="analytic validity bounds")
@@ -295,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(fn=_cmd_flux)
 
     cmd = sub.add_parser("check", help="run the acceptance suite")
-    cmd.add_argument("--preset", type=str, default="desk-N2")
+    cmd.add_argument("--preset", choices=sorted(PRESETS), default="desk-N2")
     cmd.add_argument("--out", type=str, default=None, help="report path")
     cmd.set_defaults(fn=_cmd_check)
 
@@ -303,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(cmd, "dx", "tol", "max_iter")
     cmd.add_argument("--source", choices=("minimize", "seed", "uniform"),
                      default="minimize")
-    cmd.add_argument("--nz-per-gap", type=int, default=0, dest="nz_per_gap")
+    cmd.add_argument("--nz-per-gap", type=count, default=0, dest="nz_per_gap")
     cmd.set_defaults(fn=_cmd_export_field)
     return parser
 
@@ -311,7 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        # argv[0] is the subcommand: the top-level parser has no options.
+        args = parser.parse_args([argv[0], *args.config, *argv[1:]])
     try:
         return args.fn(args)
     except LdError as exc:

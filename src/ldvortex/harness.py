@@ -31,6 +31,8 @@ from .validity import energy_bound_coefficient
 #: Step budget of every experiment descent.  Each step factors a band; the
 #: descents of the acceptance census take at most 27 steps.
 DESCENT_MAX_ITER = 500
+#: Residual tolerance of the census's seed Newton solves.
+CENSUS_NEWTON_TOL = 1e-9
 
 
 def require_jobs(jobs: int) -> None:
@@ -77,22 +79,15 @@ def _loglog_slope(x, y) -> float:
                             np.log(np.asarray(y, dtype=float)), 1)[0])
 
 
-def _branch_minimum(params: LdParameters, grid: Grid1D, delta,
-                    tol: float) -> CriticalPoint:
-    """Descent from the perturbative seed followed by a Newton polish."""
-    rep = minimize(seed_state(params, grid, delta), params, grid,
-                   tol=max(tol, 1e-6), max_iter=DESCENT_MAX_ITER)
-    return newton_critical(rep.state, params, grid, tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # Convergence study.
 
-def convergence_study(params: LdParameters, r_list, dx: float | None = None,
-                      newton_tol: float = 1e-11) -> ExperimentRecord:
+def convergence_study(params: LdParameters, r_list,
+                      dx: float | None = None) -> ExperimentRecord:
     """Sharpness of the small-r expansion: for each coupling, solve the
-    vortex-plane branch and record the energy-law gap |E/r - G(0, delta*)|
-    and the sup-norm gaps of h, j_z, f and Phi against their closed forms;
+    vortex-plane branch by Newton from its seed (residual <= 1e-11) and
+    record the energy-law gap |E/r - G(0, delta*)| and the sup-norm gaps of
+    h, j_z, f and Phi against their closed forms;
     fit log-log slopes (expected 1 for the energy, 2 for the observables;
     Phi is compared modulo one per-gap additive constant)."""
     t0 = time.time()
@@ -107,7 +102,7 @@ def convergence_study(params: LdParameters, r_list, dx: float | None = None,
     e_gap, h_gap, jz_gap, f_gap, phi_gap, minima, bounds_ok = [], [], [], [], [], [], []
     for r in r_list:
         pr = params.with_coupling(r)
-        cp = _branch_minimum(pr, grid, ds, newton_tol)
+        cp = newton_critical(seed_state(pr, grid, ds), pr, grid, tol=1e-11)
         obs = observables(cp.state, pr, grid)
         ocf = vortex_plane_observables(pr, grid)
         e_gap.append(abs(cp.energy / r - g0(pr, ds)))
@@ -158,15 +153,14 @@ def _census_descent_job(args) -> dict:
 
 
 def census(params: LdParameters, r: float, n_random: int = 50,
-           dx: float | None = None, newton_tol: float = 1e-9,
-           seed: int = 0, jobs: int = 1,
-           distinct_threshold: float = 0.1,
+           dx: float | None = None, seed: int = 0, jobs: int = 1,
            match_threshold: float = 1e-3) -> ExperimentRecord:
     """Enumerate all low-energy critical points at coupling r.
 
-    Newton from the 2^N perturbative seeds, deduped by observable
-    distance, classified by inertia; then n_random random-start descents,
-    each counted as converged or not and matched to a census member.  The
+    Newton from the 2^N perturbative seeds (residual <= CENSUS_NEWTON_TOL),
+    required to lie at least 0.1 apart in observable distance, classified
+    by inertia; then n_random random-start descents, each counted as
+    converged or not and matched to a census member.  The
     energy shell is three times the linear upper bound (the analytic cutoff
     below which the census is exhaustive is not constructive).
     """
@@ -184,7 +178,7 @@ def census(params: LdParameters, r: float, n_random: int = 50,
     for s in seeds:
         try:
             points.append(newton_critical(seed_state(pr, grid, s.delta), pr,
-                                          grid, tol=newton_tol))
+                                          grid, tol=CENSUS_NEWTON_TOL))
         except NoConvergence as exc:
             failures.append({"delta": s.delta.delta.tolist(), "error": str(exc)})
 
@@ -247,8 +241,8 @@ def census(params: LdParameters, r: float, n_random: int = 50,
     }
     rec.checks = {
         "census_complete": n_pts == 2**N and not failures,
-        "pairwise_distinct": min_pair >= distinct_threshold,
-        "residuals_small": all(c.residual <= newton_tol for c in points),
+        "pairwise_distinct": min_pair >= 0.1,
+        "residuals_small": all(c.residual <= CENSUS_NEWTON_TOL for c in points),
         "inertia_multiset_binomial": inertias == binom == predicted,
         "unique_minimizer_is_vortex_plane": bool(min_is_vp),
         "energy_order_matches_g0": bool(order_ok),
@@ -296,15 +290,14 @@ def _sweep_point_job(args) -> dict:
 
 
 def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
-                tol: float | None = None, jobs: int = 1,
-                jump_tolerance: float = 0.10) -> ExperimentRecord:
+                jobs: int = 1) -> ExperimentRecord:
     """Minimization along an increasing field grid: each field keeps the
     lower of the descents from the seeds delta = 0 and pi (a tie keeps 0).
 
     Detects the collective flips of the reduced phases (robust first-order
     transition marker), counts interior maxima of h, and measures the
     magnetization jump at each detected transition by one-sided cubic fits
-    of the ground energy, compared against 4 N p^2 L^2 r / (k pi).
+    of the ground energy, compared against 4 N p^2 L^2 r / (k pi) to 10%.
     """
     t0 = time.time()
     require_jobs(jobs)
@@ -317,8 +310,7 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
         raise InvalidParameters("H_grid passes within 1e-3 of a degenerate field")
     if dx is None:
         dx = default_dx(params.with_field(float(H_grid[-1])))
-    if tol is None:
-        tol = 3.0 * default_newton_tol(params) / 10.0  # ~3e-8 at r=1e-3
+    tol = 3.0 * default_newton_tol(params) / 10.0  # ~3e-8 at r=1e-3
 
     results = _fan_out(_sweep_point_job,
                        [(params, H, dx, tol) for H in H_grid], jobs)
@@ -370,7 +362,7 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
         "locations_within_grid_step": all(t["within_one_step"] for t in transitions),
         "collective_flips": bool(np.all(~np.isnan(configs))),
         "maxima_increment_one": all(t["maxima_increment"] == 1 for t in transitions),
-        "jumps_within_tolerance": all(t["jump_rel_err"] <= jump_tolerance
+        "jumps_within_tolerance": all(t["jump_rel_err"] <= 0.10
                                       for t in transitions),
     }
     rec.wall_time = time.time() - t0

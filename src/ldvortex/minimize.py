@@ -414,24 +414,16 @@ def nearest_eigenvalues(ab: np.ndarray, k: int, sigma: float,
     return np.sort(eigs)
 
 
-def inertia(state: LayeredState, params: LdParameters, grid: Grid1D,
-            k: int | None = None) -> int:
-    """Number of negative eigenvalues among the k smallest-magnitude
-    eigenvalues of the free-DOF Hessian (k defaults to N+1).  A Hessian
-    whose band factors by Cholesky is positive definite, so the count is 0
-    with no eigensolve; otherwise only those k are computed, by shift-invert
-    Lanczos at sigma = 0 on the band."""
-    if k is None:
-        k = params.num_gaps + 1
-    if k < params.num_gaps + 1:
-        raise ValueError(f"k must be >= N+1 = {params.num_gaps + 1}, got {k}")
-    n = Layout.build(params.num_gaps, grid.M).size
-    if k >= n:
-        raise ValueError(f"k must be < n = {n}, got {k}")
+def inertia(state: LayeredState, params: LdParameters, grid: Grid1D) -> int:
+    """Number of negative eigenvalues among the N+1 smallest-magnitude
+    eigenvalues of the free-DOF Hessian.  A Hessian whose band factors by
+    Cholesky is positive definite, so the count is 0 with no eigensolve;
+    otherwise only those N+1 are computed, by shift-invert Lanczos at
+    sigma = 0 on the band (N+1 is below the band's size: M >= 16)."""
     ab, _ = assemble_banded_hessian(state, params, grid)
-    if banded_solve(ab, np.zeros(n), True, 0.0) is not None:
+    if banded_solve(ab, np.zeros(ab.shape[1]), True, 0.0) is not None:
         return 0
-    return int(np.sum(nearest_eigenvalues(ab, k, 0.0) < 0.0))
+    return int(np.sum(nearest_eigenvalues(ab, params.num_gaps + 1, 0.0) < 0.0))
 
 
 @dataclass(frozen=True)

@@ -138,22 +138,20 @@ def gauge_fix(state: LayeredState, grid: Grid1D) -> LayeredState:
 
 
 def random_low_energy_state(params: LdParameters, grid: Grid1D,
-                            rng: np.random.Generator,
-                            f_band: tuple[float, float] = (0.8, 1.2),
-                            ripple: float = 0.05) -> LayeredState:
-    """Random start for descent protocols: f uniform in f_band per node,
+                            rng: np.random.Generator) -> LayeredState:
+    """Random start for descent protocols: f uniform in [0.8, 1.2] per node,
     per-plane phase offsets uniform in [0, 2pi) on top of the field-consistent
-    winding n p H x, smooth low-frequency phase ripples, and mildly
-    perturbed traces.  Gauge fixed."""
+    winding n p H x, smooth low-frequency phase ripples, and traces
+    perturbed by 0.05 standard normals.  Gauge fixed."""
     N, H, p, L = params.num_gaps, params.applied_field, params.spacing, params.half_width
     n = np.arange(N + 1)[:, None]
-    f = rng.uniform(f_band[0], f_band[1], size=(N + 1, grid.M + 1))
+    f = rng.uniform(0.8, 1.2, size=(N + 1, grid.M + 1))
     alphas = np.concatenate([[0.0], rng.uniform(0.0, 2.0 * np.pi, size=N)])
     phi = alphas[:, None] + n * p * H * grid.nodes[None, :]
     for m in (1, 2, 3):
-        amp = ripple * rng.standard_normal((N + 1, 1)) / m
+        amp = 0.05 * rng.standard_normal((N + 1, 1)) / m
         phi = phi + amp * np.sin(0.5 * m * np.pi * (grid.nodes[None, :] + L) / L)
-    a = n * p * H + ripple * rng.standard_normal((N + 1, grid.M))
+    a = n * p * H + 0.05 * rng.standard_normal((N + 1, grid.M))
     state = LayeredState(f, phi, a)
     return gauge_fix(state, grid)
 

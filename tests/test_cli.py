@@ -27,11 +27,11 @@ def test_jobs_from_config_file_are_bounded_too(tmp_path, no_pool, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
-def test_jobs_within_usable_cores_are_kept():
+def test_jobs_within_usable_cores_are_kept(capsys):
     cores = len(os.sched_getaffinity(0))
-    for jobs in (1, cores):
-        args = cli.build_parser().parse_args(["census", "--jobs", str(jobs)])
-        assert cli._merge_config(args).jobs == jobs
+    argv = ["census", "--jobs", str(cores), "--random-starts", "0", "--dx", "0.125"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "census"
 
 
 def test_eigensolver_failure_exits_1_without_traceback(monkeypatch, capsys):
@@ -126,4 +126,39 @@ def test_flag_beats_config_file_beats_default(tmp_path, capsys):
     config.write_text(json.dumps({"N": 1, "H": 4.0}))
     assert run(["perturb", "--config", str(config), "--H", "5"]) == 0
     params = json.loads(capsys.readouterr().out)["parameters"]
-    assert (params["N"], params["H"], params["L"]) == (1, 5.0, cli.DEFAULTS["L"])
+    assert (params["N"], params["H"], params["L"]) == (1, 5.0, 1.0)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("perturb", '{"N": "two"}'),
+    ("perturb", '{"N": 2.5}'),
+    ("perturb", None),
+    ("perturb", "{"),
+    ("perturb", "[1]"),
+    ("perturb", '{"jobs": 0}'),
+    ("census", '{"tol": 1e-6}'),
+    ("sweep", '{"format": "xml"}'),
+], ids=["not-an-int", "fractional-int", "missing-file", "bad-json",
+        "not-an-object", "unregistered-jobs", "unregistered-tol",
+        "bad-choice"])
+def test_bad_config_file_exits_2_without_traceback(command, text, tmp_path,
+                                                    no_pool, capsys):
+    config = tmp_path / "run.json"
+    if text is not None:
+        config.write_text(text)
+    assert run([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--H-points", "-1"] + GRID,
+    ["census", "--random-starts", "-1"] + GRID,
+    ["export-field", "--nz-per-gap", "-2", "--out", "x.csv"] + GRID,
+    ["minimize", "--max-iter", "-5"] + GRID,
+], ids=["H-points", "random-starts", "nz-per-gap", "max-iter"])
+def test_negative_counts_exit_2_without_traceback(argv, no_pool, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "must be >= 0" in err
+    assert "Traceback" not in err

@@ -250,15 +250,6 @@ def test_definite_hessian_needs_no_eigensolve(desk, desk_grid, monkeypatch):
                 desk, desk_grid)
 
 
-def test_inertia_requires_enough_eigenvalues(desk, desk_grid):
-    state = uniform_field_state(desk, desk_grid)
-    with pytest.raises(ValueError):
-        inertia(state, desk, desk_grid, k=desk.num_gaps)
-    n = Layout.build(desk.num_gaps, desk_grid.M).size
-    with pytest.raises(ValueError, match="k must be < n"):
-        inertia(state, desk, desk_grid, k=n)
-
-
 @given(st.sampled_from([1, 2, 3]), st.floats(2.0, 9.0), st.floats(1e-4, 1e-2))
 @settings(max_examples=25, deadline=None)
 def test_measured_inertia_equals_predicted_inertia(N, H, r):
