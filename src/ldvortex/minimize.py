@@ -18,11 +18,11 @@ steps because the Hessian mixes N eigenvalues of size O(r) along the phase
 torus with stiff modes of size O(1/(kappa dx)^2), which a gradient-based
 descent crawls across.
 
-Inertia needs only the N+1 Hessian eigenvalues nearest zero.  A band that
-factors by Cholesky is positive definite, so its inertia is 0 with no
-eigensolve; otherwise shift-invert Lanczos on a banded LU written straight
-from the band computes just those eigenvalues, with no dense matrix or
-full-band eigensolve (scipy.sparse loads only when a spectrum is asked for).
+Inertia is the discrete Lyapunov-Schmidt reduction: with one phase per plane
+pinned, a Hessian whose other block factors by Cholesky has the inertia of
+the NxN Schur complement on the pinned phases (Haynsworth), the Morse index
+from one banded solve.  Far from the phase torus shift-invert Lanczos on a
+banded LU is the fallback (scipy.sparse loads only when it runs).
 """
 
 from __future__ import annotations
@@ -415,15 +415,30 @@ def nearest_eigenvalues(ab: np.ndarray, k: int, sigma: float,
 
 
 def inertia(state: LayeredState, params: LdParameters, grid: Grid1D) -> int:
-    """Number of negative eigenvalues among the N+1 smallest-magnitude
-    eigenvalues of the free-DOF Hessian.  A Hessian whose band factors by
-    Cholesky is positive definite, so the count is 0 with no eigensolve;
-    otherwise only those N+1 are computed, by shift-invert Lanczos at
-    sigma = 0 on the band (N+1 is below the band's size: M >= 16)."""
-    ab, _ = assemble_banded_hessian(state, params, grid)
-    if banded_solve(ab, np.zeros(ab.shape[1]), True, 0.0) is not None:
-        return 0
-    return int(np.sum(nearest_eigenvalues(ab, params.num_gaps + 1, 0.0) < 0.0))
+    """Number of negative eigenvalues of the free-DOF Hessian H.  The N
+    phases p at the middle grid column are pinned (adjacent in the packing,
+    over a band width from both ends as M >= 16); one banded_solve (dpbsv,
+    N right-hand sides) on the other DOFs f gives X = H_ff^-1 H_fp, and if
+    H_ff is positive definite the count, the Morse index, is that of the
+    Schur complement H_pp - H_fp^T X.  Otherwise the fallback counts the
+    negatives among the N+1 eigenvalues nearest zero (nearest_eigenvalues)."""
+    ab, bw = assemble_banded_hessian(state, params, grid)
+    pin = Layout.build(params.num_gaps, grid.M).idx_phi[:, grid.M // 2]
+    rows = pin[:, None] + np.arange(-bw, bw + 1)  # H[rows[k], pin[k]] = ab[:, pin[k]]
+    E = np.zeros((ab.shape[1], pin.size), order="F")
+    E[rows, np.arange(pin.size)[:, None]] = ab[:, pin].T
+    H_pp, E[pin] = E[pin], 0.0
+    block = ab.copy()  # H_ff, with the identity on the pinned DOFs
+    block[:, pin] = block[bw + pin[:, None] - rows, rows] = 0.0
+    block[bw, pin] = 1.0
+    X = banded_solve(block, E, True, 0.0)
+    if X is None:
+        log.debug("inertia: pinned block did not factor, shift-invert eigensolve")
+        return int(np.sum(nearest_eigenvalues(ab, params.num_gaps + 1, 0.0) < 0.0))
+    # einsum and SciPy's LAPACK: numpy's BLAS would add ~0.5 MiB of buffers.
+    schur = sla.eigvalsh(H_pp - np.einsum("ij,ik->jk", E, X))
+    log.debug("inertia: Schur complement eigenvalues %s", schur)
+    return int(np.sum(schur < 0.0))
 
 
 @dataclass(frozen=True)

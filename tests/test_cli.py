@@ -138,9 +138,11 @@ def test_flag_beats_config_file_beats_default(tmp_path, capsys):
     ("perturb", '{"jobs": 0}'),
     ("census", '{"tol": 1e-6}'),
     ("sweep", '{"format": "xml"}'),
+    ("perturb", '{"h": 1}'),
+    ("minimize", '{"ma": 5}'),
 ], ids=["not-an-int", "fractional-int", "missing-file", "bad-json",
         "not-an-object", "unregistered-jobs", "unregistered-tol",
-        "bad-choice"])
+        "bad-choice", "prefix-of-help", "prefix-of-max-iter"])
 def test_bad_config_file_exits_2_without_traceback(command, text, tmp_path,
                                                     no_pool, capsys):
     config = tmp_path / "run.json"
@@ -149,6 +151,11 @@ def test_bad_config_file_exits_2_without_traceback(command, text, tmp_path,
     assert run([command, "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.count("error: ") == 1 and "Traceback" not in err
+
+
+def test_command_line_flags_may_be_abbreviated(capsys):
+    assert run(["minimize", "--ma", "0"] + GRID) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["iterations"] == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -119,6 +119,24 @@ def test_field_sweep_detects_first_transition(desk):
     assert tr["jump_rel_err"] <= 0.10
 
 
+def test_field_sweep_finds_the_nucleation_sequence(desk):
+    """A sweep over H in [2, 20] finds the nucleations k = 1, 2, 3, each
+    within one grid step of H_k = k pi / (pL) and adding one maximum, with
+    k jump_k within 1% of 4 N p^2 L^2 r / pi."""
+    H_grid = np.linspace(2.0, 20.0, 181)
+    step = H_grid[1] - H_grid[0]
+    rec = field_sweep(desk, H_grid)
+    assert rec.passed, rec.checks
+    transitions = rec.data["transitions"]
+    assert [t["k"] for t in transitions] == [1, 2, 3]
+    p, L = desk.spacing, desk.half_width
+    scale = 4.0 * desk.num_gaps * p**2 * L**2 * desk.coupling / math.pi
+    for t in transitions:
+        assert abs(t["location"] - t["k"] * math.pi / (p * L)) <= step
+        assert t["maxima_increment"] == 1
+        assert abs(t["k"] * t["jump"] - scale) <= 0.01 * scale
+
+
 def test_field_sweep_meissner_profile(desk):
     """Below the first nucleation field h peaks at the edges with the
     minimum line at x = 0."""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ldvortex.energy import hessian_apply_arrays, total_energy
 from ldvortex.errors import FactorizationFailure, NoConvergence, SingularHessian
+from ldvortex.harness import census
 from ldvortex.minimize import (Layout, assemble_banded_hessian, banded_solve,
                                inertia, minimize, nearest_eigenvalues,
                                newton_critical)
@@ -287,6 +288,43 @@ def test_inertia_matches_dense_reference(desk, rng):
         counts.append(inertia(state, desk, grid))
         assert counts[-1] == _dense_inertia(_dense(ab), k)
     assert sorted(counts[:-1]) == [0, 1, 1, 2]
+
+
+@pytest.mark.parametrize("N, L, r", [(1, 1.0, 1e-3), (2, 1.0, 1e-3),
+                                     (3, 1.0, 1e-3), (2, 4.0, 1e-3),
+                                     (2, 1.0, 0.1)])
+def test_schur_inertia_is_the_morse_index(N, L, r, caplog):
+    """At every Newton point and at low-energy starts the pinned block
+    factors, and the Schur count equals the dense Morse index and the count
+    among the N+1 eigenvalues nearest zero."""
+    params = LdParameters(N, L, 0.5, 1.0, 3.0, r)
+    grid = Grid1D.build(params, dx=1.0 / 16.0)
+    rng = np.random.default_rng(5)
+    states = [newton_critical(seed_state(params, grid, s.delta), params,
+                              grid).state for s in enumerate_seeds(params)]
+    states += [random_low_energy_state(params, grid, rng) for _ in range(3)]
+    for state in states:
+        ab, _ = assemble_banded_hessian(state, params, grid)
+        dense = _dense(ab)
+        with caplog.at_level(logging.DEBUG, logger="ldvortex"):
+            caplog.clear()
+            count = inertia(state, params, grid)
+        assert count == int(np.sum(np.linalg.eigvalsh(dense) < 0.0))
+        assert count == _dense_inertia(dense, N + 1)
+        assert [m.startswith("inertia: Schur complement")
+                for m in caplog.messages] == [True]
+
+
+def test_census_inertias_need_no_eigensolve(desk, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def stalled(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.zeros(0), None)
+
+    monkeypatch.setattr(spla, "eigsh", stalled)
+    rec = census(desk, desk.coupling, n_random=0, dx=1.0 / 20.0)
+    assert rec.passed, rec.checks
+    assert sorted(rec.data["inertias"]) == [0, 1, 1, 2]
 
 
 def test_nearest_eigenvalues_repeat_bit_for_bit(desk, rng):
