@@ -6,6 +6,7 @@ such as {"N": 3, "max_iter": 200}, read as those flags (--N 3
 --max-iter 200) before the command line's own: a flag beats the file, the
 file beats the default, and a bad file value fails like the same bad flag.
 A key must name a flag exactly; only the command line may abbreviate.
+No key may be config: a config file cannot name another.
 A switch such as --numerical-gap takes no value, so no file can set it.
 LD_VORTEX_LOG in {error, warn, info, debug} controls verbosity.
 Exit codes: 0 success; 1 failed acceptance, a solver failure or parameters
@@ -305,6 +306,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
+        if "--config" in args.config[::2]:
+            parser.error("a config file may not hold the key config")
         unknown = [flag for flag in args.config[::2]
                    if flag[2:].replace("-", "_") not in vars(args)]
         if unknown:

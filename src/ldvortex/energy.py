@@ -12,6 +12,12 @@ scheme O(dx^2) consistent.  The midpoint amplitude in V^2 f^2 is the
 arithmetic nodal mean squared after averaging, which keeps the Hessian
 symmetric and the gradient exactly the derivative of the discrete energy.
 
+One kernel, energy_arrays, returns the energy and its gradient from a
+single pass over the staggered fields V, fm, Phi and h, which
+observables._fields defines for every module.  hessian_apply_arrays reads
+the same fields but linearizes the gradient on its own: it is the
+reference the banded Hessian is tested against.
+
 f is unconstrained here; at solutions of the discrete system f stays in
 (0, 1] and the harness asserts it.
 """
@@ -24,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFinite, ShapeMismatch
+from .observables import _fields
 from .params import Grid1D, LdParameters
 from .state import LayeredState
 
@@ -70,43 +77,11 @@ def _check(state: LayeredState, params: LdParameters, grid: Grid1D) -> None:
 
 
 def energy_arrays(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
-                  params: LdParameters, grid: Grid1D) -> tuple[float, float, float]:
-    """(bulk, josephson, field) for raw arrays; fast path for the solvers."""
-    p, kappa, r, H = (params.spacing, params.kappa, params.coupling,
-                      params.applied_field)
-    dx = grid.dx
-    wt = grid.trapezoid_weights()
-
-    df = np.diff(f, axis=1) / dx
-    V = np.diff(phi, axis=1) / dx - a
-    fm = 0.5 * (f[:, 1:] + f[:, :-1])
-    bulk = p * (np.sum(wt * 0.5 * (f**2 - 1.0)**2)
-                + dx * np.sum(df**2 + V**2 * fm**2) / kappa**2)
-
-    Phi = phi[1:] - phi[:-1]
-    jos = 0.5 * r * p * np.sum(
-        wt * (f[1:]**2 + f[:-1]**2 - 2.0 * f[1:] * f[:-1] * np.cos(Phi)))
-
-    h = (a[1:] - a[:-1]) / p
-    fld = (p * dx / kappa**2) * np.sum((h - H)**2)
-    return bulk, jos, fld
-
-
-def total_energy(state: LayeredState, params: LdParameters,
-                 grid: Grid1D) -> EnergyBreakdown:
-    """Evaluate the discrete free energy of a state."""
-    _check(state, params, grid)
-    bulk, jos, fld = energy_arrays(state.f, state.phi, state.a, params, grid)
-    out = EnergyBreakdown(float(bulk), float(jos), float(fld))
-    if not math.isfinite(out.total):
-        raise NonFinite("energy is not finite")
-    return out
-
-
-def gradient_arrays(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
-                    params: LdParameters, grid: Grid1D
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact derivative arrays (gf, gphi_full, ga) of the discrete energy.
+                  params: LdParameters, grid: Grid1D
+                  ) -> tuple[tuple[float, float, float],
+                             tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """((bulk, josephson, field), (gf, gphi_full, ga)) for raw arrays: the
+    energy and its exact derivative arrays in one pass over the stencil.
 
     gphi_full includes plane 0; callers drop it for the free-DOF gradient.
     """
@@ -116,10 +91,15 @@ def gradient_arrays(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
     wt = grid.trapezoid_weights()
 
     df = np.diff(f, axis=1) / dx
-    V = np.diff(phi, axis=1) / dx - a
-    fm = 0.5 * (f[:, 1:] + f[:, :-1])
-    Phi = phi[1:] - phi[:-1]
-    h = (a[1:] - a[:-1]) / p
+    V, fm, Phi, h = _fields(f, phi, a, params, grid)
+    cosPhi = np.cos(Phi)
+    sinPhi = np.sin(Phi)
+
+    bulk = p * (np.sum(wt * 0.5 * (f**2 - 1.0)**2)
+                + dx * np.sum(df**2 + V**2 * fm**2) / kappa**2)
+    jos = 0.5 * r * p * np.sum(
+        wt * (f[1:]**2 + f[:-1]**2 - 2.0 * f[1:] * f[:-1] * cosPhi))
+    fld = (p * dx / kappa**2) * np.sum((h - H)**2)
 
     gf = p * wt * 2.0 * (f**2 - 1.0) * f
     mid_f = p * dx * (V**2 * fm) / kappa**2          # d(V^2 fm^2)/df_node
@@ -127,8 +107,6 @@ def gradient_arrays(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
     gf[:, :-1] += mid_f - grad_f
     gf[:, 1:] += mid_f + grad_f
 
-    cosPhi = np.cos(Phi)
-    sinPhi = np.sin(Phi)
     jf = 0.5 * r * p * wt
     gf[1:] += jf * (2.0 * f[1:] - 2.0 * f[:-1] * cosPhi)
     gf[:-1] += jf * (2.0 * f[:-1] - 2.0 * f[1:] * cosPhi)
@@ -145,7 +123,18 @@ def gradient_arrays(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
     gh = (2.0 * dx / kappa**2) * (h - H)
     ga[1:] += gh
     ga[:-1] -= gh
-    return gf, gphi, ga
+    return (bulk, jos, fld), (gf, gphi, ga)
+
+
+def total_energy(state: LayeredState, params: LdParameters,
+                 grid: Grid1D) -> EnergyBreakdown:
+    """Evaluate the discrete free energy of a state."""
+    _check(state, params, grid)
+    (bulk, jos, fld), _ = energy_arrays(state.f, state.phi, state.a, params, grid)
+    out = EnergyBreakdown(float(bulk), float(jos), float(fld))
+    if not math.isfinite(out.total):
+        raise NonFinite("energy is not finite")
+    return out
 
 
 def gradient(state: LayeredState, params: LdParameters,
@@ -157,17 +146,19 @@ def gradient(state: LayeredState, params: LdParameters,
     offset (h^(N) = H + p f_N^2 V_N at stationarity).
     """
     _check(state, params, grid)
-    gf, gphi, ga = gradient_arrays(state.f, state.phi, state.a, params, grid)
+    _, (gf, gphi, ga) = energy_arrays(state.f, state.phi, state.a, params, grid)
     return Cotangent(gf, gphi[1:], ga)
 
 
 def hessian_apply_arrays(f, phi, a, uf, uphi, ua, params: LdParameters,
                          grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Directional derivative of gradient_arrays along (uf, uphi, ua).
+    """Directional derivative of the gradient of energy_arrays along
+    (uf, uphi, ua).
 
     This is the independent reference for the Hessian: it linearizes the
-    gradient kernel, while minimize.assemble_banded_hessian writes the
-    second derivatives term by term, and the tests hold the two together.
+    gradient on its own from the shared fields, while
+    minimize.assemble_banded_hessian writes the second derivatives term by
+    term, and the tests hold the two together.
 
     uphi must include a plane-0 row (zeros when gauge fixed).  The
     directions may carry leading axes, e.g. (k, N+1, M+1) for k directions;
@@ -178,9 +169,7 @@ def hessian_apply_arrays(f, phi, a, uf, uphi, ua, params: LdParameters,
     dx = grid.dx
     wt = grid.trapezoid_weights()
 
-    V = np.diff(phi, axis=1) / dx - a
-    fm = 0.5 * (f[:, 1:] + f[:, :-1])
-    Phi = phi[1:] - phi[:-1]
+    V, fm, Phi, _ = _fields(f, phi, a, params, grid)
     cosPhi = np.cos(Phi)
     sinPhi = np.sin(Phi)
 
@@ -247,13 +236,10 @@ def el_residual(state: LayeredState, params: LdParameters,
     p, kappa, r, H = (params.spacing, params.kappa, params.coupling,
                       params.applied_field)
     dx = grid.dx
-    f, phi, a = state.f, state.phi, state.a
+    f = state.f
     N = state.num_gaps
 
-    V = np.diff(phi, axis=1) / dx - a
-    fm = 0.5 * (f[:, 1:] + f[:, :-1])
-    Phi = phi[1:] - phi[:-1]
-    h = (a[1:] - a[:-1]) / p
+    V, fm, Phi, h = _fields(f, state.phi, state.a, params, grid)
     jx = V * fm**2
 
     # f ODE: -f''/k^2 + (f^2-1) f + V^2 f / k^2 = coupling terms.
@@ -329,9 +315,9 @@ def fd_gradient_check(state: LayeredState, params: LdParameters, grid: Grid1D,
     x0 = layout.pack(state.f, state.phi[1:], state.a).astype(np.longdouble)
     g = gradient(state, params, grid)
     ga = layout.pack(g.df, g.dphi, g.da)
-    energy_of, _ = _flat_functions(params, grid, layout)
+    fun = _flat_functions(params, grid, layout)
 
-    e0 = float(energy_of(x0))
+    e0 = float(fun(x0)[0])
     floor = 1e-6 * max(1.0, abs(e0))
 
     rng = np.random.default_rng(seed)
@@ -343,7 +329,7 @@ def fd_gradient_check(state: LayeredState, params: LdParameters, grid: Grid1D,
         xp[j] += eps
         xm = x0.copy()
         xm[j] -= eps
-        fd = float((energy_of(xp) - energy_of(xm)) / (2.0 * eps))
+        fd = float((fun(xp)[0] - fun(xm)[0]) / (2.0 * eps))
         if abs(ga[j]) < floor and abs(fd) < floor:
             continue
         worst = max(worst, abs(ga[j] - fd) / (abs(ga[j]) + 1e-12))

@@ -106,23 +106,18 @@ def read_field_csv(path) -> dict[str, np.ndarray]:
 
 def write_lift_csv(path, x: np.ndarray, z: np.ndarray, hmap: np.ndarray) -> None:
     """2D lift of the local field as a long-form grid x,z,h."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "z", "h"])
-        for j, zz in enumerate(z):
-            for i, xx in enumerate(x):
-                writer.writerow([_fmt(xx), _fmt(zz), _fmt(hmap[j, i])])
+    write_table_csv(path, ["x", "z", "h"],
+                    [[xx, zz, hmap[j, i]] for j, zz in enumerate(z)
+                     for i, xx in enumerate(x)])
 
 
 def write_trace_csv(path, report) -> None:
-    """Per-iteration descent trace: iter, energy, grad_norm, step."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "energy", "grad_norm", "step"])
-        for i, (e, gn) in enumerate(zip(report.energy_trace, report.grad_trace)):
-            step = report.step_trace[i - 1] if 1 <= i <= len(report.step_trace) else ""
-            writer.writerow([str(i), _fmt(e), _fmt(gn),
-                             _fmt(step) if step != "" else ""])
+    """Per-iteration descent trace: iter, energy, grad_norm, step; the step
+    column of iteration 0 is empty."""
+    write_table_csv(path, ["iter", "energy", "grad_norm", "step"],
+                    [[i, e, gn, t] for i, (e, gn, t) in enumerate(zip(
+                        report.energy_trace, report.grad_trace,
+                        ["", *report.step_trace]))])
 
 
 def write_table_csv(path, header: list[str], rows: list[list]) -> None:

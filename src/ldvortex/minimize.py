@@ -12,11 +12,14 @@ Levenberg-shifted banded system (H + mu I) d = -g, raised in mu until it
 factors, under one Armijo backtracking search.  Every shifted system is
 factored and solved by one LAPACK driver call (banded_solve): Cholesky
 (dpbsv) for minima, which search on the energy, banded LU (dgbsv) for
-saddles, which search on |grad|^2.  A descent remembers its last accepted
-shift and starts the next step at a tenth of it.  Descent takes Newton
-steps because the Hessian mixes N eigenvalues of size O(r) along the phase
-torus with stiff modes of size O(1/(kappa dx)^2), which a gradient-based
-descent crawls across.
+saddles, which search on |grad|^2.  The search carries the gradient: each
+trial point costs one call of the energy kernel (energy.energy_arrays),
+which returns the energy and the gradient together, so the accepted trial
+hands the next step its gradient without another evaluation.  A descent
+remembers its last accepted shift and starts the next step at a tenth of
+it.  Descent takes Newton steps because the Hessian mixes N eigenvalues of
+size O(r) along the phase torus with stiff modes of size O(1/(kappa dx)^2),
+which a gradient-based descent crawls across.
 
 Inertia is the discrete Lyapunov-Schmidt reduction: with one phase per plane
 pinned, a Hessian whose other block factors by Cholesky has the inertia of
@@ -37,8 +40,8 @@ import scipy.linalg as sla
 
 from .errors import (FactorizationFailure, NoConvergence, NonFinite,
                      SingularHessian)
-from .energy import energy_arrays, gradient_arrays
-from .observables import delta_estimate, observables
+from .energy import energy_arrays
+from .observables import _fields, delta_estimate, observables
 from .params import Grid1D, LdParameters
 from .state import LayeredState
 
@@ -138,21 +141,17 @@ def _x_to_state(x: np.ndarray, layout: Layout) -> LayeredState:
 
 
 def _flat_functions(params: LdParameters, grid: Grid1D, layout: Layout):
+    """The kernel over packed free DOFs: x -> (energy, gradient), one
+    energy_arrays call."""
     zrow = np.zeros((1, grid.M + 1))
 
-    def efun(x: np.ndarray) -> float:
+    def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
         f, dphi, a = layout.unpack(x)
         phi = np.vstack([zrow, dphi])
-        b, j, fl = energy_arrays(f, phi, a, params, grid)
-        return b + j + fl
+        (b, j, fl), (gf, gphi, ga) = energy_arrays(f, phi, a, params, grid)
+        return b + j + fl, layout.pack(gf, gphi[1:], ga)
 
-    def gfun(x: np.ndarray) -> np.ndarray:
-        f, dphi, a = layout.unpack(x)
-        phi = np.vstack([zrow, dphi])
-        gf, gphi, ga = gradient_arrays(f, phi, a, params, grid)
-        return layout.pack(gf, gphi[1:], ga)
-
-    return efun, gfun
+    return fun
 
 
 @dataclass(frozen=True)
@@ -183,18 +182,28 @@ class MinimizeReport:
                 "levenberg_shifts": self.levenberg_shifts}
 
 
-def _armijo(fun, x: np.ndarray, e: float, d: np.ndarray, slope: float):
-    """Backtrack t = 1, 1/2, ... along d until the merit fun (the energy for
-    minimize, |grad|^2 for newton_critical) drops by at least
-    ARMIJO_C * t * slope; returns (x_new, e_new, t), or None on a stall."""
+def _armijo(fun, merit, x: np.ndarray, m: float, d: np.ndarray, slope: float):
+    """Backtrack t = 1, 1/2, ... along d, one kernel call fun(x + t d) =
+    (e, g) per trial, until merit(e, g) (the energy for minimize, |g|^2 for
+    newton_critical) drops below m by at least ARMIJO_C * t * slope; returns
+    (x_new, e_new, g_new, t), or None on a stall."""
     t = 1.0
     for _ in range(MAX_BACKTRACKS):
         x_new = x + t * d
-        e_new = fun(x_new)
-        if math.isfinite(e_new) and e_new <= e + ARMIJO_C * t * slope:
-            return x_new, e_new, t
+        e_new, g_new = fun(x_new)
+        m_new = merit(e_new, g_new)
+        if math.isfinite(m_new) and m_new <= m + ARMIJO_C * t * slope:
+            return x_new, e_new, g_new, t
         t *= BACKTRACK
     return None
+
+
+def _energy_merit(e: float, g: np.ndarray) -> float:
+    return e
+
+
+def _residual_merit(e: float, g: np.ndarray) -> float:
+    return float(g @ g)
 
 
 def banded_solve(ab: np.ndarray, rhs: np.ndarray, definite: bool,
@@ -264,11 +273,10 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
     """
     state0.check_grid(params, grid)
     layout = Layout.build(params.num_gaps, grid.M)
-    efun, gfun = _flat_functions(params, grid, layout)
+    fun = _flat_functions(params, grid, layout)
 
     x = _state_to_x(state0, layout)
-    e = efun(x)
-    g = gfun(x)
+    e, g = fun(x)
     if not (math.isfinite(e) and np.all(np.isfinite(g))):
         raise NonFinite("non-finite energy or gradient at the start state")
 
@@ -286,17 +294,16 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
                                 definite=True, mu_last=mu)
         slope = float(g @ d) if d is not None else 0.0
         if slope < 0.0:
-            step = _armijo(efun, x, e, d, slope)
+            step = _armijo(fun, _energy_merit, x, e, d, slope)
         if step is not None:
             counts["newton"] += 1
         else:
-            step = _armijo(efun, x, e, -g, -float(g @ g))
+            step = _armijo(fun, _energy_merit, x, e, -g, -float(g @ g))
             if step is None:
                 failures += 1
                 break
             counts["steepest"] += 1
-        x, e, t = step
-        g = gfun(x)
+        x, e, g, t = step
         if not np.all(np.isfinite(g)):
             raise NonFinite("non-finite gradient during descent")
         iterations += 1
@@ -345,8 +352,7 @@ def assemble_banded_hessian(state: LayeredState, params: LdParameters,
 
     # Midpoint blocks: c ((f_m+1 - f_m)/dx)^2 + c V^2 fm^2.
     c = p * dx / kappa**2
-    V = np.diff(phi, axis=1) / dx - a
-    fm = 0.5 * (f[:, 1:] + f[:, :-1])
+    V, fm, Phi, _ = _fields(f, phi, a, params, grid)
     ff = 0.5 * c * V**2
     stiff = 2.0 * c / dx**2
     aa = 2.0 * c * fm**2
@@ -356,7 +362,6 @@ def assemble_banded_hessian(state: LayeredState, params: LdParameters,
                     -pa, -fp, fp, -fp, fp, -fa, -fa])
 
     # Josephson blocks: (r p w / 2) (f_n^2 + f_n-1^2 - 2 f_n f_n-1 cos Phi).
-    Phi = phi[1:] - phi[:-1]
     jw = np.broadcast_to(r * p * wt, Phi.shape)
     jc = jw * np.cos(Phi)
     js = jw * np.sin(Phi)
@@ -489,18 +494,13 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
         tol = default_newton_tol(params)
 
     layout = Layout.build(params.num_gaps, grid.M)
-    efun, gfun = _flat_functions(params, grid, layout)
+    fun = _flat_functions(params, grid, layout)
     x = _state_to_x(state0, layout)
-    g = gfun(x)
+    e, g = fun(x)
     if not np.all(np.isfinite(g)):
         raise NonFinite("non-finite gradient at the Newton start")
     history = [float(np.max(np.abs(g)))]
-    trial = {}
     counts = {"shifts": 0}
-
-    def merit(y: np.ndarray) -> float:
-        trial["g"] = gfun(y)  # the accepted point is always the last trial
-        return float(trial["g"] @ trial["g"])
 
     for _ in range(max_newton):
         if history[-1] <= tol:
@@ -508,11 +508,12 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
         d, _ = _shifted_newton(x, g, params, grid, layout, counts,
                                definite=False)
         m = float(g @ g)
-        step = None if d is None else _armijo(merit, x, m, d, -2.0 * m)
+        step = (None if d is None
+                else _armijo(fun, _residual_merit, x, m, d, -2.0 * m))
         if step is None:
             raise NoConvergence(
                 f"Newton stalled at residual {history[-1]:.3e} (tol {tol:.1e})")
-        x, g = step[0], trial["g"]
+        x, e, g, _ = step
         history.append(float(np.max(np.abs(g))))
 
     if history[-1] > tol:
@@ -526,7 +527,7 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
         residual=history[-1],
         inertia=inertia(state, params, grid),
         delta_hat=delta_estimate(obs, params, grid),
-        energy=efun(x),
+        energy=e,
         newton_iterations=len(history) - 1,
         residual_history=np.asarray(history),
         levenberg_shifts=counts["shifts"],

@@ -41,18 +41,25 @@ class Observables:
         return self.h.shape[0]
 
 
+def _fields(f: np.ndarray, phi: np.ndarray, a: np.ndarray, params: LdParameters,
+            grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The stencil every discrete quantity is built from: (V, fm, Phi, h),
+    with V and h at midpoints, Phi at nodes and fm = (f_m + f_m+1)/2 the
+    midpoint amplitude of each plane."""
+    V = np.diff(phi, axis=1) / grid.dx - a
+    fm = 0.5 * (f[:, 1:] + f[:, :-1])
+    Phi = phi[1:] - phi[:-1]
+    h = (a[1:] - a[:-1]) / params.spacing
+    return V, fm, Phi, h
+
+
 def observables(state: LayeredState, params: LdParameters,
                 grid: Grid1D) -> Observables:
     """Compute all five observable fields of a state."""
     state.check_grid(params, grid)
     p, kappa, r = params.spacing, params.kappa, params.coupling
-    dx = grid.dx
 
-    dphi = np.diff(state.phi, axis=1) / dx
-    V = dphi - state.a
-    Phi = state.phi[1:] - state.phi[:-1]
-    h = (state.a[1:] - state.a[:-1]) / p
-    fm = 0.5 * (state.f[:, 1:] + state.f[:, :-1])
+    V, fm, Phi, h = _fields(state.f, state.phi, state.a, params, grid)
     jx = V * fm**2
     Phi_mid = 0.5 * (Phi[:, 1:] + Phi[:, :-1])
     jz = 0.5 * r * kappa**2 * p * fm[1:] * fm[:-1] * np.sin(Phi_mid)

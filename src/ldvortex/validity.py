@@ -5,7 +5,8 @@ estimate, the spectral-gap sandwich lambda_lower <= lambda <= lambda_upper,
 the amplification factor K, the implicit lower bound r_* on the first
 degeneracy of the linearization, and the coupling at which the amplitude
 estimate first allows f to dip to 1/2.  The two pure constants C_u and c
-that the estimates leave unspecified are exposed with default 1.
+that the estimates leave unspecified are parameters of f_dip_threshold and
+rstar_lower with default 1; validity_report evaluates them at 1.
 
 numerical_gap measures the same spectral gap directly on the discrete
 Hessian, by shift-invert Lanczos on the sparse pencil (Hessian, norm
@@ -106,7 +107,7 @@ def f_dip_threshold(params: LdParameters, C_u: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """All analytic bounds for one parameter point."""
+    """All analytic bounds for one parameter point, at C_u = c = 1."""
 
     c0: float
     lambda_lower: float
@@ -114,8 +115,6 @@ class ValidityReport:
     rstar_lower: float
     f_dip_threshold: float
     energy_bound_coeff: float
-    C_u: float
-    c: float
     numerical_gap: float | None = None
 
     def to_dict(self) -> dict:
@@ -124,7 +123,7 @@ class ValidityReport:
                 "rstar_lower": self.rstar_lower,
                 "f_dip_threshold": self.f_dip_threshold,
                 "energy_bound_coeff": self.energy_bound_coeff,
-                "C_u": self.C_u, "c": self.c,
+                "C_u": 1.0, "c": 1.0,
                 "numerical_gap": self.numerical_gap}
 
 
@@ -136,8 +135,7 @@ def energy_bound_coefficient(params: LdParameters) -> float:
     return 2.0 * N * p * (L + 1.0 / (p * H))
 
 
-def validity_report(params: LdParameters, C_u: float = 1.0, c: float = 1.0,
-                    grid: Grid1D | None = None) -> ValidityReport:
+def validity_report(params: LdParameters, grid: Grid1D | None = None) -> ValidityReport:
     """Evaluate every bound; the measured spectral gap is included when a
     grid is supplied (it needs a discrete Hessian)."""
     gap = numerical_gap(params, grid) if grid is not None else None
@@ -145,10 +143,10 @@ def validity_report(params: LdParameters, C_u: float = 1.0, c: float = 1.0,
         c0=c0(params),
         lambda_lower=lambda_lower(params),
         lambda_upper=lambda_upper(params),
-        rstar_lower=rstar_lower(params, c),
-        f_dip_threshold=f_dip_threshold(params, C_u),
+        rstar_lower=rstar_lower(params),
+        f_dip_threshold=f_dip_threshold(params),
         energy_bound_coeff=energy_bound_coefficient(params),
-        C_u=C_u, c=c, numerical_gap=gap)
+        numerical_gap=gap)
 
 
 # ---------------------------------------------------------------------------

@@ -140,11 +140,14 @@ def test_flag_beats_config_file_beats_default(tmp_path, capsys):
     ("sweep", '{"format": "xml"}'),
     ("perturb", '{"h": 1}'),
     ("minimize", '{"ma": 5}'),
+    ("perturb", '{"config": "inner.json", "H": 4.0}'),
 ], ids=["not-an-int", "fractional-int", "missing-file", "bad-json",
         "not-an-object", "unregistered-jobs", "unregistered-tol",
-        "bad-choice", "prefix-of-help", "prefix-of-max-iter"])
+        "bad-choice", "prefix-of-help", "prefix-of-max-iter", "nested-config"])
 def test_bad_config_file_exits_2_without_traceback(command, text, tmp_path,
-                                                    no_pool, capsys):
+                                                    no_pool, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inner.json").write_text('{"N": 1}')
     config = tmp_path / "run.json"
     if text is not None:
         config.write_text(text)

@@ -19,6 +19,43 @@ def _unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def _private_names(source: str) -> set[str]:
+    """Module-level names _x that a module defines or assigns."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _referenced_names(source: str) -> set[str]:
+    """Names a module reads: loaded names, attributes and imported names."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_every_private_helper_is_referenced():
+    """No dead helpers: each module-level _x in the package is read somewhere
+    in it."""
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    referenced = set().union(*map(_referenced_names, sources))
+    defined = set().union(*map(_private_names, sources))
+    assert len(defined) >= 10
+    assert sorted(defined - referenced) == []
+    dead = "def _used():\n    pass\n\n\ndef _dead():\n    _used()\n"
+    assert _private_names(dead) - _referenced_names(dead) == {"_dead"}
+
+
 def test_modules_use_every_name_they_import():
     """Every module but the re-exporting __init__ uses each imported name."""
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")

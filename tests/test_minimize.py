@@ -471,3 +471,25 @@ def test_newton_tail_converges_stalled_n3_census_descent(desk):
     assert rep.converged
     assert rep.newton_steps >= 1
     assert np.all(np.diff(rep.energy_trace) <= 0.0)
+
+
+def test_one_kernel_call_per_line_search_trial(desk, desk_grid, rng, monkeypatch):
+    """Each trial point of a line search is one energy_arrays call, whose
+    gradient the accepted trial hands to the next step."""
+    calls = []
+    kernel = minimize_mod.energy_arrays
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(minimize_mod, "energy_arrays", counted)
+    seed = seed_state(desk, desk_grid, vortex_plane_delta(desk))
+    cp = newton_critical(seed, desk, desk_grid, tol=1e-9)
+    assert cp.newton_iterations >= 1
+    assert len(calls) == 1 + cp.newton_iterations
+
+    calls.clear()
+    rep = minimize(random_low_energy_state(desk, desk_grid, rng), desk, desk_grid)
+    assert rep.iterations >= 2 and np.all(rep.step_trace == 1.0)
+    assert len(calls) == 1 + rep.iterations
