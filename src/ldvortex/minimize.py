@@ -26,6 +26,11 @@ pinned, a Hessian whose other block factors by Cholesky has the inertia of
 the NxN Schur complement on the pinned phases (Haynsworth), the Morse index
 from one banded solve.  Far from the phase torus shift-invert Lanczos on a
 banded LU is the fallback (scipy.sparse loads only when it runs).
+
+At a few hundred free DOFs (the desk stack) a step is bound by the
+per-call overhead of NumPy, not by arithmetic, so the hot path uses
+slicing and ndarray methods instead of the np.* wrappers and hands raw
+(f, phi, a) arrays, not validated states, to the band assembly.
 """
 
 from __future__ import annotations
@@ -127,27 +132,40 @@ class Layout:
         return x
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return x[..., self.idx_f], x[..., self.idx_phi], x[..., self.idx_a]
+        return (x.take(self.idx_f, axis=-1), x.take(self.idx_phi, axis=-1),
+                x.take(self.idx_a, axis=-1))
 
 
 def _state_to_x(state: LayeredState, layout: Layout) -> np.ndarray:
     return layout.pack(state.f, state.phi[1:], state.a)
 
 
-def _x_to_state(x: np.ndarray, layout: Layout) -> LayeredState:
+def _x_to_arrays(x: np.ndarray, layout: Layout
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, phi, a) of packed free DOFs, phi with its gauge-fixed zero row."""
     f, dphi, a = layout.unpack(x)
-    phi = np.vstack([np.zeros((1, layout.M + 1)), dphi])
-    return LayeredState(f, phi, a)
+    phi = np.zeros((layout.N + 1, layout.M + 1), x.dtype)
+    phi[1:] = dphi
+    return f, phi, a
+
+
+def _x_to_state(x: np.ndarray, layout: Layout) -> LayeredState:
+    return LayeredState(*_x_to_arrays(x, layout))
 
 
 def _flat_functions(params: LdParameters, grid: Grid1D, layout: Layout):
     """The kernel over packed free DOFs: x -> (energy, gradient), one
-    energy_arrays call."""
-    zrow = np.zeros((1, grid.M + 1))
+    energy_arrays call.  Every call writes phi into one buffer whose
+    plane-0 row stays zero; the buffer takes the dtype of x (long double
+    in fd_gradient_check)."""
+    phi = np.zeros((layout.N + 1, layout.M + 1))
 
     def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal phi
+        if phi.dtype != x.dtype:
+            phi = np.zeros(phi.shape, x.dtype)
         f, dphi, a = layout.unpack(x)
-        phi = np.vstack([zrow, dphi])
+        phi[1:] = dphi
         (b, j, fl), (gf, gphi, ga) = energy_arrays(f, phi, a, params, grid)
         return b + j + fl, layout.pack(gf, gphi[1:], ga)
 
@@ -240,15 +258,15 @@ def _shifted_newton(x: np.ndarray, g: np.ndarray, params: LdParameters,
     failed factorization adds one to counts["shifts"].  Returns (d, mu) with
     the shift that factored, or (None, mu_last) if no shift factors or d is
     not finite; raises NonFinite for a non-finite band."""
-    ab, bw = assemble_banded_hessian(_x_to_state(x, layout), params, grid)
-    if not np.all(np.isfinite(ab)):
+    ab, bw = assemble_banded_hessian(*_x_to_arrays(x, layout), params, grid)
+    if not np.isfinite(ab).all():
         raise NonFinite("non-finite Hessian band")
-    floor = 1e-8 * (float(np.max(np.abs(ab[bw]))) or 1.0)
+    floor = 1e-8 * (float(abs(ab[bw]).max()) or 1.0)
     mu = mu_last / 10.0 if mu_last / 10.0 >= floor else 0.0
     for _ in range(MAX_SHIFTS):
         d = banded_solve(ab, -g, definite, mu)
         if d is not None:
-            return (d, mu) if np.all(np.isfinite(d)) else (None, mu_last)
+            return (d, mu) if np.isfinite(d).all() else (None, mu_last)
         counts["shifts"] += 1
         mu = floor if mu == 0.0 else 10.0 * mu
     return None, mu_last
@@ -277,11 +295,11 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
 
     x = _state_to_x(state0, layout)
     e, g = fun(x)
-    if not (math.isfinite(e) and np.all(np.isfinite(g))):
+    if not (math.isfinite(e) and np.isfinite(g).all()):
         raise NonFinite("non-finite energy or gradient at the start state")
 
     energies = [e]
-    gnorms = [float(np.max(np.abs(g)))]
+    gnorms = [float(abs(g).max())]
     steps: list[float] = []
     counts = {"newton": 0, "steepest": 0, "shifts": 0}
     failures = 0
@@ -304,11 +322,11 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
                 break
             counts["steepest"] += 1
         x, e, g, t = step
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFinite("non-finite gradient during descent")
         iterations += 1
         energies.append(e)
-        gnorms.append(float(np.max(np.abs(g))))
+        gnorms.append(float(abs(g).max()))
         steps.append(t)
 
     log.debug("minimize: %d iterations (%d Newton, %d steepest), %d Levenberg "
@@ -330,10 +348,12 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
     )
 
 
-def assemble_banded_hessian(state: LayeredState, params: LdParameters,
-                            grid: Grid1D) -> tuple[np.ndarray, int]:
-    """Assemble the free-DOF Hessian in LAPACK banded storage
-    ab[bw + i - j, j] = H[i, j] straight from the stencil, in O(n).
+def assemble_banded_hessian(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
+                            params: LdParameters, grid: Grid1D
+                            ) -> tuple[np.ndarray, int]:
+    """Assemble the free-DOF Hessian at the raw arrays (f, phi, a) of a
+    gauge-fixed state in LAPACK banded storage ab[bw + i - j, j] = H[i, j]
+    straight from the stencil, in O(n).
 
     The Hessian is a sum of local blocks: per plane and midpoint a 5x5
     block from (f')^2 and V^2 fm^2, the node term 2 p w (3 f^2 - 1) on the
@@ -346,9 +366,7 @@ def assemble_banded_hessian(state: LayeredState, params: LdParameters,
     p, kappa, r = params.spacing, params.kappa, params.coupling
     dx = grid.dx
     wt = grid.trapezoid_weights()
-    f, phi, a = state.f, state.phi, state.a
-    layout = Layout.build(N, M)
-    n, bw = layout.size, layout.bandwidth
+    *_, n, bw = _layout_cached(N, M)
 
     # Midpoint blocks: c ((f_m+1 - f_m)/dx)^2 + c V^2 fm^2.
     c = p * dx / kappa**2
@@ -358,23 +376,25 @@ def assemble_banded_hessian(state: LayeredState, params: LdParameters,
     aa = 2.0 * c * fm**2
     fa = 2.0 * c * V * fm
     pp, pa, fp = aa / dx**2, aa / dx, fa / dx
-    mid = np.stack([ff + stiff, ff + stiff, ff - stiff, pp, pp, -pp, aa, pa,
-                    -pa, -fp, fp, -fp, fp, -fa, -fa])
+    ffs, nfp, nfa = ff + stiff, -fp, -fa
+    mid = np.array([ffs, ffs, ff - stiff, pp, pp, -pp, aa, pa, -pa, nfp, fp,
+                    nfp, fp, nfa, nfa])
 
     # Josephson blocks: (r p w / 2) (f_n^2 + f_n-1^2 - 2 f_n f_n-1 cos Phi).
-    jw = np.broadcast_to(r * p * wt, Phi.shape)
+    jw = (r * p * wt)[None].repeat(N, axis=0)
     jc = jw * np.cos(Phi)
     js = jw * np.sin(Phi)
-    jpp = f[1:] * f[:-1] * jc
-    jos = np.stack([jw, jw, -jc, -f[1:] * js, f[1:] * js, -f[:-1] * js,
-                    f[:-1] * js, jpp, jpp, -jpp])
+    fu, fl = f[1:], f[:-1]
+    jpp = fu * fl * jc
+    jos = np.array([jw, jw, -jc, -fu * js, fu * js, -fl * js, fl * js, jpp, jpp,
+                    -jpp])
 
     # Node term p w (f^2 - 1)^2 / 2; field blocks (p dx / kappa^2)
     # ((a_n - a_n-1)/p - H)^2.
     node = 2.0 * p * wt * (3.0 * f**2 - 1.0)
     s = 2.0 * dx / (kappa**2 * p)
     values = np.concatenate([mid.ravel(), node.ravel(), jos.ravel(),
-                             np.repeat([s, s, -s], N * M)])
+                             np.array([s, s, -s]).repeat(N * M)])
     # The last bin collects the entries on the gauge-fixed phi_0.
     ab = np.bincount(_band_index_cached(N, M), values,
                      minlength=(2 * bw + 1) * n + 1)[:-1].reshape(2 * bw + 1, n)
@@ -427,8 +447,9 @@ def inertia(state: LayeredState, params: LdParameters, grid: Grid1D) -> int:
     H_ff is positive definite the count, the Morse index, is that of the
     Schur complement H_pp - H_fp^T X.  Otherwise the fallback counts the
     negatives among the N+1 eigenvalues nearest zero (nearest_eigenvalues)."""
-    ab, bw = assemble_banded_hessian(state, params, grid)
-    pin = Layout.build(params.num_gaps, grid.M).idx_phi[:, grid.M // 2]
+    ab, bw = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
+    _, idx_phi, *_ = _layout_cached(params.num_gaps, grid.M)
+    pin = idx_phi[:, grid.M // 2]
     rows = pin[:, None] + np.arange(-bw, bw + 1)  # H[rows[k], pin[k]] = ab[:, pin[k]]
     E = np.zeros((ab.shape[1], pin.size), order="F")
     E[rows, np.arange(pin.size)[:, None]] = ab[:, pin].T
@@ -497,9 +518,9 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
     fun = _flat_functions(params, grid, layout)
     x = _state_to_x(state0, layout)
     e, g = fun(x)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFinite("non-finite gradient at the Newton start")
-    history = [float(np.max(np.abs(g)))]
+    history = [float(abs(g).max())]
     counts = {"shifts": 0}
 
     for _ in range(max_newton):
@@ -514,7 +535,7 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
             raise NoConvergence(
                 f"Newton stalled at residual {history[-1]:.3e} (tol {tol:.1e})")
         x, e, g, _ = step
-        history.append(float(np.max(np.abs(g))))
+        history.append(float(abs(g).max()))
 
     if history[-1] > tol:
         raise NoConvergence(

@@ -46,7 +46,7 @@ def _fields(f: np.ndarray, phi: np.ndarray, a: np.ndarray, params: LdParameters,
     """The stencil every discrete quantity is built from: (V, fm, Phi, h),
     with V and h at midpoints, Phi at nodes and fm = (f_m + f_m+1)/2 the
     midpoint amplitude of each plane."""
-    V = np.diff(phi, axis=1) / grid.dx - a
+    V = (phi[:, 1:] - phi[:, :-1]) / grid.dx - a
     fm = 0.5 * (f[:, 1:] + f[:, :-1])
     Phi = phi[1:] - phi[:-1]
     h = (a[1:] - a[:-1]) / params.spacing
@@ -85,7 +85,7 @@ def distance(obs1: Observables, obs2: Observables) -> float:
         diff = x - y
         if name == "Phi":
             diff = wrap_to_pi(diff)
-        worst = max(worst, float(np.max(np.abs(diff))) if diff.size else 0.0)
+        worst = max(worst, float(abs(diff).max()) if diff.size else 0.0)
     return worst
 
 
@@ -98,8 +98,8 @@ def delta_estimate(obs: Observables, params: LdParameters,
     """
     drift = params.applied_field * params.spacing * grid.nodes[None, :]
     resid = obs.Phi - drift
-    mean_sin = np.mean(np.sin(resid), axis=1)
-    mean_cos = np.mean(np.cos(resid), axis=1)
+    mean_sin = np.sin(resid).mean(axis=1)
+    mean_cos = np.cos(resid).mean(axis=1)
     return wrap_angle(np.arctan2(mean_sin, mean_cos))
 
 

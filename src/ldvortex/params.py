@@ -182,13 +182,17 @@ class PhaseConfig:
     """Reduced coordinates (delta_1, ..., delta_N) of the degenerate manifold.
 
     delta_n is the constant part of the gauge-invariant phase difference
-    across gap n; stored representative lies in [0, 2*pi).
+    across gap n; stored representative lies in [0, 2*pi).  Valid by
+    construction: a non-finite delta_n raises InvalidParameters.
     """
 
     delta: np.ndarray
 
     def __post_init__(self):
-        arr = wrap_angle(np.asarray(self.delta, dtype=float).reshape(-1)).copy()
+        arr = np.asarray(self.delta, dtype=float).reshape(-1)
+        if not np.isfinite(arr).all():
+            raise InvalidParameters(f"phase offsets must be finite, got {arr.tolist()}")
+        arr = wrap_angle(arr).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "delta", arr)
 

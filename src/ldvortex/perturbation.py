@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DegenerateField, InvalidParameters
+from .errors import DegenerateField, FactorizationFailure, InvalidParameters
 from .observables import Observables
 from .params import (DEGENERACY_TOL, Grid1D, LdParameters, PhaseConfig,
                      as_phase_config, wrap_to_pi)
@@ -137,26 +137,30 @@ def _u1_rhs(delta: np.ndarray, params: LdParameters, x: np.ndarray) -> np.ndarra
 
 
 def _solve_u1(rhs: np.ndarray, params: LdParameters, grid: Grid1D) -> np.ndarray:
-    """Tridiagonal solve of -u''/k^2 + 2u = rhs with Neumann ends.
+    """Tridiagonal solve of -u''/k^2 + 2u = rhs with Neumann ends for all
+    planes in one LAPACK dgtsv call: the routine that
+    scipy.linalg.solve_banded calls for a (1, 1) band, so u1 is the same to
+    the bit.  rhs is finite (PhaseConfig refuses a non-finite delta), so
+    the finiteness check solve_banded would make is not repeated.
 
     The stencil is the variational one induced by the discrete energy
     (trapezoid mass, midpoint stiffness), so a seed assembled from this
-    u1 is stationary in the amplitude sector to machine precision.
+    u1 has no order-r residual in the amplitude sector: its amplitude
+    gradient is O(r^2), a hundredth for every tenth of r.
     """
-    k2 = params.kappa**2
-    dx = grid.dx
+    c = params.kappa**2 * grid.dx**2
     n = grid.M + 1
-    lo = np.full(n, -1.0 / (k2 * dx**2))
-    di = np.full(n, 2.0 + 2.0 / (k2 * dx**2))
-    ab = np.zeros((3, n))
-    ab[0, 1:] = lo[1:]
-    ab[1] = di
-    ab[2, :-1] = lo[:-1]
+    di = np.full(n, 2.0 + 2.0 / c)
+    du = np.full(n - 1, -1.0 / c)
+    dl = np.full(n - 1, -1.0 / c)
     # Variational Neumann closure: boundary rows carry half trapezoid
     # weight, so after scaling their off-diagonal doubles.
-    ab[0, 1] = -2.0 / (k2 * dx**2)
-    ab[2, -2] = -2.0 / (k2 * dx**2)
-    return sla.solve_banded((1, 1), ab, rhs.T).T
+    du[0] = dl[-1] = -2.0 / c
+    *_, u1, info = sla.lapack.dgtsv(dl, di, du, rhs.T, overwrite_dl=True,
+                                    overwrite_d=True, overwrite_du=True)
+    if info != 0:  # not expected: the matrix is strictly diagonally dominant
+        raise FactorizationFailure(f"amplitude correction solve failed (info {info})")
+    return u1.T
 
 
 def lagrange_means(params: LdParameters, delta) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +188,7 @@ def supervelocity_correction(params: LdParameters, delta,
     k2 = params.kappa**2
     x = np.asarray(x, dtype=float)
     I, _ = lagrange_means(params, cfg)
-    prim = np.stack([_sine_primitive(dn, params, x) for dn in cfg.delta])
+    prim = np.array([_sine_primitive(dn, params, x) for dn in cfg.delta])
     ramp = x + L
     sv1 = np.empty((N + 1, x.size))
     sv1[0] = 0.5 * k2 * (-prim[0] - I[0] * ramp)
@@ -200,7 +204,7 @@ def field_correction(params: LdParameters, delta, x: np.ndarray) -> np.ndarray:
     cfg = as_phase_config(delta, params.num_gaps)
     x = np.asarray(x, dtype=float)
     means = np.array([_sine_mean(dn, params) for dn in cfg.delta])
-    prim = np.stack([_sine_primitive(dn, params, x) for dn in cfg.delta])
+    prim = np.array([_sine_primitive(dn, params, x) for dn in cfg.delta])
     return 0.5 * params.spacing * params.kappa**2 * (
         prim - means[:, None] * (x + params.half_width))
 
@@ -271,14 +275,14 @@ def seed_state(params: LdParameters, grid: Grid1D, delta) -> LayeredState:
     phi = np.zeros((N + 1, grid.M + 1))
     for n in range(1, N + 1):
         slope = r * cf.sv1[n] + a[n]
-        phi[n, 1:] = np.cumsum(slope) * grid.dx
+        phi[n, 1:] = slope.cumsum() * grid.dx
     # Per-plane constants, bottom-up: after adjusting phi[n], the circular
     # mean of Phi_{n,n-1} - Hpx equals delta_n exactly.
     drift = H * p * grid.nodes
     for n in range(1, N + 1):
         resid = phi[n] - phi[n - 1] - drift
-        mean = math.atan2(float(np.mean(np.sin(resid))),
-                          float(np.mean(np.cos(resid))))
+        mean = math.atan2(float(np.sin(resid).mean()),
+                          float(np.cos(resid).mean()))
         phi[n] += float(wrap_to_pi(cfg.delta[n - 1] - mean))
     return LayeredState(f, phi, a)
 

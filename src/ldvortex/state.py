@@ -58,7 +58,7 @@ class LayeredState:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "gauge_fixed",
-                           bool(np.max(np.abs(phi[0])) <= GAUGE_FIX_TOL))
+                           bool(abs(phi[0]).max() <= GAUGE_FIX_TOL))
 
     @property
     def num_planes(self) -> int:

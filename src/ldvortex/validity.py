@@ -220,7 +220,7 @@ def gap_spectrum(params: LdParameters, grid: Grid1D | None = None,
     if not 1 <= count < n:
         raise ValueError(f"count must be >= 1 and < n = {n}, got {count}")
     state = zero_coupling_minimizer(base, grid)
-    ab, _ = assemble_banded_hessian(state, base, grid)
+    ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, base, grid)
     B = discrete_norm_matrix(base, grid)
     return nearest_eigenvalues(0.5 * ab, count, GAP_SHIFT, M=B)
 

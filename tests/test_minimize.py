@@ -140,8 +140,8 @@ def test_banded_solve_matches_scipy_bit_for_bit(desk, rng):
         params = LdParameters(N, desk.half_width, desk.spacing, desk.kappa,
                               desk.applied_field, 1e-3)
         grid = Grid1D.build(params, dx=dx)
-        ab, bw = assemble_banded_hessian(random_rough_state(params, grid, rng),
-                                         params, grid)
+        state = random_rough_state(params, grid, rng)
+        ab, bw = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
         singular = ab.copy()
         singular[:, ab.shape[1] // 2] = 0.0  # a zero column
         rhs = rng.standard_normal(ab.shape[1])
@@ -284,7 +284,7 @@ def test_inertia_matches_dense_reference(desk, rng):
     states.append(random_rough_state(desk, grid, rng))
     counts = []
     for state in states:
-        ab, _ = assemble_banded_hessian(state, desk, grid)
+        ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, desk, grid)
         counts.append(inertia(state, desk, grid))
         assert counts[-1] == _dense_inertia(_dense(ab), k)
     assert sorted(counts[:-1]) == [0, 1, 1, 2]
@@ -304,7 +304,7 @@ def test_schur_inertia_is_the_morse_index(N, L, r, caplog):
                               grid).state for s in enumerate_seeds(params)]
     states += [random_low_energy_state(params, grid, rng) for _ in range(3)]
     for state in states:
-        ab, _ = assemble_banded_hessian(state, params, grid)
+        ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
         dense = _dense(ab)
         with caplog.at_level(logging.DEBUG, logger="ldvortex"):
             caplog.clear()
@@ -329,8 +329,8 @@ def test_census_inertias_need_no_eigensolve(desk, monkeypatch):
 
 def test_nearest_eigenvalues_repeat_bit_for_bit(desk, rng):
     grid = Grid1D.build(desk, dx=1.0 / 16.0)
-    ab, _ = assemble_banded_hessian(random_rough_state(desk, grid, rng), desk,
-                                    grid)
+    state = random_rough_state(desk, grid, rng)
+    ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, desk, grid)
     first = nearest_eigenvalues(ab, desk.num_gaps + 1, 0.0)
     second = nearest_eigenvalues(ab, desk.num_gaps + 1, 0.0)
     assert np.array_equal(first, second)
@@ -368,7 +368,7 @@ def test_banded_assembly_matches_hessian_apply(desk, rng):
                                             uf, uphi, ua, params, grid)
         H = layout.pack(Hf, Hphi[:, 1:], Ha).T  # product j is column j
 
-        ab, bw = assemble_banded_hessian(state, params, grid)
+        ab, bw = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
         assert ab.shape == (2 * bw + 1, n)
         band = _dense(ab)
         assert np.max(np.abs(band - H)) <= 1e-13 * np.max(np.abs(H))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ldvortex.errors import InvalidParameters
 from ldvortex.params import (Grid1D, LdParameters, PhaseConfig, default_dx,
                              validate, wrap_angle, wrap_to_pi)
+from ldvortex.perturbation import g0, seed_state
 
 
 def test_validate_desk_is_clean(desk):
@@ -114,6 +115,20 @@ def test_phase_config_stores_canonical_representative(deltas):
     for raw, stored in zip(deltas, cfg.delta):
         assert math.cos(raw) == pytest.approx(math.cos(stored), abs=1e-9)
         assert math.sin(raw) == pytest.approx(math.sin(stored), abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phase_config_refuses_non_finite_offsets(desk, bad):
+    """A non-finite delta_n fails at construction with InvalidParameters,
+    so the reduced energy and the seed state never see it."""
+    with pytest.raises(InvalidParameters, match="finite"):
+        PhaseConfig(np.array([bad, 0.0]))
+    with pytest.raises(InvalidParameters, match="finite"):
+        PhaseConfig.constant(bad, 2)
+    with pytest.raises(InvalidParameters, match="finite"):
+        g0(desk, [bad, 0.0])
+    with pytest.raises(InvalidParameters, match="finite"):
+        seed_state(desk, Grid1D.build(desk), [bad, 0.0])
 
 
 @given(st.floats(-100.0, 100.0))

@@ -1,6 +1,7 @@
 """The benchmark's span tracer (perfbench/spans.py, loaded read-only)
 installed around a tiny census: every factorization is one
-minimize.banded_solve span."""
+minimize.banded_solve span, and every band assembly one
+minimize.assemble_banded_hessian span."""
 
 import importlib
 import importlib.util
@@ -53,3 +54,10 @@ def test_banded_solve_spans_equal_the_solves_the_reports_imply(monkeypatch):
     implied = (sum(d.iterations + d.levenberg_shifts for d in descents)
                + sum(c.newton_iterations + c.levenberg_shifts + 1 for c in points))
     assert tracer.layer_totals()["minimize.banded_solve"]["calls"] == implied
+
+    # Every descent step and every Newton step assembles the band once
+    # through the traced module global, and so does each inertia.
+    assembled = (sum(d.iterations for d in descents)
+                 + sum(c.newton_iterations + 1 for c in points))
+    assert (tracer.layer_totals()["minimize.assemble_banded_hessian"]["calls"]
+            == assembled)

@@ -107,8 +107,8 @@ def test_gap_spectrum_matches_dense_pencil(desk):
     params = desk.with_coupling(0.0)
     grid = Grid1D.build(params, dx=1.0 / 16.0)
     N = params.num_gaps
-    ab, bw = assemble_banded_hessian(zero_coupling_minimizer(params, grid),
-                                     params, grid)
+    state = zero_coupling_minimizer(params, grid)
+    ab, bw = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
     n = ab.shape[1]
     Q = 0.5 * sum(np.diag(ab[bw - k, max(k, 0):n + min(k, 0)], k)
                   for k in range(-bw, bw + 1))
