@@ -222,7 +222,7 @@ def census(params: LdParameters, r: float, n_random: int = 50,
                        for o in obs_pts) if obs_pts else math.inf
         match_dists.append(dist_min)
         matched += dist_min <= match_threshold
-        in_shell += d["energy"] <= shell
+        in_shell += bool(d["energy"] <= shell)
 
     rec = ExperimentRecord("census", params_dict(pr))
     rec.parameters["dx"] = grid.dx

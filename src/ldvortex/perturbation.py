@@ -12,6 +12,11 @@ minimizer.  This module evaluates the reduced energy, enumerates the
 census seeds, builds the order-r correction fields and assembled seed
 states, the order-r observable formulas, and the nucleation diagram
 (fields H_k = k pi/(pL), ground energy eps(H), magnetization jumps).
+
+The order-r fields rest on one sine quadrature, the field correction b1;
+the supervelocity correction sv1 is its jump across each plane (discrete
+Ampere).  vortex_plane_observables stays an independent closed form, not
+built from these fields: the seed and convergence checks compare against it.
 """
 
 from __future__ import annotations
@@ -97,17 +102,6 @@ def enumerate_seeds(params: LdParameters) -> list[SeedInfo]:
 # ---------------------------------------------------------------------------
 # Order-r correction fields.
 
-def _sine_mean(delta_n: float, params: LdParameters) -> float:
-    """Mean over [-L, L] of sin(delta_n + Hpx)."""
-    return math.sin(delta_n) * math.sin(params.hpl) / params.hpl
-
-
-def _sine_primitive(delta_n: float, params: LdParameters, x: np.ndarray) -> np.ndarray:
-    """int_{-L}^{x} sin(delta_n + Hp s) ds, exactly."""
-    Hp = params.applied_field * params.spacing
-    return (np.cos(delta_n - params.hpl) - np.cos(delta_n + Hp * x)) / Hp
-
-
 @dataclass(frozen=True)
 class CorrectionFields:
     """Order-r corrections around a point of the degenerate manifold.
@@ -163,50 +157,18 @@ def _solve_u1(rhs: np.ndarray, params: LdParameters, grid: Grid1D) -> np.ndarray
     return u1.T
 
 
-def lagrange_means(params: LdParameters, delta) -> tuple[np.ndarray, np.ndarray]:
-    """Mean-value constants (I per plane, D per gap) of the first-order
-    current and field equations."""
-    cfg = as_phase_config(delta, params.num_gaps)
-    N = params.num_gaps
-    means = np.array([_sine_mean(dn, params) for dn in cfg.delta])
-    I = np.empty(N + 1)
-    I[0] = -means[0]
-    I[N] = means[N - 1]
-    if N > 1:
-        I[1:N] = means[:-1] - means[1:]
-    D = 0.5 * params.spacing * params.kappa**2 * means
-    return I, D
-
-
-def supervelocity_correction(params: LdParameters, delta,
-                             x: np.ndarray) -> np.ndarray:
-    """Order-r supervelocity correction per plane, by exact quadrature of
-    (1/k^2) sv1' = (sine sources - I_n)/2 with sv1(-L) = 0; the mean
-    constants make sv1(+L) = 0 as well."""
-    cfg = as_phase_config(delta, params.num_gaps)
-    N, L = params.num_gaps, params.half_width
-    k2 = params.kappa**2
-    x = np.asarray(x, dtype=float)
-    I, _ = lagrange_means(params, cfg)
-    prim = np.array([_sine_primitive(dn, params, x) for dn in cfg.delta])
-    ramp = x + L
-    sv1 = np.empty((N + 1, x.size))
-    sv1[0] = 0.5 * k2 * (-prim[0] - I[0] * ramp)
-    sv1[N] = 0.5 * k2 * (prim[N - 1] - I[N] * ramp)
-    if N > 1:
-        sv1[1:N] = 0.5 * k2 * (prim[:-1] - prim[1:] - I[1:N, None] * ramp)
-    return sv1
-
-
 def field_correction(params: LdParameters, delta, x: np.ndarray) -> np.ndarray:
     """Order-r field correction per gap, by exact quadrature of
-    b1' = (p k^2 / 2)(sin(delta_n + Hpx) - mean) with b1(+-L) = 0."""
-    cfg = as_phase_config(delta, params.num_gaps)
+    b1' = (p k^2 / 2)(sin(delta_n + Hpx) - mean_n) with b1(+-L) = 0, where
+    mean_n = sin(delta_n) sin(HpL)/(HpL) is the mean of the sine over
+    [-L, L].  One row per gap, evaluated at the points x."""
+    delta = as_phase_config(delta, params.num_gaps).delta[:, None]
     x = np.asarray(x, dtype=float)
-    means = np.array([_sine_mean(dn, params) for dn in cfg.delta])
-    prim = np.array([_sine_primitive(dn, params, x) for dn in cfg.delta])
+    Hp, hpl = params.applied_field * params.spacing, params.hpl
+    mean = np.sin(delta) * math.sin(hpl) / hpl
+    prim = (np.cos(delta - hpl) - np.cos(delta + Hp * x)) / Hp
     return 0.5 * params.spacing * params.kappa**2 * (
-        prim - means[:, None] * (x + params.half_width))
+        prim - mean * (x + params.half_width))
 
 
 def first_order_correction(params: LdParameters, grid: Grid1D,
@@ -214,15 +176,20 @@ def first_order_correction(params: LdParameters, grid: Grid1D,
     """Order-r correction fields for an arbitrary phase configuration.
 
     u1 is solved numerically (tridiagonal FD, Neumann ends, the stencil
-    induced by the discrete energy); sv1 and b1 come from exact quadrature
-    of their first-order equations with the mean constants I_n and D_n,
-    sampled at midpoints.
+    induced by the discrete energy); b1 comes from exact quadrature of its
+    first-order equation, sampled at midpoints.  sv1 is the jump of b1
+    across each plane, the discrete Ampere relation
+
+        sv1_n = (b1_{n-1} - b1_n) / p,   b1 = 0 outside the stack,
+
+    which is what quadrature of (1/k^2) sv1' = (sine sources - I_n)/2 with
+    the plane constants I_n gives; it inherits b1's zeros at +-L.
     """
     cfg = as_phase_config(delta, params.num_gaps)
     u1 = _solve_u1(_u1_rhs(cfg.delta, params, grid.nodes), params, grid)
-    sv1 = supervelocity_correction(params, cfg, grid.mids)
     b1 = field_correction(params, cfg, grid.mids)
-    return CorrectionFields(u1, sv1, b1)
+    padded = np.concatenate([np.zeros((1, grid.M)), b1, np.zeros((1, grid.M))])
+    return CorrectionFields(u1, (padded[:-1] - padded[1:]) / params.spacing, b1)
 
 
 def interior_amplitude_constants(params: LdParameters, delta_star: float
@@ -260,30 +227,21 @@ def seed_state(params: LdParameters, grid: Grid1D, delta) -> LayeredState:
     """
     cfg = as_phase_config(delta, params.num_gaps)
     r, p, H = params.coupling, params.spacing, params.applied_field
-    N = params.num_gaps
     if r == 0.0:
         return zero_coupling_minimizer(params, grid, cfg)
 
     cf = first_order_correction(params, grid, cfg)
     f = 1.0 + r * cf.u1
-
-    a = np.empty((N + 1, grid.M))
-    a[0] = -r * cf.sv1[0]
-    for n in range(1, N + 1):
-        a[n] = a[n - 1] + p * (H + r * cf.b1[n - 1])
-
-    phi = np.zeros((N + 1, grid.M + 1))
-    for n in range(1, N + 1):
-        slope = r * cf.sv1[n] + a[n]
-        phi[n, 1:] = slope.cumsum() * grid.dx
-    # Per-plane constants, bottom-up: after adjusting phi[n], the circular
-    # mean of Phi_{n,n-1} - Hpx equals delta_n exactly.
-    drift = H * p * grid.nodes
-    for n in range(1, N + 1):
-        resid = phi[n] - phi[n - 1] - drift
-        mean = math.atan2(float(np.sin(resid).mean()),
-                          float(np.cos(resid).mean()))
-        phi[n] += float(wrap_to_pi(cfg.delta[n - 1] - mean))
+    # a_0 = -r sv1_0, then a_n = a_{n-1} + p h_n with h_n = H + r b1_n.
+    a = np.concatenate([-r * cf.sv1[:1], p * (H + r * cf.b1)]).cumsum(axis=0)
+    phi = np.zeros_like(f)
+    phi[1:, 1:] = (r * cf.sv1[1:] + a[1:]).cumsum(axis=1) * grid.dx
+    # Shifting plane n by c_n moves the residual of gap n by c_n - c_{n-1},
+    # so c_n = sum over gaps k <= n of (delta_k - m_k), with m_k the
+    # circular mean of the unshifted Phi_{k,k-1} - Hpx.
+    resid = phi[1:] - phi[:-1] - H * p * grid.nodes
+    m = np.arctan2(np.sin(resid).mean(axis=1), np.cos(resid).mean(axis=1))
+    phi[1:] += wrap_to_pi(np.cumsum(cfg.delta - m))[:, None]
     return LayeredState(f, phi, a)
 
 

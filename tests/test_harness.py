@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -52,6 +53,14 @@ def test_census_deterministic(desk):
     r2 = census(desk, 1e-3, n_random=2, dx=1.0 / 16.0, seed=5)
     assert r1.data["energies"] == r2.data["energies"]
     assert r1.data["match_distances"] == r2.data["match_distances"]
+
+
+def test_records_are_plain_json(desk):
+    """Census and sweep records hold only plain Python types, so json.dumps
+    takes them without a NumPy-aware encoder."""
+    for rec in (census(desk, 1e-3, n_random=2, dx=1.0 / 16.0, seed=5),
+                field_sweep(desk, np.linspace(2.0, 3.0, 8), dx=1.0 / 16.0)):
+        assert json.loads(json.dumps(rec.to_dict()))["name"] == rec.name
 
 
 def test_census_reports_unconverged_descents(desk, monkeypatch):

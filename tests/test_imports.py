@@ -1,7 +1,8 @@
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ldvortex"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ldvortex"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -31,6 +32,13 @@ def _private_names(source: str) -> set[str]:
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
+def _public_definitions(source: str) -> set[str]:
+    """Module-level functions and classes without a leading underscore."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
 def _referenced_names(source: str) -> set[str]:
     """Names a module reads: loaded names, attributes and imported names."""
     refs = set()
@@ -54,6 +62,21 @@ def test_every_private_helper_is_referenced():
     assert sorted(defined - referenced) == []
     dead = "def _used():\n    pass\n\n\ndef _dead():\n    _used()\n"
     assert _private_names(dead) - _referenced_names(dead) == {"_dead"}
+
+
+def test_every_public_definition_is_referenced():
+    """No dead public functions or classes: each one the package defines is
+    read by package code (its own module counts, the re-exports of
+    __init__ do not), by a test or by the benchmark."""
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    readers = modules + sorted((ROOT / "tests").glob("*.py")) \
+        + sorted((ROOT / "perfbench").glob("*.py"))
+    referenced = set().union(*(_referenced_names(p.read_text()) for p in readers))
+    defined = set().union(*(_public_definitions(p.read_text()) for p in modules))
+    assert len(defined) >= 50
+    assert sorted(defined - referenced) == []
+    stale = "def means():\n    pass\n\n\nclass Fields:\n    pass\n\n\ndef _x():\n    Fields()\n"
+    assert _public_definitions(stale) - _referenced_names(stale) == {"means"}
 
 
 def test_modules_use_every_name_they_import():

@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 
 from ldvortex.energy import gradient
 from ldvortex.errors import DegenerateField
-from ldvortex.observables import observables
-from ldvortex.params import Grid1D, LdParameters
+from ldvortex.observables import delta_estimate, observables
+from ldvortex.params import Grid1D, LdParameters, PhaseConfig, wrap_to_pi
 from ldvortex.perturbation import (_solve_u1, _u1_rhs,
                                    critical_josephson_current,
                                    enumerate_seeds, epsilon_and_jumps,
                                    epsilon_of_field, field_correction,
                                    first_order_correction, g0,
                                    interior_amplitude_constants,
-                                   interior_u1_closed_form, lagrange_means,
+                                   interior_u1_closed_form,
                                    leading_min_energy, magnetization,
                                    nucleation_fields, seed_state,
-                                   supervelocity_correction,
                                    vortex_plane_delta,
                                    vortex_plane_observables)
 from ldvortex.state import zero_coupling_minimizer
@@ -114,14 +113,47 @@ def test_correction_profiles_vanish_at_edges(delta):
     params = LdParameters(2, 1.0, 0.5, 1.0, 3.0, 1e-3)
     edges = np.array([-params.half_width, params.half_width])
     assert np.max(np.abs(field_correction(params, np.array(delta), edges))) <= 1e-12
-    assert np.max(np.abs(supervelocity_correction(params, np.array(delta),
-                                                  edges))) <= 1e-12
 
 
-def test_lagrange_means_vanish_on_census_configs(desk):
-    I, D = lagrange_means(desk, [0.0, math.pi])
-    assert np.max(np.abs(I)) <= 1e-15
-    assert np.max(np.abs(D)) <= 1e-15
+def _quadrature_reference(params, delta, x):
+    """sv1 and b1 by separate quadratures of their first-order equations,
+    with the plane constants I_n and gap constants D_n:
+    (1/k^2) sv1_n' = (sine sources - I_n)/2 and
+    b1_n' = (p k^2/2) sin(delta_n + Hpx) - D_n, both zero at x = -L."""
+    N, L, k2 = params.num_gaps, params.half_width, params.kappa**2
+    Hp = params.applied_field * params.spacing
+    means = np.array([math.sin(dn) * math.sin(params.hpl) / params.hpl
+                      for dn in delta])
+    prim = np.array([(np.cos(dn - params.hpl) - np.cos(dn + Hp * x)) / Hp
+                     for dn in delta])
+    I = np.empty(N + 1)
+    I[0] = -means[0]
+    I[N] = means[N - 1]
+    I[1:N] = means[:-1] - means[1:]
+    D = 0.5 * params.spacing * k2 * means
+    ramp = x + L
+    sv1 = np.empty((N + 1, x.size))
+    sv1[0] = 0.5 * k2 * (-prim[0] - I[0] * ramp)
+    sv1[N] = 0.5 * k2 * (prim[N - 1] - I[N] * ramp)
+    sv1[1:N] = 0.5 * k2 * (prim[:-1] - prim[1:] - I[1:N, None] * ramp)
+    b1 = 0.5 * params.spacing * k2 * prim - D[:, None] * ramp
+    return sv1, b1
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.floats(0.0, 2.0 * math.pi), min_size=n, max_size=n)),
+       st.sampled_from([3.0, 7.0]), st.sampled_from([0.5, 1.0]))
+@settings(max_examples=30, deadline=None)
+def test_correction_fields_match_quadrature_reference(delta, H, kappa):
+    """sv1 as the jump of b1 across each plane equals the separate sv1
+    quadrature with the constants I_n (and so shares b1's zeros at +-L)."""
+    params = LdParameters(len(delta), 1.0, 0.5, kappa, H, 1e-3)
+    grid = Grid1D.build(params, dx=1.0 / 20.0)
+    delta = np.array(delta)
+    cf = first_order_correction(params, grid, delta)
+    sv1, b1 = _quadrature_reference(params, delta, grid.mids)
+    assert np.max(np.abs(cf.b1 - b1)) <= 1e-14
+    assert np.max(np.abs(cf.sv1 - sv1)) <= 1e-14
 
 
 def test_seed_state_zero_coupling_degenerates_to_manifold(desk, desk_grid):
@@ -131,6 +163,38 @@ def test_seed_state_zero_coupling_degenerates_to_manifold(desk, desk_grid):
     assert np.array_equal(s.f, z.f)
     assert np.array_equal(s.phi, z.phi)
     assert np.array_equal(s.a, z.a)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.one_of(st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+              st.just(2.0 * math.pi - 1e-15)), min_size=n, max_size=n)),
+       st.sampled_from([1e-3, 1e-2]), st.sampled_from([3.0, 7.0]))
+@settings(max_examples=30, deadline=None)
+def test_seed_phase_constants_recover_delta(delta, r, H):
+    """The circular mean of Phi_{n,n-1} - Hpx on the seed is delta_n, and
+    the stacked arrays agree with the plane-by-plane loops: a to the bit,
+    phi modulo 2 pi up to the rounding of the summed phase constants."""
+    params = LdParameters(len(delta), 1.0, 0.5, 1.0, H, r)
+    grid = Grid1D.build(params, dx=1.0 / 20.0)
+    s = seed_state(params, grid, delta)
+    est = delta_estimate(observables(s, params, grid), params, grid)
+    assert np.max(np.abs(wrap_to_pi(est - np.array(delta)))) <= 1e-12
+
+    N, p, dx = params.num_gaps, params.spacing, grid.dx
+    wrapped = PhaseConfig(np.array(delta)).delta
+    cf = first_order_correction(params, grid, delta)
+    a = np.empty((N + 1, grid.M))
+    a[0] = -r * cf.sv1[0]
+    phi = np.zeros((N + 1, grid.M + 1))
+    for n in range(1, N + 1):
+        a[n] = a[n - 1] + p * (H + r * cf.b1[n - 1])
+        phi[n, 1:] = (r * cf.sv1[n] + a[n]).cumsum() * dx
+    for n in range(1, N + 1):
+        resid = phi[n] - phi[n - 1] - H * p * grid.nodes
+        mean = math.atan2(np.sin(resid).mean(), np.cos(resid).mean())
+        phi[n] += wrap_to_pi(wrapped[n - 1] - mean)
+    assert np.array_equal(s.a, a)
+    assert np.max(np.abs(wrap_to_pi(s.phi - phi))) <= 1e-13
 
 
 def test_seed_gradient_scales_quadratically(desk, desk_grid):
