@@ -25,7 +25,9 @@ Inertia is the discrete Lyapunov-Schmidt reduction: with one phase per plane
 pinned, a Hessian whose other block factors by Cholesky has the inertia of
 the NxN Schur complement on the pinned phases (Haynsworth), the Morse index
 from one banded solve.  Far from the phase torus shift-invert Lanczos on a
-banded LU is the fallback (scipy.sparse loads only when it runs).
+banded LU is the fallback.  SciPy stays off the import path: the LAPACK
+drivers come from _lapack (scipy.linalg._flapack without scipy.linalg), and
+scipy.sparse loads only when the fallback runs.
 
 At a few hundred free DOFs (the desk stack) a step is bound by the
 per-call overhead of NumPy, not by arithmetic, so the hot path uses
@@ -41,8 +43,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 
+from ._lapack import flapack
 from .errors import (FactorizationFailure, NoConvergence, NonFinite,
                      SingularHessian)
 from .energy import energy_arrays
@@ -57,6 +59,14 @@ MAX_SHIFTS = 20  # Levenberg escalations tried per Newton step
 V0_SEED = 0  # seed of the fixed Lanczos start vector
 
 log = logging.getLogger("ldvortex")
+
+
+def __getattr__(name: str):
+    # scipy.linalg as `sla`, imported when read: only perfbench/spans.py reads it.
+    if name == "sla":
+        import scipy.linalg
+        return scipy.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @lru_cache(maxsize=32)
@@ -237,12 +247,12 @@ def banded_solve(ab: np.ndarray, rhs: np.ndarray, definite: bool,
     if definite:
         upper = np.array(ab[:bw + 1], order="F")
         upper[bw] += mu
-        _, x, info = sla.lapack.dpbsv(upper, rhs, overwrite_ab=True)
+        _, x, info = flapack.dpbsv(upper, rhs, overwrite_ab=True)
     else:
         full = np.zeros((3 * bw + 1, ab.shape[1]), order="F")  # bw fill rows
         full[bw:] = ab
         full[2 * bw] += mu
-        _, _, x, info = sla.lapack.dgbsv(bw, bw, full, rhs, overwrite_ab=True)
+        _, _, x, info = flapack.dgbsv(bw, bw, full, rhs, overwrite_ab=True)
     return x if info == 0 else None
 
 
@@ -422,11 +432,11 @@ def nearest_eigenvalues(ab: np.ndarray, k: int, sigma: float,
         m = M.tocoo()
         m.sum_duplicates()
         shifted[2 * bw + m.row - m.col, m.col] -= sigma * m.data
-    lu, piv, info = sla.lapack.dgbtrf(shifted, bw, bw, overwrite_ab=True)
+    lu, piv, info = flapack.dgbtrf(shifted, bw, bw, overwrite_ab=True)
     if info != 0:
         raise FactorizationFailure(f"banded LU of the shifted matrix failed (info {info})")
     solve = LinearOperator((n, n), dtype=float,
-                           matvec=lambda x: sla.lapack.dgbtrs(lu, bw, bw, x, piv)[0])
+                           matvec=lambda x: flapack.dgbtrs(lu, bw, bw, x, piv)[0])
     v0 = np.random.default_rng(V0_SEED).standard_normal(n)
     try:
         # In shift-invert mode eigsh reads only the shape and dtype of A.
@@ -437,6 +447,15 @@ def nearest_eigenvalues(ab: np.ndarray, k: int, sigma: float,
     if not np.all(np.isfinite(eigs)):
         raise FactorizationFailure("shift-invert eigensolve gave non-finite values")
     return np.sort(eigs)
+
+
+def _eigvalsh(S: np.ndarray) -> np.ndarray:
+    """scipy.linalg.eigvalsh(S) to the bit: dsyevr with the workspace it asks for."""
+    lwork, liwork, _ = flapack.dsyevr_lwork(S.shape[0], lower=1)
+    w, *_, info = flapack.dsyevr(S, compute_v=0, lower=1, lwork=int(lwork), liwork=liwork)
+    if info != 0 or not np.isfinite(w).all():
+        raise FactorizationFailure(f"symmetric eigensolve failed (info {info})")
+    return w
 
 
 def inertia(state: LayeredState, params: LdParameters, grid: Grid1D) -> int:
@@ -462,7 +481,7 @@ def inertia(state: LayeredState, params: LdParameters, grid: Grid1D) -> int:
         log.debug("inertia: pinned block did not factor, shift-invert eigensolve")
         return int(np.sum(nearest_eigenvalues(ab, params.num_gaps + 1, 0.0) < 0.0))
     # einsum and SciPy's LAPACK: numpy's BLAS would add ~0.5 MiB of buffers.
-    schur = sla.eigvalsh(H_pp - np.einsum("ij,ik->jk", E, X))
+    schur = _eigvalsh(H_pp - np.einsum("ij,ik->jk", E, X))
     log.debug("inertia: Schur complement eigenvalues %s", schur)
     return int(np.sum(schur < 0.0))
 

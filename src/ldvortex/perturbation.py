@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-import scipy.linalg as sla
 
+from ._lapack import flapack
 from .errors import DegenerateField, FactorizationFailure, InvalidParameters
 from .observables import Observables
 from .params import (DEGENERACY_TOL, Grid1D, LdParameters, PhaseConfig,
@@ -150,8 +150,8 @@ def _solve_u1(rhs: np.ndarray, params: LdParameters, grid: Grid1D) -> np.ndarray
     # Variational Neumann closure: boundary rows carry half trapezoid
     # weight, so after scaling their off-diagonal doubles.
     du[0] = dl[-1] = -2.0 / c
-    *_, u1, info = sla.lapack.dgtsv(dl, di, du, rhs.T, overwrite_dl=True,
-                                    overwrite_d=True, overwrite_du=True)
+    *_, u1, info = flapack.dgtsv(dl, di, du, rhs.T, overwrite_dl=True,
+                                 overwrite_d=True, overwrite_du=True)
     if info != 0:  # not expected: the matrix is strictly diagonally dominant
         raise FactorizationFailure(f"amplitude correction solve failed (info {info})")
     return u1.T

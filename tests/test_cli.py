@@ -1,5 +1,9 @@
+import importlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,3 +176,22 @@ def test_negative_counts_exit_2_without_traceback(argv, no_pool, capsys):
     err = capsys.readouterr().err
     assert "must be >= 0" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["census", "--N", "1", "--random-starts", "1", "--jobs", "1"] + GRID,
+], ids=["help", "census-N1"])
+def test_python_dash_m_ldvortex_exits_0(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "ldvortex", *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: ldvortex" if argv == ["--help"] else "{")
+
+
+def test_importing_dunder_main_runs_nothing():
+    """The benchmark's tracer imports every module of the package."""
+    assert importlib.import_module("ldvortex.__main__").main is cli.main

@@ -87,3 +87,32 @@ def test_modules_use_every_name_they_import():
     assert {name: names for name, names in unused.items() if names} == {}
     assert _unused_imports("import os\nfrom math import pi, tau\nprint(pi)\n") \
         == ["os (line 1)", "tau (line 2)"]
+
+
+def _import_time_modules(source: str) -> list[str]:
+    """Absolute modules a module imports when it runs: every import that is
+    not inside a function body."""
+    names, todo = [], list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(names)
+
+
+def test_no_module_imports_scipy_when_it_loads():
+    """Importing scipy.linalg costs ~0.3 s: the LAPACK wrappers come from
+    _lapack, and scipy.sparse is imported inside the functions that use it."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 14
+    scipy_imports = {p.name: [m for m in _import_time_modules(p.read_text())
+                              if m.split(".")[0] == "scipy"] for p in modules}
+    assert {name: mods for name, mods in scipy_imports.items() if mods} == {}
+    sample = ("import numpy as np\nif True:\n    import scipy.linalg as sla\n"
+              "from . import energy\n\n\ndef f():\n    from scipy import sparse\n")
+    assert _import_time_modules(sample) == ["numpy", "scipy.linalg"]
