@@ -4,7 +4,8 @@ without the ~0.3 s and ~20 MiB that importing scipy.linalg costs.
 It is loaded from its file and registered in sys.modules under its full
 name, so a later `import scipy.linalg` reuses the same wrappers; without
 that file the plain import gives the same module.  No other module of the
-package imports scipy at module level; scipy.sparse loads inside functions.
+package imports scipy at module level, and none imports scipy.sparse: the
+eigensolves run on these wrappers too.
 """
 
 from __future__ import annotations

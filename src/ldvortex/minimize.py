@@ -25,9 +25,10 @@ Inertia is the discrete Lyapunov-Schmidt reduction: with one phase per plane
 pinned, a Hessian whose other block factors by Cholesky has the inertia of
 the NxN Schur complement on the pinned phases (Haynsworth), the Morse index
 from one banded solve.  Far from the phase torus shift-invert Lanczos on a
-banded LU is the fallback.  SciPy stays off the import path: the LAPACK
-drivers come from _lapack (scipy.linalg._flapack without scipy.linalg), and
-scipy.sparse loads only when the fallback runs.
+banded LU is the fallback (nearest_eigenvalues, which also gives the
+spectral gap).  SciPy stays off the import path: every LAPACK driver comes
+from _lapack (scipy.linalg._flapack without scipy.linalg), and no other
+SciPy module loads, the fallback included.
 
 At a few hundred free DOFs (the desk stack) a step is bound by the
 per-call overhead of NumPy, not by arithmetic, so the hot path uses
@@ -56,7 +57,8 @@ ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 40
 MAX_SHIFTS = 20  # Levenberg escalations tried per Newton step
-V0_SEED = 0  # seed of the fixed Lanczos start vector
+LANCZOS_MAX_BASIS = 200  # Lanczos vectors before nearest_eigenvalues gives up
+LANCZOS_TOL = float(np.finfo(float).eps)  # relative Ritz residual estimate
 
 log = logging.getLogger("ldvortex")
 
@@ -413,40 +415,110 @@ def assemble_banded_hessian(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
     return ab, bw
 
 
-def nearest_eigenvalues(ab: np.ndarray, k: int, sigma: float,
-                        M=None) -> np.ndarray:
-    """The k eigenvalues nearest sigma, ascending, of the symmetric pencil
-    (A, M), with A given by its (2*bw+1, n) band ab[bw + i - j, j] = A[i, j]
-    and M sparse within that band (M = I when None): shift-invert Lanczos
-    (eigsh) on one banded LU factorization (LAPACK gbtrf) of A - sigma M,
-    written straight into gbtrf storage.  The start vector is fixed, so
-    repeated calls return identical values."""
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+def _start_vector(n: int) -> np.ndarray:
+    """The fixed Lanczos start vector: splitmix64 of 1..n mapped to
+    [-1/2, 1/2).  It is pseudo-random without numpy.random, so it has no
+    symmetry (the stack is symmetric under x -> -x, and a symmetric start
+    would miss the odd modes)."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53 - 0.5
 
+
+def _band_matvec(mb: np.ndarray, offsets: list[int], x: np.ndarray) -> np.ndarray:
+    """M x for the symmetric M in the (2*bw+1, n) band mb, through its
+    diagonal and the subdiagonals at offsets (the others are zero)."""
+    bw = (mb.shape[0] - 1) // 2
+    y = mb[bw] * x
+    for k in offsets:
+        e = mb[bw + k, :-k]
+        y[k:] += e * x[:-k]
+        y[:-k] += e * x[k:]
+    return y
+
+
+def nearest_eigenvalues(ab: np.ndarray, k: int, sigma: float,
+                        M: np.ndarray | None = None) -> np.ndarray:
+    """The k eigenvalues nearest sigma, ascending, of the symmetric pencil
+    (A, M), with A and M given by their (2*bw+1, n) bands
+    ab[bw + i - j, j] = A[i, j] (M = I when None), M positive definite.
+
+    Shift-invert Lanczos (Ericsson & Ruhe 1980) on one banded LU
+    factorization (LAPACK dgbtrf) of A - sigma M: the operator
+    C = (A - sigma M)^-1 M is self-adjoint in the M inner product, and its
+    largest eigenvalues theta in modulus give lambda = sigma + 1/theta.
+    The basis is M-orthonormal: each step follows the three-term recurrence
+    with one full classical Gram-Schmidt pass against the whole basis (in
+    einsum: NumPy's BLAS would add ~5 MiB of buffers), and M x goes through
+    the nonzero diagonals of M only.  The basis grows from a fixed start
+    vector, so repeated calls return identical values.  The Ritz values of
+    the tridiagonal come from dsyevr; the iteration stops when the residual
+    estimate beta |s_last| of each wanted one is at most LANCZOS_TOL |theta|
+    (ARPACK's test at its default tolerance), or when the basis spans the
+    whole space.  Raises
+    FactorizationFailure when A - sigma M does not factor, when the values
+    are not finite, or when LANCZOS_MAX_BASIS vectors do not converge."""
     bw, n = (ab.shape[0] - 1) // 2, ab.shape[1]
     shifted = np.zeros((3 * bw + 1, n), order="F")  # bw fill rows, then A
-    shifted[bw:] = ab
     if M is None:
+        shifted[bw:] = ab
         shifted[2 * bw] -= sigma
     else:
-        m = M.tocoo()
-        m.sum_duplicates()
-        shifted[2 * bw + m.row - m.col, m.col] -= sigma * m.data
+        shifted[bw:] = ab - sigma * M
+        offsets = (M[bw + 1:].any(axis=1).nonzero()[0] + 1).tolist()
     lu, piv, info = flapack.dgbtrf(shifted, bw, bw, overwrite_ab=True)
     if info != 0:
         raise FactorizationFailure(f"banded LU of the shifted matrix failed (info {info})")
-    solve = LinearOperator((n, n), dtype=float,
-                           matvec=lambda x: flapack.dgbtrs(lu, bw, bw, x, piv)[0])
-    v0 = np.random.default_rng(V0_SEED).standard_normal(n)
-    try:
-        # In shift-invert mode eigsh reads only the shape and dtype of A.
-        eigs = eigsh(solve, k, M=M, sigma=sigma, OPinv=solve, v0=v0,
-                     return_eigenvectors=False)
-    except ArpackError as exc:  # ArpackNoConvergence included
-        raise FactorizationFailure(f"shift-invert eigensolve failed: {exc}") from exc
-    if not np.all(np.isfinite(eigs)):
-        raise FactorizationFailure("shift-invert eigensolve gave non-finite values")
-    return np.sort(eigs)
+
+    cap = min(n, LANCZOS_MAX_BASIS)
+    Q = np.empty((cap, n))  # the basis, one vector per row
+    P = Q if M is None else np.empty((cap, n))  # M Q
+    alpha, beta = np.empty(cap), np.empty(cap)
+    w = _start_vector(n)
+    z = w if M is None else _band_matvec(M, offsets, w)
+    b = math.sqrt(float(np.einsum("i,i", w, z)))
+    worst = math.inf
+    for j in range(cap):
+        np.multiply(w, 1.0 / b, out=Q[j])
+        if P is not Q:
+            np.multiply(z, 1.0 / b, out=P[j])
+        # C q_j, then the three-term recurrence and one full Gram-Schmidt
+        # pass in the M inner product.
+        w = flapack.dgbtrs(lu, bw, bw, P[j], piv)[0]
+        alpha[j] = a = float(np.einsum("i,i", P[j], w))
+        w -= a * Q[j]
+        if j:
+            w -= b * Q[j - 1]
+        w -= np.einsum("ij,i->j", Q[:j + 1], np.einsum("ij,j->i", P[:j + 1], w))
+        z = w if M is None else _band_matvec(M, offsets, w)
+        beta[j] = b = math.sqrt(max(float(np.einsum("i,i", w, z)), 0.0))
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise FactorizationFailure("shift-invert eigensolve gave non-finite values")
+        if j + 1 < k:
+            continue
+        m = j + 1
+        T = np.zeros((m, m))  # the tridiagonal, its upper half
+        T.flat[::m + 1] = alpha[:m]
+        T.flat[1::m + 1] = beta[:j]
+        theta, s, *_, info = flapack.dsyevr(T, compute_v=1)
+        if info != 0:
+            raise FactorizationFailure(
+                f"shift-invert eigensolve failed: tridiagonal dsyevr (info {info})")
+        wanted = np.argsort(-abs(theta), kind="stable")[:k]
+        theta = theta[wanted]
+        worst = float((b * abs(s[-1, wanted]) / abs(theta)).max())
+        if worst <= LANCZOS_TOL or m == n:
+            log.debug("nearest_eigenvalues: k %d, sigma %g, basis %d, worst "
+                      "residual estimate %.3e", k, sigma, m, worst)
+            return np.sort(sigma + 1.0 / theta)
+        if b == 0.0:
+            break
+    raise FactorizationFailure(
+        f"shift-invert eigensolve failed: {k} eigenvalues near {sigma:g} did "
+        f"not converge in {cap} Lanczos vectors (worst residual estimate "
+        f"{worst:.3e})")
 
 
 def _eigvalsh(S: np.ndarray) -> np.ndarray:

@@ -9,10 +9,11 @@ that the estimates leave unspecified are parameters of f_dip_threshold and
 rstar_lower with default 1; validity_report evaluates them at 1.
 
 numerical_gap measures the same spectral gap directly on the discrete
-Hessian, by shift-invert Lanczos on the sparse pencil (Hessian, norm
-Gram matrix) with no dense path; the sandwich against the analytic
-bounds is reported rather than asserted because the discrete norm and
-the analytic one differ by bounded equivalence factors.
+Hessian, by shift-invert Lanczos (minimize.nearest_eigenvalues) on the
+banded pencil (Hessian, norm Gram matrix), both in the same band storage,
+with no dense path and no SciPy beyond its LAPACK wrappers; the sandwich
+against the analytic bounds is reported rather than asserted because the
+discrete norm and the analytic one differ by bounded equivalence factors.
 """
 
 from __future__ import annotations
@@ -155,9 +156,10 @@ def validity_report(params: LdParameters, grid: Grid1D | None = None) -> Validit
 GAP_SHIFT = -1e-2  # below the nonnegative spectrum of the gap pencil
 
 
-def discrete_norm_matrix(params: LdParameters, grid: Grid1D):
-    """Sparse (CSC) Gram matrix of the discrete analogue of the
-    linearization norm:
+def discrete_norm_matrix(params: LdParameters, grid: Grid1D) -> np.ndarray:
+    """Gram matrix B of the discrete analogue of the linearization norm,
+    in the Hessian's band storage ab[bw + i - j, j] = B[i, j], shape
+    (2*bw+1, n) (see assemble_banded_hessian):
     p sum_n int (u'^2 + u^2 + v'^2 + v^2) for the plane fields, and
     int int |a|^2 + int int (curl a)^2 for the gauge field.
 
@@ -173,32 +175,30 @@ def discrete_norm_matrix(params: LdParameters, grid: Grid1D):
     is exactly the per-gap field deviation.
 
     Each node field (f on every plane, phi on planes 1..N) gets a
-    tridiagonal block p (trapezoid mass + difference stiffness); each gap
-    couples the traces of its two planes at every midpoint."""
-    import scipy.sparse as sp
-
+    tridiagonal block p (trapezoid mass + difference stiffness), at band
+    offset 3N+2 (one grid column); each gap couples the traces of its two
+    planes at every midpoint, at offset 1.  The band is exactly symmetric."""
     from .minimize import Layout
 
     N, p, M, dx = params.num_gaps, params.spacing, grid.M, grid.dx
     layout = Layout.build(N, M)
+    bw, n = layout.bandwidth, layout.size
+    B = np.zeros((2 * bw + 1, n))
 
     nodes = np.vstack([layout.idx_f, layout.idx_phi])
     diag = np.full(M + 1, dx + 2.0 / dx)  # trapezoid mass + stiffness
     diag[0] = diag[-1] = 0.5 * dx + 1.0 / dx
-    node_diag = np.broadcast_to(p * diag, nodes.shape)
-    left, right = nodes[:, :-1].ravel(), nodes[:, 1:].ravel()
-    node_off = np.full(left.size, -p / dx)
+    B[bw, nodes] = p * diag
+    column = nodes[0, 1] - nodes[0, 0]  # B[i + column, i] = -p / dx
+    B[bw + column, nodes[:, :-1]] = B[bw - column, nodes[:, 1:]] = -p / dx
 
-    # Simpson mass of the reconstruction plus its curl (p/3, p/6 and dx/p).
-    up, lo = layout.idx_a[1:].ravel(), layout.idx_a[:-1].ravel()
-    gap_same = np.full(up.size, (p / 3.0) * dx + dx / p)
-    gap_cross = np.full(up.size, (p / 6.0) * dx - dx / p)
-
-    rows = np.concatenate([nodes.ravel(), left, right, up, lo, up, lo])
-    cols = np.concatenate([nodes.ravel(), right, left, up, lo, lo, up])
-    vals = np.concatenate([node_diag.ravel(), node_off, node_off,
-                           gap_same, gap_same, gap_cross, gap_cross])
-    return sp.csc_array((vals, (rows, cols)), shape=(layout.size, layout.size))
+    # Simpson mass of the reconstruction plus its curl (p/3, p/6 and dx/p);
+    # the a of an inner plane is in two gaps.
+    up, lo = layout.idx_a[1:], layout.idx_a[:-1]
+    B[bw, up] += (p / 3.0) * dx + dx / p
+    B[bw, lo] += (p / 3.0) * dx + dx / p
+    B[bw + 1, lo] = B[bw - 1, up] = (p / 6.0) * dx - dx / p
+    return B
 
 
 def gap_spectrum(params: LdParameters, grid: Grid1D | None = None,

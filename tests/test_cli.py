@@ -39,12 +39,9 @@ def test_jobs_within_usable_cores_are_kept(capsys):
 
 
 def test_eigensolver_failure_exits_1_without_traceback(monkeypatch, capsys):
-    import scipy.sparse.linalg as spla
-
-    def stalled(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", None, None)
-
-    monkeypatch.setattr(spla, "eigsh", stalled)
+    # One Lanczos vector cannot converge on the gap pencil.
+    monkeypatch.setattr(importlib.import_module("ldvortex.minimize"),
+                        "LANCZOS_MAX_BASIS", 1)
     assert cli.main(["validity", "--numerical-gap", "--dx", "0.0625"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: shift-invert eigensolve failed")

@@ -107,7 +107,7 @@ def _import_time_modules(source: str) -> list[str]:
 
 def test_no_module_imports_scipy_when_it_loads():
     """Importing scipy.linalg costs ~0.3 s: the LAPACK wrappers come from
-    _lapack, and scipy.sparse is imported inside the functions that use it."""
+    _lapack, and any other scipy import sits inside a function."""
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 14
     scipy_imports = {p.name: [m for m in _import_time_modules(p.read_text())
@@ -116,3 +116,29 @@ def test_no_module_imports_scipy_when_it_loads():
     sample = ("import numpy as np\nif True:\n    import scipy.linalg as sla\n"
               "from . import energy\n\n\ndef f():\n    from scipy import sparse\n")
     assert _import_time_modules(sample) == ["numpy", "scipy.linalg"]
+
+
+def _all_imported_modules(source: str) -> list[str]:
+    """Every absolute module a module imports anywhere, function bodies
+    included; `from scipy import sparse` counts as scipy.sparse."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names += [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    return sorted(names)
+
+
+def test_no_function_imports_scipy_sparse():
+    """The eigensolves run on the banded LU from _lapack: scipy.sparse (and
+    its ~25 MiB) is imported nowhere in the package, not even lazily."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    sparse = {p.name: [m for m in _all_imported_modules(p.read_text())
+                       if m == "scipy.sparse" or m.startswith("scipy.sparse.")]
+              for p in modules}
+    assert {name: mods for name, mods in sparse.items() if mods} == {}
+    sample = ("def f():\n    from scipy import sparse\n\n\n"
+              "def g():\n    import scipy.sparse.linalg as spla\n")
+    assert _all_imported_modules(sample) == ["scipy", "scipy.sparse",
+                                             "scipy.sparse.linalg"]

@@ -1,5 +1,6 @@
 """SciPy's LAPACK wrappers loaded without scipy.linalg: the same wrapper
-objects, the same bits, and no other SciPy module on a census or sweep."""
+objects, the same bits, and no other SciPy module on a census, a sweep, the
+spectral gap or the inertia fallback."""
 
 import importlib
 import os
@@ -61,6 +62,15 @@ def test_census_schur_eigenvalues_equal_scipy_bit_for_bit(monkeypatch):
     assert sorted(seen) == [1] * 2 + [2] * 4 + [3] * 8
 
 
+def _child_stdout(child: str) -> list[str]:
+    """The output lines of child, run in a fresh interpreter on these sources."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return out.stdout.splitlines()
+
+
 def test_census_and_sweep_import_no_other_scipy_module():
     child = (
         "import sys\n"
@@ -70,8 +80,33 @@ def test_census_and_sweep_import_no_other_scipy_module():
         "assert harness.census(p, 1e-3, n_random=1, dx=0.125).passed\n"
         "harness.field_sweep(p, [5.0 + 0.3 * i for i in range(8)], dx=0.125)\n"
         "print(sorted(k for k in sys.modules if k.startswith('scipy')))\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.split("\n")[-2] == "['scipy.linalg._flapack']"
+    assert _child_stdout(child)[-1] == "['scipy.linalg._flapack']"
+
+
+def test_gap_and_inertia_fallback_import_no_scipy_sparse_or_numpy_random():
+    """The spectral gap and the shift-invert inertia fallback (at a rough
+    state, built without numpy.random, whose pinned block does not factor)
+    load no SciPy module but the LAPACK wrappers, and not numpy.random."""
+    child = (
+        "import logging, sys\n"
+        "import numpy as np\n"
+        "from ldvortex.minimize import inertia\n"
+        "from ldvortex.params import Grid1D, LdParameters\n"
+        "from ldvortex.state import LayeredState\n"
+        "from ldvortex.validity import numerical_gap\n"
+        "logging.basicConfig(level=logging.DEBUG, stream=sys.stdout)\n"
+        "p = LdParameters(2, 1.0, 0.5, 1.0, 3.0, 1e-3)\n"
+        "g = Grid1D.build(p, dx=1.0 / 16.0)\n"
+        "assert numerical_gap(p, g) > 1e-3\n"
+        "def rough(shape, k):\n"
+        "    return np.sin(k * np.arange(1.0, 1.0 + np.prod(shape)) ** 1.5).reshape(shape)\n"
+        "phi = np.cumsum(0.3 * rough((3, g.M + 1), 2.0), axis=1)\n"
+        "state = LayeredState(1.0 + 0.3 * rough((3, g.M + 1), 1.0), phi - phi[0],\n"
+        "                     rough((3, g.M), 3.0))\n"
+        "inertia(state, p, g)\n"
+        "print('numpy.random' in sys.modules)\n"
+        "print(sorted(k for k in sys.modules if k.startswith('scipy')))\n")
+    lines = _child_stdout(child)
+    assert lines[-2:] == ["False", "['scipy.linalg._flapack']"]
+    assert any("pinned block did not factor" in line for line in lines)
+    assert sum("nearest_eigenvalues: k" in line for line in lines) == 2

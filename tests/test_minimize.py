@@ -236,15 +236,10 @@ def test_inertia_counts_wrong_phases(desk, desk_grid):
 
 
 def test_definite_hessian_needs_no_eigensolve(desk, desk_grid, monkeypatch):
-    import scipy.sparse.linalg as spla
-
     vp = newton_critical(seed_state(desk, desk_grid, 0.0), desk, desk_grid,
                          tol=1e-9)
-
-    def stalled(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", np.zeros(0), None)
-
-    monkeypatch.setattr(spla, "eigsh", stalled)
+    # One Lanczos vector cannot converge: every eigensolve now fails.
+    monkeypatch.setattr(minimize_mod, "LANCZOS_MAX_BASIS", 1)
     assert inertia(vp.state, desk, desk_grid) == 0
     with pytest.raises(FactorizationFailure):
         inertia(random_rough_state(desk, desk_grid, np.random.default_rng(1)),
@@ -316,12 +311,7 @@ def test_schur_inertia_is_the_morse_index(N, L, r, caplog):
 
 
 def test_census_inertias_need_no_eigensolve(desk, monkeypatch):
-    import scipy.sparse.linalg as spla
-
-    def stalled(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", np.zeros(0), None)
-
-    monkeypatch.setattr(spla, "eigsh", stalled)
+    monkeypatch.setattr(minimize_mod, "LANCZOS_MAX_BASIS", 1)
     rec = census(desk, desk.coupling, n_random=0, dx=1.0 / 20.0)
     assert rec.passed, rec.checks
     assert sorted(rec.data["inertias"]) == [0, 1, 1, 2]
@@ -337,18 +327,51 @@ def test_nearest_eigenvalues_repeat_bit_for_bit(desk, rng):
 
 
 def test_eigensolver_failures_are_factorization_failures(monkeypatch):
-    import scipy.sparse.linalg as spla
-
     singular = np.arange(6.0)[None, :]  # the band of diag(0, 1, ..., 5)
     with pytest.raises(FactorizationFailure):
         nearest_eigenvalues(singular, 2, 0.0)
+    assert np.allclose(nearest_eigenvalues(singular, 2, -1.0), [0.0, 1.0],
+                       rtol=0.0, atol=1e-14)
 
-    def stalled(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", np.zeros(0), None)
-
-    monkeypatch.setattr(spla, "eigsh", stalled)
-    with pytest.raises(FactorizationFailure):
+    monkeypatch.setattr(minimize_mod, "LANCZOS_MAX_BASIS", 1)
+    with pytest.raises(FactorizationFailure, match="^shift-invert eigensolve failed"):
         nearest_eigenvalues(singular, 2, -1.0)
+
+
+@pytest.mark.parametrize("N, dx", [(1, 1.0 / 16.0), (2, 1.0 / 20.0),
+                                   (3, 1.0 / 24.0)])
+def test_nearest_eigenvalues_of_rough_bands_match_dense(N, dx):
+    """The inertia fallback at sigma = 0 on indefinite bands: the N+1
+    eigenvalues nearest 0 agree with dense eigvalsh, and so does the count
+    of negatives.  Both solvers are backward stable, so they agree to
+    1e-10 relative plus 64 eps |A|_2: the values nearest 0 are O(r) soft
+    phase modes (1e-6 here), whose relative conditioning is eps |A| / |lambda|
+    ~ 1e-8 for any solver in double precision."""
+    params = LdParameters(N, 1.0, 0.5, 1.0, 3.0, 1e-3)
+    grid = Grid1D.build(params, dx=dx)
+    rng = np.random.default_rng(N)
+    for _ in range(4):
+        state = random_rough_state(params, grid, rng)
+        ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
+        eigs = nearest_eigenvalues(ab, N + 1, 0.0)
+        dense = np.linalg.eigvalsh(_dense(ab))
+        ref = np.sort(dense[np.argsort(np.abs(dense))[:N + 1]])
+        bound = 1e-10 * np.abs(ref) + 64.0 * np.finfo(float).eps * np.abs(dense).max()
+        assert np.all(np.abs(eigs - ref) <= bound)
+        assert np.sum(eigs < 0.0) == np.sum(ref < 0.0)
+
+
+def test_eigensolve_logs_its_basis_and_residual(desk, rng, caplog):
+    grid = Grid1D.build(desk, dx=1.0 / 16.0)
+    state = random_rough_state(desk, grid, rng)
+    ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, desk, grid)
+    with caplog.at_level(logging.DEBUG, logger="ldvortex"):
+        nearest_eigenvalues(ab, 3, 0.0)
+    [line] = caplog.messages
+    assert line.startswith("nearest_eigenvalues: k 3, sigma 0, basis ")
+    basis, worst = line.split("basis ")[1].split(", worst residual estimate ")
+    assert 3 <= int(basis) <= minimize_mod.LANCZOS_MAX_BASIS
+    assert float(worst) <= minimize_mod.LANCZOS_TOL
 
 
 def test_banded_assembly_matches_hessian_apply(desk, rng):

@@ -103,22 +103,60 @@ def test_gap_spectrum_kernel_dimension(desk):
     assert eigs[params.num_gaps] > 1e-3
 
 
+def _dense(ab: np.ndarray) -> np.ndarray:
+    """The matrix whose band is ab[bw + i - j, j] = A[i, j]."""
+    bw, n = (ab.shape[0] - 1) // 2, ab.shape[1]
+    return sum(np.diag(ab[bw - k, max(k, 0):n + min(k, 0)], k)
+               for k in range(-bw, bw + 1))
+
+
+def _dense_pencil(params, grid):
+    """Half the r = 0 Hessian and the norm matrix, both dense."""
+    state = zero_coupling_minimizer(params, grid)
+    ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
+    return 0.5 * _dense(ab), _dense(discrete_norm_matrix(params, grid))
+
+
 def test_gap_spectrum_matches_dense_pencil(desk):
     params = desk.with_coupling(0.0)
     grid = Grid1D.build(params, dx=1.0 / 16.0)
     N = params.num_gaps
-    state = zero_coupling_minimizer(params, grid)
-    ab, bw = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
-    n = ab.shape[1]
-    Q = 0.5 * sum(np.diag(ab[bw - k, max(k, 0):n + min(k, 0)], k)
-                  for k in range(-bw, bw + 1))
-    B = discrete_norm_matrix(params, grid)
-    ref = sla.eigh(Q, B.toarray(), eigvals_only=True)[:N + 2]
+    Q, B = _dense_pencil(params, grid)
+    ref = sla.eigh(Q, B, eigvals_only=True)[:N + 2]
     eigs = gap_spectrum(params, grid, count=N + 2)
     assert np.all(np.abs(eigs[:N] - ref[:N]) <= 1e-10)
     assert np.all(np.abs(eigs[N:] - ref[N:]) <= 1e-10 * ref[N:])
     assert np.array_equal(eigs, gap_spectrum(params, grid, count=N + 2))
     assert gap_spectrum(params, grid).shape == (N + 1,)
+
+
+@pytest.mark.parametrize("N, dx", [(1, 1.0 / 16.0), (1, 1.0 / 24.0),
+                                   (2, 1.0 / 20.0), (3, 1.0 / 16.0),
+                                   (3, 1.0 / 24.0)])
+def test_gap_pencil_matches_dense_eigh(N, dx):
+    """Shift-invert Lanczos on the banded pencil against dense eigh: the N
+    zero modes to 1e-10 absolute, the next two to 1e-10 relative."""
+    params = LdParameters(N, 1.0, 0.5, 1.0, 3.0, 0.0)
+    grid = Grid1D.build(params, dx=dx)
+    Q, B = _dense_pencil(params, grid)
+    ref = sla.eigh(Q, B, eigvals_only=True)[:N + 2]
+    eigs = gap_spectrum(params, grid, count=N + 2)
+    assert np.all(np.abs(eigs[:N]) <= 1e-10)
+    assert np.all(np.abs(eigs[:N] - ref[:N]) <= 1e-10)
+    assert np.all(np.abs(eigs[N:] - ref[N:]) <= 1e-10 * ref[N:])
+
+
+def test_gap_spectrum_takes_every_count_below_size():
+    """count = n - 1, the largest count taken, runs the Lanczos basis up to
+    the whole space."""
+    params = LdParameters(1, 1.0, 0.5, 1.0, 3.0, 0.0)
+    grid = Grid1D.build(params, dx=0.25)
+    n = Layout.build(1, grid.M).size
+    Q, B = _dense_pencil(params, grid)
+    ref = sla.eigh(Q, B, eigvals_only=True)[:n - 1]
+    eigs = gap_spectrum(params, grid, count=n - 1)
+    assert eigs.shape == (n - 1,)
+    assert np.all(np.abs(eigs - ref) <= 1e-10 * np.maximum(np.abs(ref), 1.0))
 
 
 def test_gap_spectrum_rejects_count_at_size(desk):
@@ -129,11 +167,19 @@ def test_gap_spectrum_rejects_count_at_size(desk):
 
 
 def test_norm_matrix_is_spd(desk):
+    """The band is exactly symmetric, positive definite, and nonzero only on
+    the diagonal and at offsets 1 and 3N+2 (one grid column)."""
     params = desk.with_coupling(0.0)
     grid = Grid1D.build(params, dx=1.0 / 16.0)
-    B = discrete_norm_matrix(params, grid).toarray()
+    band = discrete_norm_matrix(params, grid)
+    bw = Layout.build(params.num_gaps, grid.M).bandwidth
+    assert band.shape == (2 * bw + 1, Layout.build(params.num_gaps, grid.M).size)
+    B = _dense(band)
     assert np.max(np.abs(B - B.T)) == 0.0
     assert np.linalg.eigvalsh(B)[0] > 0.0
+    column = 3 * params.num_gaps + 2
+    assert [k for k in range(-bw, bw + 1) if np.diag(B, k).any()] \
+        == [-column, -1, 0, 1, column]
 
 
 def test_trace_inequality_on_random_fields(desk):
