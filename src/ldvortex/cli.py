@@ -178,8 +178,6 @@ def _cmd_perturb(args) -> int:
 
 def _cmd_validity(args) -> int:
     params = _params(args)
-    grid = Grid1D.build(params, args.dx) if args.numerical_gap else None
-    rep = validity_report(params, grid=grid)
     if args.format == "csv":
         rows = []
         for L in (1.0, 2.0, 4.0):
@@ -198,8 +196,9 @@ def _cmd_validity(args) -> int:
             for row in rows:
                 print(",".join(repr(float(v)) for v in row))
         return 0
+    grid = Grid1D.build(params, args.dx) if args.numerical_gap else None
     _emit(args.out, {"parameters": exports.params_dict(params),
-                     "report": rep.to_dict()})
+                     "report": validity_report(params, grid=grid).to_dict()})
     return 0
 
 
@@ -314,6 +313,8 @@ def main(argv=None) -> int:
             parser.error(f"config keys name no {argv[0]} flag: {' '.join(unknown)}")
         # argv[0] is the subcommand: the top-level parser has no options.
         args = parser.parse_args([argv[0], *args.config, *argv[1:]])
+    if getattr(args, "numerical_gap", False) and args.format == "csv":
+        parser.error("--numerical-gap and --format csv do not combine")
     try:
         return args.fn(args)
     except LdError as exc:

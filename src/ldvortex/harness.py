@@ -16,8 +16,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import (DegenerateField, InvalidParameters, NoCompleteCycle,
-                     NoConvergence)
+from .errors import (DegenerateField, FactorizationFailure, InvalidParameters,
+                     NoCompleteCycle, NoConvergence)
 from .exports import params_dict
 from .minimize import CriticalPoint, minimize, newton_critical, default_newton_tol
 from .observables import delta_estimate, distance, observables
@@ -159,7 +159,8 @@ def census(params: LdParameters, r: float, n_random: int = 50,
 
     Newton from the 2^N perturbative seeds (residual <= CENSUS_NEWTON_TOL),
     required to lie at least 0.1 apart in observable distance, classified
-    by inertia; then n_random random-start descents, each counted as
+    by inertia (a seed whose Newton or inertia fails is listed in
+    newton_failures); then n_random random-start descents, each counted as
     converged or not and matched to a census member.  The
     energy shell is three times the linear upper bound (the analytic cutoff
     below which the census is exhaustive is not constructive).
@@ -179,7 +180,7 @@ def census(params: LdParameters, r: float, n_random: int = 50,
         try:
             points.append(newton_critical(seed_state(pr, grid, s.delta), pr,
                                           grid, tol=CENSUS_NEWTON_TOL))
-        except NoConvergence as exc:
+        except (NoConvergence, FactorizationFailure) as exc:
             failures.append({"delta": s.delta.delta.tolist(), "error": str(exc)})
 
     obs_pts = [observables(c.state, pr, grid) for c in points]

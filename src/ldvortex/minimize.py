@@ -24,11 +24,11 @@ which a gradient-based descent crawls across.
 Inertia is the discrete Lyapunov-Schmidt reduction: with one phase per plane
 pinned, a Hessian whose other block factors by Cholesky has the inertia of
 the NxN Schur complement on the pinned phases (Haynsworth), the Morse index
-from one banded solve.  Far from the phase torus shift-invert Lanczos on a
-banded LU is the fallback (nearest_eigenvalues, which also gives the
-spectral gap).  SciPy stays off the import path: every LAPACK driver comes
-from _lapack (scipy.linalg._flapack without scipy.linalg), and no other
-SciPy module loads, the fallback included.
+from one banded solve; where that block is indefinite, inertia raises.
+Shift-invert Lanczos on a banded LU (nearest_eigenvalues) solves the
+spectral-gap pencil.  SciPy stays off the import path: every LAPACK driver
+comes from _lapack (scipy.linalg._flapack without scipy.linalg), and no
+other SciPy module loads.
 
 At a few hundred free DOFs (the desk stack) a step is bound by the
 per-call overhead of NumPy, not by arithmetic, so the hot path uses
@@ -71,20 +71,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@lru_cache(maxsize=32)
-def _layout_cached(N: int, M: int):
-    S = 3 * N + 2
-    cols = np.arange(M + 1)
-    mids = np.arange(M)
-    idx_f = cols[None, :] * S + np.arange(N + 1)[:, None]
-    idx_phi = cols[None, :] * S + (N + 1) + np.arange(N)[:, None]
-    idx_a = mids[None, :] * S + (2 * N + 1) + np.arange(N + 1)[:, None]
-    size = M * S + 2 * N + 1
-    for arr in (idx_f, idx_phi, idx_a):
-        arr.setflags(write=False)
-    return idx_f, idx_phi, idx_a, size, S + N
-
-
 # Upper-triangle entries (row, column) of the local Hessian blocks, in the
 # order assemble_banded_hessian computes their values.  Midpoint block over
 # (f_m, f_m+1, phi_m, phi_m+1, a_m), Josephson block over (f_n-1, f_n,
@@ -102,8 +88,9 @@ def _band_index_cached(N: int, M: int) -> np.ndarray:
     assemble_banded_hessian writes, always in the lower triangle
     (ab[bw + i - j, j] with i >= j); entries on the gauge-fixed phi_0 go to
     the extra slot (2*bw+1)*n.  Read-only."""
-    idx_f, idx_phi, idx_a, n, bw = _layout_cached(N, M)
-    phi = np.vstack([np.full((1, M + 1), -1), idx_phi])
+    layout = Layout.build(N, M)
+    idx_f, idx_a, n, bw = layout.idx_f, layout.idx_a, layout.size, layout.bandwidth
+    phi = np.vstack([np.full((1, M + 1), -1), layout.idx_phi])
     mid = (idx_f[:, :-1], idx_f[:, 1:], phi[:, :-1], phi[:, 1:], idx_a)
     jos = (idx_f[:-1], idx_f[1:], phi[:-1], phi[1:])
     fld = (idx_a[:-1], idx_a[1:])
@@ -131,16 +118,24 @@ class Layout:
     bandwidth: int = 0
 
     @staticmethod
+    @lru_cache(maxsize=32)
     def build(N: int, M: int) -> "Layout":
-        idx_f, idx_phi, idx_a, size, bw = _layout_cached(N, M)
-        return Layout(N, M, idx_f, idx_phi, idx_a, size, bw)
+        """The layout of N gaps on M cells, cached, with read-only indices."""
+        S = 3 * N + 2
+        cols = np.arange(M + 1)
+        idx_f = cols[None, :] * S + np.arange(N + 1)[:, None]
+        idx_phi = cols[None, :] * S + (N + 1) + np.arange(N)[:, None]
+        idx_a = cols[None, :-1] * S + (2 * N + 1) + np.arange(N + 1)[:, None]
+        for arr in (idx_f, idx_phi, idx_a):
+            arr.setflags(write=False)
+        return Layout(N, M, idx_f, idx_phi, idx_a, M * S + 2 * N + 1, S + N)
 
     def pack(self, f: np.ndarray, dphi: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Flatten (f, dphi, a); leading axes, shared by all three, are kept."""
-        x = np.empty(f.shape[:-2] + (self.size,))
-        x[..., self.idx_f] = f
-        x[..., self.idx_phi] = dphi
-        x[..., self.idx_a] = a
+        """Flatten one (f, dphi, a) into a vector of the layout's size."""
+        x = np.empty(self.size)
+        x[self.idx_f] = f
+        x[self.idx_phi] = dphi
+        x[self.idx_a] = a
         return x
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -378,7 +373,8 @@ def assemble_banded_hessian(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
     p, kappa, r = params.spacing, params.kappa, params.coupling
     dx = grid.dx
     wt = grid.trapezoid_weights()
-    *_, n, bw = _layout_cached(N, M)
+    layout = Layout.build(N, M)
+    n, bw = layout.size, layout.bandwidth
 
     # Midpoint blocks: c ((f_m+1 - f_m)/dx)^2 + c V^2 fm^2.
     c = p * dx / kappa**2
@@ -440,10 +436,11 @@ def _band_matvec(mb: np.ndarray, offsets: list[int], x: np.ndarray) -> np.ndarra
 
 
 def nearest_eigenvalues(ab: np.ndarray, k: int, sigma: float,
-                        M: np.ndarray | None = None) -> np.ndarray:
+                        M: np.ndarray) -> np.ndarray:
     """The k eigenvalues nearest sigma, ascending, of the symmetric pencil
     (A, M), with A and M given by their (2*bw+1, n) bands
-    ab[bw + i - j, j] = A[i, j] (M = I when None), M positive definite.
+    ab[bw + i - j, j] = A[i, j], M positive definite: the spectral-gap
+    pencil of validity.gap_spectrum.
 
     Shift-invert Lanczos (Ericsson & Ruhe 1980) on one banded LU
     factorization (LAPACK dgbtrf) of A - sigma M: the operator
@@ -462,28 +459,23 @@ def nearest_eigenvalues(ab: np.ndarray, k: int, sigma: float,
     are not finite, or when LANCZOS_MAX_BASIS vectors do not converge."""
     bw, n = (ab.shape[0] - 1) // 2, ab.shape[1]
     shifted = np.zeros((3 * bw + 1, n), order="F")  # bw fill rows, then A
-    if M is None:
-        shifted[bw:] = ab
-        shifted[2 * bw] -= sigma
-    else:
-        shifted[bw:] = ab - sigma * M
-        offsets = (M[bw + 1:].any(axis=1).nonzero()[0] + 1).tolist()
+    shifted[bw:] = ab - sigma * M
+    offsets = (M[bw + 1:].any(axis=1).nonzero()[0] + 1).tolist()
     lu, piv, info = flapack.dgbtrf(shifted, bw, bw, overwrite_ab=True)
     if info != 0:
         raise FactorizationFailure(f"banded LU of the shifted matrix failed (info {info})")
 
     cap = min(n, LANCZOS_MAX_BASIS)
     Q = np.empty((cap, n))  # the basis, one vector per row
-    P = Q if M is None else np.empty((cap, n))  # M Q
+    P = np.empty((cap, n))  # M Q
     alpha, beta = np.empty(cap), np.empty(cap)
     w = _start_vector(n)
-    z = w if M is None else _band_matvec(M, offsets, w)
+    z = _band_matvec(M, offsets, w)
     b = math.sqrt(float(np.einsum("i,i", w, z)))
     worst = math.inf
     for j in range(cap):
         np.multiply(w, 1.0 / b, out=Q[j])
-        if P is not Q:
-            np.multiply(z, 1.0 / b, out=P[j])
+        np.multiply(z, 1.0 / b, out=P[j])
         # C q_j, then the three-term recurrence and one full Gram-Schmidt
         # pass in the M inner product.
         w = flapack.dgbtrs(lu, bw, bw, P[j], piv)[0]
@@ -492,7 +484,7 @@ def nearest_eigenvalues(ab: np.ndarray, k: int, sigma: float,
         if j:
             w -= b * Q[j - 1]
         w -= np.einsum("ij,i->j", Q[:j + 1], np.einsum("ij,j->i", P[:j + 1], w))
-        z = w if M is None else _band_matvec(M, offsets, w)
+        z = _band_matvec(M, offsets, w)
         beta[j] = b = math.sqrt(max(float(np.einsum("i,i", w, z)), 0.0))
         if not (math.isfinite(a) and math.isfinite(b)):
             raise FactorizationFailure("shift-invert eigensolve gave non-finite values")
@@ -534,13 +526,12 @@ def inertia(state: LayeredState, params: LdParameters, grid: Grid1D) -> int:
     """Number of negative eigenvalues of the free-DOF Hessian H.  The N
     phases p at the middle grid column are pinned (adjacent in the packing,
     over a band width from both ends as M >= 16); one banded_solve (dpbsv,
-    N right-hand sides) on the other DOFs f gives X = H_ff^-1 H_fp, and if
-    H_ff is positive definite the count, the Morse index, is that of the
-    Schur complement H_pp - H_fp^T X.  Otherwise the fallback counts the
-    negatives among the N+1 eigenvalues nearest zero (nearest_eigenvalues)."""
+    N right-hand sides) on the other DOFs f gives X = H_ff^-1 H_fp, and
+    with H_ff positive definite the count, the Morse index, is that of the
+    Schur complement H_pp - H_fp^T X (Haynsworth).  Otherwise the phases
+    are not the only soft modes, and it raises FactorizationFailure."""
     ab, bw = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
-    _, idx_phi, *_ = _layout_cached(params.num_gaps, grid.M)
-    pin = idx_phi[:, grid.M // 2]
+    pin = Layout.build(params.num_gaps, grid.M).idx_phi[:, grid.M // 2]
     rows = pin[:, None] + np.arange(-bw, bw + 1)  # H[rows[k], pin[k]] = ab[:, pin[k]]
     E = np.zeros((ab.shape[1], pin.size), order="F")
     E[rows, np.arange(pin.size)[:, None]] = ab[:, pin].T
@@ -550,8 +541,8 @@ def inertia(state: LayeredState, params: LdParameters, grid: Grid1D) -> int:
     block[bw, pin] = 1.0
     X = banded_solve(block, E, True, 0.0)
     if X is None:
-        log.debug("inertia: pinned block did not factor, shift-invert eigensolve")
-        return int(np.sum(nearest_eigenvalues(ab, params.num_gaps + 1, 0.0) < 0.0))
+        raise FactorizationFailure(
+            "inertia: the pinned Hessian block H_ff is not positive definite")
     # einsum and SciPy's LAPACK: numpy's BLAS would add ~0.5 MiB of buffers.
     schur = _eigvalsh(H_pp - np.einsum("ij,ik->jk", E, X))
     log.debug("inertia: Schur complement eigenvalues %s", schur)
@@ -596,8 +587,8 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
     _shifted_newton), factored by banded LU because saddles make H
     indefinite, and backtracks with the descent's Armijo search on the
     merit |grad|^2.  A step with no factorable shift or a stalled search
-    raises NoConvergence.  Requires r > 0: at r = 0 the Hessian has an exact
-    N-dimensional kernel.
+    raises NoConvergence, and inertia may raise FactorizationFailure.
+    Requires r > 0: at r = 0 the Hessian has an exact N-dimensional kernel.
     """
     state0.check_grid(params, grid)
     if params.coupling == 0.0:

@@ -9,11 +9,12 @@ that the estimates leave unspecified are parameters of f_dip_threshold and
 rstar_lower with default 1; validity_report evaluates them at 1.
 
 numerical_gap measures the same spectral gap directly on the discrete
-Hessian, by shift-invert Lanczos (minimize.nearest_eigenvalues) on the
-banded pencil (Hessian, norm Gram matrix), both in the same band storage,
-with no dense path and no SciPy beyond its LAPACK wrappers; the sandwich
-against the analytic bounds is reported rather than asserted because the
-discrete norm and the analytic one differ by bounded equivalence factors.
+Hessian, by shift-invert Lanczos (minimize.nearest_eigenvalues, whose only
+caller this is) on the banded pencil (Hessian, norm Gram matrix), both in
+the same band storage, with no dense path and no SciPy beyond its LAPACK
+wrappers; the sandwich against the analytic bounds is reported rather than
+asserted because the discrete norm and the analytic one differ by bounded
+equivalence factors.
 """
 
 from __future__ import annotations

@@ -113,13 +113,24 @@ def test_bad_field_grid_exits_1_without_traceback(argv, tmp_path, monkeypatch,
     ["census", "--format", "csv"],
     ["flux", "--format", "csv"],
     ["export-field", "--format", "csv"],
+    ["validity", "--numerical-gap", "--format", "csv"],
 ], ids=["unknown-preset", "check-preset-first", "check-dx", "check-config",
         "census-tol", "sweep-max-iter", "sweep-seed", "minimize-seed",
         "minimize-jobs", "validity-jobs", "perturb-seed", "perturb-jobs",
         "perturb-dx", "minimize-format", "census-format", "flux-format",
-        "export-field-format"])
+        "export-field-format", "validity-gap-csv"])
 def test_usage_errors_exit_2(argv, no_pool):
     assert run(argv) == 2
+
+
+def test_numerical_gap_with_csv_exits_2_before_any_solve(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gap was solved")
+
+    monkeypatch.setattr(cli, "validity_report", refuse)
+    assert run(["validity", "--numerical-gap", "--format", "csv"]) == 2
+    err = capsys.readouterr().err
+    assert "--numerical-gap" in err and "--format csv" in err
 
 
 def test_flag_beats_config_file_beats_default(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """SciPy's LAPACK wrappers loaded without scipy.linalg: the same wrapper
-objects, the same bits, and no other SciPy module on a census, a sweep, the
-spectral gap or the inertia fallback."""
+objects, the same bits, and no other SciPy module on a census, a sweep or
+the spectral gap."""
 
 import importlib
 import os
@@ -83,13 +83,14 @@ def test_census_and_sweep_import_no_other_scipy_module():
     assert _child_stdout(child)[-1] == "['scipy.linalg._flapack']"
 
 
-def test_gap_and_inertia_fallback_import_no_scipy_sparse_or_numpy_random():
-    """The spectral gap and the shift-invert inertia fallback (at a rough
-    state, built without numpy.random, whose pinned block does not factor)
-    load no SciPy module but the LAPACK wrappers, and not numpy.random."""
+def test_gap_imports_no_scipy_sparse_or_numpy_random():
+    """The spectral gap loads no SciPy module but the LAPACK wrappers, and
+    not numpy.random; inertia at a rough state (built without numpy.random),
+    whose pinned block does not factor, raises and loads nothing more."""
     child = (
         "import logging, sys\n"
         "import numpy as np\n"
+        "from ldvortex.errors import FactorizationFailure\n"
         "from ldvortex.minimize import inertia\n"
         "from ldvortex.params import Grid1D, LdParameters\n"
         "from ldvortex.state import LayeredState\n"
@@ -103,10 +104,13 @@ def test_gap_and_inertia_fallback_import_no_scipy_sparse_or_numpy_random():
         "phi = np.cumsum(0.3 * rough((3, g.M + 1), 2.0), axis=1)\n"
         "state = LayeredState(1.0 + 0.3 * rough((3, g.M + 1), 1.0), phi - phi[0],\n"
         "                     rough((3, g.M), 3.0))\n"
-        "inertia(state, p, g)\n"
+        "try:\n"
+        "    inertia(state, p, g)\n"
+        "except FactorizationFailure as exc:\n"
+        "    print('raised', exc)\n"
         "print('numpy.random' in sys.modules)\n"
         "print(sorted(k for k in sys.modules if k.startswith('scipy')))\n")
     lines = _child_stdout(child)
     assert lines[-2:] == ["False", "['scipy.linalg._flapack']"]
-    assert any("pinned block did not factor" in line for line in lines)
-    assert sum("nearest_eigenvalues: k" in line for line in lines) == 2
+    assert lines[-3].startswith("raised inertia:")
+    assert sum("nearest_eigenvalues: k" in line for line in lines) == 1

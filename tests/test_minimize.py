@@ -235,11 +235,9 @@ def test_inertia_counts_wrong_phases(desk, desk_grid):
     assert mixed.inertia == 1
 
 
-def test_definite_hessian_needs_no_eigensolve(desk, desk_grid, monkeypatch):
+def test_definite_hessian_needs_no_eigensolve(desk, desk_grid):
     vp = newton_critical(seed_state(desk, desk_grid, 0.0), desk, desk_grid,
                          tol=1e-9)
-    # One Lanczos vector cannot converge: every eigensolve now fails.
-    monkeypatch.setattr(minimize_mod, "LANCZOS_MAX_BASIS", 1)
     assert inertia(vp.state, desk, desk_grid) == 0
     with pytest.raises(FactorizationFailure):
         inertia(random_rough_state(desk, desk_grid, np.random.default_rng(1)),
@@ -266,23 +264,51 @@ def _dense(ab: np.ndarray) -> np.ndarray:
                for k in range(-bw, bw + 1))
 
 
-def _dense_inertia(H: np.ndarray, k: int) -> int:
-    eigs = np.linalg.eigvalsh(H)
-    return int(np.sum(eigs[np.argsort(np.abs(eigs))[:k]] < 0.0))
+def _identity_band(ab: np.ndarray) -> np.ndarray:
+    """The band of the identity, in the storage of ab."""
+    eye = np.zeros_like(ab)
+    eye[(ab.shape[0] - 1) // 2] = 1.0
+    return eye
 
 
-def test_inertia_matches_dense_reference(desk, rng):
+def test_inertia_matches_dense_reference(desk):
     grid = Grid1D.build(desk, dx=1.0 / 16.0)
-    k = desk.num_gaps + 1
     states = [newton_critical(seed_state(desk, grid, s.delta), desk, grid,
                               tol=1e-9).state for s in enumerate_seeds(desk)]
-    states.append(random_rough_state(desk, grid, rng))
     counts = []
     for state in states:
         ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, desk, grid)
         counts.append(inertia(state, desk, grid))
-        assert counts[-1] == _dense_inertia(_dense(ab), k)
-    assert sorted(counts[:-1]) == [0, 1, 1, 2]
+        assert counts[-1] == int(np.sum(np.linalg.eigvalsh(_dense(ab)) < 0.0))
+    assert sorted(counts) == [0, 1, 1, 2]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_inertia_of_rough_state_raises(N):
+    """Far from the phase torus the pinned block is indefinite and no N x N
+    count is the Morse index (dense eigvalsh counts 7, 13 and 19 negatives
+    here), so inertia raises instead of returning a count."""
+    params = LdParameters(N, 1.0, 0.5, 1.0, 3.0, 1e-3)
+    grid = Grid1D.build(params, dx=1.0 / 16.0)
+    state = random_rough_state(params, grid, np.random.default_rng(N))
+    with pytest.raises(FactorizationFailure,
+                       match="^inertia: the pinned Hessian block"):
+        inertia(state, params, grid)
+
+
+def test_census_lists_an_inertia_failure_as_a_newton_failure():
+    """At r = 1 the delta = pi point of the N = 1 desk census has Morse
+    index 2 (dense eigvalsh) and an indefinite pinned block: the census
+    lists it in newton_failures and is not complete, where a count among
+    the eigenvalues nearest 0 gave inertias [0, 1] and a passing census."""
+    params = LdParameters(1, 1.0, 0.5, 1.0, 3.0, 1.0)
+    rec = census(params, 1.0, n_random=0, dx=1.0 / 20.0)
+    [failure] = rec.data["newton_failures"]
+    assert np.allclose(failure["delta"], [math.pi])
+    assert failure["error"].startswith("inertia:")
+    assert rec.data["count"] == 1 and rec.data["inertias"] == [0]
+    assert not rec.checks["census_complete"]
+    assert not rec.passed
 
 
 @pytest.mark.parametrize("N, L, r", [(1, 1.0, 1e-3), (2, 1.0, 1e-3),
@@ -290,8 +316,7 @@ def test_inertia_matches_dense_reference(desk, rng):
                                      (2, 1.0, 0.1)])
 def test_schur_inertia_is_the_morse_index(N, L, r, caplog):
     """At every Newton point and at low-energy starts the pinned block
-    factors, and the Schur count equals the dense Morse index and the count
-    among the N+1 eigenvalues nearest zero."""
+    factors, and the Schur count equals the dense Morse index."""
     params = LdParameters(N, L, 0.5, 1.0, 3.0, r)
     grid = Grid1D.build(params, dx=1.0 / 16.0)
     rng = np.random.default_rng(5)
@@ -305,55 +330,49 @@ def test_schur_inertia_is_the_morse_index(N, L, r, caplog):
             caplog.clear()
             count = inertia(state, params, grid)
         assert count == int(np.sum(np.linalg.eigvalsh(dense) < 0.0))
-        assert count == _dense_inertia(dense, N + 1)
         assert [m.startswith("inertia: Schur complement")
                 for m in caplog.messages] == [True]
-
-
-def test_census_inertias_need_no_eigensolve(desk, monkeypatch):
-    monkeypatch.setattr(minimize_mod, "LANCZOS_MAX_BASIS", 1)
-    rec = census(desk, desk.coupling, n_random=0, dx=1.0 / 20.0)
-    assert rec.passed, rec.checks
-    assert sorted(rec.data["inertias"]) == [0, 1, 1, 2]
 
 
 def test_nearest_eigenvalues_repeat_bit_for_bit(desk, rng):
     grid = Grid1D.build(desk, dx=1.0 / 16.0)
     state = random_rough_state(desk, grid, rng)
     ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, desk, grid)
-    first = nearest_eigenvalues(ab, desk.num_gaps + 1, 0.0)
-    second = nearest_eigenvalues(ab, desk.num_gaps + 1, 0.0)
+    eye = _identity_band(ab)
+    first = nearest_eigenvalues(ab, desk.num_gaps + 1, 0.0, eye)
+    second = nearest_eigenvalues(ab, desk.num_gaps + 1, 0.0, eye)
     assert np.array_equal(first, second)
 
 
 def test_eigensolver_failures_are_factorization_failures(monkeypatch):
     singular = np.arange(6.0)[None, :]  # the band of diag(0, 1, ..., 5)
+    eye = _identity_band(singular)
     with pytest.raises(FactorizationFailure):
-        nearest_eigenvalues(singular, 2, 0.0)
-    assert np.allclose(nearest_eigenvalues(singular, 2, -1.0), [0.0, 1.0],
+        nearest_eigenvalues(singular, 2, 0.0, eye)
+    assert np.allclose(nearest_eigenvalues(singular, 2, -1.0, eye), [0.0, 1.0],
                        rtol=0.0, atol=1e-14)
 
     monkeypatch.setattr(minimize_mod, "LANCZOS_MAX_BASIS", 1)
     with pytest.raises(FactorizationFailure, match="^shift-invert eigensolve failed"):
-        nearest_eigenvalues(singular, 2, -1.0)
+        nearest_eigenvalues(singular, 2, -1.0, eye)
 
 
 @pytest.mark.parametrize("N, dx", [(1, 1.0 / 16.0), (2, 1.0 / 20.0),
                                    (3, 1.0 / 24.0)])
 def test_nearest_eigenvalues_of_rough_bands_match_dense(N, dx):
-    """The inertia fallback at sigma = 0 on indefinite bands: the N+1
+    """Sigma = 0 on indefinite bands, with the identity as M: the N+1
     eigenvalues nearest 0 agree with dense eigvalsh, and so does the count
-    of negatives.  Both solvers are backward stable, so they agree to
-    1e-10 relative plus 64 eps |A|_2: the values nearest 0 are O(r) soft
-    phase modes (1e-6 here), whose relative conditioning is eps |A| / |lambda|
-    ~ 1e-8 for any solver in double precision."""
+    of negatives among them.  Both solvers are backward stable, so they
+    agree to 1e-10 relative plus 64 eps |A|_2: the values nearest 0 are O(r)
+    soft phase modes (1e-6 here), whose relative conditioning is
+    eps |A| / |lambda| ~ 1e-8 for any solver in double precision."""
     params = LdParameters(N, 1.0, 0.5, 1.0, 3.0, 1e-3)
     grid = Grid1D.build(params, dx=dx)
     rng = np.random.default_rng(N)
     for _ in range(4):
         state = random_rough_state(params, grid, rng)
         ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
-        eigs = nearest_eigenvalues(ab, N + 1, 0.0)
+        eigs = nearest_eigenvalues(ab, N + 1, 0.0, _identity_band(ab))
         dense = np.linalg.eigvalsh(_dense(ab))
         ref = np.sort(dense[np.argsort(np.abs(dense))[:N + 1]])
         bound = 1e-10 * np.abs(ref) + 64.0 * np.finfo(float).eps * np.abs(dense).max()
@@ -366,7 +385,7 @@ def test_eigensolve_logs_its_basis_and_residual(desk, rng, caplog):
     state = random_rough_state(desk, grid, rng)
     ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, desk, grid)
     with caplog.at_level(logging.DEBUG, logger="ldvortex"):
-        nearest_eigenvalues(ab, 3, 0.0)
+        nearest_eigenvalues(ab, 3, 0.0, _identity_band(ab))
     [line] = caplog.messages
     assert line.startswith("nearest_eigenvalues: k 3, sigma 0, basis ")
     basis, worst = line.split("basis ")[1].split(", worst residual estimate ")
@@ -389,7 +408,8 @@ def test_banded_assembly_matches_hessian_apply(desk, rng):
         uphi = np.concatenate([np.zeros((n, 1, grid.M + 1)), udphi], axis=1)
         Hf, Hphi, Ha = hessian_apply_arrays(state.f, state.phi, state.a,
                                             uf, uphi, ua, params, grid)
-        H = layout.pack(Hf, Hphi[:, 1:], Ha).T  # product j is column j
+        # product j is column j
+        H = np.array([layout.pack(*c) for c in zip(Hf, Hphi[:, 1:], Ha)]).T
 
         ab, bw = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
         assert ab.shape == (2 * bw + 1, n)
@@ -453,12 +473,12 @@ def test_batched_hessian_apply_matches_single_products(desk, rng):
         uphi = np.concatenate([zeros, udphi], axis=-2)
         Hf, Hphi, Ha = hessian_apply_arrays(state.f, state.phi, state.a,
                                             uf, uphi, ua, desk, grid)
-        return layout.pack(Hf, Hphi[..., 1:, :], Ha)
+        return Hf, Hphi[..., 1:, :], Ha
 
-    batched = apply(vs)
-    assert batched.shape == vs.shape
+    batched = [layout.pack(*product) for product in zip(*apply(vs))]
+    assert len(batched) == len(vs)
     for v, row in zip(vs, batched):
-        assert np.array_equal(apply(v), row)
+        assert np.array_equal(layout.pack(*apply(v)), row)
 
 
 def test_newton_tail_shifts_singular_zero_coupling_hessian(desk, coarse_grid,
