@@ -299,6 +299,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_validity_flags(parser: argparse.ArgumentParser,
+                          args: argparse.Namespace) -> None:
+    """Exit 2 on a validity flag set away from its default that would be
+    ignored: the CSV table is over a fixed grid of L and kappa and has no
+    gap, and --dx only sets the grid of the gap."""
+    default = parser.parse_args(["validity"])
+    moved = [f"--{key}" for key in ("L", "kappa", "dx")
+             if getattr(args, key) != getattr(default, key)]
+    if args.format == "csv":
+        if args.numerical_gap:
+            parser.error("--numerical-gap and --format csv do not combine")
+        if moved:
+            parser.error(f"--format csv tabulates a fixed L, kappa grid and "
+                         f"ignores {' '.join(moved)}")
+    elif "--dx" in moved and not args.numerical_gap:
+        parser.error("--dx sets the grid of --numerical-gap and needs it")
+
+
 def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
@@ -313,8 +331,8 @@ def main(argv=None) -> int:
             parser.error(f"config keys name no {argv[0]} flag: {' '.join(unknown)}")
         # argv[0] is the subcommand: the top-level parser has no options.
         args = parser.parse_args([argv[0], *args.config, *argv[1:]])
-    if getattr(args, "numerical_gap", False) and args.format == "csv":
-        parser.error("--numerical-gap and --format csv do not combine")
+    if args.command == "validity":
+        _check_validity_flags(parser, args)
     try:
         return args.fn(args)
     except LdError as exc:

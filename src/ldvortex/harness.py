@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -46,8 +45,10 @@ def require_jobs(jobs: int) -> None:
 
 def _fan_out(job, args: list, jobs: int) -> list:
     """[job(a) for a in args], run on `jobs` processes when jobs > 1 and
-    there are at least two args."""
+    there are at least two args.  The pool is imported only then: it loads
+    multiprocessing and socket, which a jobs = 1 run does without."""
     if jobs > 1 and len(args) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(job, args))
     return [job(a) for a in args]

@@ -1,12 +1,12 @@
 """Minimization and critical-point search over the free DOFs.
 
 The free DOFs of a gauge-fixed state are f on all planes, phi on planes
-1..N and a on all planes.  They are packed x-major (all DOFs of one grid
-column together) so the Hessian is a symmetric banded matrix with
-bandwidth 4N+2: couplings reach at most one grid column and one plane
-away.  The band is assembled straight from the stencil: every energy term
-is local, so its second derivatives form small dense blocks that one
-bincount sums into the band in O(n).
+1..N and a on all planes.  They are packed column by column and plane by
+plane, (f, phi, a) within a plane (Layout), so the Hessian is a symmetric
+banded matrix with bandwidth 3N+3: couplings reach at most one grid column
+and one plane away.  The band is assembled straight from the stencil:
+every energy term is local, so its second derivatives form small dense
+blocks that one bincount sums into the band in O(n).
 Minimization and the saddle search share one modified Newton step: the
 Levenberg-shifted banded system (H + mu I) d = -g, raised in mu until it
 factors, under one Armijo backtracking search.  Every shifted system is
@@ -107,7 +107,12 @@ def _band_index_cached(N: int, M: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Layout:
-    """x-major packing of the free DOFs into a flat vector."""
+    """Plane-major packing of the free DOFs into a flat vector: column by
+    column, plane by plane within a column, and (f, phi, a) within a plane,
+    so a column is f_0 a_0 f_1 phi_1 a_1 ... f_N phi_N a_N (3N+2 slots) and
+    the last one, which has no a, is f_0 f_1 phi_1 ... f_N phi_N.  The
+    widest coupling is f_n to phi_n one column on, 3N+3 slots apart (the
+    x-major packing needed 4N+2)."""
 
     N: int
     M: int
@@ -122,13 +127,16 @@ class Layout:
     def build(N: int, M: int) -> "Layout":
         """The layout of N gaps on M cells, cached, with read-only indices."""
         S = 3 * N + 2
-        cols = np.arange(M + 1)
-        idx_f = cols[None, :] * S + np.arange(N + 1)[:, None]
-        idx_phi = cols[None, :] * S + (N + 1) + np.arange(N)[:, None]
-        idx_a = cols[None, :-1] * S + (2 * N + 1) + np.arange(N + 1)[:, None]
+        n = np.arange(N + 1)[:, None]
+        col = S * np.arange(M + 1)
+        idx_f = col + np.maximum(3 * n - 1, 0)
+        idx_phi = col + 3 * n[1:]
+        idx_a = col[:-1] + 3 * n + 1
+        idx_f[:, -1] = M * S + np.maximum(2 * n[:, 0] - 1, 0)
+        idx_phi[:, -1] = M * S + 2 * n[1:, 0]
         for arr in (idx_f, idx_phi, idx_a):
             arr.setflags(write=False)
-        return Layout(N, M, idx_f, idx_phi, idx_a, M * S + 2 * N + 1, S + N)
+        return Layout(N, M, idx_f, idx_phi, idx_a, M * S + 2 * N + 1, S + 1)
 
     def pack(self, f: np.ndarray, dphi: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Flatten one (f, dphi, a) into a vector of the layout's size."""
@@ -524,27 +532,30 @@ def _eigvalsh(S: np.ndarray) -> np.ndarray:
 
 def inertia(state: LayeredState, params: LdParameters, grid: Grid1D) -> int:
     """Number of negative eigenvalues of the free-DOF Hessian H.  The N
-    phases p at the middle grid column are pinned (adjacent in the packing,
-    over a band width from both ends as M >= 16); one banded_solve (dpbsv,
-    N right-hand sides) on the other DOFs f gives X = H_ff^-1 H_fp, and
-    with H_ff positive definite the count, the Morse index, is that of the
-    Schur complement H_pp - H_fp^T X (Haynsworth).  Otherwise the phases
-    are not the only soft modes, and it raises FactorizationFailure."""
+    phases p at the middle grid column are pinned (three slots apart in the
+    packing, over a band width from both ends as M >= 16); one banded_solve
+    (dpbsv, N right-hand sides) on the other DOFs f gives
+    X = H_ff^-1 H_fp, and with H_ff positive definite the count, the Morse
+    index, is that of the Schur complement H_pp - H_fp^T X (Haynsworth).
+    Otherwise the phases are not the only soft modes, and it raises
+    FactorizationFailure."""
     ab, bw = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
     pin = Layout.build(params.num_gaps, grid.M).idx_phi[:, grid.M // 2]
     rows = pin[:, None] + np.arange(-bw, bw + 1)  # H[rows[k], pin[k]] = ab[:, pin[k]]
+    k = np.arange(pin.size)[:, None]
     E = np.zeros((ab.shape[1], pin.size), order="F")
-    E[rows, np.arange(pin.size)[:, None]] = ab[:, pin].T
+    E[rows, k] = ab[:, pin].T
     H_pp, E[pin] = E[pin], 0.0
-    block = ab.copy()  # H_ff, with the identity on the pinned DOFs
-    block[:, pin] = block[bw + pin[:, None] - rows, rows] = 0.0
-    block[bw, pin] = 1.0
-    X = banded_solve(block, E, True, 0.0)
+    # ab becomes H_ff, with the identity on the pinned DOFs.
+    ab[:, pin] = ab[bw + pin[:, None] - rows, rows] = 0.0
+    ab[bw, pin] = 1.0
+    X = banded_solve(ab, E, True, 0.0)
     if X is None:
         raise FactorizationFailure(
             "inertia: the pinned Hessian block H_ff is not positive definite")
-    # einsum and SciPy's LAPACK: numpy's BLAS would add ~0.5 MiB of buffers.
-    schur = _eigvalsh(H_pp - np.einsum("ij,ik->jk", E, X))
+    # Column k of H_fp is nonzero only on rows[k].  einsum and SciPy's
+    # LAPACK: numpy's BLAS would add ~0.5 MiB of buffers.
+    schur = _eigvalsh(H_pp - np.einsum("kr,krj->kj", E[rows, k], X[rows]))
     log.debug("inertia: Schur complement eigenvalues %s", schur)
     return int(np.sum(schur < 0.0))
 

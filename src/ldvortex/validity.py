@@ -176,9 +176,12 @@ def discrete_norm_matrix(params: LdParameters, grid: Grid1D) -> np.ndarray:
     is exactly the per-gap field deviation.
 
     Each node field (f on every plane, phi on planes 1..N) gets a
-    tridiagonal block p (trapezoid mass + difference stiffness), at band
-    offset 3N+2 (one grid column); each gap couples the traces of its two
-    planes at every midpoint, at offset 1.  The band is exactly symmetric."""
+    tridiagonal block p (trapezoid mass + difference stiffness), coupling
+    each node to the same field one grid column on; each gap couples the
+    traces a of its two planes at every midpoint.  Both couplings sit at
+    the band offsets the Layout gives them (3N+2 for a grid column, 2N+2 ..
+    3N+1 into the last column, which has no a, and 3 between the a of
+    adjacent planes).  The band is exactly symmetric."""
     from .minimize import Layout
 
     N, p, M, dx = params.num_gaps, params.spacing, grid.M, grid.dx
@@ -190,15 +193,15 @@ def discrete_norm_matrix(params: LdParameters, grid: Grid1D) -> np.ndarray:
     diag = np.full(M + 1, dx + 2.0 / dx)  # trapezoid mass + stiffness
     diag[0] = diag[-1] = 0.5 * dx + 1.0 / dx
     B[bw, nodes] = p * diag
-    column = nodes[0, 1] - nodes[0, 0]  # B[i + column, i] = -p / dx
-    B[bw + column, nodes[:, :-1]] = B[bw - column, nodes[:, 1:]] = -p / dx
+    i, j = nodes[:, :-1], nodes[:, 1:]  # B[j, i] = B[i, j] = -p / dx
+    B[bw + j - i, i] = B[bw + i - j, j] = -p / dx
 
     # Simpson mass of the reconstruction plus its curl (p/3, p/6 and dx/p);
     # the a of an inner plane is in two gaps.
     up, lo = layout.idx_a[1:], layout.idx_a[:-1]
     B[bw, up] += (p / 3.0) * dx + dx / p
     B[bw, lo] += (p / 3.0) * dx + dx / p
-    B[bw + 1, lo] = B[bw - 1, up] = (p / 6.0) * dx - dx / p
+    B[bw + up - lo, lo] = B[bw + lo - up, up] = (p / 6.0) * dx - dx / p
     return B
 
 

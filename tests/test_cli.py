@@ -1,3 +1,4 @@
+import concurrent.futures
 import importlib
 import json
 import os
@@ -15,7 +16,7 @@ def no_pool(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
 
 @pytest.mark.parametrize("jobs", [0, -1, len(os.sched_getaffinity(0)) + 1])
@@ -63,7 +64,7 @@ def run(argv) -> int:
     ["census", "--random-starts", "1", "--seed", "3", "--jobs", "1"] + GRID,
     ["sweep", "--H-min", "5.4", "--H-max", "7", "--H-points", "9"] + GRID,
     ["perturb"],
-    ["validity"] + GRID,
+    ["validity"],
     ["validity", "--numerical-gap"] + GRID,
     ["flux", "--H", "8"] + GRID,
 ], ids=["minimize", "census", "sweep", "perturb", "validity",
@@ -114,11 +115,16 @@ def test_bad_field_grid_exits_1_without_traceback(argv, tmp_path, monkeypatch,
     ["flux", "--format", "csv"],
     ["export-field", "--format", "csv"],
     ["validity", "--numerical-gap", "--format", "csv"],
+    ["validity", "--dx", "0.5"],
+    ["validity", "--L", "3", "--format", "csv"],
+    ["validity", "--kappa", "2", "--format", "csv"],
+    ["validity", "--dx", "0.5", "--format", "csv"],
 ], ids=["unknown-preset", "check-preset-first", "check-dx", "check-config",
         "census-tol", "sweep-max-iter", "sweep-seed", "minimize-seed",
         "minimize-jobs", "validity-jobs", "perturb-seed", "perturb-jobs",
         "perturb-dx", "minimize-format", "census-format", "flux-format",
-        "export-field-format", "validity-gap-csv"])
+        "export-field-format", "validity-gap-csv", "validity-dx-no-gap",
+        "validity-L-csv", "validity-kappa-csv", "validity-dx-csv"])
 def test_usage_errors_exit_2(argv, no_pool):
     assert run(argv) == 2
 
@@ -131,6 +137,40 @@ def test_numerical_gap_with_csv_exits_2_before_any_solve(monkeypatch, capsys):
     assert run(["validity", "--numerical-gap", "--format", "csv"]) == 2
     err = capsys.readouterr().err
     assert "--numerical-gap" in err and "--format csv" in err
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (["validity"], {"dx": 0.5}, "--dx"),
+    (["validity", "--format", "csv"], {"L": 3.0}, "--L"),
+    (["validity", "--format", "csv"], {"kappa": 2.0, "dx": 0.25}, "--kappa --dx"),
+    (["validity"], {"format": "csv", "L": 2.0}, "--L"),
+], ids=["dx-no-gap", "L-csv", "kappa-dx-csv", "csv-and-L-from-file"])
+def test_ignored_validity_flags_exit_2_before_any_solve(argv, config, named,
+                                                         tmp_path, monkeypatch,
+                                                         capsys):
+    """A flag that validity would ignore fails like a usage error, whether
+    it comes from the command line or a --config file: --dx without
+    --numerical-gap, and --L, --kappa or --dx with --format csv (its table
+    is over a fixed L, kappa grid)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report was built")
+
+    monkeypatch.setattr(cli, "validity_report", refuse)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert run([*argv, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validity", "--L", "2", "--kappa", "2"],
+    ["validity", "--numerical-gap", "--dx", "0.125"],
+    ["validity", "--N", "1", "--format", "csv"],
+], ids=["L-kappa-json", "gap-dx", "csv-N"])
+def test_validity_flags_that_are_read_exit_0(argv, capsys):
+    assert run(argv) == 0
+    assert capsys.readouterr().out
 
 
 def test_flag_beats_config_file_beats_default(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -88,9 +89,9 @@ def no_solves(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a solve or a process pool was started")
 
-    for name in ("newton_critical", "minimize", "seed_state",
-                 "ProcessPoolExecutor"):
+    for name in ("newton_critical", "minimize", "seed_state"):
         monkeypatch.setattr(harness, name, no_work)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
 
 
 def test_census_refuses_too_many_seeds_before_any_solve(desk, no_solves):

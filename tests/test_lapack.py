@@ -1,6 +1,6 @@
 """SciPy's LAPACK wrappers loaded without scipy.linalg: the same wrapper
 objects, the same bits, and no other SciPy module on a census, a sweep or
-the spectral gap."""
+the spectral gap; nor multiprocessing on a census with one job."""
 
 import importlib
 import os
@@ -81,6 +81,19 @@ def test_census_and_sweep_import_no_other_scipy_module():
         "harness.field_sweep(p, [5.0 + 0.3 * i for i in range(8)], dx=0.125)\n"
         "print(sorted(k for k in sys.modules if k.startswith('scipy')))\n")
     assert _child_stdout(child)[-1] == "['scipy.linalg._flapack']"
+
+
+def test_census_with_one_job_imports_no_multiprocessing():
+    """The process pool is imported only for jobs > 1: multiprocessing (and
+    socket) cost ~15 ms of every jobs = 1 run."""
+    child = (
+        "import sys\n"
+        "import ldvortex.harness\n"
+        "from ldvortex.params import LdParameters\n"
+        "p = LdParameters(1, 1.0, 0.5, 1.0, 3.0, 1e-3)\n"
+        "assert ldvortex.harness.census(p, 1e-3, n_random=1, dx=0.125, jobs=1).passed\n"
+        "print(sorted(k for k in sys.modules if k.startswith('multiprocessing')))\n")
+    assert _child_stdout(child)[-1] == "[]"
 
 
 def test_gap_imports_no_scipy_sparse_or_numpy_random():

@@ -393,6 +393,26 @@ def test_eigensolve_logs_its_basis_and_residual(desk, rng, caplog):
     assert float(worst) <= minimize_mod.LANCZOS_TOL
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 8])
+def test_layout_partitions_the_dofs_within_bandwidth_3n_plus_3(N):
+    """The f, phi and a indices partition range(size), and every entry the
+    band assembly writes lies within the bandwidth 3N+3, whose outermost
+    diagonal is used (f_n to phi_n one grid column on)."""
+    M = 16
+    layout = Layout.build(N, M)
+    assert layout.bandwidth == 3 * N + 3
+    assert layout.size == M * (3 * N + 2) + 2 * N + 1
+    packed = np.concatenate([layout.idx_f.ravel(), layout.idx_phi.ravel(),
+                             layout.idx_a.ravel()])
+    assert np.array_equal(np.sort(packed), np.arange(layout.size))
+    bw, n = layout.bandwidth, layout.size
+    flat = minimize_mod._band_index_cached(N, M)
+    flat = flat[flat < (2 * bw + 1) * n]  # drop the gauge-fixed phi_0 slot
+    offsets = flat // n - bw  # i - j of the lower-triangle entry ab[bw + i - j, j]
+    assert offsets.min() >= 0 and offsets.max() == bw
+    assert np.all(flat % n + offsets < n)
+
+
 def test_banded_assembly_matches_hessian_apply(desk, rng):
     """Every band entry against one batched reference product on the
     identity, to roundoff: the stencil assembly sums the same terms in

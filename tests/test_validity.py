@@ -166,20 +166,26 @@ def test_gap_spectrum_rejects_count_at_size(desk):
         gap_spectrum(desk, grid, count=n)
 
 
-def test_norm_matrix_is_spd(desk):
+def test_norm_matrix_is_spd():
     """The band is exactly symmetric, positive definite, and nonzero only on
-    the diagonal and at offsets 1 and 3N+2 (one grid column)."""
-    params = desk.with_coupling(0.0)
-    grid = Grid1D.build(params, dx=1.0 / 16.0)
-    band = discrete_norm_matrix(params, grid)
-    bw = Layout.build(params.num_gaps, grid.M).bandwidth
-    assert band.shape == (2 * bw + 1, Layout.build(params.num_gaps, grid.M).size)
-    B = _dense(band)
-    assert np.max(np.abs(B - B.T)) == 0.0
-    assert np.linalg.eigvalsh(B)[0] > 0.0
-    column = 3 * params.num_gaps + 2
-    assert [k for k in range(-bw, bw + 1) if np.diag(B, k).any()] \
-        == [-column, -1, 0, 1, column]
+    the diagonal, at the offsets between the a of adjacent planes and at the
+    offsets between a node field and itself one grid column on, all read
+    from the Layout."""
+    for N in (1, 2, 3):
+        params = LdParameters(N, 1.0, 0.5, 1.0, 3.0, 0.0)
+        grid = Grid1D.build(params, dx=1.0 / 16.0)
+        band = discrete_norm_matrix(params, grid)
+        layout = Layout.build(N, grid.M)
+        bw = layout.bandwidth
+        assert band.shape == (2 * bw + 1, layout.size)
+        B = _dense(band)
+        assert np.max(np.abs(B - B.T)) == 0.0
+        assert np.linalg.eigvalsh(B)[0] > 0.0
+        nodes = np.vstack([layout.idx_f, layout.idx_phi])
+        offsets = ({0} | set((layout.idx_a[1:] - layout.idx_a[:-1]).ravel().tolist())
+                   | set((nodes[:, 1:] - nodes[:, :-1]).ravel().tolist()))
+        assert [k for k in range(-bw, bw + 1) if np.diag(B, k).any()] \
+            == sorted(offsets | {-k for k in offsets})
 
 
 def test_trace_inequality_on_random_fields(desk):
