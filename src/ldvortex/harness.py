@@ -19,7 +19,7 @@ from .errors import (DegenerateField, FactorizationFailure, InvalidParameters,
                      NoCompleteCycle, NoConvergence)
 from .exports import params_dict
 from .minimize import CriticalPoint, minimize, newton_critical, default_newton_tol
-from .observables import delta_estimate, distance, observables
+from .observables import delta_estimate, distances, observables, stacked
 from .params import Grid1D, LdParameters, default_dx, wrap_to_pi
 from .perturbation import (enumerate_seeds, g0, interior_u1_closed_form,
                            seed_state, vortex_plane_delta,
@@ -175,20 +175,21 @@ def census(params: LdParameters, r: float, n_random: int = 50,
     N = pr.num_gaps
 
     seeds = enumerate_seeds(pr)
+    starts = seed_state(pr, grid, np.array([s.delta.delta for s in seeds]))
     points: list[CriticalPoint] = []
     failures = []
-    for s in seeds:
+    for s, start in zip(seeds, starts):
         try:
-            points.append(newton_critical(seed_state(pr, grid, s.delta), pr,
-                                          grid, tol=CENSUS_NEWTON_TOL))
+            points.append(newton_critical(start, pr, grid, tol=CENSUS_NEWTON_TOL))
         except (NoConvergence, FactorizationFailure) as exc:
             failures.append({"delta": s.delta.delta.tolist(), "error": str(exc)})
 
-    obs_pts = [observables(c.state, pr, grid) for c in points]
+    # Pairwise distances one row of the upper triangle at a time: one
+    # broadcast over all 32 640 pairs at N = 8 would hold ~130 MB per field.
     n_pts = len(points)
-    pair_d = [distance(obs_pts[i], obs_pts[j])
-              for i in range(n_pts) for j in range(i + 1, n_pts)]
-    min_pair = min(pair_d) if pair_d else math.inf
+    obs_pts = stacked([observables(c.state, pr, grid) for c in points]) if points else None
+    min_pair = min((float(distances(obs_pts[i], obs_pts[i + 1:]).min())
+                    for i in range(n_pts - 1)), default=math.inf)
 
     inertias = sorted(c.inertia for c in points)
     predicted = sorted(s.predicted_inertia for s in seeds)
@@ -220,8 +221,8 @@ def census(params: LdParameters, r: float, n_random: int = 50,
     n_converged = sum(d["converged"] for d in descents)
     match_dists, matched, in_shell = [], 0, 0
     for d in descents:
-        dist_min = min(distance(observables(d["state"], pr, grid), o)
-                       for o in obs_pts) if obs_pts else math.inf
+        dist_min = (float(distances(observables(d["state"], pr, grid), obs_pts).min())
+                    if points else math.inf)
         match_dists.append(dist_min)
         matched += dist_min <= match_threshold
         in_shell += bool(d["energy"] <= shell)
@@ -273,9 +274,9 @@ def _sweep_point_job(args) -> dict:
     ph = params.with_field(float(H))
     grid = Grid1D.build(ph, dx)
     best = None
-    for delta_b in (0.0, math.pi):
-        rep = minimize(seed_state(ph, grid, delta_b), ph, grid,
-                       tol=tol, max_iter=DESCENT_MAX_ITER)
+    branches = np.array([[0.0], [math.pi]]).repeat(ph.num_gaps, axis=1)
+    for start in seed_state(ph, grid, branches):
+        rep = minimize(start, ph, grid, tol=tol, max_iter=DESCENT_MAX_ITER)
         if best is None or rep.energy < best.energy:
             best = rep
     obs = observables(best.state, ph, grid)

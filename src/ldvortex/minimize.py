@@ -21,6 +21,17 @@ it.  Descent takes Newton steps because the Hessian mixes N eigenvalues of
 size O(r) along the phase torus with stiff modes of size O(1/(kappa dx)^2),
 which a gradient-based descent crawls across.
 
+Those N soft modes also say which shifts cannot factor.  The plane-constant
+phase vectors have the Ritz matrix K/(M+1), K = D^T diag(c) D with D the gap
+difference and c_n the x-sum of the Josephson curvature
+r p w f_n f_n-1 cos Phi_n; at a seed c_n = r (2 sin HpL / H) cos delta_n +
+O(r^2), so K/r is the discrete form of the paper's reduced Hessian
+T^T diag((2 sin HpL / H) cos delta_n) T.  Since lambda_min(H) <=
+lambda_min(K)/(M+1), the Cholesky path skips every shift that an O(N)
+LDL^T of K/(M+1) + mu I proves indefinite beyond rounding, instead of
+failing a factorization on it (More & Sorensen 1983 choose shifts from such
+curvature bounds); the shifts that factor, and so every step, are the same.
+
 Inertia is the discrete Lyapunov-Schmidt reduction: with one phase per plane
 pinned, a Hessian whose other block factors by Cholesky has the inertia of
 the NxN Schur complement on the pinned phases (Haynsworth), the Morse index
@@ -28,7 +39,8 @@ from one banded solve; where that block is indefinite, inertia raises.
 Shift-invert Lanczos on a banded LU (nearest_eigenvalues) solves the
 spectral-gap pencil.  SciPy stays off the import path: every LAPACK driver
 comes from _lapack (scipy.linalg._flapack without scipy.linalg), and no
-other SciPy module loads.
+other SciPy module loads.  banded_solve and nearest_eigenvalues run with
+SciPy's OpenBLAS capped at one thread (_lapack.one_blas_thread).
 
 At a few hundred free DOFs (the desk stack) a step is bound by the
 per-call overhead of NumPy, not by arithmetic, so the hot path uses
@@ -45,7 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._lapack import flapack
+from ._lapack import flapack, one_blas_thread
 from .errors import (FactorizationFailure, NoConvergence, NonFinite,
                      SingularHessian)
 from .energy import energy_arrays
@@ -58,7 +70,8 @@ BACKTRACK = 0.5
 MAX_BACKTRACKS = 40
 MAX_SHIFTS = 20  # Levenberg escalations tried per Newton step
 LANCZOS_MAX_BASIS = 200  # Lanczos vectors before nearest_eigenvalues gives up
-LANCZOS_TOL = float(np.finfo(float).eps)  # relative Ritz residual estimate
+EPS = float(np.finfo(float).eps)
+LANCZOS_TOL = EPS  # relative Ritz residual estimate
 
 log = logging.getLogger("ldvortex")
 
@@ -191,7 +204,8 @@ def _flat_functions(params: LdParameters, grid: Grid1D, layout: Layout):
 class MinimizeReport:
     """Descent outcome with the full per-iteration trace.  Every iteration
     is a Newton or a steepest-descent step; levenberg_shifts counts the
-    Cholesky factorizations that failed and raised the shift."""
+    Cholesky factorizations that failed and raised the shift, and
+    skipped_shifts the shifts raised without one (see _shifted_newton)."""
 
     state: LayeredState
     iterations: int
@@ -205,6 +219,7 @@ class MinimizeReport:
     newton_steps: int = 0
     steepest_steps: int = 0
     levenberg_shifts: int = 0
+    skipped_shifts: int = 0
 
     def to_dict(self) -> dict:
         return {"iterations": self.iterations, "grad_norm": self.grad_norm,
@@ -212,7 +227,8 @@ class MinimizeReport:
                 "line_search_failures": self.line_search_failures,
                 "newton_steps": self.newton_steps,
                 "steepest_steps": self.steepest_steps,
-                "levenberg_shifts": self.levenberg_shifts}
+                "levenberg_shifts": self.levenberg_shifts,
+                "skipped_shifts": self.skipped_shifts}
 
 
 def _armijo(fun, merit, x: np.ndarray, m: float, d: np.ndarray, slope: float):
@@ -239,6 +255,7 @@ def _residual_merit(e: float, g: np.ndarray) -> float:
     return float(g @ g)
 
 
+@one_blas_thread
 def banded_solve(ab: np.ndarray, rhs: np.ndarray, definite: bool,
                  mu: float) -> np.ndarray | None:
     """Solve (H + mu I) x = rhs for H in the (2*bw+1, n) band of
@@ -247,7 +264,9 @@ def banded_solve(ab: np.ndarray, rhs: np.ndarray, definite: bool,
     positive-definiteness test), dgbsv otherwise.  These are the routines
     that scipy.linalg's cholesky_banded/cho_solve_banded and solve_banded
     call, so x is the same to the bit; no finiteness check is made.
-    Returns None when the factorization fails."""
+    Returns None when the factorization fails.  Runs on one OpenBLAS
+    thread: at bandwidth 27 (N = 8) two threads make dpbsv several times
+    slower."""
     bw = (ab.shape[0] - 1) // 2
     if definite:
         upper = np.array(ab[:bw + 1], order="F")
@@ -261,6 +280,20 @@ def banded_solve(ab: np.ndarray, rhs: np.ndarray, definite: bool,
     return x if info == 0 else None
 
 
+def _ritz_skips(c: list[float], m: int, shift: float) -> bool:
+    """True when K/m + shift I is proven indefinite, K = D^T diag(c) D the
+    tridiagonal phase curvature (D the gap difference, phi_0 = 0): one LDL^T
+    meets a negative pivot before a zero one, so K/m has an eigenvalue
+    below -shift.  O(N), and a zero pivot leaves it undecided."""
+    d, b = 1.0, 0.0
+    for ck, nxt in zip(c, c[1:] + [0.0]):
+        d = (ck + nxt) / m + shift - b * b / d
+        if d <= 0.0:
+            return d < 0.0
+        b = nxt / m
+    return False
+
+
 def _shifted_newton(x: np.ndarray, g: np.ndarray, params: LdParameters,
                     grid: Grid1D, layout: Layout, counts: dict[str, int],
                     definite: bool, mu_last: float = 0.0
@@ -268,21 +301,39 @@ def _shifted_newton(x: np.ndarray, g: np.ndarray, params: LdParameters,
     """Solve (H + mu I) d = -g on the banded Hessian at x, assembled once.
     mu starts at mu_last / 10, or at 0 when that is below the first nonzero
     shift 1e-8 max|diag H|, and rises to that shift from 0, then x10 each
-    time, until banded_solve factors, at most MAX_SHIFTS tries.  definite
-    (minima) factors by Cholesky, otherwise (saddles) by banded LU.  Each
-    failed factorization adds one to counts["shifts"].  Returns (d, mu) with
-    the shift that factored, or (None, mu_last) if no shift factors or d is
-    not finite; raises NonFinite for a non-finite band."""
-    ab, bw = assemble_banded_hessian(*_x_to_arrays(x, layout), params, grid)
+    time, until banded_solve factors, at most MAX_SHIFTS rungs.  definite
+    (minima) factors by Cholesky, otherwise (saddles) by banded LU.
+
+    On the Cholesky path a rung is skipped, not factored, when the phase
+    modes prove H + mu I indefinite: the N plane-constant phase vectors
+    (M+1 ones each) have the Ritz matrix K/(M+1), K = D^T diag(c) D with c
+    from assemble_banded_hessian, and lambda_min(H) <= lambda_min(K)/(M+1).
+    The test adds the rounding margin (bw+1)^3 eps (max|diag H| + mu), which
+    bounds both the backward error of a banded Cholesky that succeeds
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3) and
+    the rounding of the band, so a skipped rung is one that banded_solve
+    refuses, and the accepted shift is the same.  At r = 0, K = 0 and every
+    rung is factored.  Each failed factorization adds one to
+    counts["shifts"], each skipped rung one to counts["skipped"].  Returns
+    (d, mu) with the shift that factored, or (None, mu_last) if no shift
+    factors or d is not finite; raises NonFinite for a non-finite band."""
+    ab, bw, c = assemble_banded_hessian(*_x_to_arrays(x, layout), params, grid,
+                                        phase_curvature=True)
     if not np.isfinite(ab).all():
         raise NonFinite("non-finite Hessian band")
-    floor = 1e-8 * (float(abs(ab[bw]).max()) or 1.0)
+    scale = float(abs(ab[bw]).max())
+    floor = 1e-8 * (scale or 1.0)
+    margin = (bw + 1) ** 3 * EPS
+    ritz = c.tolist() if definite else None
     mu = mu_last / 10.0 if mu_last / 10.0 >= floor else 0.0
     for _ in range(MAX_SHIFTS):
-        d = banded_solve(ab, -g, definite, mu)
-        if d is not None:
-            return (d, mu) if np.isfinite(d).all() else (None, mu_last)
-        counts["shifts"] += 1
+        if ritz and _ritz_skips(ritz, layout.M + 1, mu + margin * (scale + mu)):
+            counts["skipped"] += 1
+        else:
+            d = banded_solve(ab, -g, definite, mu)
+            if d is not None:
+                return (d, mu) if np.isfinite(d).all() else (None, mu_last)
+            counts["shifts"] += 1
         mu = floor if mu == 0.0 else 10.0 * mu
     return None, mu_last
 
@@ -293,8 +344,9 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
 
     Each step solves the Levenberg-shifted banded Newton system (see
     _shifted_newton, Cholesky), starting from a tenth of the shift the last
-    step accepted (the Levenberg-Marquardt damping update), and backtracks
-    along it on the energy.  When no shift factors, the direction is not a
+    step accepted (the Levenberg-Marquardt damping update) and skipping the
+    shifts the phase modes prove indefinite, and backtracks along it on the
+    energy.  When no shift factors, the direction is not a
     descent direction or its line search stalls, the step is one
     steepest-descent step under the same line search instead.  Every step lowers the energy, so the descent ends
     at minima.
@@ -316,7 +368,7 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
     energies = [e]
     gnorms = [float(abs(g).max())]
     steps: list[float] = []
-    counts = {"newton": 0, "steepest": 0, "shifts": 0}
+    counts = {"newton": 0, "steepest": 0, "shifts": 0, "skipped": 0}
     failures = 0
     iterations = 0
     mu = 0.0
@@ -345,8 +397,8 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
         steps.append(t)
 
     log.debug("minimize: %d iterations (%d Newton, %d steepest), %d Levenberg "
-              "shifts, |g|inf %.3e", iterations, counts["newton"],
-              counts["steepest"], counts["shifts"], gnorms[-1])
+              "shifts, %d skipped, |g|inf %.3e", iterations, counts["newton"],
+              counts["steepest"], counts["shifts"], counts["skipped"], gnorms[-1])
     return MinimizeReport(
         state=_x_to_state(x, layout),
         iterations=iterations,
@@ -360,12 +412,13 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
         newton_steps=counts["newton"],
         steepest_steps=counts["steepest"],
         levenberg_shifts=counts["shifts"],
+        skipped_shifts=counts["skipped"],
     )
 
 
 def assemble_banded_hessian(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
-                            params: LdParameters, grid: Grid1D
-                            ) -> tuple[np.ndarray, int]:
+                            params: LdParameters, grid: Grid1D,
+                            phase_curvature: bool = False) -> tuple:
     """Assemble the free-DOF Hessian at the raw arrays (f, phi, a) of a
     gauge-fixed state in LAPACK banded storage ab[bw + i - j, j] = H[i, j]
     straight from the stencil, in O(n).
@@ -376,7 +429,9 @@ def assemble_banded_hessian(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
     midpoint a 2x2 field block (their variables are listed above
     _MID_PAIRS).  One bincount sums the upper triangle of every block into
     the lower band, which is then mirrored: the band is exactly symmetric
-    and its entries outside the matrix are exactly 0."""
+    and its entries outside the matrix are exactly 0.  Returns (ab, bw), or
+    with phase_curvature (ab, bw, c): c_n is the x-sum of the Josephson
+    phase curvature r p w f_n f_n-1 cos Phi_n of gap n (see _ritz_skips)."""
     N, M = params.num_gaps, grid.M
     p, kappa, r = params.spacing, params.kappa, params.coupling
     dx = grid.dx
@@ -416,6 +471,8 @@ def assemble_banded_hessian(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
                      minlength=(2 * bw + 1) * n + 1)[:-1].reshape(2 * bw + 1, n)
     for k in range(1, bw + 1):
         ab[bw - k, k:] = ab[bw + k, :n - k]
+    if phase_curvature:
+        return ab, bw, jpp.sum(axis=1)
     return ab, bw
 
 
@@ -443,6 +500,7 @@ def _band_matvec(mb: np.ndarray, offsets: list[int], x: np.ndarray) -> np.ndarra
     return y
 
 
+@one_blas_thread
 def nearest_eigenvalues(ab: np.ndarray, k: int, sigma: float,
                         M: np.ndarray) -> np.ndarray:
     """The k eigenvalues nearest sigma, ascending, of the symmetric pencil
@@ -462,7 +520,7 @@ def nearest_eigenvalues(ab: np.ndarray, k: int, sigma: float,
     the tridiagonal come from dsyevr; the iteration stops when the residual
     estimate beta |s_last| of each wanted one is at most LANCZOS_TOL |theta|
     (ARPACK's test at its default tolerance), or when the basis spans the
-    whole space.  Raises
+    whole space.  Runs on one OpenBLAS thread, like banded_solve.  Raises
     FactorizationFailure when A - sigma M does not factor, when the values
     are not finite, or when LANCZOS_MAX_BASIS vectors do not converge."""
     bw, n = (ab.shape[0] - 1) // 2, ab.shape[1]

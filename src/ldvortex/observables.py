@@ -38,7 +38,14 @@ class Observables:
 
     @property
     def num_gaps(self) -> int:
-        return self.h.shape[0]
+        return self.h.shape[-2]
+
+    def __getitem__(self, k) -> "Observables":
+        """Member k (or the sub-stack k, a slice) of a stacked Observables."""
+        return Observables(*(getattr(self, name)[k] for name in _FIELDS))
+
+
+_FIELDS = ("V", "Phi", "h", "jx", "jz")
 
 
 def _fields(f: np.ndarray, phi: np.ndarray, a: np.ndarray, params: LdParameters,
@@ -68,6 +75,30 @@ def observables(state: LayeredState, params: LdParameters,
     return Observables(V, Phi, h, jx, jz)
 
 
+def stacked(points: list[Observables]) -> Observables:
+    """The observables of several states, each field stacked on a leading
+    axis (one row per state)."""
+    return Observables(*(np.stack([getattr(o, name) for o in points])
+                         for name in _FIELDS))
+
+
+def distances(obs: Observables, stack: Observables) -> np.ndarray:
+    """distance(obs, member) for every member of a stacked Observables, in
+    one pass per field: the same operands, so the same values to the bit."""
+    worst = np.zeros(stack.h.shape[0])
+    for name in _FIELDS:
+        x, y = getattr(obs, name), getattr(stack, name)
+        if x.shape != y.shape[1:]:
+            raise ShapeMismatch(f"observable {name}: shapes {x.shape} vs {y.shape[1:]}")
+        diff = x - y
+        if name == "Phi":
+            diff = wrap_to_pi(diff)
+        # fmax: a field whose maximum is NaN does not hide the others.
+        worst = np.fmax(worst, abs(diff).max(axis=tuple(range(1, diff.ndim)),
+                                             initial=0.0))
+    return worst
+
+
 def distance(obs1: Observables, obs2: Observables) -> float:
     """Sup-norm distance over all five observable fields.
 
@@ -75,18 +106,7 @@ def distance(obs1: Observables, obs2: Observables) -> float:
     (-pi, pi]) so that configurations equal modulo 2*pi in any phi_n are at
     distance zero: those are physically identical.
     """
-    pairs = (("V", obs1.V, obs2.V), ("Phi", obs1.Phi, obs2.Phi),
-             ("h", obs1.h, obs2.h), ("jx", obs1.jx, obs2.jx),
-             ("jz", obs1.jz, obs2.jz))
-    worst = 0.0
-    for name, x, y in pairs:
-        if x.shape != y.shape:
-            raise ShapeMismatch(f"observable {name}: shapes {x.shape} vs {y.shape}")
-        diff = x - y
-        if name == "Phi":
-            diff = wrap_to_pi(diff)
-        worst = max(worst, float(abs(diff).max()) if diff.size else 0.0)
-    return worst
+    return float(distances(obs1, stacked([obs2]))[0])
 
 
 def delta_estimate(obs: Observables, params: LdParameters,

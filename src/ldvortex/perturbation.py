@@ -15,8 +15,12 @@ states, the order-r observable formulas, and the nucleation diagram
 
 The order-r fields rest on one sine quadrature, the field correction b1;
 the supervelocity correction sv1 is its jump across each plane (discrete
-Ampere).  vortex_plane_observables stays an independent closed form, not
-built from these fields: the seed and convergence checks compare against it.
+Ampere).  The seed builders take a leading stack of offsets, a (K, N)
+array, and build all K in one pass with one tridiagonal dgtsv call for
+every amplitude correction, each to the bit of its own single call: the
+census seeds its 2^N points, and a sweep field its two branches, that way.
+vortex_plane_observables stays an independent closed form, not built from
+these fields: the seed and convergence checks compare against it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from ._lapack import flapack
 from .errors import DegenerateField, FactorizationFailure, InvalidParameters
 from .observables import Observables
 from .params import (DEGENERACY_TOL, Grid1D, LdParameters, PhaseConfig,
-                     as_phase_config, wrap_to_pi)
+                     as_phase_config, wrap_angle, wrap_to_pi)
 from .state import LayeredState, zero_coupling_minimizer
 
 #: Largest N whose 2^N seeds are enumerated (4 096 seeds).
@@ -108,8 +112,9 @@ class CorrectionFields:
 
     u1 is the amplitude correction at nodes (one row per plane), sv1 the
     supervelocity correction and b1 the per-gap field correction at
-    midpoints.  For every delta, b1 and sv1 vanish at the sample edges and
-    u1 is strictly negative.
+    midpoints; a stack of K configurations adds a leading axis of K.  For
+    every delta, b1 and sv1 vanish at the sample edges and u1 is strictly
+    negative.
     """
 
     u1: np.ndarray = field(repr=False)     # (N+1, M+1)
@@ -117,25 +122,44 @@ class CorrectionFields:
     b1: np.ndarray = field(repr=False)     # (N,   M)
 
 
+def _phase_offsets(delta, num_gaps: int) -> np.ndarray:
+    """The offsets of one configuration, shape (N,), from anything
+    as_phase_config takes, or of a stack of K, shape (K, N), from a 2-D
+    array; in [0, 2 pi) either way, and non-finite offsets raise
+    InvalidParameters."""
+    if np.ndim(delta) < 2:
+        return as_phase_config(delta, num_gaps).delta
+    arr = np.asarray(delta, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != num_gaps:
+        raise InvalidParameters(f"delta stack has shape {arr.shape}, expected (K, {num_gaps})")
+    if not np.isfinite(arr).all():
+        raise InvalidParameters("phase offsets must be finite")
+    return wrap_angle(arr)
+
+
 def _u1_rhs(delta: np.ndarray, params: LdParameters, x: np.ndarray) -> np.ndarray:
-    """Right side of the amplitude correction ODE per plane."""
+    """Right side of the amplitude correction ODE per plane, (..., N+1,
+    x.size) for offsets delta of shape (..., N)."""
     N = params.num_gaps
     Hp = params.applied_field * params.spacing
-    cos_gap = np.cos(delta[:, None] + Hp * x[None, :])  # (N, M+1)
-    rhs = np.empty((N + 1, x.size))
-    rhs[0] = 0.5 * (cos_gap[0] - 1.0)
-    rhs[N] = 0.5 * (cos_gap[N - 1] - 1.0)
+    cos_gap = np.cos(delta[..., :, None] + Hp * x)  # (..., N, M+1)
+    rhs = np.empty(delta.shape[:-1] + (N + 1, x.size))
+    rhs[..., 0, :] = 0.5 * (cos_gap[..., 0, :] - 1.0)
+    rhs[..., N, :] = 0.5 * (cos_gap[..., N - 1, :] - 1.0)
     if N > 1:
-        rhs[1:N] = 0.5 * (cos_gap[:-1] + cos_gap[1:] - 2.0)
+        rhs[..., 1:N, :] = 0.5 * (cos_gap[..., :-1, :] + cos_gap[..., 1:, :]
+                                  - 2.0)
     return rhs
 
 
 def _solve_u1(rhs: np.ndarray, params: LdParameters, grid: Grid1D) -> np.ndarray:
     """Tridiagonal solve of -u''/k^2 + 2u = rhs with Neumann ends for all
-    planes in one LAPACK dgtsv call: the routine that
-    scipy.linalg.solve_banded calls for a (1, 1) band, so u1 is the same to
-    the bit.  rhs is finite (PhaseConfig refuses a non-finite delta), so
-    the finiteness check solve_banded would make is not repeated.
+    planes of every configuration in rhs (..., N+1, M+1) in one LAPACK
+    dgtsv call: the routine that scipy.linalg.solve_banded calls for a
+    (1, 1) band, so u1 is the same to the bit, and dgtsv eliminates every
+    right-hand side alike, so a stack gives each member's u1 to the bit.
+    rhs is finite (the offsets are checked finite), so the finiteness check
+    solve_banded would make is not repeated.
 
     The stencil is the variational one induced by the discrete energy
     (trapezoid mass, midpoint stiffness), so a seed assembled from this
@@ -150,19 +174,21 @@ def _solve_u1(rhs: np.ndarray, params: LdParameters, grid: Grid1D) -> np.ndarray
     # Variational Neumann closure: boundary rows carry half trapezoid
     # weight, so after scaling their off-diagonal doubles.
     du[0] = dl[-1] = -2.0 / c
-    *_, u1, info = flapack.dgtsv(dl, di, du, rhs.T, overwrite_dl=True,
-                                 overwrite_d=True, overwrite_du=True)
+    *_, u1, info = flapack.dgtsv(dl, di, du, rhs.reshape(-1, n).T,
+                                 overwrite_dl=True, overwrite_d=True,
+                                 overwrite_du=True)
     if info != 0:  # not expected: the matrix is strictly diagonally dominant
         raise FactorizationFailure(f"amplitude correction solve failed (info {info})")
-    return u1.T
+    return u1.T.reshape(rhs.shape)
 
 
 def field_correction(params: LdParameters, delta, x: np.ndarray) -> np.ndarray:
     """Order-r field correction per gap, by exact quadrature of
     b1' = (p k^2 / 2)(sin(delta_n + Hpx) - mean_n) with b1(+-L) = 0, where
     mean_n = sin(delta_n) sin(HpL)/(HpL) is the mean of the sine over
-    [-L, L].  One row per gap, evaluated at the points x."""
-    delta = as_phase_config(delta, params.num_gaps).delta[:, None]
+    [-L, L].  One row per gap, evaluated at the points x, and a leading
+    axis of K for a (K, N) stack of delta."""
+    delta = _phase_offsets(delta, params.num_gaps)[..., None]
     x = np.asarray(x, dtype=float)
     Hp, hpl = params.applied_field * params.spacing, params.hpl
     mean = np.sin(delta) * math.sin(hpl) / hpl
@@ -173,7 +199,8 @@ def field_correction(params: LdParameters, delta, x: np.ndarray) -> np.ndarray:
 
 def first_order_correction(params: LdParameters, grid: Grid1D,
                            delta) -> CorrectionFields:
-    """Order-r correction fields for an arbitrary phase configuration.
+    """Order-r correction fields for an arbitrary phase configuration, or
+    for each of a (K, N) stack of them.
 
     u1 is solved numerically (tridiagonal FD, Neumann ends, the stencil
     induced by the discrete energy); b1 comes from exact quadrature of its
@@ -185,11 +212,13 @@ def first_order_correction(params: LdParameters, grid: Grid1D,
     which is what quadrature of (1/k^2) sv1' = (sine sources - I_n)/2 with
     the plane constants I_n gives; it inherits b1's zeros at +-L.
     """
-    cfg = as_phase_config(delta, params.num_gaps)
-    u1 = _solve_u1(_u1_rhs(cfg.delta, params, grid.nodes), params, grid)
-    b1 = field_correction(params, cfg, grid.mids)
-    padded = np.concatenate([np.zeros((1, grid.M)), b1, np.zeros((1, grid.M))])
-    return CorrectionFields(u1, (padded[:-1] - padded[1:]) / params.spacing, b1)
+    delta = _phase_offsets(delta, params.num_gaps)
+    u1 = _solve_u1(_u1_rhs(delta, params, grid.nodes), params, grid)
+    b1 = field_correction(params, delta, grid.mids)
+    zero = np.zeros(delta.shape[:-1] + (1, grid.M))
+    padded = np.concatenate([zero, b1, zero], axis=-2)
+    return CorrectionFields(
+        u1, (padded[..., :-1, :] - padded[..., 1:, :]) / params.spacing, b1)
 
 
 def interior_amplitude_constants(params: LdParameters, delta_star: float
@@ -217,32 +246,39 @@ def interior_u1_closed_form(params: LdParameters, delta_star: float,
             + B * np.cos(delta_star + Hp * np.asarray(x)))
 
 
-def seed_state(params: LdParameters, grid: Grid1D, delta) -> LayeredState:
-    """Assemble the perturbative seed s(delta) + r * w1.
+def seed_state(params: LdParameters, grid: Grid1D, delta):
+    """Assemble the perturbative seed s(delta) + r * w1: one LayeredState
+    for one configuration, or the list of them for a (K, N) stack of delta,
+    built in one pass (one dgtsv for all of them) and each equal to its
+    single seed to the bit.
 
     f = 1 + r u1 and h = H + r b1; the traces a are stacked across the
     gaps anchored at a_0 = -r sv1_0 (so V_0 = r sv1_0 with phi_0 = 0),
     and phi integrates phi_n' = V_n + a_n with per-plane constants chosen
     so the circular mean of Phi_{n,n-1} - Hpx equals delta_n.
     """
-    cfg = as_phase_config(delta, params.num_gaps)
+    delta = _phase_offsets(delta, params.num_gaps)
+    stack = delta.reshape(-1, params.num_gaps)
     r, p, H = params.coupling, params.spacing, params.applied_field
     if r == 0.0:
-        return zero_coupling_minimizer(params, grid, cfg)
+        states = [zero_coupling_minimizer(params, grid, d) for d in stack]
+        return states if delta.ndim == 2 else states[0]
 
-    cf = first_order_correction(params, grid, cfg)
+    cf = first_order_correction(params, grid, stack)
     f = 1.0 + r * cf.u1
     # a_0 = -r sv1_0, then a_n = a_{n-1} + p h_n with h_n = H + r b1_n.
-    a = np.concatenate([-r * cf.sv1[:1], p * (H + r * cf.b1)]).cumsum(axis=0)
+    a = np.concatenate([-r * cf.sv1[:, :1], p * (H + r * cf.b1)],
+                       axis=1).cumsum(axis=1)
     phi = np.zeros_like(f)
-    phi[1:, 1:] = (r * cf.sv1[1:] + a[1:]).cumsum(axis=1) * grid.dx
+    phi[:, 1:, 1:] = (r * cf.sv1[:, 1:] + a[:, 1:]).cumsum(axis=2) * grid.dx
     # Shifting plane n by c_n moves the residual of gap n by c_n - c_{n-1},
     # so c_n = sum over gaps k <= n of (delta_k - m_k), with m_k the
     # circular mean of the unshifted Phi_{k,k-1} - Hpx.
-    resid = phi[1:] - phi[:-1] - H * p * grid.nodes
-    m = np.arctan2(np.sin(resid).mean(axis=1), np.cos(resid).mean(axis=1))
-    phi[1:] += wrap_to_pi(np.cumsum(cfg.delta - m))[:, None]
-    return LayeredState(f, phi, a)
+    resid = phi[:, 1:] - phi[:, :-1] - H * p * grid.nodes
+    m = np.arctan2(np.sin(resid).mean(axis=2), np.cos(resid).mean(axis=2))
+    phi[:, 1:] += wrap_to_pi(np.cumsum(stack - m, axis=1))[..., None]
+    states = [LayeredState(*fields) for fields in zip(f, phi, a)]
+    return states if delta.ndim == 2 else states[0]
 
 
 # ---------------------------------------------------------------------------

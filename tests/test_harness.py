@@ -11,6 +11,7 @@ from ldvortex.errors import DegenerateField, InvalidParameters, NoCompleteCycle
 from ldvortex.harness import (census, convergence_study, count_interior_maxima,
                               field_sweep, flux_check)
 from ldvortex.minimize import newton_critical
+from ldvortex.observables import distance, observables
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.perturbation import (MAX_SEED_GAPS, enumerate_seeds, seed_state,
                                    vortex_plane_delta)
@@ -47,6 +48,29 @@ def test_census_small(desk):
     assert rec.data["n_matched"] == 6
     assert rec.data["n_in_shell"] == 6
     assert max(rec.data["newton_iterations"]) <= 10
+
+
+def test_census_distances_take_one_observables_per_state(desk, monkeypatch):
+    """Each census point and each descent end gets its observables once,
+    and the stacked distance pass gives the pairwise loop's values."""
+    calls, points, descents = [], [], []
+    for name, kept in (("observables", calls), ("newton_critical", points),
+                       ("minimize", descents)):
+        def recorded(*args, _original=getattr(harness, name), _kept=kept, **kwargs):
+            _kept.append(_original(*args, **kwargs))
+            return _kept[-1]
+        monkeypatch.setattr(harness, name, recorded)
+    grid = Grid1D.build(desk, dx=1.0 / 20.0)
+    rec = census(desk, 1e-3, n_random=3, dx=grid.dx, seed=7)
+    assert rec.passed and len(points) == 4 and len(descents) == 3
+    assert len(calls) == len(points) + len(descents)
+
+    obs = [observables(c.state, desk, grid) for c in points]
+    assert rec.data["min_pairwise_distance"] == min(
+        distance(obs[i], obs[j]) for i in range(4) for j in range(i + 1, 4))
+    assert rec.data["match_distances"] == [
+        min(distance(observables(d.state, desk, grid), o) for o in obs)
+        for d in descents]
 
 
 def test_census_deterministic(desk):

@@ -2,13 +2,16 @@
 objects, the same bits, and no other SciPy module on a census, a sweep or
 the spectral gap; nor multiprocessing on a census with one job."""
 
+import _ctypes
 import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.linalg as sla
 
 from ldvortex import _lapack
@@ -32,6 +35,63 @@ def test_fallback_without_the_extension_file_gives_the_same_module(tmp_path):
     assert _lapack.load(linalg_dir) is _lapack.flapack
     assert _lapack.load(tmp_path) is _lapack.flapack
     assert _lapack.load(None) is _lapack.flapack
+
+
+def test_one_blas_thread_caps_and_restores_or_does_nothing(monkeypatch):
+    """With thread controls the wrapped call runs at one thread and the
+    previous count comes back, also when it raises; without them the
+    function is returned as it is.  Fake controls: no thread starts."""
+    log = []
+    monkeypatch.setattr(_lapack, "THREADS",
+                        (lambda: log.append("get") or 4, log.append))
+
+    def run(fail):
+        log.append("run")
+        if fail:
+            raise ValueError("inside")
+        return "out"
+
+    capped = _lapack.one_blas_thread(run)
+    assert capped(False) == "out" and log == ["get", 1, "run", 4]
+    log.clear()
+    with pytest.raises(ValueError, match="inside"):
+        capped(True)
+    assert log == ["get", 1, "run", 4]
+    monkeypatch.setattr(_lapack, "THREADS", None)
+    assert _lapack.one_blas_thread(run) is run
+
+
+def test_thread_controls_come_through_the_lapack_extension(tmp_path, monkeypatch):
+    """The controls are found through the extension's file; a library
+    without the symbols, or no library, gives None.  The banded solves run
+    at one thread and restore the count they found, which starts no
+    thread."""
+    assert _lapack.thread_controls(_ctypes.__file__) is None
+    assert _lapack.thread_controls(str(tmp_path / "missing.so")) is None
+    controls = _lapack.thread_controls(_lapack.flapack.__file__)
+    if controls is None:  # a SciPy without scipy_openblas: the cap does nothing
+        pytest.skip("SciPy's BLAS exports no scipy_openblas thread controls")
+    get, _ = controls
+    before, inside = get(), []
+    _lapack.one_blas_thread(lambda: inside.append(get()))()
+    assert inside == [1] and get() == before >= 1
+
+    minimize_mod = importlib.import_module("ldvortex.minimize")
+    real, seen = minimize_mod.flapack, []
+    drivers = types.SimpleNamespace(**vars(real))
+    for name in ("dpbsv", "dgbtrf"):
+        def counted(*args, _driver=getattr(real, name), **kwargs):
+            seen.append(get())
+            return _driver(*args, **kwargs)
+        setattr(drivers, name, counted)
+    monkeypatch.setattr(minimize_mod, "flapack", drivers)
+    band = np.zeros((3, 6))
+    band[1] = np.arange(1.0, 7.0)
+    eye = np.zeros((3, 6))
+    eye[1] = 1.0
+    assert minimize_mod.banded_solve(band, np.ones(6), True, 0.0) is not None
+    assert minimize_mod.nearest_eigenvalues(band, 2, 2.9, eye) == pytest.approx([2.0, 3.0])
+    assert seen == [1, 1] and get() == before
 
 
 def test_eigvalsh_equals_scipy_bit_for_bit():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from ldvortex.energy import hessian_apply_arrays, total_energy
 from ldvortex.errors import FactorizationFailure, NoConvergence, SingularHessian
-from ldvortex.harness import census
+from ldvortex import harness
+from ldvortex.harness import census, field_sweep
 from ldvortex.minimize import (Layout, assemble_banded_hessian, banded_solve,
                                inertia, minimize, nearest_eigenvalues,
                                newton_critical)
@@ -166,45 +167,171 @@ def test_banded_solve_matches_scipy_bit_for_bit(desk, rng):
     assert 0 < failed[True] < 24 and 0 < failed[False] < 24
 
 
-def test_descent_shift_starts_at_a_tenth_of_the_last_accepted(
-        desk, coarse_grid, monkeypatch):
-    """Levenberg-Marquardt damping update: each step's first shift is the
-    previous step's accepted shift / 10, or 0 below 1e-8 max|diag H|; every
-    descent starts from 0."""
-    solve = minimize_mod.banded_solve
-    calls = []  # (band, mu, factored)
+def _recorded_ladders(monkeypatch) -> list:
+    """Record every rung of every _shifted_newton call, in order: per call a
+    list of ("ritz", shift, skipped) and ("solve", ab, rhs, mu, factored)."""
+    solve, skips = minimize_mod.banded_solve, minimize_mod._ritz_skips
+    direction = minimize_mod._shifted_newton
+    ladders = []
+
+    def step(*args, **kwargs):
+        ladders.append([])
+        return direction(*args, **kwargs)
+
+    def ritz(c, m, shift):
+        out = skips(c, m, shift)
+        ladders[-1].append(("ritz", shift, out))
+        return out
 
     def recorded(ab, rhs, definite, mu):
         out = solve(ab, rhs, definite, mu)
-        calls.append((ab, mu, out is not None))
+        ladders[-1].append(("solve", ab, rhs, mu, out is not None))
         return out
 
+    monkeypatch.setattr(minimize_mod, "_shifted_newton", step)
+    monkeypatch.setattr(minimize_mod, "_ritz_skips", ritz)
     monkeypatch.setattr(minimize_mod, "banded_solve", recorded)
+    return ladders
+
+
+def test_descent_shift_starts_at_a_tenth_of_the_last_accepted(
+        desk, coarse_grid, monkeypatch):
+    """Levenberg-Marquardt damping update: each step's first shift is the
+    previous step's accepted shift / 10, or 0 below 1e-8 max|diag H|, and
+    the ladder rises to 1e-8 max|diag H| from 0, then x10; every descent
+    starts from 0.  Each rung is first put to the phase-mode Ritz test at
+    mu + (bw+1)^3 eps (max|diag H| + mu): a rung it proves indefinite is
+    skipped (and banded_solve refuses it), any other is factored, and the
+    last rung factors."""
+    solve = minimize_mod.banded_solve
+    ladders = _recorded_ladders(monkeypatch)
     for seed in (11 * 100003, 11 * 100003 + 17):
         start = random_low_energy_state(desk, coarse_grid,
                                         np.random.default_rng(seed))
-        calls.clear()
+        ladders.clear()
         rep = minimize(start, desk, coarse_grid, tol=1e-8, max_iter=500)
         assert rep.converged and rep.steepest_steps == 0
-        steps = []  # per step: floor, tried shifts
-        for ab, mu, ok in calls:
-            if not steps or ab is not steps[-1][0]:
-                bw = (ab.shape[0] - 1) // 2
-                steps.append((ab, 1e-8 * float(np.max(np.abs(ab[bw]))), []))
-            steps[-1][2].append((mu, ok))
-        assert len(steps) == rep.iterations
-        assert sum(len(tried) - 1 for _, _, tried in steps) == rep.levenberg_shifts
-        assert steps[0][2][0][0] == 0.0
-        warm = cold = 0  # steps after a shifted one, started shifted or at 0
-        for (_, _, prev), (_, floor, tried) in zip(steps, steps[1:]):
-            last = prev[-1][0] / 10.0
-            assert tried[0][0] == (last if last >= floor else 0.0)
-            warm += tried[0][0] > 0.0
-            cold += last > 0.0 and tried[0][0] == 0.0
-            for (mu, ok), (nxt, _) in zip(tried, tried[1:]):
-                assert not ok and nxt == (floor if mu == 0.0 else 10.0 * mu)
-            assert tried[-1][1]
-        assert warm >= 1 and cold >= 1
+        assert len(ladders) == rep.iterations
+        skipped = failed = warm = cold = 0
+        last = 0.0  # the accepted shift of the previous step
+        for events in ladders:
+            ab, rhs = events[-1][1], events[-1][2]
+            bw = (ab.shape[0] - 1) // 2
+            scale = float(np.max(np.abs(ab[bw])))
+            floor = 1e-8 * scale
+            margin = (bw + 1) ** 3 * minimize_mod.EPS
+            mu = last / 10.0 if last / 10.0 >= floor else 0.0
+            warm += mu > 0.0
+            cold += last > 0.0 and mu == 0.0
+            events = iter(events)
+            while True:
+                kind, shift, skip = next(events)
+                assert kind == "ritz" and shift == mu + margin * (scale + mu)
+                if skip:
+                    assert solve(ab, rhs, True, mu) is None
+                    skipped += 1
+                else:
+                    kind, band, _, tried, ok = next(events)
+                    assert kind == "solve" and band is ab and tried == mu
+                    if ok:
+                        break
+                    failed += 1
+                mu = floor if mu == 0.0 else 10.0 * mu
+            assert next(events, None) is None
+            last = mu
+        assert (skipped, failed) == (rep.skipped_shifts, rep.levenberg_shifts)
+        assert rep.to_dict()["skipped_shifts"] == skipped >= 1
+        assert failed == 0 and warm >= 1 and cold >= 1
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_every_skipped_shift_is_one_the_cholesky_refuses(N, monkeypatch):
+    """On random low-energy, rough and delta = pi seed states, a rung the
+    phase-mode Ritz test skips is one banded_solve refuses, from mu = 0 and
+    from a warm start; and the skips are many."""
+    params = LdParameters(N, 1.0, 0.5, 1.0, 3.0, 1e-3)
+    grid = Grid1D.build(params, dx=1.0 / 20.0)
+    layout = Layout.build(N, grid.M)
+    fun = minimize_mod._flat_functions(params, grid, layout)
+    rng = np.random.default_rng(N)
+    states = ([random_low_energy_state(params, grid, rng) for _ in range(4)]
+              + [random_rough_state(params, grid, rng) for _ in range(4)]
+              + [seed_state(params, grid, math.pi)])
+    solve = minimize_mod.banded_solve
+    ladders = _recorded_ladders(monkeypatch)
+    skipped = 0
+    for state in states:
+        x = minimize_mod._state_to_x(state, layout)
+        _, g = fun(x)
+        for mu_last in (0.0, 1e-5):
+            minimize_mod._shifted_newton(x, g, params, grid, layout,
+                                         {"shifts": 0, "skipped": 0},
+                                         definite=True, mu_last=mu_last)
+            events = ladders[-1]
+            ab, rhs = next((e[1], e[2]) for e in reversed(events)
+                           if e[0] == "solve")
+            bw = (ab.shape[0] - 1) // 2
+            floor = 1e-8 * float(np.max(np.abs(ab[bw])))
+            mu = mu_last / 10.0 if mu_last / 10.0 >= floor else 0.0
+            for event in events:
+                if event[0] == "ritz":
+                    if event[2]:
+                        assert solve(ab, rhs, True, mu) is None, (mu, event)
+                        skipped += 1
+                        mu = floor if mu == 0.0 else 10.0 * mu
+                elif not event[4]:
+                    mu = floor if mu == 0.0 else 10.0 * mu
+    assert skipped >= len(states)
+
+
+def test_phase_curvature_is_the_reduced_hessian_at_seeds():
+    """At a seed, c_n = r (2 sin HpL / H) cos delta_n + O(r^2): the Ritz
+    matrix of the phase modes is r times the paper's reduced Hessian, to a
+    relative error that falls with r (dx = 1/40)."""
+    delta = np.array([0.0, math.pi, 0.7])
+    errors = []
+    for r in (1e-2, 1e-3):
+        params = LdParameters(3, 1.0, 0.5, 1.0, 3.0, r)
+        grid = Grid1D.build(params, dx=1.0 / 40.0)
+        s = seed_state(params, grid, delta)
+        ab, bw, c = assemble_banded_hessian(s.f, s.phi, s.a, params, grid,
+                                            phase_curvature=True)
+        assert np.array_equal(ab, assemble_banded_hessian(s.f, s.phi, s.a,
+                                                          params, grid)[0])
+        reduced = r * 2.0 * math.sin(params.hpl) / params.applied_field * np.cos(delta)
+        errors.append(float(np.max(np.abs(c - reduced)) / np.max(np.abs(reduced))))
+    assert errors[0] <= 0.05 and errors[1] <= errors[0] / 5.0
+
+
+def test_no_failed_factorization_on_the_benchmark_inputs(desk, monkeypatch):
+    """The census of the desk stack (dx = 1/20, 6 random starts, census
+    seeds 7 and 11) and the 17-field sweep across H_1 factor every band
+    they try: the Ritz test skips every shift the Cholesky would refuse."""
+    solve = minimize_mod.banded_solve
+    outcomes = []
+
+    def counted(ab, rhs, definite, mu):
+        out = solve(ab, rhs, definite, mu)
+        outcomes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(minimize_mod, "banded_solve", counted)
+    descents = []
+    original = harness.minimize
+
+    def recorded(*args, **kwargs):
+        descents.append(original(*args, **kwargs))
+        return descents[-1]
+
+    monkeypatch.setattr(harness, "minimize", recorded)
+    grid = Grid1D.build(desk, dx=1.0 / 20.0)
+    for seed in (7, 11):
+        assert census(desk, desk.coupling, n_random=6, dx=grid.dx, seed=seed).passed
+    assert field_sweep(desk, np.linspace(5.4, 7.0, 17)).passed
+    assert len(descents) == 2 * 6 + 2 * 17 and len(outcomes) > len(descents)
+    assert all(outcomes)
+    assert sum(d.skipped_shifts for d in descents) >= len(descents)
+    assert all(d.levenberg_shifts == 0 for d in descents)
 
 
 def test_newton_stalls_when_no_shift_solves(desk, desk_grid, monkeypatch):
@@ -479,6 +606,7 @@ def test_failed_newton_direction_falls_back_to_one_steepest_step(
     assert np.all(np.diff(rep.energy_trace) <= 0.0)
     [line] = [r.getMessage() for r in caplog.records if r.name == "ldvortex"]
     assert f"{rep.iterations} iterations" in line and "1 steepest" in line
+    assert f"{rep.skipped_shifts} skipped" in line
 
 
 def test_batched_hessian_apply_matches_single_products(desk, rng):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldvortex.energy import gradient
-from ldvortex.errors import DegenerateField
+from ldvortex.errors import DegenerateField, InvalidParameters
 from ldvortex.observables import delta_estimate, observables
 from ldvortex.params import Grid1D, LdParameters, PhaseConfig, wrap_to_pi
 from ldvortex.perturbation import (_solve_u1, _u1_rhs,
@@ -232,6 +232,47 @@ def test_solve_u1_matches_scipy_bit_for_bit(desk, desk_grid, coarse_grid):
         ab[0, 1] = ab[2, -2] = -2.0 / (k2 * dx**2)
         expected = sla.solve_banded((1, 1), ab, rhs.T).T
         assert np.array_equal(_solve_u1(rhs, desk, grid), expected)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("r", [1e-3, 0.0])
+def test_stacked_seeds_equal_the_single_seeds_bit_for_bit(N, r):
+    """A (K, N) stack of offsets gives, in one pass and one dgtsv, each
+    member's seed, correction fields and amplitude solve to the bit."""
+    params = LdParameters(N, 1.0, 0.5, 1.0, 3.0, r)
+    grid = Grid1D.build(params, dx=1.0 / 20.0)
+    deltas = np.array([s.delta.delta for s in enumerate_seeds(params)]
+                      + [np.random.default_rng(N).uniform(-7.0, 7.0, N)])
+    stack = seed_state(params, grid, deltas)
+    assert len(stack) == len(deltas)
+    for delta, seed in zip(deltas, stack):
+        single = seed_state(params, grid, delta)
+        for name in ("f", "phi", "a"):
+            assert np.array_equal(getattr(seed, name), getattr(single, name)), name
+    assert np.array_equal(seed_state(params, grid, deltas[:1])[0].phi,
+                          seed_state(params, grid, PhaseConfig(deltas[0])).phi)
+
+    wrapped = PhaseConfig(deltas[-1]).delta
+    rhs = _u1_rhs(deltas, params, grid.nodes)
+    u1 = _solve_u1(rhs, params, grid)
+    cf = first_order_correction(params, grid, deltas)
+    b1 = field_correction(params, deltas, grid.mids)
+    for k, delta in enumerate(deltas[:-1]):
+        assert np.array_equal(rhs[k], _u1_rhs(delta, params, grid.nodes))
+        assert np.array_equal(u1[k], _solve_u1(rhs[k], params, grid))
+        assert np.array_equal(b1[k], field_correction(params, delta, grid.mids))
+    one = first_order_correction(params, grid, deltas[-1])
+    assert np.array_equal(one.u1, _solve_u1(_u1_rhs(wrapped, params, grid.nodes),
+                                            params, grid))
+    for name in ("u1", "sv1", "b1"):
+        assert np.array_equal(getattr(cf, name)[-1], getattr(one, name)), name
+
+
+def test_seed_stack_validation(desk, desk_grid):
+    for bad in (np.zeros((2, 3)), np.array([[0.0, math.nan]]),
+                np.zeros((1, 2, 2))):
+        with pytest.raises(InvalidParameters):
+            seed_state(desk, desk_grid, bad)
 
 
 def test_seed_observables_match_order_r_fields(desk, desk_grid):

@@ -7,7 +7,8 @@ from scipy.integrate import quad
 from ldvortex.energy import total_energy
 from ldvortex.errors import ShapeMismatch
 from ldvortex.observables import (Observables, delta_estimate, distance,
-                                  lift_field_2d, observables)
+                                  distances, lift_field_2d, observables,
+                                  stacked)
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.state import (LayeredState, gauge_fix, gauge_transform,
                             random_rough_state, uniform_field_state,
@@ -159,6 +160,24 @@ def test_distance_shape_mismatch(desk):
     o2 = observables(uniform_field_state(desk, g2), desk, g2)
     with pytest.raises(ShapeMismatch):
         distance(o1, o2)
+
+
+def test_distances_equal_distance_bit_for_bit(desk, desk_grid, rng):
+    """One pass over a stacked Observables gives each pairwise distance
+    to the bit, and a member of the stack is the Observables stacked."""
+    obs = [observables(random_rough_state(desk, desk_grid, rng), desk, desk_grid)
+           for _ in range(4)]
+    stack = stacked(obs)
+    for i, o in enumerate(obs):
+        for name in ("V", "Phi", "h", "jx", "jz"):
+            assert np.array_equal(getattr(stack[i], name), getattr(o, name))
+        got = distances(o, stack)
+        assert got.tolist() == [distance(o, p) for p in obs]
+        assert distances(o, stack[i + 1:]).tolist() == got[i + 1:].tolist()
+    assert stack.num_gaps == desk.num_gaps
+    coarse = Grid1D.build(desk, dx=1.0 / 24.0)
+    with pytest.raises(ShapeMismatch):
+        distances(observables(uniform_field_state(desk, coarse), desk, coarse), stack)
 
 
 def test_delta_estimate_recovers_offsets(desk, desk_grid):
