@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (DegenerateField, FactorizationFailure, InvalidParameters,
                      NoCompleteCycle, NoConvergence)
 from .exports import params_dict
-from .minimize import CriticalPoint, minimize, newton_critical, default_newton_tol
+from .minimize import default_newton_tol, inertia, minimize, newton_critical
 from .observables import delta_estimate, distances, observables, stacked
 from .params import Grid1D, LdParameters, default_dx, wrap_to_pi
 from .perturbation import (enumerate_seeds, g0, interior_u1_closed_form,
@@ -160,11 +160,12 @@ def census(params: LdParameters, r: float, n_random: int = 50,
 
     Newton from the 2^N perturbative seeds (residual <= CENSUS_NEWTON_TOL),
     required to lie at least 0.1 apart in observable distance, classified
-    by inertia (a seed whose Newton or inertia fails is listed in
-    newton_failures); then n_random random-start descents, each counted as
-    converged or not and matched to a census member.  The
-    energy shell is three times the linear upper bound (the analytic cutoff
-    below which the census is exhaustive is not constructive).
+    here: the Morse index by inertia (each its own seed's prediction), the
+    reduced phases by delta_estimate.  A seed whose Newton or inertia fails
+    is listed in newton_failures.  Then n_random random-start descents, each
+    counted as converged or not and matched to a census member.  The energy
+    shell is three times the linear upper bound (the analytic cutoff below
+    which the census is exhaustive is not constructive).
     """
     t0 = time.time()
     require_jobs(jobs)
@@ -176,13 +177,16 @@ def census(params: LdParameters, r: float, n_random: int = 50,
 
     seeds = enumerate_seeds(pr)
     starts = seed_state(pr, grid, np.array([s.delta.delta for s in seeds]))
-    points: list[CriticalPoint] = []
-    failures = []
+    points, inertias, predicted, failures = [], [], [], []
     for s, start in zip(seeds, starts):
         try:
-            points.append(newton_critical(start, pr, grid, tol=CENSUS_NEWTON_TOL))
+            cp = newton_critical(start, pr, grid, tol=CENSUS_NEWTON_TOL)
+            inertias.append(inertia(cp.state, pr, grid))
         except (NoConvergence, FactorizationFailure) as exc:
             failures.append({"delta": s.delta.delta.tolist(), "error": str(exc)})
+        else:
+            points.append(cp)
+            predicted.append(s.predicted_inertia)
 
     # Pairwise distances one row of the upper triangle at a time: one
     # broadcast over all 32 640 pairs at N = 8 would hold ~130 MB per field.
@@ -190,18 +194,16 @@ def census(params: LdParameters, r: float, n_random: int = 50,
     obs_pts = stacked([observables(c.state, pr, grid) for c in points]) if points else None
     min_pair = min((float(distances(obs_pts[i], obs_pts[i + 1:]).min())
                     for i in range(n_pts - 1)), default=math.inf)
+    delta_hat = [delta_estimate(obs_pts[i], pr, grid) for i in range(n_pts)]
 
-    inertias = sorted(c.inertia for c in points)
-    predicted = sorted(s.predicted_inertia for s in seeds)
     binom = sorted(m for m in range(N + 1) for _ in range(math.comb(N, m)))
 
     energies = np.array([c.energy for c in points])
     i_min = int(np.argmin(energies)) if n_pts else -1
     ds = vortex_plane_delta(pr)
-    min_is_vp = (n_pts == 2**N and points[i_min].inertia == 0
-                 and all(_circ_dist(dh, ds) < 0.05
-                         for dh in points[i_min].delta_hat)
-                 and sum(1 for c in points if c.inertia == 0) == 1)
+    min_is_vp = (n_pts == 2**N and inertias[i_min] == 0
+                 and all(_circ_dist(dh, ds) < 0.05 for dh in delta_hat[i_min])
+                 and inertias.count(0) == 1)
 
     # Energy order must follow the reduced-energy order (ties grouped).
     order_ok = True
@@ -233,8 +235,8 @@ def census(params: LdParameters, r: float, n_random: int = 50,
         "count": n_pts, "expected": 2**N,
         "residuals": [c.residual for c in points],
         "energies": energies.tolist(),
-        "inertias": [c.inertia for c in points],
-        "delta_hat": [c.delta_hat.tolist() for c in points],
+        "inertias": inertias,
+        "delta_hat": [dh.tolist() for dh in delta_hat],
         "newton_iterations": [c.newton_iterations for c in points],
         "min_pairwise_distance": min_pair,
         "newton_failures": failures,
@@ -246,7 +248,8 @@ def census(params: LdParameters, r: float, n_random: int = 50,
         "census_complete": n_pts == 2**N and not failures,
         "pairwise_distinct": min_pair >= 0.1,
         "residuals_small": all(c.residual <= CENSUS_NEWTON_TOL for c in points),
-        "inertia_multiset_binomial": inertias == binom == predicted,
+        "inertia_multiset_binomial": sorted(inertias) == binom,
+        "inertia_matches_seed": inertias == predicted,
         "unique_minimizer_is_vortex_plane": bool(min_is_vp),
         "energy_order_matches_g0": bool(order_ok),
         "all_descents_converged": n_converged == n_random,
@@ -269,6 +272,11 @@ def count_interior_maxima(profile: np.ndarray) -> int:
     return int(np.sum((dy[:-1] > 0.0) & (dy[1:] < 0.0)))
 
 
+def _extrapolate(x: np.ndarray, y: np.ndarray, x0: float) -> float:
+    """The value at x0 of the polynomial of degree len(x) - 1 through (x, y)."""
+    return float(np.polyfit(x - x0, y, len(x) - 1)[-1])
+
+
 def _sweep_point_job(args) -> dict:
     params, H, dx, tol = args
     ph = params.with_field(float(H))
@@ -287,7 +295,9 @@ def _sweep_point_job(args) -> dict:
         config = math.pi
     else:
         config = math.nan
-    return {"energy": best.energy, "config": config,
+    # Exact at a critical state (envelope theorem): H is only in the field term.
+    dE_dH = -2.0 * ph.spacing * grid.dx / ph.kappa**2 * float((obs.h - H).sum())
+    return {"energy": best.energy, "config": config, "dE_dH": dE_dH,
             "delta_hat": dh.tolist(),
             "n_maxima": count_interior_maxima(np.mean(obs.h, axis=0))}
 
@@ -299,8 +309,9 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
 
     Detects the collective flips of the reduced phases (robust first-order
     transition marker), counts interior maxima of h, and measures the
-    magnetization jump at each detected transition by one-sided cubic fits
-    of the ground energy, compared against 4 N p^2 L^2 r / (k pi) to 10%.
+    magnetization jump at each detected transition against
+    4 N p^2 L^2 r / (k pi) to 10%: M- and M+ at H_k extrapolate the exact
+    dE/dH of each field from the <= 3 nearest fields of its branch.
     """
     t0 = time.time()
     require_jobs(jobs)
@@ -319,6 +330,7 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
                        [(params, H, dx, tol) for H in H_grid], jobs)
 
     eps = np.array([res["energy"] for res in results])
+    dE_dH = np.array([res["dE_dH"] for res in results])
     configs = np.array([res["config"] for res in results])
     maxima = np.array([res["n_maxima"] for res in results])
 
@@ -326,16 +338,15 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
              if not math.isclose(configs[j], configs[j - 1], abs_tol=1e-9)]
     dH = float(np.min(np.diff(H_grid)))
     transitions = []
-    for j in flips:
+    bounds = [0] + flips + [len(H_grid)]
+    for i, j in enumerate(flips):
         loc = 0.5 * (H_grid[j - 1] + H_grid[j])
         k = max(1, round(loc / steps))
         Hk = k * steps
-        lo = slice(max(0, j - 7), j)
-        hi = slice(j, min(len(H_grid), j + 7))
-        cminus = np.polyfit(H_grid[lo], eps[lo], 3)
-        cplus = np.polyfit(H_grid[hi], eps[hi], 3)
-        m_minus = float(np.polyval(np.polyder(cminus), Hk))
-        m_plus = float(np.polyval(np.polyder(cplus), Hk))
+        below = slice(max(bounds[i], j - 3), j)
+        above = slice(j, min(bounds[i + 2], j + 3))
+        m_minus = _extrapolate(H_grid[below], dE_dH[below], Hk)
+        m_plus = _extrapolate(H_grid[above], dE_dH[above], Hk)
         jump = abs(m_plus - m_minus)
         predicted = 4.0 * params.num_gaps * params.spacing**2 \
             * params.half_width**2 * params.coupling / (k * math.pi)
@@ -356,6 +367,7 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
     rec = ExperimentRecord("field_sweep", params_dict(params))
     rec.parameters["dx"] = dx
     rec.data = {"H_grid": H_grid.tolist(), "epsilon": eps.tolist(),
+                "dE_dH": dE_dH.tolist(),
                 "configs": configs.tolist(), "n_maxima": maxima.tolist(),
                 "delta_hat": [res["delta_hat"] for res in results],
                 "transitions": transitions,

@@ -7,17 +7,15 @@ banded matrix with bandwidth 3N+3: couplings reach at most one grid column
 and one plane away.  The band is assembled straight from the stencil:
 every energy term is local, so its second derivatives form small dense
 blocks that one bincount sums into the band in O(n).
-Minimization and the saddle search share one modified Newton step: the
-Levenberg-shifted banded system (H + mu I) d = -g, raised in mu until it
-factors, under one Armijo backtracking search.  Every shifted system is
-factored and solved by one LAPACK driver call (banded_solve): Cholesky
-(dpbsv) for minima, which search on the energy, banded LU (dgbsv) for
-saddles, which search on |grad|^2.  The search carries the gradient: each
-trial point costs one call of the energy kernel (energy.energy_arrays),
-which returns the energy and the gradient together, so the accepted trial
-hands the next step its gradient without another evaluation.  A descent
-remembers its last accepted shift and starts the next step at a tenth of
-it.  Descent takes Newton steps because the Hessian mixes N eigenvalues of
+Minimization and the saddle search share the band, its one-call LAPACK
+solve (banded_solve) and one Armijo backtracking search (_armijo).  A
+descent step raises a Levenberg shift mu until H + mu I factors by Cholesky
+(dpbsv) and searches on the energy; a Newton step solves H d = -g once by
+banded LU (dgbsv), as saddles make H indefinite, and searches on |grad|^2.
+Only the descent shifts, starting each step at a tenth of the shift the
+last one accepted.  Each trial point costs one call of the energy kernel
+(energy.energy_arrays), whose gradient the accepted trial hands to the next
+step.  Descent takes Newton steps because the Hessian mixes N eigenvalues of
 size O(r) along the phase torus with stiff modes of size O(1/(kappa dx)^2),
 which a gradient-based descent crawls across.
 
@@ -27,7 +25,7 @@ difference and c_n the x-sum of the Josephson curvature
 r p w f_n f_n-1 cos Phi_n; at a seed c_n = r (2 sin HpL / H) cos delta_n +
 O(r^2), so K/r is the discrete form of the paper's reduced Hessian
 T^T diag((2 sin HpL / H) cos delta_n) T.  Since lambda_min(H) <=
-lambda_min(K)/(M+1), the Cholesky path skips every shift that an O(N)
+lambda_min(K)/(M+1), the descent skips every shift that an O(N)
 LDL^T of K/(M+1) + mu I proves indefinite beyond rounding, instead of
 failing a factorization on it (More & Sorensen 1983 choose shifts from such
 curvature bounds); the shifts that factor, and so every step, are the same.
@@ -61,14 +59,14 @@ from ._lapack import flapack, one_blas_thread
 from .errors import (FactorizationFailure, NoConvergence, NonFinite,
                      SingularHessian)
 from .energy import energy_arrays
-from .observables import _fields, delta_estimate, observables
+from .observables import _fields
 from .params import Grid1D, LdParameters
 from .state import LayeredState
 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 40
-MAX_SHIFTS = 20  # Levenberg escalations tried per Newton step
+MAX_SHIFTS = 20  # Levenberg escalations tried per descent step
 LANCZOS_MAX_BASIS = 200  # Lanczos vectors before nearest_eigenvalues gives up
 EPS = float(np.finfo(float).eps)
 LANCZOS_TOL = EPS  # relative Ritz residual estimate
@@ -296,18 +294,17 @@ def _ritz_skips(c: list[float], m: int, shift: float) -> bool:
 
 def _shifted_newton(x: np.ndarray, g: np.ndarray, params: LdParameters,
                     grid: Grid1D, layout: Layout, counts: dict[str, int],
-                    definite: bool, mu_last: float = 0.0
-                    ) -> tuple[np.ndarray | None, float]:
-    """Solve (H + mu I) d = -g on the banded Hessian at x, assembled once.
-    mu starts at mu_last / 10, or at 0 when that is below the first nonzero
-    shift 1e-8 max|diag H|, and rises to that shift from 0, then x10 each
-    time, until banded_solve factors, at most MAX_SHIFTS rungs.  definite
-    (minima) factors by Cholesky, otherwise (saddles) by banded LU.
+                    mu_last: float = 0.0) -> tuple[np.ndarray | None, float]:
+    """The descent step: solve (H + mu I) d = -g by Cholesky on the banded
+    Hessian at x, assembled once.  mu starts at mu_last / 10, or at 0 when
+    that is below the first nonzero shift 1e-8 max|diag H|, and rises to that
+    shift from 0, then x10 each time, until banded_solve factors, at most
+    MAX_SHIFTS rungs.
 
-    On the Cholesky path a rung is skipped, not factored, when the phase
-    modes prove H + mu I indefinite: the N plane-constant phase vectors
-    (M+1 ones each) have the Ritz matrix K/(M+1), K = D^T diag(c) D with c
-    from assemble_banded_hessian, and lambda_min(H) <= lambda_min(K)/(M+1).
+    A rung is skipped, not factored, when the phase modes prove H + mu I
+    indefinite: the N plane-constant phase vectors (M+1 ones each) have the
+    Ritz matrix K/(M+1), K = D^T diag(c) D with c from
+    assemble_banded_hessian, and lambda_min(H) <= lambda_min(K)/(M+1).
     The test adds the rounding margin (bw+1)^3 eps (max|diag H| + mu), which
     bounds both the backward error of a banded Cholesky that succeeds
     (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3) and
@@ -324,13 +321,13 @@ def _shifted_newton(x: np.ndarray, g: np.ndarray, params: LdParameters,
     scale = float(abs(ab[bw]).max())
     floor = 1e-8 * (scale or 1.0)
     margin = (bw + 1) ** 3 * EPS
-    ritz = c.tolist() if definite else None
+    ritz = c.tolist()
     mu = mu_last / 10.0 if mu_last / 10.0 >= floor else 0.0
     for _ in range(MAX_SHIFTS):
-        if ritz and _ritz_skips(ritz, layout.M + 1, mu + margin * (scale + mu)):
+        if _ritz_skips(ritz, layout.M + 1, mu + margin * (scale + mu)):
             counts["skipped"] += 1
         else:
-            d = banded_solve(ab, -g, definite, mu)
+            d = banded_solve(ab, -g, True, mu)
             if d is not None:
                 return (d, mu) if np.isfinite(d).all() else (None, mu_last)
             counts["shifts"] += 1
@@ -375,8 +372,7 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
 
     while gnorms[-1] > tol and iterations < max_iter:
         step = None
-        d, mu = _shifted_newton(x, g, params, grid, layout, counts,
-                                definite=True, mu_last=mu)
+        d, mu = _shifted_newton(x, g, params, grid, layout, counts, mu_last=mu)
         slope = float(g @ d) if d is not None else 0.0
         if slope < 0.0:
             step = _armijo(fun, _energy_merit, x, e, d, slope)
@@ -620,24 +616,19 @@ def inertia(state: LayeredState, params: LdParameters, grid: Grid1D) -> int:
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """Converged Newton output with stability classification;
-    levenberg_shifts counts the banded LU factorizations that failed and
-    raised the shift."""
+    """Converged Newton output: the state, its energy and the residual
+    history.  It is not classified; harness.census takes its inertia and
+    reduced phases."""
 
     state: LayeredState
     residual: float
-    inertia: int
-    delta_hat: np.ndarray
     energy: float
     newton_iterations: int
     residual_history: np.ndarray = field(repr=False)
-    levenberg_shifts: int = 0
 
     def to_dict(self) -> dict:
-        return {"residual": self.residual, "inertia": self.inertia,
-                "delta_hat": self.delta_hat.tolist(), "energy": self.energy,
+        return {"residual": self.residual, "energy": self.energy,
                 "newton_iterations": self.newton_iterations,
-                "levenberg_shifts": self.levenberg_shifts,
                 "residual_history": self.residual_history.tolist()}
 
 
@@ -651,12 +642,12 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
                     tol: float | None = None, max_newton: int = 60) -> CriticalPoint:
     """Full Newton iteration on grad(energy) = 0 with a direct banded solve.
 
-    Each step solves the Levenberg-shifted banded Newton system with the
-    descent's shift schedule, restarted from mu = 0 at every step (see
-    _shifted_newton), factored by banded LU because saddles make H
-    indefinite, and backtracks with the descent's Armijo search on the
-    merit |grad|^2.  A step with no factorable shift or a stalled search
-    raises NoConvergence, and inertia may raise FactorizationFailure.
+    Each step assembles the band and solves H d = -g by one banded LU
+    (banded_solve, no shift: saddles make H indefinite), then backtracks
+    with the descent's Armijo search on the merit |grad|^2.  A failed LU, a
+    non-finite step or a stalled search raises NoConvergence at once, with
+    the residual it stopped at.  It finds the point and does not classify
+    it: inertia and delta_estimate do that (see harness.census).
     Requires r > 0: at r = 0 the Hessian has an exact N-dimensional kernel.
     """
     state0.check_grid(params, grid)
@@ -672,16 +663,18 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
     if not np.isfinite(g).all():
         raise NonFinite("non-finite gradient at the Newton start")
     history = [float(abs(g).max())]
-    counts = {"shifts": 0}
 
     for _ in range(max_newton):
         if history[-1] <= tol:
             break
-        d, _ = _shifted_newton(x, g, params, grid, layout, counts,
-                               definite=False)
+        ab, _ = assemble_banded_hessian(*_x_to_arrays(x, layout), params, grid)
+        d = banded_solve(ab, -g, False, 0.0)
+        if d is None or not np.isfinite(d).all():
+            what = "failed" if d is None else "gave a non-finite step"
+            raise NoConvergence(
+                f"Newton step: the banded LU {what} at residual {history[-1]:.3e}")
         m = float(g @ g)
-        step = (None if d is None
-                else _armijo(fun, _residual_merit, x, m, d, -2.0 * m))
+        step = _armijo(fun, _residual_merit, x, m, d, -2.0 * m)
         if step is None:
             raise NoConvergence(
                 f"Newton stalled at residual {history[-1]:.3e} (tol {tol:.1e})")
@@ -692,15 +685,6 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
         raise NoConvergence(
             f"Newton used {max_newton} iterations, residual {history[-1]:.3e} > tol {tol:.1e}")
 
-    state = _x_to_state(x, layout)
-    obs = observables(state, params, grid)
-    return CriticalPoint(
-        state=state,
-        residual=history[-1],
-        inertia=inertia(state, params, grid),
-        delta_hat=delta_estimate(obs, params, grid),
-        energy=e,
-        newton_iterations=len(history) - 1,
-        residual_history=np.asarray(history),
-        levenberg_shifts=counts["shifts"],
-    )
+    return CriticalPoint(state=_x_to_state(x, layout), residual=history[-1],
+                         energy=e, newton_iterations=len(history) - 1,
+                         residual_history=np.asarray(history))

@@ -38,13 +38,14 @@ class LayeredState:
         f: amplitudes at nodes, shape (N+1, M+1).
         phi: phases at nodes (radians), shape (N+1, M+1).
         a: tangential gauge potential at midpoints, shape (N+1, M).
-        gauge_fixed: True when phi[0] vanishes identically.
+        gauge_fixed: True when phi[0] vanishes identically; computed from
+            phi, never passed.
     """
 
     f: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
     a: np.ndarray = field(repr=False)
-    gauge_fixed: bool = True
+    gauge_fixed: bool = field(init=False)
 
     def __post_init__(self):
         f = _locked(self.f)

@@ -73,6 +73,21 @@ def test_census_distances_take_one_observables_per_state(desk, monkeypatch):
         for d in descents]
 
 
+def test_census_checks_each_point_against_its_own_seed(desk, monkeypatch):
+    """inertia_matches_seed compares each point with its own seed, so an
+    inertia that permutes the counts (m -> N - m keeps the binomial
+    multiset) fails it while inertia_multiset_binomial still passes."""
+    grid = Grid1D.build(desk, dx=1.0 / 20.0)
+    rec = census(desk, 1e-3, n_random=0, dx=grid.dx)
+    assert rec.checks["inertia_matches_seed"] and rec.passed
+    measured = harness.inertia
+    monkeypatch.setattr(harness, "inertia", lambda state, params, grid:
+                        params.num_gaps - measured(state, params, grid))
+    rec = census(desk, 1e-3, n_random=0, dx=grid.dx)
+    assert rec.checks["inertia_multiset_binomial"]
+    assert not rec.checks["inertia_matches_seed"] and not rec.passed
+
+
 def test_census_deterministic(desk):
     r1 = census(desk, 1e-3, n_random=2, dx=1.0 / 16.0, seed=5)
     r2 = census(desk, 1e-3, n_random=2, dx=1.0 / 16.0, seed=5)
@@ -169,6 +184,28 @@ def test_field_sweep_finds_the_nucleation_sequence(desk):
         assert abs(t["location"] - t["k"] * math.pi / (p * L)) <= step
         assert t["maxima_increment"] == 1
         assert abs(t["k"] * t["jump"] - scale) <= 0.01 * scale
+
+
+def test_field_sweep_jumps_at_wide_sample():
+    """N = 2, L = 10: transitions are pi / (pL) = 0.63 apart, so a fit that
+    reaches across a neighbouring one spoils the jump; every jump
+    k = 4 ... 12 is within 10 %.  The recorded dE/dH is the derivative of the kept energy (envelope
+    theorem): central differences of step h converge to it at O(h^2)."""
+    params = LdParameters(2, 10.0, 0.5, 1.0, 3.0, 1e-3)
+    H_grid = np.linspace(2.0, 8.0, 61)
+    rec = field_sweep(params, H_grid, dx=1.0 / 30.0)
+    assert rec.passed, rec.checks
+    assert [t["k"] for t in rec.data["transitions"]] == list(range(4, 13))
+    assert max(t["jump_rel_err"] for t in rec.data["transitions"]) <= 0.10
+
+    j, tol = 10, 3.0 * harness.default_newton_tol(params) / 10.0  # H = 3
+    slope = rec.data["dE_dH"][j]
+    errors = []
+    for h in (1e-2, 1e-3):
+        up, down = (harness._sweep_point_job((params, H_grid[j] + s, 1.0 / 30.0, tol))
+                    for s in (h, -h))
+        errors.append(abs((up["energy"] - down["energy"]) / (2.0 * h) - slope))
+    assert errors[1] <= 1e-4 * abs(slope) and errors[1] <= errors[0] / 50.0
 
 
 def test_field_sweep_meissner_profile(desk):

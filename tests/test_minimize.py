@@ -15,7 +15,7 @@ from ldvortex.harness import census, field_sweep
 from ldvortex.minimize import (Layout, assemble_banded_hessian, banded_solve,
                                inertia, minimize, nearest_eigenvalues,
                                newton_critical)
-from ldvortex.observables import distance, observables
+from ldvortex.observables import delta_estimate, observables
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.perturbation import (enumerate_seeds, leading_min_energy,
                                    seed_state, vortex_plane_delta)
@@ -24,6 +24,7 @@ from ldvortex.state import (random_low_energy_state, random_rough_state,
 
 # The package re-exports the function `minimize` under the module's name.
 minimize_mod = importlib.import_module("ldvortex.minimize")
+observables_mod = importlib.import_module("ldvortex.observables")
 
 
 def test_infinite_tolerance_returns_start(desk, desk_grid):
@@ -92,45 +93,48 @@ def test_newton_quadratic_tail(desk, desk_grid):
 def test_newton_saddle_with_unit_inertia(desk, desk_grid):
     cp = newton_critical(seed_state(desk, desk_grid, [math.pi, 0.0]),
                          desk, desk_grid, tol=1e-9)
-    assert cp.inertia == 1
-    d = cp.delta_hat
+    assert inertia(cp.state, desk, desk_grid) == 1
+    d = delta_estimate(observables(cp.state, desk, desk_grid), desk, desk_grid)
     assert abs(math.cos(d[0]) + 1.0) < 1e-2
     assert abs(math.cos(d[1]) - 1.0) < 1e-2
 
 
-def _failing_banded_solves(monkeypatch, fails) -> list:
-    """Route minimize's banded LU (saddle, definite=False) solves through a
-    banded_solve that fails while fails(call number) is true; the Cholesky
-    calls pass through uncounted."""
+def test_newton_raises_after_one_failed_banded_solve(desk, desk_grid,
+                                                    monkeypatch):
+    """Newton does not shift: a banded LU that fails ends the solve at once,
+    after exactly one call, naming the stage and the residual."""
     calls = []
-    solve = minimize_mod.banded_solve
 
-    def banded_solve(ab, rhs, definite, mu):
-        if not definite:
-            calls.append(None)
-            if fails(len(calls)):
-                return None
-        return solve(ab, rhs, definite, mu)
+    def failing(ab, rhs, definite, mu):
+        calls.append((definite, mu))
+        return None
 
-    monkeypatch.setattr(minimize_mod, "banded_solve", banded_solve)
-    return calls
+    monkeypatch.setattr(minimize_mod, "banded_solve", failing)
+    with pytest.raises(NoConvergence,
+                       match="^Newton step: the banded LU failed at residual "):
+        newton_critical(seed_state(desk, desk_grid, [math.pi, 0.0]), desk,
+                        desk_grid, tol=1e-9)
+    assert calls == [(False, 0.0)]
 
 
-def test_newton_shifts_past_a_failed_banded_solve(desk, desk_grid,
-                                                  monkeypatch):
-    start = seed_state(desk, desk_grid, [math.pi, 0.0])
-    plain = newton_critical(start, desk, desk_grid, tol=1e-9)
-    calls = _failing_banded_solves(monkeypatch, lambda k: k == 1)
-    shifted = newton_critical(start, desk, desk_grid, tol=1e-9)
-    assert len(calls) == shifted.newton_iterations + 1
-    assert (plain.levenberg_shifts, shifted.levenberg_shifts) == (0, 1)
-    assert shifted.to_dict()["levenberg_shifts"] == 1
-    assert shifted.residual <= 1e-9
-    assert shifted.inertia == plain.inertia == 1
-    assert abs(shifted.energy - plain.energy) <= 1e-12 * abs(plain.energy)
-    dist = distance(observables(shifted.state, desk, desk_grid),
-                    observables(plain.state, desk, desk_grid))
-    assert dist <= 1e-9
+def test_newton_finds_without_classifying(desk, desk_grid, monkeypatch):
+    """newton_critical calls neither inertia nor observables (nor
+    delta_estimate): classification is the census's."""
+    plain = newton_critical(seed_state(desk, desk_grid, [math.pi, 0.0]), desk,
+                            desk_grid, tol=1e-9)
+
+    def spy(*args, **kwargs):
+        raise AssertionError("newton_critical classified its point")
+
+    monkeypatch.setattr(minimize_mod, "inertia", spy)
+    for name in ("observables", "delta_estimate"):
+        monkeypatch.setattr(observables_mod, name, spy)
+    cp = newton_critical(seed_state(desk, desk_grid, [math.pi, 0.0]), desk,
+                         desk_grid, tol=1e-9)
+    assert not hasattr(minimize_mod, "observables")
+    assert cp.energy == plain.energy and cp.residual <= 1e-9
+    assert set(cp.to_dict()) == {"residual", "energy", "newton_iterations",
+                                 "residual_history"}
 
 
 def test_banded_solve_matches_scipy_bit_for_bit(desk, rng):
@@ -266,7 +270,7 @@ def test_every_skipped_shift_is_one_the_cholesky_refuses(N, monkeypatch):
         for mu_last in (0.0, 1e-5):
             minimize_mod._shifted_newton(x, g, params, grid, layout,
                                          {"shifts": 0, "skipped": 0},
-                                         definite=True, mu_last=mu_last)
+                                         mu_last=mu_last)
             events = ladders[-1]
             ab, rhs = next((e[1], e[2]) for e in reversed(events)
                            if e[0] == "solve")
@@ -334,14 +338,6 @@ def test_no_failed_factorization_on_the_benchmark_inputs(desk, monkeypatch):
     assert all(d.levenberg_shifts == 0 for d in descents)
 
 
-def test_newton_stalls_when_no_shift_solves(desk, desk_grid, monkeypatch):
-    calls = _failing_banded_solves(monkeypatch, lambda k: True)
-    with pytest.raises(NoConvergence, match="stalled at residual"):
-        newton_critical(seed_state(desk, desk_grid, 0.0), desk, desk_grid,
-                        tol=1e-9)
-    assert len(calls) == minimize_mod.MAX_SHIFTS
-
-
 def test_newton_rejects_zero_coupling(desk, desk_grid):
     params = desk.with_coupling(0.0)
     with pytest.raises(SingularHessian):
@@ -351,15 +347,10 @@ def test_newton_rejects_zero_coupling(desk, desk_grid):
 
 def test_inertia_counts_wrong_phases(desk, desk_grid):
     assert math.sin(desk.hpl) > 0.0  # delta* = 0 here
-    vp = newton_critical(seed_state(desk, desk_grid, 0.0), desk, desk_grid,
-                         tol=1e-9)
-    assert vp.inertia == 0
-    worst = newton_critical(seed_state(desk, desk_grid, math.pi), desk,
-                            desk_grid, tol=1e-9)
-    assert worst.inertia == desk.num_gaps
-    mixed = newton_critical(seed_state(desk, desk_grid, [0.0, math.pi]),
-                            desk, desk_grid, tol=1e-9)
-    assert mixed.inertia == 1
+    for delta, count in ((0.0, 0), (math.pi, desk.num_gaps), ([0.0, math.pi], 1)):
+        cp = newton_critical(seed_state(desk, desk_grid, delta), desk,
+                             desk_grid, tol=1e-9)
+        assert inertia(cp.state, desk, desk_grid) == count, delta
 
 
 def test_definite_hessian_needs_no_eigensolve(desk, desk_grid):
@@ -381,7 +372,7 @@ def test_measured_inertia_equals_predicted_inertia(N, H, r):
     grid = Grid1D.build(params, dx=1.0 / 16.0)
     for s in enumerate_seeds(params):
         cp = newton_critical(seed_state(params, grid, s.delta), params, grid)
-        assert cp.inertia == s.predicted_inertia, s.delta
+        assert inertia(cp.state, params, grid) == s.predicted_inertia, s.delta
 
 
 def _dense(ab: np.ndarray) -> np.ndarray:
@@ -436,6 +427,18 @@ def test_census_lists_an_inertia_failure_as_a_newton_failure():
     assert rec.data["count"] == 1 and rec.data["inertias"] == [0]
     assert not rec.checks["census_complete"]
     assert not rec.passed
+
+
+def test_newton_returns_the_point_inertia_cannot_classify():
+    """The same delta = pi point at r = 1: Newton converges and returns it;
+    only the classification raises."""
+    params = LdParameters(1, 1.0, 0.5, 1.0, 3.0, 1.0)
+    grid = Grid1D.build(params, dx=1.0 / 20.0)
+    cp = newton_critical(seed_state(params, grid, math.pi), params, grid,
+                         tol=harness.CENSUS_NEWTON_TOL)
+    assert cp.residual <= harness.CENSUS_NEWTON_TOL
+    with pytest.raises(FactorizationFailure, match="^inertia:"):
+        inertia(cp.state, params, grid)
 
 
 @pytest.mark.parametrize("N, L, r", [(1, 1.0, 1e-3), (2, 1.0, 1e-3),

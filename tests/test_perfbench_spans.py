@@ -47,16 +47,16 @@ def test_banded_solve_spans_equal_the_solves_the_reports_imply(monkeypatch):
     assert minimize_mod.banded_solve is solve
     assert rec.passed and len(descents) == 2 and len(points) == 2
 
-    # A descent step factors until a shift succeeds; a Newton step likewise,
-    # and its inertia tries one Cholesky.
+    # A descent step factors until a shift succeeds; a Newton step factors
+    # once, and the census's inertia of each point tries one Cholesky.
     assert all(d.steepest_steps == 0 and d.line_search_failures == 0
                for d in descents)
     implied = (sum(d.iterations + d.levenberg_shifts for d in descents)
-               + sum(c.newton_iterations + c.levenberg_shifts + 1 for c in points))
+               + sum(c.newton_iterations + 1 for c in points))
     assert tracer.layer_totals()["minimize.banded_solve"]["calls"] == implied
 
     # Every descent step and every Newton step assembles the band once
-    # through the traced module global, and so does each inertia.
+    # through the traced module global, and so does each census inertia.
     assembled = (sum(d.iterations for d in descents)
                  + sum(c.newton_iterations + 1 for c in points))
     assert (tracer.layer_totals()["minimize.assemble_banded_hessian"]["calls"]

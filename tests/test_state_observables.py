@@ -97,6 +97,15 @@ def test_gauge_fix_zeroes_plane_zero_and_is_idempotent(desk, desk_grid, rng):
     assert np.array_equal(fixed.a, again.a)
 
 
+def test_gauge_fixed_is_computed_not_passed(desk, desk_grid, rng):
+    """gauge_fixed is read off phi[0]; passing it is a TypeError, not a
+    value that __post_init__ would silently overwrite."""
+    state = random_rough_state(desk, desk_grid, rng)
+    with pytest.raises(TypeError):
+        LayeredState(state.f, state.phi, state.a, gauge_fixed=False)
+    assert LayeredState(state.f, state.phi, state.a).gauge_fixed
+
+
 def test_random_gauge_transform_preserves_energy_and_observables(desk,
                                                                  desk_grid,
                                                                  rng):
