@@ -15,7 +15,7 @@ from ldvortex.harness import census, field_sweep
 from ldvortex.minimize import (Layout, assemble_banded_hessian, banded_solve,
                                inertia, minimize, nearest_eigenvalues,
                                newton_critical)
-from ldvortex.observables import delta_estimate, observables
+from ldvortex.observables import delta_estimate, distance, observables
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.perturbation import (enumerate_seeds, leading_min_energy,
                                    seed_state, vortex_plane_delta)
@@ -99,8 +99,45 @@ def test_newton_saddle_with_unit_inertia(desk, desk_grid):
     assert abs(math.cos(d[1]) - 1.0) < 1e-2
 
 
-def test_newton_raises_after_one_failed_banded_solve(desk, desk_grid,
-                                                    monkeypatch):
+def _failing_cholesky_solves(monkeypatch, fails) -> list:
+    """Route minimize's banded Cholesky (descent, definite=True) solves
+    through a banded_solve that fails while fails(call number) is true."""
+    calls = []
+    solve = minimize_mod.banded_solve
+
+    def banded_solve(ab, rhs, definite, mu):
+        assert definite
+        calls.append(mu)
+        if fails(len(calls)):
+            return None
+        return solve(ab, rhs, definite, mu)
+
+    monkeypatch.setattr(minimize_mod, "banded_solve", banded_solve)
+    return calls
+
+
+def test_newton_shifts_past_a_failed_banded_solve(desk, desk_grid,
+                                                  monkeypatch):
+    """The descent's shifted Newton step takes the next Levenberg rung when a
+    Cholesky factorization fails, and the descent ends at the same minimum."""
+    start = seed_state(desk, desk_grid, [0.0, 0.0])
+    plain = minimize(start, desk, desk_grid, tol=1e-9)
+    calls = _failing_cholesky_solves(monkeypatch, lambda k: k == 1)
+    shifted = minimize(start, desk, desk_grid, tol=1e-9)
+    assert plain.converged and shifted.converged
+    assert (plain.levenberg_shifts, shifted.levenberg_shifts) == (0, 1)
+    assert shifted.to_dict()["levenberg_shifts"] == 1
+    assert shifted.skipped_shifts == plain.skipped_shifts == 0
+    assert shifted.steepest_steps == 0
+    assert len(calls) == shifted.newton_steps + 1
+    assert calls[0] == 0.0 < calls[1]
+    assert abs(shifted.energy - plain.energy) <= 1e-12 * abs(plain.energy)
+    dist = distance(observables(shifted.state, desk, desk_grid),
+                    observables(plain.state, desk, desk_grid))
+    assert dist <= 1e-9
+
+
+def test_newton_stalls_when_no_shift_solves(desk, desk_grid, monkeypatch):
     """Newton does not shift: a banded LU that fails ends the solve at once,
     after exactly one call, naming the stage and the residual."""
     calls = []
