@@ -35,7 +35,7 @@ import numpy as np
 from .errors import NonFinite, ShapeMismatch
 from .observables import _fields
 from .params import Grid1D, LdParameters
-from .state import LayeredState
+from .state import LayeredState, Layout
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,8 @@ def energy_arrays(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
     """((bulk, josephson, field), (gf, gphi_full, ga)) for raw arrays: the
     energy and its exact derivative arrays in one pass over the stencil.
 
-    gphi_full includes plane 0; callers drop it for the free-DOF gradient.
+    gphi_full includes plane 0, which the free-DOF gradient leaves out
+    (Cotangent, Layout.pack).
     """
     p, kappa, r, H = (params.spacing, params.kappa, params.coupling,
                       params.applied_field)
@@ -318,15 +319,15 @@ def fd_gradient_check(state: LayeredState, params: LdParameters, grid: Grid1D,
     if not (1e-9 <= eps <= 1e-3):
         raise ValueError(f"eps must lie in [1e-9, 1e-3], got {eps}")
     _check(state, params, grid)
-    from .minimize import Layout, _flat_functions  # local import to avoid a cycle
-
     layout = Layout.build(params.num_gaps, grid.M)
-    x0 = layout.pack(state.f, state.phi[1:], state.a).astype(np.longdouble)
-    g = gradient(state, params, grid)
-    ga = layout.pack(g.df, g.dphi, g.da)
-    fun = _flat_functions(params, grid, layout)
+    x0 = layout.pack(state.f, state.phi, state.a).astype(np.longdouble)
+    ga = layout.pack(*energy_arrays(state.f, state.phi, state.a, params, grid)[1])
 
-    e0 = float(fun(x0)[0])
+    def energy(x: np.ndarray):
+        (b, j, fl), _ = energy_arrays(*layout.unpack(x), params, grid)
+        return b + j + fl
+
+    e0 = float(energy(x0))
     floor = 1e-6 * max(1.0, abs(e0))
 
     rng = np.random.default_rng(seed)
@@ -338,7 +339,7 @@ def fd_gradient_check(state: LayeredState, params: LdParameters, grid: Grid1D,
         xp[j] += eps
         xm = x0.copy()
         xm[j] -= eps
-        fd = float((fun(xp)[0] - fun(xm)[0]) / (2.0 * eps))
+        fd = float((energy(xp) - energy(xm)) / (2.0 * eps))
         if abs(ga[j]) < floor and abs(fd) < floor:
             continue
         worst = max(worst, abs(ga[j] - fd) / (abs(ga[j]) + 1e-12))

@@ -22,7 +22,8 @@ from .minimize import default_newton_tol, inertia, minimize, newton_critical
 from .observables import delta_estimate, distances, observables, stacked
 from .params import Grid1D, LdParameters, default_dx, wrap_to_pi
 from .perturbation import (enumerate_seeds, g0, interior_u1_closed_form,
-                           seed_state, vortex_plane_delta,
+                           magnetization_jump, nucleation_field,
+                           nucleation_fields, seed_state, vortex_plane_delta,
                            vortex_plane_observables)
 from .state import LayeredState, random_low_energy_state
 from .validity import energy_bound_coefficient
@@ -32,6 +33,12 @@ from .validity import energy_bound_coefficient
 DESCENT_MAX_ITER = 500
 #: Residual tolerance of the census's seed Newton solves.
 CENSUS_NEWTON_TOL = 1e-9
+
+
+def sweep_tol(params: LdParameters) -> float:
+    """Gradient tolerance of the sweep descents, 3e-9 at r = 1e-3: seeds
+    met 3e-8 without a step, and a kept seed's dE/dH is not critical."""
+    return 0.03 * default_newton_tol(params)
 
 
 def require_jobs(jobs: int) -> None:
@@ -310,21 +317,22 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
     Detects the collective flips of the reduced phases (robust first-order
     transition marker), counts interior maxima of h, and measures the
     magnetization jump at each detected transition against
-    4 N p^2 L^2 r / (k pi) to 10%: M- and M+ at H_k extrapolate the exact
-    dE/dH of each field from the <= 3 nearest fields of its branch.
+    perturbation.magnetization_jump to 10%: M- and M+ at the nearest
+    nucleation field H_k extrapolate the exact dE/dH of each field from the
+    <= 3 nearest fields of its branch.
     """
     t0 = time.time()
     require_jobs(jobs)
     H_grid = np.asarray(H_grid, dtype=float)
-    if np.any(np.diff(H_grid) <= 0) or H_grid.size < 8:
-        raise InvalidParameters("H_grid must be increasing with enough points to fit")
-    steps = math.pi / (params.spacing * params.half_width)
-    if any(abs(H - k * steps) < 1e-3
-           for H in H_grid for k in range(1, int(H_grid[-1] / steps) + 2)):
+    if np.any(np.diff(H_grid) <= 0) or H_grid.size < 8 or H_grid[0] <= 0.0:
+        raise InvalidParameters(
+            "H_grid must be positive and increasing with enough points to fit")
+    H_ks = nucleation_fields(params, float(H_grid[-1]) + 1e-3)
+    if any(abs(H - Hk) < 1e-3 for H in H_grid for Hk in H_ks):
         raise InvalidParameters("H_grid passes within 1e-3 of a degenerate field")
     if dx is None:
         dx = default_dx(params.with_field(float(H_grid[-1])))
-    tol = 3.0 * default_newton_tol(params) / 10.0  # ~3e-8 at r=1e-3
+    tol = sweep_tol(params)
 
     results = _fan_out(_sweep_point_job,
                        [(params, H, dx, tol) for H in H_grid], jobs)
@@ -341,15 +349,14 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
     bounds = [0] + flips + [len(H_grid)]
     for i, j in enumerate(flips):
         loc = 0.5 * (H_grid[j - 1] + H_grid[j])
-        k = max(1, round(loc / steps))
-        Hk = k * steps
+        k = max(1, round(loc / nucleation_field(params, 1)))
+        Hk = nucleation_field(params, k)
         below = slice(max(bounds[i], j - 3), j)
         above = slice(j, min(bounds[i + 2], j + 3))
         m_minus = _extrapolate(H_grid[below], dE_dH[below], Hk)
         m_plus = _extrapolate(H_grid[above], dE_dH[above], Hk)
         jump = abs(m_plus - m_minus)
-        predicted = 4.0 * params.num_gaps * params.spacing**2 \
-            * params.half_width**2 * params.coupling / (k * math.pi)
+        predicted = magnetization_jump(params, k)
         transitions.append({
             "interval": [float(H_grid[j - 1]), float(H_grid[j])],
             "location": float(loc), "k": k, "H_k": Hk,
@@ -361,8 +368,7 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
             "jump_rel_err": abs(jump - predicted) / predicted,
         })
 
-    expected_flips = [k * steps for k in range(1, int(H_grid[-1] / steps) + 1)
-                      if H_grid[0] < k * steps < H_grid[-1]]
+    expected_flips = [Hk for Hk in H_ks if H_grid[0] < Hk < H_grid[-1]]
 
     rec = ExperimentRecord("field_sweep", params_dict(params))
     rec.parameters["dx"] = dx

@@ -1,10 +1,10 @@
 """Minimization and critical-point search over the free DOFs.
 
-The free DOFs of a gauge-fixed state are f on all planes, phi on planes
-1..N and a on all planes.  They are packed column by column and plane by
-plane, (f, phi, a) within a plane (Layout), so the Hessian is a symmetric
-banded matrix with bandwidth 3N+3: couplings reach at most one grid column
-and one plane away.  The band is assembled straight from the stencil:
+The solvers work on the flat vector of free DOFs that state.Layout packs
+(phi_0 = 0 is dropped) and hand the kernels the whole (f, phi, a) it
+unpacks.  The packing is plane-major, so the Hessian is a symmetric banded
+matrix with bandwidth 3N+3: couplings reach at most one grid column and
+one plane away.  The band is assembled straight from the stencil:
 every energy term is local, so its second derivatives form small dense
 blocks that one bincount sums into the band in O(n).
 Minimization and the saddle search share the band, its one-call LAPACK
@@ -61,7 +61,7 @@ from .errors import (FactorizationFailure, NoConvergence, NonFinite,
 from .energy import energy_arrays
 from .observables import _fields
 from .params import Grid1D, LdParameters
-from .state import LayeredState
+from .state import LayeredState, Layout
 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
@@ -116,84 +116,13 @@ def _band_index_cached(N: int, M: int) -> np.ndarray:
     return flat
 
 
-@dataclass(frozen=True)
-class Layout:
-    """Plane-major packing of the free DOFs into a flat vector: column by
-    column, plane by plane within a column, and (f, phi, a) within a plane,
-    so a column is f_0 a_0 f_1 phi_1 a_1 ... f_N phi_N a_N (3N+2 slots) and
-    the last one, which has no a, is f_0 f_1 phi_1 ... f_N phi_N.  The
-    widest coupling is f_n to phi_n one column on, 3N+3 slots apart (the
-    x-major packing needed 4N+2)."""
-
-    N: int
-    M: int
-    idx_f: np.ndarray = field(repr=False)
-    idx_phi: np.ndarray = field(repr=False)
-    idx_a: np.ndarray = field(repr=False)
-    size: int = 0
-    bandwidth: int = 0
-
-    @staticmethod
-    @lru_cache(maxsize=32)
-    def build(N: int, M: int) -> "Layout":
-        """The layout of N gaps on M cells, cached, with read-only indices."""
-        S = 3 * N + 2
-        n = np.arange(N + 1)[:, None]
-        col = S * np.arange(M + 1)
-        idx_f = col + np.maximum(3 * n - 1, 0)
-        idx_phi = col + 3 * n[1:]
-        idx_a = col[:-1] + 3 * n + 1
-        idx_f[:, -1] = M * S + np.maximum(2 * n[:, 0] - 1, 0)
-        idx_phi[:, -1] = M * S + 2 * n[1:, 0]
-        for arr in (idx_f, idx_phi, idx_a):
-            arr.setflags(write=False)
-        return Layout(N, M, idx_f, idx_phi, idx_a, M * S + 2 * N + 1, S + 1)
-
-    def pack(self, f: np.ndarray, dphi: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Flatten one (f, dphi, a) into a vector of the layout's size."""
-        x = np.empty(self.size)
-        x[self.idx_f] = f
-        x[self.idx_phi] = dphi
-        x[self.idx_a] = a
-        return x
-
-    def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (x.take(self.idx_f, axis=-1), x.take(self.idx_phi, axis=-1),
-                x.take(self.idx_a, axis=-1))
-
-
-def _state_to_x(state: LayeredState, layout: Layout) -> np.ndarray:
-    return layout.pack(state.f, state.phi[1:], state.a)
-
-
-def _x_to_arrays(x: np.ndarray, layout: Layout
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f, phi, a) of packed free DOFs, phi with its gauge-fixed zero row."""
-    f, dphi, a = layout.unpack(x)
-    phi = np.zeros((layout.N + 1, layout.M + 1), x.dtype)
-    phi[1:] = dphi
-    return f, phi, a
-
-
-def _x_to_state(x: np.ndarray, layout: Layout) -> LayeredState:
-    return LayeredState(*_x_to_arrays(x, layout))
-
-
 def _flat_functions(params: LdParameters, grid: Grid1D, layout: Layout):
     """The kernel over packed free DOFs: x -> (energy, gradient), one
-    energy_arrays call.  Every call writes phi into one buffer whose
-    plane-0 row stays zero; the buffer takes the dtype of x (long double
-    in fd_gradient_check)."""
-    phi = np.zeros((layout.N + 1, layout.M + 1))
+    energy_arrays call."""
 
     def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal phi
-        if phi.dtype != x.dtype:
-            phi = np.zeros(phi.shape, x.dtype)
-        f, dphi, a = layout.unpack(x)
-        phi[1:] = dphi
-        (b, j, fl), (gf, gphi, ga) = energy_arrays(f, phi, a, params, grid)
-        return b + j + fl, layout.pack(gf, gphi[1:], ga)
+        (b, j, fl), grads = energy_arrays(*layout.unpack(x), params, grid)
+        return b + j + fl, layout.pack(*grads)
 
     return fun
 
@@ -314,7 +243,7 @@ def _shifted_newton(x: np.ndarray, g: np.ndarray, params: LdParameters,
     counts["shifts"], each skipped rung one to counts["skipped"].  Returns
     (d, mu) with the shift that factored, or (None, mu_last) if no shift
     factors or d is not finite; raises NonFinite for a non-finite band."""
-    ab, bw, c = assemble_banded_hessian(*_x_to_arrays(x, layout), params, grid,
+    ab, bw, c = assemble_banded_hessian(*layout.unpack(x), params, grid,
                                         phase_curvature=True)
     if not np.isfinite(ab).all():
         raise NonFinite("non-finite Hessian band")
@@ -343,10 +272,10 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
     _shifted_newton, Cholesky), starting from a tenth of the shift the last
     step accepted (the Levenberg-Marquardt damping update) and skipping the
     shifts the phase modes prove indefinite, and backtracks along it on the
-    energy.  When no shift factors, the direction is not a
-    descent direction or its line search stalls, the step is one
-    steepest-descent step under the same line search instead.  Every step lowers the energy, so the descent ends
-    at minima.
+    energy.  When no shift factors, the direction is not a descent
+    direction or its line search stalls, the step is one steepest-descent
+    step under the same line search instead.  Every step lowers the energy,
+    so the descent ends at minima.
 
     Terminates when the sup-norm of the gradient drops to tol or the
     iteration budget runs out.  The energy trace is nonincreasing; a
@@ -357,7 +286,7 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
     layout = Layout.build(params.num_gaps, grid.M)
     fun = _flat_functions(params, grid, layout)
 
-    x = _state_to_x(state0, layout)
+    x = layout.pack(state0.f, state0.phi, state0.a)
     e, g = fun(x)
     if not (math.isfinite(e) and np.isfinite(g).all()):
         raise NonFinite("non-finite energy or gradient at the start state")
@@ -396,7 +325,7 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
               "shifts, %d skipped, |g|inf %.3e", iterations, counts["newton"],
               counts["steepest"], counts["shifts"], counts["skipped"], gnorms[-1])
     return MinimizeReport(
-        state=_x_to_state(x, layout),
+        state=LayeredState(*layout.unpack(x)),
         iterations=iterations,
         grad_norm=gnorms[-1],
         energy=e,
@@ -658,7 +587,7 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
 
     layout = Layout.build(params.num_gaps, grid.M)
     fun = _flat_functions(params, grid, layout)
-    x = _state_to_x(state0, layout)
+    x = layout.pack(state0.f, state0.phi, state0.a)
     e, g = fun(x)
     if not np.isfinite(g).all():
         raise NonFinite("non-finite gradient at the Newton start")
@@ -667,7 +596,7 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
     for _ in range(max_newton):
         if history[-1] <= tol:
             break
-        ab, _ = assemble_banded_hessian(*_x_to_arrays(x, layout), params, grid)
+        ab, _ = assemble_banded_hessian(*layout.unpack(x), params, grid)
         d = banded_solve(ab, -g, False, 0.0)
         if d is None or not np.isfinite(d).all():
             what = "failed" if d is None else "gave a non-finite step"
@@ -685,6 +614,7 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
         raise NoConvergence(
             f"Newton used {max_newton} iterations, residual {history[-1]:.3e} > tol {tol:.1e}")
 
-    return CriticalPoint(state=_x_to_state(x, layout), residual=history[-1],
-                         energy=e, newton_iterations=len(history) - 1,
+    return CriticalPoint(state=LayeredState(*layout.unpack(x)),
+                         residual=history[-1], energy=e,
+                         newton_iterations=len(history) - 1,
                          residual_history=np.asarray(history))

@@ -339,12 +339,24 @@ def critical_josephson_current(params: LdParameters) -> float:
 # ---------------------------------------------------------------------------
 # Nucleation fields and the magnetization diagram.
 
+def nucleation_field(params: LdParameters, k):
+    """H_k = k pi/(pL), where the k-th vortex plane enters."""
+    return k * (math.pi / (params.spacing * params.half_width))
+
+
 def nucleation_fields(params: LdParameters, H_max: float) -> list[float]:
-    """Fields H_k = k pi/(pL) <= H_max where a new vortex plane enters."""
+    """The fields H_k <= H_max."""
     if H_max <= 0.0:
         raise ValueError(f"H_max must be positive, got {H_max}")
-    step = math.pi / (params.spacing * params.half_width)
-    return [k * step for k in range(1, int(H_max / step + 1e-12) + 1)]
+    last = int(H_max / nucleation_field(params, 1) + 1e-12)
+    return [nucleation_field(params, k) for k in range(1, last + 1)]
+
+
+def magnetization_jump(params: LdParameters, k):
+    """|M+ - M-| = 4 N p^2 L^2 r / (k pi) at H_k, for k an int or an array."""
+    N, p, L, r = (params.num_gaps, params.spacing, params.half_width,
+                  params.coupling)
+    return 4.0 * N * p**2 * L**2 * r / (math.pi * k)
 
 
 def epsilon_of_field(params: LdParameters, H: float) -> float:
@@ -381,19 +393,16 @@ class NucleationDiagram:
 
 
 def epsilon_and_jumps(params: LdParameters, H_grid) -> NucleationDiagram:
-    """Evaluate the nucleation diagram on a positive sorted field grid.
-
-    The magnetization jump at H_k has magnitude 4 N p^2 L^2 r / (k pi).
-    """
+    """Evaluate the nucleation diagram on a positive sorted field grid:
+    the fields H_k, the magnetization jump at each, and the leading-order
+    energy and one-sided magnetizations at every grid field."""
     H_grid = np.asarray(H_grid, dtype=float)
     if H_grid.ndim != 1 or H_grid.size == 0 or np.any(H_grid <= 0.0):
         raise InvalidParameters("H_grid must be a nonempty 1D array of positive fields")
     if np.any(np.diff(H_grid) <= 0.0):
         raise InvalidParameters("H_grid must be strictly increasing")
-    N, p, L, r = (params.num_gaps, params.spacing, params.half_width,
-                  params.coupling)
     Hk = np.asarray(nucleation_fields(params, float(H_grid[-1])))
-    delta_M = 4.0 * N * p**2 * L**2 * r / (np.pi * np.arange(1, Hk.size + 1))
+    delta_M = magnetization_jump(params, np.arange(1, Hk.size + 1))
     eps = np.array([epsilon_of_field(params, H) for H in H_grid])
     m_minus = np.array([magnetization(params, H, -1) for H in H_grid])
     m_plus = np.array([magnetization(params, H, +1) for H in H_grid])

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .minimize import assemble_banded_hessian, nearest_eigenvalues
 from .params import Grid1D, LdParameters
-from .state import zero_coupling_minimizer
+from .state import Layout, zero_coupling_minimizer
 
 
 def c0(params: LdParameters) -> float:
@@ -182,8 +183,6 @@ def discrete_norm_matrix(params: LdParameters, grid: Grid1D) -> np.ndarray:
     the band offsets the Layout gives them (3N+2 for a grid column, 2N+2 ..
     3N+1 into the last column, which has no a, and 3 between the a of
     adjacent planes).  The band is exactly symmetric."""
-    from .minimize import Layout
-
     N, p, M, dx = params.num_gaps, params.spacing, grid.M, grid.dx
     layout = Layout.build(N, M)
     bw, n = layout.bandwidth, layout.size
@@ -213,8 +212,6 @@ def gap_spectrum(params: LdParameters, grid: Grid1D | None = None,
     spectral gap.  The pencil is positive semidefinite, so the eigenvalues
     nearest GAP_SHIFT < 0 are the smallest, and shift-invert Lanczos
     computes only those."""
-    from .minimize import Layout, assemble_banded_hessian, nearest_eigenvalues
-
     if count is None:
         count = params.num_gaps + 1
     base = params.with_coupling(0.0)

@@ -142,3 +142,33 @@ def test_no_function_imports_scipy_sparse():
               "def g():\n    import scipy.sparse.linalg as spla\n")
     assert _all_imported_modules(sample) == ["scipy", "scipy.sparse",
                                              "scipy.sparse.linalg"]
+
+
+def _function_local_package_imports(source: str) -> list[str]:
+    """Package modules imported inside a function body: relative imports
+    and absolute ldvortex ones, as `function: module`."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "ldvortex"):
+                found.append(f"{fn.name}: {'.' * node.level}{node.module or ''}")
+            elif isinstance(node, ast.Import):
+                found += [f"{fn.name}: {alias.name}" for alias in node.names
+                          if alias.name.split(".")[0] == "ldvortex"]
+    return found
+
+
+def test_no_function_imports_a_package_module():
+    """Sibling modules are imported at the top of a module: the package has
+    no import cycle to dodge, and its imports read in one place."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    local = {p.name: _function_local_package_imports(p.read_text()) for p in modules}
+    assert {name: found for name, found in local.items() if found} == {}
+    sample = ("from . import energy\n\n\ndef f():\n    from .minimize import Layout\n"
+              "    import ldvortex.state\n    from scipy import sparse\n\n\n"
+              "def g():\n    from ldvortex import harness\n")
+    assert _function_local_package_imports(sample) == [
+        "f: .minimize", "f: ldvortex.state", "g: ldvortex"]

@@ -12,14 +12,13 @@ from ldvortex.energy import hessian_apply_arrays, total_energy
 from ldvortex.errors import FactorizationFailure, NoConvergence, SingularHessian
 from ldvortex import harness
 from ldvortex.harness import census, field_sweep
-from ldvortex.minimize import (Layout, assemble_banded_hessian, banded_solve,
-                               inertia, minimize, nearest_eigenvalues,
-                               newton_critical)
+from ldvortex.minimize import (assemble_banded_hessian, banded_solve, inertia,
+                               minimize, nearest_eigenvalues, newton_critical)
 from ldvortex.observables import delta_estimate, distance, observables
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.perturbation import (enumerate_seeds, leading_min_energy,
                                    seed_state, vortex_plane_delta)
-from ldvortex.state import (random_low_energy_state, random_rough_state,
+from ldvortex.state import (Layout, random_low_energy_state, random_rough_state,
                             uniform_field_state, zero_coupling_minimizer)
 
 # The package re-exports the function `minimize` under the module's name.
@@ -302,7 +301,7 @@ def test_every_skipped_shift_is_one_the_cholesky_refuses(N, monkeypatch):
     ladders = _recorded_ladders(monkeypatch)
     skipped = 0
     for state in states:
-        x = minimize_mod._state_to_x(state, layout)
+        x = layout.pack(state.f, state.phi, state.a)
         _, g = fun(x)
         for mu_last in (0.0, 1e-5):
             minimize_mod._shifted_newton(x, g, params, grid, layout,
@@ -591,12 +590,9 @@ def test_banded_assembly_matches_hessian_apply(desk, rng):
         state = random_rough_state(params, grid, rng)
         layout = Layout.build(N, grid.M)
         n = layout.size
-        uf, udphi, ua = layout.unpack(np.eye(n))
-        uphi = np.concatenate([np.zeros((n, 1, grid.M + 1)), udphi], axis=1)
-        Hf, Hphi, Ha = hessian_apply_arrays(state.f, state.phi, state.a,
-                                            uf, uphi, ua, params, grid)
-        # product j is column j
-        H = np.array([layout.pack(*c) for c in zip(Hf, Hphi[:, 1:], Ha)]).T
+        products = hessian_apply_arrays(state.f, state.phi, state.a,
+                                        *layout.unpack(np.eye(n)), params, grid)
+        H = layout.pack(*products).T  # product j is column j
 
         ab, bw = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
         assert ab.shape == (2 * bw + 1, n)
@@ -656,17 +652,13 @@ def test_batched_hessian_apply_matches_single_products(desk, rng):
     vs = rng.standard_normal((5, layout.size))
 
     def apply(v):
-        uf, udphi, ua = layout.unpack(v)
-        zeros = np.zeros(udphi.shape[:-2] + (1, grid.M + 1))
-        uphi = np.concatenate([zeros, udphi], axis=-2)
-        Hf, Hphi, Ha = hessian_apply_arrays(state.f, state.phi, state.a,
-                                            uf, uphi, ua, desk, grid)
-        return Hf, Hphi[..., 1:, :], Ha
+        return layout.pack(*hessian_apply_arrays(state.f, state.phi, state.a,
+                                                 *layout.unpack(v), desk, grid))
 
-    batched = [layout.pack(*product) for product in zip(*apply(vs))]
-    assert len(batched) == len(vs)
+    batched = apply(vs)
+    assert batched.shape == vs.shape
     for v, row in zip(vs, batched):
-        assert np.array_equal(layout.pack(*apply(v)), row)
+        assert np.array_equal(apply(v), row)
 
 
 def test_newton_tail_shifts_singular_zero_coupling_hessian(desk, coarse_grid,

@@ -10,7 +10,7 @@ from ldvortex.observables import (Observables, delta_estimate, distance,
                                   distances, lift_field_2d, observables,
                                   stacked)
 from ldvortex.params import Grid1D, LdParameters
-from ldvortex.state import (LayeredState, gauge_fix, gauge_transform,
+from ldvortex.state import (LayeredState, Layout, gauge_fix, gauge_transform,
                             random_rough_state, uniform_field_state,
                             zero_coupling_minimizer)
 
@@ -123,6 +123,25 @@ def test_random_gauge_transform_preserves_energy_and_observables(desk,
         e1 = total_energy(out, desk, desk_grid).total
         assert abs(e1 - e0) <= 1e-13 * abs(e0)
         assert distance(o0, observables(out, desk, desk_grid)) <= 1e-12
+
+
+def test_layout_packs_the_free_dofs_of_whole_arrays(desk, coarse_grid, rng):
+    """pack drops the gauge row phi_0, unpack restores it as zeros, and
+    both keep leading axes and the dtype."""
+    state = random_rough_state(desk, coarse_grid, rng)
+    layout = Layout.build(desk.num_gaps, coarse_grid.M)
+    x = layout.pack(state.f, state.phi + 1.0, state.a)
+    assert x.shape == (layout.size,) and x.dtype == np.float64
+    f, phi, a = layout.unpack(x)
+    assert np.array_equal(f, state.f) and np.array_equal(a, state.a)
+    assert not phi[0].any() and np.array_equal(phi[1:], state.phi[1:] + 1.0)
+
+    xs = np.stack([x, 2.0 * x]).astype(np.longdouble)
+    f, phi, a = layout.unpack(xs)
+    assert phi.shape == (2,) + state.phi.shape and phi.dtype == np.longdouble
+    assert f.dtype == a.dtype == np.longdouble and not phi[:, 0].any()
+    packed = layout.pack(f, phi, a)
+    assert packed.dtype == np.longdouble and np.array_equal(packed, xs)
 
 
 def test_state_shape_validation():

@@ -5,9 +5,9 @@ import pytest
 import scipy.linalg as sla
 
 from ldvortex.errors import DomainError
-from ldvortex.minimize import Layout, assemble_banded_hessian
+from ldvortex.minimize import assemble_banded_hessian
 from ldvortex.params import Grid1D, LdParameters
-from ldvortex.state import zero_coupling_minimizer
+from ldvortex.state import Layout, zero_coupling_minimizer
 from ldvortex.validity import (c0, discrete_norm_matrix, energy_bound_coefficient,
                                f_dip_threshold, gap_spectrum, k_factor,
                                lambda_lower, lambda_upper, numerical_gap,
