@@ -333,6 +333,9 @@ def main(argv=None) -> int:
         args = parser.parse_args([argv[0], *args.config, *argv[1:]])
     if args.command == "validity":
         _check_validity_flags(parser, args)
+    elif getattr(args, "format", None) == "csv" and not args.out:
+        # sweep and perturb write their CSV tables beside the --out file.
+        parser.error("--format csv writes its table beside --out and needs it")
     try:
         return args.fn(args)
     except LdError as exc:

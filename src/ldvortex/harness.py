@@ -18,13 +18,15 @@ import numpy as np
 from .errors import (DegenerateField, FactorizationFailure, InvalidParameters,
                      NoCompleteCycle, NoConvergence)
 from .exports import params_dict
-from .minimize import default_newton_tol, inertia, minimize, newton_critical
-from .observables import delta_estimate, distances, observables, stacked
-from .params import Grid1D, LdParameters, default_dx, wrap_to_pi
-from .perturbation import (enumerate_seeds, g0, interior_u1_closed_form,
-                           magnetization_jump, nucleation_field,
-                           nucleation_fields, seed_state, vortex_plane_delta,
-                           vortex_plane_observables)
+from .minimize import (MinimizeReport, default_newton_tol, inertia, minimize,
+                       newton_critical)
+from .observables import (_fields, circular_mean, delta_estimate, distances,
+                          observables, stacked)
+from .params import Grid1D, LdParameters, default_dx, wrap_angle, wrap_to_pi
+from .perturbation import (_seed_states, enumerate_seeds, g0,
+                           interior_u1_closed_form, magnetization_jump,
+                           nucleation_field, nucleation_fields, seed_state,
+                           vortex_plane_delta, vortex_plane_observables)
 from .state import LayeredState, random_low_energy_state
 from .validity import energy_bound_coefficient
 
@@ -284,35 +286,36 @@ def _extrapolate(x: np.ndarray, y: np.ndarray, x0: float) -> float:
     return float(np.polyfit(x - x0, y, len(x) - 1)[-1])
 
 
-def _sweep_point_job(args) -> dict:
-    params, H, dx, tol = args
+def _sweep_point_job(args) -> MinimizeReport:
+    """Pass 2 of field_sweep at one field H: descend from each of its seeds
+    (delta = 0, then pi) and return the lower descent; a tie keeps the
+    first."""
+    params, H, grid, tol, starts = args
     ph = params.with_field(float(H))
-    grid = Grid1D.build(ph, dx)
-    best = None
-    branches = np.array([[0.0], [math.pi]]).repeat(ph.num_gaps, axis=1)
-    for start in seed_state(ph, grid, branches):
-        rep = minimize(start, ph, grid, tol=tol, max_iter=DESCENT_MAX_ITER)
-        if best is None or rep.energy < best.energy:
-            best = rep
-    obs = observables(best.state, ph, grid)
-    dh = delta_estimate(obs, ph, grid)
-    if all(_circ_dist(v, 0.0) < 0.5 * math.pi for v in dh):
-        config = 0.0
-    elif all(_circ_dist(v, math.pi) < 0.5 * math.pi for v in dh):
-        config = math.pi
-    else:
-        config = math.nan
-    # Exact at a critical state (envelope theorem): H is only in the field term.
-    dE_dH = -2.0 * ph.spacing * grid.dx / ph.kappa**2 * float((obs.h - H).sum())
-    return {"energy": best.energy, "config": config, "dE_dH": dE_dH,
-            "delta_hat": dh.tolist(),
-            "n_maxima": count_interior_maxima(np.mean(obs.h, axis=0))}
+    return min((minimize(start, ph, grid, tol=tol, max_iter=DESCENT_MAX_ITER)
+                for start in starts), key=lambda rep: rep.energy)
+
+
+def _sweep_seeds(params: LdParameters, H_grid: np.ndarray,
+                 grid: Grid1D) -> list[LayeredState]:
+    """Pass 1 of field_sweep: the seeds delta = 0 and pi of every field,
+    in field order and 0 before pi, in one pass (one dgtsv)."""
+    branches = np.array([[0.0], [math.pi]]).repeat(params.num_gaps, axis=1)
+    return _seed_states(params, grid, np.tile(branches, (H_grid.size, 1)),
+                        H_grid.repeat(2))
 
 
 def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
                 jobs: int = 1) -> ExperimentRecord:
     """Minimization along an increasing field grid: each field keeps the
     lower of the descents from the seeds delta = 0 and pi (a tie keeps 0).
+
+    Three passes over one grid, which every field shares (L and dx): the
+    seeds of all fields in one pass, then the two descents of each field
+    (the only pass that fans out over `jobs` processes), then one analysis
+    pass over the stacked kept states for delta_hat, the collective
+    configurations, dE/dH and the maxima of the gap-averaged h.  All seeds
+    are held at once, so memory grows as O(len(H_grid) n).
 
     Detects the collective flips of the reduced phases (robust first-order
     transition marker), counts interior maxima of h, and measures the
@@ -332,15 +335,27 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
         raise InvalidParameters("H_grid passes within 1e-3 of a degenerate field")
     if dx is None:
         dx = default_dx(params.with_field(float(H_grid[-1])))
+    grid = Grid1D.build(params, dx)
     tol = sweep_tol(params)
 
-    results = _fan_out(_sweep_point_job,
-                       [(params, H, dx, tol) for H in H_grid], jobs)
+    seeds = _sweep_seeds(params, H_grid, grid)
+    best = _fan_out(_sweep_point_job,
+                    [(params, H, grid, tol, seeds[2 * j:2 * j + 2])
+                     for j, H in enumerate(H_grid)], jobs)
 
-    eps = np.array([res["energy"] for res in results])
-    dE_dH = np.array([res["dE_dH"] for res in results])
-    configs = np.array([res["config"] for res in results])
-    maxima = np.array([res["n_maxima"] for res in results])
+    # Pass 3 over the stacked kept states.  dE/dH is exact at a critical
+    # state (envelope theorem): H is only in the field term.
+    _, _, Phi, h = _fields(*(np.stack([getattr(rep.state, name) for rep in best])
+                             for name in ("f", "phi", "a")), params, grid)
+    H_col = H_grid[:, None, None]
+    delta_hat = wrap_angle(circular_mean(Phi - H_col * params.spacing * grid.nodes))
+    eps = np.array([rep.energy for rep in best])
+    dE_dH = (-2.0 * params.spacing * grid.dx / params.kappa**2
+             * (h - H_col).reshape(H_grid.size, -1).sum(axis=1))
+    near = {c: np.all(np.abs(wrap_to_pi(delta_hat - c)) < 0.5 * math.pi, axis=1)
+            for c in (0.0, math.pi)}
+    configs = np.where(near[0.0], 0.0, np.where(near[math.pi], math.pi, math.nan))
+    maxima = np.array([count_interior_maxima(row) for row in h.mean(axis=1)])
 
     flips = [j for j in range(1, len(H_grid))
              if not math.isclose(configs[j], configs[j - 1], abs_tol=1e-9)]
@@ -375,7 +390,7 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
     rec.data = {"H_grid": H_grid.tolist(), "epsilon": eps.tolist(),
                 "dE_dH": dE_dH.tolist(),
                 "configs": configs.tolist(), "n_maxima": maxima.tolist(),
-                "delta_hat": [res["delta_hat"] for res in results],
+                "delta_hat": delta_hat.tolist(),
                 "transitions": transitions,
                 "expected_transitions": expected_flips}
     rec.checks = {

@@ -52,11 +52,12 @@ def _fields(f: np.ndarray, phi: np.ndarray, a: np.ndarray, params: LdParameters,
             grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The stencil every discrete quantity is built from: (V, fm, Phi, h),
     with V and h at midpoints, Phi at nodes and fm = (f_m + f_m+1)/2 the
-    midpoint amplitude of each plane."""
-    V = (phi[:, 1:] - phi[:, :-1]) / grid.dx - a
-    fm = 0.5 * (f[:, 1:] + f[:, :-1])
-    Phi = phi[1:] - phi[:-1]
-    h = (a[1:] - a[:-1]) / params.spacing
+    midpoint amplitude of each plane; a leading stack axis of f, phi and a
+    carries through."""
+    V = (phi[..., 1:] - phi[..., :-1]) / grid.dx - a
+    fm = 0.5 * (f[..., 1:] + f[..., :-1])
+    Phi = phi[..., 1:, :] - phi[..., :-1, :]
+    h = (a[..., 1:, :] - a[..., :-1, :]) / params.spacing
     return V, fm, Phi, h
 
 
@@ -109,6 +110,12 @@ def distance(obs1: Observables, obs2: Observables) -> float:
     return float(distances(obs1, stacked([obs2]))[0])
 
 
+def circular_mean(angles: np.ndarray) -> np.ndarray:
+    """Circular mean over the last axis, arctan2(mean sin, mean cos), in
+    [-pi, pi]."""
+    return np.arctan2(np.sin(angles).mean(axis=-1), np.cos(angles).mean(axis=-1))
+
+
 def delta_estimate(obs: Observables, params: LdParameters,
                    grid: Grid1D) -> np.ndarray:
     """Per-gap circular mean of Phi_{n,n-1}(x) - H p x, in [0, 2*pi).
@@ -117,10 +124,7 @@ def delta_estimate(obs: Observables, params: LdParameters,
     nearest point on the degenerate manifold.
     """
     drift = params.applied_field * params.spacing * grid.nodes[None, :]
-    resid = obs.Phi - drift
-    mean_sin = np.sin(resid).mean(axis=1)
-    mean_cos = np.cos(resid).mean(axis=1)
-    return wrap_angle(np.arctan2(mean_sin, mean_cos))
+    return wrap_angle(circular_mean(obs.Phi - drift))
 
 
 def mids_to_nodes(arr: np.ndarray) -> np.ndarray:

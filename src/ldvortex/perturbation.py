@@ -17,8 +17,10 @@ The order-r fields rest on one sine quadrature, the field correction b1;
 the supervelocity correction sv1 is its jump across each plane (discrete
 Ampere).  The seed builders take a leading stack of offsets, a (K, N)
 array, and build all K in one pass with one tridiagonal dgtsv call for
-every amplitude correction, each to the bit of its own single call: the
-census seeds its 2^N points, and a sweep field its two branches, that way.
+every amplitude correction, each to the bit of its own single call.  The
+private core _seed_states also takes the applied field per member: the
+census seeds its 2^N points at one field that way, and a field sweep the
+two branches of every field at once.
 vortex_plane_observables stays an independent closed form, not built from
 these fields: the seed and convergence checks compare against it.
 """
@@ -33,7 +35,7 @@ import numpy as np
 
 from ._lapack import flapack
 from .errors import DegenerateField, FactorizationFailure, InvalidParameters
-from .observables import Observables
+from .observables import Observables, circular_mean
 from .params import (DEGENERACY_TOL, Grid1D, LdParameters, PhaseConfig,
                      as_phase_config, wrap_angle, wrap_to_pi)
 from .state import LayeredState, zero_coupling_minimizer
@@ -137,11 +139,13 @@ def _phase_offsets(delta, num_gaps: int) -> np.ndarray:
     return wrap_angle(arr)
 
 
-def _u1_rhs(delta: np.ndarray, params: LdParameters, x: np.ndarray) -> np.ndarray:
+def _u1_rhs(delta: np.ndarray, params: LdParameters, x: np.ndarray,
+            H=None) -> np.ndarray:
     """Right side of the amplitude correction ODE per plane, (..., N+1,
-    x.size) for offsets delta of shape (..., N)."""
+    x.size) for offsets delta of shape (..., N), at the applied field H
+    (params' own by default; see _seed_states for one field per member)."""
     N = params.num_gaps
-    Hp = params.applied_field * params.spacing
+    Hp = (params.applied_field if H is None else H) * params.spacing
     cos_gap = np.cos(delta[..., :, None] + Hp * x)  # (..., N, M+1)
     rhs = np.empty(delta.shape[:-1] + (N + 1, x.size))
     rhs[..., 0, :] = 0.5 * (cos_gap[..., 0, :] - 1.0)
@@ -188,10 +192,20 @@ def field_correction(params: LdParameters, delta, x: np.ndarray) -> np.ndarray:
     mean_n = sin(delta_n) sin(HpL)/(HpL) is the mean of the sine over
     [-L, L].  One row per gap, evaluated at the points x, and a leading
     axis of K for a (K, N) stack of delta."""
-    delta = _phase_offsets(delta, params.num_gaps)[..., None]
-    x = np.asarray(x, dtype=float)
-    Hp, hpl = params.applied_field * params.spacing, params.hpl
-    mean = np.sin(delta) * math.sin(hpl) / hpl
+    return _field_correction(params, _phase_offsets(delta, params.num_gaps),
+                             np.asarray(x, dtype=float), params.applied_field)
+
+
+def _field_correction(params: LdParameters, delta: np.ndarray, x: np.ndarray,
+                      H) -> np.ndarray:
+    """field_correction of checked offsets at the applied field H, a float
+    or one field per member shaped (K, 1, 1); sin(HpL) is math.sin's for
+    every field."""
+    delta = delta[..., None]
+    Hp = H * params.spacing
+    hpl = Hp * params.half_width
+    sin_hpl = np.reshape([math.sin(v) for v in np.ravel(hpl)], np.shape(hpl))
+    mean = np.sin(delta) * sin_hpl / hpl
     prim = (np.cos(delta - hpl) - np.cos(delta + Hp * x)) / Hp
     return 0.5 * params.spacing * params.kappa**2 * (
         prim - mean * (x + params.half_width))
@@ -212,9 +226,16 @@ def first_order_correction(params: LdParameters, grid: Grid1D,
     which is what quadrature of (1/k^2) sv1' = (sine sources - I_n)/2 with
     the plane constants I_n gives; it inherits b1's zeros at +-L.
     """
-    delta = _phase_offsets(delta, params.num_gaps)
-    u1 = _solve_u1(_u1_rhs(delta, params, grid.nodes), params, grid)
-    b1 = field_correction(params, delta, grid.mids)
+    return _corrections(params, grid, _phase_offsets(delta, params.num_gaps),
+                        params.applied_field)
+
+
+def _corrections(params: LdParameters, grid: Grid1D, delta: np.ndarray,
+                 H) -> CorrectionFields:
+    """first_order_correction of checked offsets at the applied field H, a
+    float or one field per member shaped (K, 1, 1)."""
+    u1 = _solve_u1(_u1_rhs(delta, params, grid.nodes, H), params, grid)
+    b1 = _field_correction(params, delta, grid.mids, H)
     zero = np.zeros(delta.shape[:-1] + (1, grid.M))
     padded = np.concatenate([zero, b1, zero], axis=-2)
     return CorrectionFields(
@@ -258,13 +279,25 @@ def seed_state(params: LdParameters, grid: Grid1D, delta):
     so the circular mean of Phi_{n,n-1} - Hpx equals delta_n.
     """
     delta = _phase_offsets(delta, params.num_gaps)
-    stack = delta.reshape(-1, params.num_gaps)
-    r, p, H = params.coupling, params.spacing, params.applied_field
-    if r == 0.0:
-        states = [zero_coupling_minimizer(params, grid, d) for d in stack]
-        return states if delta.ndim == 2 else states[0]
+    states = _seed_states(params, grid, delta.reshape(-1, params.num_gaps),
+                          params.applied_field)
+    return states if delta.ndim == 2 else states[0]
 
-    cf = first_order_correction(params, grid, stack)
+
+def _seed_states(params: LdParameters, grid: Grid1D, stack: np.ndarray,
+                 H) -> list[LayeredState]:
+    """seed_state of each row of a (K, N) stack of offsets in [0, 2 pi) at
+    the applied field H: a float, or one field per row, shape (K,).  One
+    pass and one dgtsv for all K; member k equals
+    seed_state(params.with_field(H[k]), grid, stack[k]) to the bit."""
+    r, p = params.coupling, params.spacing
+    if r == 0.0:
+        fields = np.broadcast_to(H, len(stack))
+        return [zero_coupling_minimizer(params.with_field(float(h)), grid, d)
+                for h, d in zip(fields, stack)]
+    if np.ndim(H):
+        H = np.asarray(H, dtype=float)[:, None, None]
+    cf = _corrections(params, grid, stack, H)
     f = 1.0 + r * cf.u1
     # a_0 = -r sv1_0, then a_n = a_{n-1} + p h_n with h_n = H + r b1_n.
     a = np.concatenate([-r * cf.sv1[:, :1], p * (H + r * cf.b1)],
@@ -274,11 +307,9 @@ def seed_state(params: LdParameters, grid: Grid1D, delta):
     # Shifting plane n by c_n moves the residual of gap n by c_n - c_{n-1},
     # so c_n = sum over gaps k <= n of (delta_k - m_k), with m_k the
     # circular mean of the unshifted Phi_{k,k-1} - Hpx.
-    resid = phi[:, 1:] - phi[:, :-1] - H * p * grid.nodes
-    m = np.arctan2(np.sin(resid).mean(axis=2), np.cos(resid).mean(axis=2))
+    m = circular_mean(phi[:, 1:] - phi[:, :-1] - H * p * grid.nodes)
     phi[:, 1:] += wrap_to_pi(np.cumsum(stack - m, axis=1))[..., None]
-    states = [LayeredState(*fields) for fields in zip(f, phi, a)]
-    return states if delta.ndim == 2 else states[0]
+    return [LayeredState(*fields) for fields in zip(f, phi, a)]
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,23 @@ def test_numerical_gap_with_csv_exits_2_before_any_solve(monkeypatch, capsys):
     assert "--numerical-gap" in err and "--format csv" in err
 
 
+@pytest.mark.parametrize("argv, solver", [
+    (["sweep", "--H-points", "8", "--H-min", "2", "--H-max", "3"], "field_sweep"),
+    (["perturb"], "enumerate_seeds"),
+], ids=["sweep", "perturb"])
+def test_csv_without_out_exits_2_before_any_solve(argv, solver, monkeypatch,
+                                                  capsys):
+    """sweep and perturb write their CSV tables beside the --out file, so
+    --format csv without --out is refused instead of printing only JSON."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, solver, refuse)
+    assert run([*argv, "--format", "csv"]) == 2
+    err = capsys.readouterr().err
+    assert "--format csv" in err and "--out" in err
+
+
 @pytest.mark.parametrize("argv, config, named", [
     (["validity"], {"dx": 0.5}, "--dx"),
     (["validity", "--format", "csv"], {"L": 3.0}, "--L"),

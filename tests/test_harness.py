@@ -2,17 +2,18 @@ import concurrent.futures
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ldvortex import harness
+from ldvortex import harness, perturbation
 from ldvortex.errors import DegenerateField, InvalidParameters, NoCompleteCycle
 from ldvortex.harness import (census, convergence_study, count_interior_maxima,
                               field_sweep, flux_check)
-from ldvortex.minimize import newton_critical
-from ldvortex.observables import distance, observables
-from ldvortex.params import Grid1D, LdParameters
+from ldvortex.minimize import minimize, newton_critical
+from ldvortex.observables import delta_estimate, distance, observables
+from ldvortex.params import Grid1D, LdParameters, default_dx, wrap_to_pi
 from ldvortex.perturbation import (MAX_SEED_GAPS, enumerate_seeds, seed_state,
                                    vortex_plane_delta)
 
@@ -128,7 +129,7 @@ def no_solves(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a solve or a process pool was started")
 
-    for name in ("newton_critical", "minimize", "seed_state"):
+    for name in ("newton_critical", "minimize", "seed_state", "_seed_states"):
         monkeypatch.setattr(harness, name, no_work)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
 
@@ -201,13 +202,17 @@ def test_field_sweep_jumps_at_wide_sample():
     assert max(t["jump_rel_err"] for t in rec.data["transitions"]) <= 0.10
 
     tol = harness.sweep_tol(params)
+    grid = Grid1D.build(params, 1.0 / 30.0)
     for j in (10, 21):  # H = 3, 4.1
         slope = rec.data["dE_dH"][j]
         errors = []
         for h in (1e-2, 1e-3):
-            up, down = (harness._sweep_point_job((params, H_grid[j] + s, 1.0 / 30.0, tol))
-                        for s in (h, -h))
-            errors.append(abs((up["energy"] - down["energy"]) / (2.0 * h) - slope))
+            fields = H_grid[j] + np.array([h, -h])
+            seeds = harness._sweep_seeds(params, fields, grid)
+            up, down = (harness._sweep_point_job((params, H, grid, tol,
+                                                  seeds[2 * k:2 * k + 2]))
+                        for k, H in enumerate(fields))
+            errors.append(abs((up.energy - down.energy) / (2.0 * h) - slope))
         assert errors[1] <= 1e-4 * abs(slope) and errors[1] <= errors[0] / 50.0, (j, errors)
 
 
@@ -242,6 +247,58 @@ def test_field_sweep_serial_equals_parallel(desk, monkeypatch):
     monkeypatch.setattr(harness, "minimize", descend)
     parallel = field_sweep(desk, H_grid, jobs=2)
     assert serial.to_dict()["data"] == parallel.to_dict()["data"]
+
+
+def test_field_sweep_matches_a_per_field_reference(desk):
+    """Across H_1 = 2 pi the one-pass sweep records, field for field and to
+    the bit, what one seed, descent and analysis per field gives: the
+    public seed_state per field, the lower of its two descents (a tie keeps
+    delta = 0), and delta_hat, the configuration, the envelope dE/dH and
+    the maxima of the gap-averaged h from that field's observables."""
+    H_grid = np.linspace(5.8, 6.8, 8)
+    data = field_sweep(desk, H_grid).to_dict()["data"]
+    dx = default_dx(desk.with_field(float(H_grid[-1])))
+    tol = harness.sweep_tol(desk)
+    branches = np.array([[0.0], [math.pi]]).repeat(desk.num_gaps, axis=1)
+    ref = {"epsilon": [], "dE_dH": [], "configs": [], "n_maxima": [],
+           "delta_hat": []}
+    for H in H_grid:
+        ph = desk.with_field(float(H))
+        grid = Grid1D.build(ph, dx)
+        best = None
+        for start in seed_state(ph, grid, branches):
+            rep = minimize(start, ph, grid, tol=tol,
+                           max_iter=harness.DESCENT_MAX_ITER)
+            if best is None or rep.energy < best.energy:
+                best = rep
+        obs = observables(best.state, ph, grid)
+        dh = delta_estimate(obs, ph, grid)
+        near = [c for c in (0.0, math.pi)
+                if all(abs(wrap_to_pi(v - c)) < 0.5 * math.pi for v in dh)]
+        ref["epsilon"].append(best.energy)
+        ref["dE_dH"].append(-2.0 * ph.spacing * grid.dx / ph.kappa**2
+                            * float((obs.h - H).sum()))
+        ref["configs"].append(near[0] if near else math.nan)
+        ref["n_maxima"].append(count_interior_maxima(np.mean(obs.h, axis=0)))
+        ref["delta_hat"].append(dh.tolist())
+    assert ref["configs"][0] == 0.0 and ref["configs"][-1] == math.pi
+    for key, values in ref.items():
+        assert data[key] == values, key
+
+
+@pytest.mark.parametrize("points", [8, 17])
+def test_field_sweep_makes_one_dgtsv_call(desk, monkeypatch, points):
+    """The seeds of every field and branch come from one tridiagonal
+    amplitude solve, whatever the length of the sweep."""
+    dgtsv, columns = perturbation.flapack.dgtsv, []
+
+    def counted(*args, **kwargs):
+        columns.append(args[3].shape[1])
+        return dgtsv(*args, **kwargs)
+
+    monkeypatch.setattr(perturbation, "flapack", SimpleNamespace(dgtsv=counted))
+    field_sweep(desk, np.linspace(5.4, 7.0, points))
+    assert columns == [2 * points * (desk.num_gaps + 1)]
 
 
 def test_field_sweep_rejects_degenerate_grid(desk):

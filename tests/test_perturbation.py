@@ -10,7 +10,7 @@ from ldvortex.energy import gradient
 from ldvortex.errors import DegenerateField, InvalidParameters
 from ldvortex.observables import delta_estimate, observables
 from ldvortex.params import Grid1D, LdParameters, PhaseConfig, wrap_to_pi
-from ldvortex.perturbation import (_solve_u1, _u1_rhs,
+from ldvortex.perturbation import (_seed_states, _solve_u1, _u1_rhs,
                                    critical_josephson_current,
                                    enumerate_seeds, epsilon_and_jumps,
                                    epsilon_of_field, field_correction,
@@ -266,6 +266,26 @@ def test_stacked_seeds_equal_the_single_seeds_bit_for_bit(N, r):
                                             params, grid))
     for name in ("u1", "sv1", "b1"):
         assert np.array_equal(getattr(cf, name)[-1], getattr(one, name)), name
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("r", [1e-3, 0.0])
+def test_field_stacked_seeds_equal_the_single_seeds_bit_for_bit(N, r):
+    """Seeds built in one pass with one applied field per row, on both
+    sides of H_1 = 2 pi, equal each field's own seed_state to the bit."""
+    params = LdParameters(N, 1.0, 0.5, 1.0, 3.0, r)
+    grid = Grid1D.build(params, dx=1.0 / 20.0)
+    fields = np.array([5.5, 6.1, 6.5, 7.0])
+    deltas = np.vstack([np.zeros(N), np.full(N, math.pi),
+                        np.random.default_rng(N).uniform(0.0, 2.0 * math.pi, N)])
+    stack = _seed_states(params, grid, np.tile(deltas, (fields.size, 1)),
+                         fields.repeat(len(deltas)))
+    assert len(stack) == fields.size * len(deltas)
+    for k, H in enumerate(fields):
+        singles = seed_state(params.with_field(H), grid, deltas)
+        for seed, single in zip(stack[k * len(deltas):], singles):
+            for name in ("f", "phi", "a"):
+                assert np.array_equal(getattr(seed, name), getattr(single, name)), (H, name)
 
 
 def test_seed_stack_validation(desk, desk_grid):
