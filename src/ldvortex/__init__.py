@@ -14,8 +14,8 @@ from .params import Grid1D, LdParameters, PhaseConfig, default_dx, validate
 from .state import (LayeredState, gauge_fix, gauge_transform,
                     uniform_field_state, zero_coupling_minimizer)
 from .observables import Observables, distance, lift_field_2d, observables
-from .energy import (Cotangent, EnergyBreakdown, el_residual,
-                     fd_gradient_check, gradient, hessian_apply, total_energy)
+from .energy import (EnergyBreakdown, el_residual, fd_gradient_check,
+                     gradient, hessian_apply, total_energy)
 from .minimize import (CriticalPoint, MinimizeReport, inertia, minimize,
                        newton_critical)
 

@@ -16,10 +16,12 @@ One kernel, energy_arrays, returns the energy and its gradient from a
 single pass over the staggered fields V, fm, Phi and h, which
 observables._fields defines for every module.  hessian_apply_arrays reads
 the same fields but linearizes the gradient on its own: it is the
-reference the banded Hessian is tested against.  At the sizes the
-solvers run, a kernel call is bound by NumPy's per-call overhead rather
-than by arithmetic, so energy_arrays uses slicing and ndarray reductions
-and computes each repeated subexpression (f^2 - 1, V^2, fm^2) once.
+reference the banded Hessian is tested against.  gradient and
+hessian_apply work on free-DOF vectors as state.Layout packs them.  At
+the sizes the solvers run, a kernel call is bound by NumPy's per-call
+overhead rather than by arithmetic, so energy_arrays uses slicing and
+ndarray reductions and computes each repeated subexpression (f^2 - 1,
+V^2, fm^2) once.
 
 f is unconstrained here; at solutions of the discrete system f stays in
 (0, 1] and the harness asserts it.
@@ -28,7 +30,7 @@ f is unconstrained here; at solutions of the discrete system f stays in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,23 +57,6 @@ class EnergyBreakdown:
                 "field": self.field, "total": self.total}
 
 
-@dataclass(frozen=True)
-class Cotangent:
-    """Gradient of the energy with respect to every free DOF.
-
-    phi_0 is gauge fixed, so dphi covers planes 1..N only.
-    """
-
-    df: np.ndarray = field(repr=False)      # (N+1, M+1)
-    dphi: np.ndarray = field(repr=False)    # (N,   M+1)
-    da: np.ndarray = field(repr=False)      # (N+1, M)
-
-    def sup_norm(self) -> float:
-        return max(float(np.max(np.abs(self.df))),
-                   float(np.max(np.abs(self.dphi))),
-                   float(np.max(np.abs(self.da))))
-
-
 def _check(state: LayeredState, params: LdParameters, grid: Grid1D) -> None:
     state.check_grid(params, grid)
     if not (np.all(np.isfinite(state.f)) and np.all(np.isfinite(state.phi))
@@ -83,11 +68,11 @@ def energy_arrays(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
                   params: LdParameters, grid: Grid1D
                   ) -> tuple[tuple[float, float, float],
                              tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """((bulk, josephson, field), (gf, gphi_full, ga)) for raw arrays: the
+    """((bulk, josephson, field), (gf, gphi, ga)) for raw arrays: the
     energy and its exact derivative arrays in one pass over the stencil.
 
-    gphi_full includes plane 0, which the free-DOF gradient leaves out
-    (Cotangent, Layout.pack).
+    gphi includes plane 0, which Layout.pack drops from the free-DOF
+    gradient.
     """
     p, kappa, r, H = (params.spacing, params.kappa, params.coupling,
                       params.applied_field)
@@ -148,16 +133,16 @@ def total_energy(state: LayeredState, params: LdParameters,
 
 
 def gradient(state: LayeredState, params: LdParameters,
-             grid: Grid1D) -> Cotangent:
-    """Exact gradient of total_energy over the free DOFs.
+             grid: Grid1D) -> np.ndarray:
+    """Exact gradient of total_energy over the free DOFs, packed by Layout.
 
     The a-components encode the discrete jump conditions across the
     planes, including the top/bottom relations with the external-field
     offset (h^(N) = H + p f_N^2 V_N at stationarity).
     """
     _check(state, params, grid)
-    _, (gf, gphi, ga) = energy_arrays(state.f, state.phi, state.a, params, grid)
-    return Cotangent(gf, gphi[1:], ga)
+    _, grads = energy_arrays(state.f, state.phi, state.a, params, grid)
+    return Layout.build(params.num_gaps, grid.M).pack(*grads)
 
 
 def hessian_apply_arrays(f, phi, a, uf, uphi, ua, params: LdParameters,
@@ -170,10 +155,10 @@ def hessian_apply_arrays(f, phi, a, uf, uphi, ua, params: LdParameters,
     minimize.assemble_banded_hessian writes the second derivatives term by
     term, and the tests hold the two together.
 
-    uphi must include a plane-0 row (zeros when gauge fixed).  The
-    directions may carry leading axes, e.g. (k, N+1, M+1) for k directions;
-    the products then carry the same leading axes, each one bit-identical
-    to the product along that direction alone.
+    uphi has a plane-0 row, zero for a free-DOF direction (Layout.unpack).
+    The directions may carry leading axes, e.g. (k, N+1, M+1) for k
+    directions; the products carry the same ones, each bit-identical to
+    the product along that direction alone.
     """
     p, kappa, r = params.spacing, params.kappa, params.coupling
     dx = grid.dx
@@ -216,19 +201,17 @@ def hessian_apply_arrays(f, phi, a, uf, uphi, ua, params: LdParameters,
     return Hf, Hphi, Ha
 
 
-def hessian_apply(state: LayeredState, direction: Cotangent,
-                  params: LdParameters, grid: Grid1D) -> Cotangent:
-    """Exact Hessian-vector product over the free DOFs; symmetric."""
+def hessian_apply(state: LayeredState, v: np.ndarray, params: LdParameters,
+                  grid: Grid1D) -> np.ndarray:
+    """Exact Hessian-vector product H v over the free DOFs; symmetric.  v is
+    packed by Layout and may carry leading axes, e.g. (k, n) for k
+    directions; the products carry the same ones."""
     _check(state, params, grid)
-    if (direction.df.shape != state.f.shape
-            or direction.dphi.shape != state.phi[1:].shape
-            or direction.da.shape != state.a.shape):
-        raise ShapeMismatch("direction shapes do not match the state")
-    uphi = np.vstack([np.zeros((1, state.num_nodes)), direction.dphi])
-    Hf, Hphi, Ha = hessian_apply_arrays(state.f, state.phi, state.a,
-                                        direction.df, uphi, direction.da,
-                                        params, grid)
-    return Cotangent(Hf, Hphi[1:], Ha)
+    layout = Layout.build(params.num_gaps, grid.M)
+    if v.shape[-1:] != (layout.size,):
+        raise ShapeMismatch(f"direction has shape {v.shape}, expected (..., {layout.size})")
+    return layout.pack(*hessian_apply_arrays(state.f, state.phi, state.a,
+                                             *layout.unpack(v), params, grid))
 
 
 def el_residual(state: LayeredState, params: LdParameters,
@@ -315,13 +298,16 @@ def fd_gradient_check(state: LayeredState, params: LdParameters, grid: Grid1D,
     components whose analytic and FD values both fall below the 1e-6
     energy-scale floor are therefore compared absolutely (they match
     within the floor) rather than through the relative quotient.
+
+    The state must be gauge fixed, and n_samples at least 1.
     """
     if not (1e-9 <= eps <= 1e-3):
         raise ValueError(f"eps must lie in [1e-9, 1e-3], got {eps}")
-    _check(state, params, grid)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    ga = gradient(state, params, grid)
     layout = Layout.build(params.num_gaps, grid.M)
-    x0 = layout.pack(state.f, state.phi, state.a).astype(np.longdouble)
-    ga = layout.pack(*energy_arrays(state.f, state.phi, state.a, params, grid)[1])
+    x0 = layout.pack_state(state).astype(np.longdouble)
 
     def energy(x: np.ndarray):
         (b, j, fl), _ = energy_arrays(*layout.unpack(x), params, grid)
@@ -332,7 +318,7 @@ def fd_gradient_check(state: LayeredState, params: LdParameters, grid: Grid1D,
 
     rng = np.random.default_rng(seed)
     n = x0.size
-    idx = rng.permutation(n)[:min(n_samples, n)] if n > n_samples else np.arange(n)
+    idx = rng.permutation(n)[:n_samples] if n > n_samples else np.arange(n)
     worst = 0.0
     for j in idx:
         xp = x0.copy()

@@ -39,4 +39,4 @@ class NoCompleteCycle(LdError):
 
 
 class DomainError(LdError, ValueError):
-    """An analytic bound was requested outside its domain of validity."""
+    """An analytic bound or a solver was asked for outside its domain."""

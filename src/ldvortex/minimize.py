@@ -1,7 +1,7 @@
 """Minimization and critical-point search over the free DOFs.
 
 The solvers work on the flat vector of free DOFs that state.Layout packs
-(phi_0 = 0 is dropped) and hand the kernels the whole (f, phi, a) it
+from a gauge-fixed state and hand the kernels the whole (f, phi, a) it
 unpacks.  The packing is plane-major, so the Hessian is a symmetric banded
 matrix with bandwidth 3N+3: couplings reach at most one grid column and
 one plane away.  The band is assembled straight from the stencil:
@@ -83,7 +83,7 @@ def __getattr__(name: str):
 
 
 # Upper-triangle entries (row, column) of the local Hessian blocks, in the
-# order assemble_banded_hessian computes their values.  Midpoint block over
+# order _scatter_band takes their values.  Midpoint block over
 # (f_m, f_m+1, phi_m, phi_m+1, a_m), Josephson block over (f_n-1, f_n,
 # phi_n-1, phi_n), field block over (a_n-1, a_n).
 _MID_PAIRS = ((0, 0), (1, 1), (0, 1), (2, 2), (3, 3), (2, 3), (4, 4), (2, 4),
@@ -96,7 +96,7 @@ _FLD_PAIRS = ((0, 0), (1, 1), (0, 1))
 @lru_cache(maxsize=32)
 def _band_index_cached(N: int, M: int) -> np.ndarray:
     """Flat position in the (2*bw+1, n) band of every block entry that
-    assemble_banded_hessian writes, always in the lower triangle
+    _scatter_band writes, always in the lower triangle
     (ab[bw + i - j, j] with i >= j); entries on the gauge-fixed phi_0 go to
     the extra slot (2*bw+1)*n.  Read-only."""
     layout = Layout.build(N, M)
@@ -277,16 +277,16 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
     step under the same line search instead.  Every step lowers the energy,
     so the descent ends at minima.
 
-    Terminates when the sup-norm of the gradient drops to tol or the
-    iteration budget runs out.  The energy trace is nonincreasing; a
-    stalled steepest-descent line search returns the best state so far
-    with converged=False.
+    state0 must be gauge fixed.  Terminates when the sup-norm of the
+    gradient drops to tol or the iteration budget runs out.  The energy
+    trace is nonincreasing; a stalled steepest-descent line search returns
+    the best state so far with converged=False.
     """
     state0.check_grid(params, grid)
     layout = Layout.build(params.num_gaps, grid.M)
     fun = _flat_functions(params, grid, layout)
 
-    x = layout.pack(state0.f, state0.phi, state0.a)
+    x = layout.pack_state(state0)
     e, g = fun(x)
     if not (math.isfinite(e) and np.isfinite(g).all()):
         raise NonFinite("non-finite energy or gradient at the start state")
@@ -352,17 +352,15 @@ def assemble_banded_hessian(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
     block from (f')^2 and V^2 fm^2, the node term 2 p w (3 f^2 - 1) on the
     f diagonal, per gap and node a 4x4 Josephson block, and per gap and
     midpoint a 2x2 field block (their variables are listed above
-    _MID_PAIRS).  One bincount sums the upper triangle of every block into
-    the lower band, which is then mirrored: the band is exactly symmetric
-    and its entries outside the matrix are exactly 0.  Returns (ab, bw), or
-    with phase_curvature (ab, bw, c): c_n is the x-sum of the Josephson
-    phase curvature r p w f_n f_n-1 cos Phi_n of gap n (see _ritz_skips)."""
+    _MID_PAIRS), which _scatter_band sums into an exactly symmetric band.
+    Returns (ab, bw), or with phase_curvature (ab, bw, c): c_n is the x-sum
+    of the Josephson phase curvature r p w f_n f_n-1 cos Phi_n of gap n
+    (see _ritz_skips)."""
     N, M = params.num_gaps, grid.M
     p, kappa, r = params.spacing, params.kappa, params.coupling
     dx = grid.dx
     wt = grid.trapezoid_weights()
-    layout = Layout.build(N, M)
-    n, bw = layout.size, layout.bandwidth
+    bw = Layout.build(N, M).bandwidth
 
     # Midpoint blocks: c ((f_m+1 - f_m)/dx)^2 + c V^2 fm^2.
     c = p * dx / kappa**2
@@ -389,16 +387,27 @@ def assemble_banded_hessian(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
     # ((a_n - a_n-1)/p - H)^2.
     node = 2.0 * p * wt * (3.0 * f**2 - 1.0)
     s = 2.0 * dx / (kappa**2 * p)
-    values = np.concatenate([mid.ravel(), node.ravel(), jos.ravel(),
-                             np.array([s, s, -s]).repeat(N * M)])
+    ab = _scatter_band(N, M, np.concatenate([mid.ravel(), node.ravel(), jos.ravel(),
+                                             np.array([s, s, -s]).repeat(N * M)]))
+    if phase_curvature:
+        return ab, bw, jpp.sum(axis=1)
+    return ab, bw
+
+
+def _scatter_band(N: int, M: int, values: np.ndarray) -> np.ndarray:
+    """The (2*bw+1, n) band of the Hessian or the gap norm matrix, whose
+    block entries values lists as _band_index_cached places them (per
+    _MID_PAIRS, node, _JOS_PAIRS, _FLD_PAIRS).  One bincount sums them into
+    the lower band, which is then mirrored: the band is exactly symmetric
+    and its entries outside the matrix are exactly 0."""
+    layout = Layout.build(N, M)
+    n, bw = layout.size, layout.bandwidth
     # The last bin collects the entries on the gauge-fixed phi_0.
     ab = np.bincount(_band_index_cached(N, M), values,
                      minlength=(2 * bw + 1) * n + 1)[:-1].reshape(2 * bw + 1, n)
     for k in range(1, bw + 1):
         ab[bw - k, k:] = ab[bw + k, :n - k]
-    if phase_curvature:
-        return ab, bw, jpp.sum(axis=1)
-    return ab, bw
+    return ab
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -577,7 +586,8 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
     non-finite step or a stalled search raises NoConvergence at once, with
     the residual it stopped at.  It finds the point and does not classify
     it: inertia and delta_estimate do that (see harness.census).
-    Requires r > 0: at r = 0 the Hessian has an exact N-dimensional kernel.
+    Requires a gauge-fixed state0 and r > 0: at r = 0 the Hessian has an
+    exact N-dimensional kernel.
     """
     state0.check_grid(params, grid)
     if params.coupling == 0.0:
@@ -587,7 +597,7 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
 
     layout = Layout.build(params.num_gaps, grid.M)
     fun = _flat_functions(params, grid, layout)
-    x = layout.pack(state0.f, state0.phi, state0.a)
+    x = layout.pack_state(state0)
     e, g = fun(x)
     if not np.isfinite(g).all():
         raise NonFinite("non-finite gradient at the Newton start")

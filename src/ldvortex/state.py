@@ -12,8 +12,10 @@ that discrete gauge invariance is exact.
 
 The free DOFs of a gauge-fixed state are f on all planes, phi on planes
 1..N and a on all planes.  Layout is the one owner of their packing into a
-flat vector, the vector the solvers work on: pack drops the gauge row
-phi_0 of a whole (f, phi, a), and unpack gives it back as zeros.
+flat vector, the one format of a free-DOF vector: pack drops the gauge
+row phi_0 of a whole (f, phi, a), and unpack gives it back as zeros.  The
+solvers pack a state with pack_state, which refuses one that is not gauge
+fixed (dropping its phi_0 would change it); gauge_fix it first.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import DomainError, ShapeMismatch
 from .params import Grid1D, LdParameters, as_phase_config
 
 #: phi_0 is considered gauge fixed when its sup norm is below this.
@@ -136,6 +138,14 @@ class Layout:
         x[at + (self.idx_phi,)] = phi[..., 1:, :]
         x[at + (self.idx_a,)] = a
         return x
+
+    def pack_state(self, state: LayeredState) -> np.ndarray:
+        """The free DOFs of a gauge-fixed state; raises DomainError for any
+        other, whose dropped phi_0 would change the state."""
+        if not state.gauge_fixed:
+            raise DomainError("the state is not gauge fixed (phi_0 != 0): "
+                              "apply gauge_fix before packing it")
+        return self.pack(state.f, state.phi, state.a)
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(f, phi, a) of packed free DOFs, phi with a zero plane-0 row, in

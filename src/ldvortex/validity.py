@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .minimize import assemble_banded_hessian, nearest_eigenvalues
+from .minimize import _scatter_band, assemble_banded_hessian, nearest_eigenvalues
 from .params import Grid1D, LdParameters
 from .state import Layout, zero_coupling_minimizer
 
@@ -176,32 +176,23 @@ def discrete_norm_matrix(params: LdParameters, grid: Grid1D) -> np.ndarray:
     between traces (Simpson combination of adjacent planes); the curl term
     is exactly the per-gap field deviation.
 
-    Each node field (f on every plane, phi on planes 1..N) gets a
-    tridiagonal block p (trapezoid mass + difference stiffness), coupling
-    each node to the same field one grid column on; each gap couples the
-    traces a of its two planes at every midpoint.  Both couplings sit at
-    the band offsets the Layout gives them (3N+2 for a grid column, 2N+2 ..
-    3N+1 into the last column, which has no a, and 3 between the a of
-    adjacent planes).  The band is exactly symmetric."""
+    The Hessian's scatter, minimize._scatter_band, writes B from values on
+    the Hessian's block pairs.  The midpoint blocks give each node field
+    (f, and phi on planes 1..N) per cell the trapezoid mass plus stiffness
+    p (dx/2 + 1/dx) on the diagonal and -p/dx between its two nodes; the
+    field blocks couple the a of a gap's two planes; all else is 0."""
     N, p, M, dx = params.num_gaps, params.spacing, grid.M, grid.dx
-    layout = Layout.build(N, M)
-    bw, n = layout.bandwidth, layout.size
-    B = np.zeros((2 * bw + 1, n))
-
-    nodes = np.vstack([layout.idx_f, layout.idx_phi])
-    diag = np.full(M + 1, dx + 2.0 / dx)  # trapezoid mass + stiffness
-    diag[0] = diag[-1] = 0.5 * dx + 1.0 / dx
-    B[bw, nodes] = p * diag
-    i, j = nodes[:, :-1], nodes[:, 1:]  # B[j, i] = B[i, j] = -p / dx
-    B[bw + j - i, i] = B[bw + i - j, j] = -p / dx
-
+    # Rows 0, 1, 3, 4 of the midpoint blocks are the _MID_PAIRS (0, 0),
+    # (1, 1), (2, 2), (3, 3); rows 2, 5 are (0, 1), (2, 3).
+    mid = np.zeros((15, N + 1, M))
+    mid[[0, 1, 3, 4]] = p * (0.5 * dx + 1.0 / dx)
+    mid[[2, 5]] = -p / dx
+    zero = np.zeros((N + 1) * (M + 1) + 10 * N * (M + 1))  # node, Josephson
     # Simpson mass of the reconstruction plus its curl (p/3, p/6 and dx/p);
     # the a of an inner plane is in two gaps.
-    up, lo = layout.idx_a[1:], layout.idx_a[:-1]
-    B[bw, up] += (p / 3.0) * dx + dx / p
-    B[bw, lo] += (p / 3.0) * dx + dx / p
-    B[bw + up - lo, lo] = B[bw + lo - up, up] = (p / 6.0) * dx - dx / p
-    return B
+    mass, cross = (p / 3.0) * dx + dx / p, (p / 6.0) * dx - dx / p
+    fld = np.array([mass, mass, cross]).repeat(N * M)
+    return _scatter_band(N, M, np.concatenate([mid.ravel(), zero, fld]))
 
 
 def gap_spectrum(params: LdParameters, grid: Grid1D | None = None,

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from ldvortex import cli, harness
+from ldvortex import acceptance, cli, harness
+from ldvortex.errors import NoConvergence
 
 
 @pytest.fixture
@@ -260,3 +261,22 @@ def test_python_dash_m_ldvortex_exits_0(argv):
 def test_importing_dunder_main_runs_nothing():
     """The benchmark's tracer imports every module of the package."""
     assert importlib.import_module("ldvortex.__main__").main is cli.main
+
+
+def test_check_reports_a_failing_criterion_and_exits_1(tmp_path, monkeypatch, capsys):
+    """The gate's failure path: criterion 5 with every Newton solve failing
+    exits 1 with a FAILED line, no traceback, and a report that says so."""
+    def newton_never_converges(*args, **kwargs):
+        raise NoConvergence("Newton forced to fail")
+
+    monkeypatch.setattr(harness, "newton_critical", newton_never_converges)
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [c for c in acceptance.CRITERIA if c[0] == 5])
+    out = tmp_path / "report.json"
+    assert cli.main(["check", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "acceptance FAILED (0/1)" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+    report = json.loads(out.read_text())
+    assert report["passed"] is False
+    assert [(c["index"], c["passed"]) for c in report["criteria"]] == [(5, False)]

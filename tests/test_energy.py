@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldvortex.energy import (Cotangent, el_residual, fd_gradient_check,
-                             gradient, hessian_apply, total_energy)
-from ldvortex.errors import NonFinite
+from ldvortex.energy import (el_residual, fd_gradient_check, gradient,
+                             hessian_apply, total_energy)
+from ldvortex.errors import NonFinite, ShapeMismatch
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.state import (LayeredState, Layout, random_rough_state,
                             uniform_field_state, zero_coupling_minimizer)
@@ -92,69 +92,68 @@ def test_fd_gradient_stressed_amplitude(desk, coarse_grid):
 
 
 def test_fd_gradient_eps_domain(desk, coarse_grid):
+    """eps outside [1e-9, 1e-3] and fewer than one sample raise ValueError:
+    n_samples = 0 would pass without testing anything."""
     state = uniform_field_state(desk, coarse_grid)
     with pytest.raises(ValueError):
         fd_gradient_check(state, desk, coarse_grid, eps=1e-2)
+    for n_samples in (0, -3):
+        with pytest.raises(ValueError, match="n_samples"):
+            fd_gradient_check(state, desk, coarse_grid, n_samples=n_samples)
 
 
 def test_gradient_vanishes_on_degenerate_manifold(desk, desk_grid):
     params = desk.with_coupling(0.0)
     for delta in (0.0, 0.9):
         state = zero_coupling_minimizer(params, desk_grid, delta)
-        assert gradient(state, params, desk_grid).sup_norm() <= 1e-10
+        assert abs(gradient(state, params, desk_grid)).max() <= 1e-10
 
 
 # --- Hessian ----------------------------------------------------------------
-
-def _random_direction(layout, rng):
-    """The unpacked (uf, uphi, ua) of a random free-DOF vector and its
-    Cotangent."""
-    uf, uphi, ua = layout.unpack(rng.standard_normal(layout.size))
-    return (uf, uphi, ua), Cotangent(uf, uphi[1:], ua)
-
 
 def test_hessian_symmetry(desk, coarse_grid, rng):
     layout = Layout.build(desk.num_gaps, coarse_grid.M)
     state = random_rough_state(desk, coarse_grid, rng)
     for _ in range(5):
-        _, d1 = _random_direction(layout, rng)
-        _, d2 = _random_direction(layout, rng)
+        d1 = rng.standard_normal(layout.size)
+        d2 = rng.standard_normal(layout.size)
         h1 = hessian_apply(state, d1, desk, coarse_grid)
         h2 = hessian_apply(state, d2, desk, coarse_grid)
-        a = (np.sum(h1.df * d2.df) + np.sum(h1.dphi * d2.dphi)
-             + np.sum(h1.da * d2.da))
-        b = (np.sum(h2.df * d1.df) + np.sum(h2.dphi * d1.dphi)
-             + np.sum(h2.da * d1.da))
+        a, b = h1 @ d2, h2 @ d1
         assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
 
 
 def test_hessian_matches_fd_of_gradient(desk, coarse_grid, rng):
     layout = Layout.build(desk.num_gaps, coarse_grid.M)
     state = random_rough_state(desk, coarse_grid, rng)
-    (uf, uphi, ua), d = _random_direction(layout, rng)
+    d = rng.standard_normal(layout.size)
     hv = hessian_apply(state, d, desk, coarse_grid)
     eps = 1e-6
+    uf, uphi, ua = layout.unpack(d)
     sp = LayeredState(state.f + eps * uf, state.phi + eps * uphi, state.a + eps * ua)
     sm = LayeredState(state.f - eps * uf, state.phi - eps * uphi, state.a - eps * ua)
-    gp = gradient(sp, desk, coarse_grid)
-    gm = gradient(sm, desk, coarse_grid)
-    for name in ("df", "dphi", "da"):
-        fd = (getattr(gp, name) - getattr(gm, name)) / (2.0 * eps)
-        an = getattr(hv, name)
-        assert np.max(np.abs(fd - an)) <= 1e-5 * max(1.0, np.max(np.abs(an)))
+    fd = (gradient(sp, desk, coarse_grid) - gradient(sm, desk, coarse_grid)) / (2.0 * eps)
+    for idx in (layout.idx_f, layout.idx_phi, layout.idx_a):
+        an = hv[idx]
+        assert np.max(np.abs(fd[idx] - an)) <= 1e-5 * max(1.0, np.max(np.abs(an)))
+
+
+def test_hessian_apply_rejects_a_direction_of_another_size(desk, coarse_grid, rng):
+    state = random_rough_state(desk, coarse_grid, rng)
+    n = Layout.build(desk.num_gaps, coarse_grid.M).size
+    with pytest.raises(ShapeMismatch):
+        hessian_apply(state, np.ones((2, n - 1)), desk, coarse_grid)
 
 
 def test_hessian_kernel_at_zero_coupling(desk, desk_grid):
     """Constant phase shifts of planes 1..N are exact null directions."""
     params = desk.with_coupling(0.0)
     state = zero_coupling_minimizer(params, desk_grid)
-    for n in range(params.num_gaps):
-        dphi = np.zeros((params.num_gaps, desk_grid.M + 1))
-        dphi[n] = 1.0
-        d = Cotangent(np.zeros_like(state.f), dphi,
-                      np.zeros((params.num_gaps + 1, desk_grid.M)))
-        out = hessian_apply(state, d, params, desk_grid)
-        assert out.sup_norm() <= 1e-12
+    layout = Layout.build(params.num_gaps, desk_grid.M)
+    for plane in layout.idx_phi:
+        d = np.zeros(layout.size)
+        d[plane] = 1.0
+        assert abs(hessian_apply(state, d, params, desk_grid)).max() <= 1e-12
 
 
 def test_kernel_dimension_and_gap(desk):

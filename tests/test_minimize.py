@@ -8,8 +8,9 @@ import scipy.linalg as sla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ldvortex.energy import hessian_apply_arrays, total_energy
-from ldvortex.errors import FactorizationFailure, NoConvergence, SingularHessian
+from ldvortex.energy import fd_gradient_check, hessian_apply, total_energy
+from ldvortex.errors import (DomainError, FactorizationFailure, NoConvergence,
+                             SingularHessian)
 from ldvortex import harness
 from ldvortex.harness import census, field_sweep
 from ldvortex.minimize import (assemble_banded_hessian, banded_solve, inertia,
@@ -18,8 +19,10 @@ from ldvortex.observables import delta_estimate, distance, observables
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.perturbation import (enumerate_seeds, leading_min_energy,
                                    seed_state, vortex_plane_delta)
-from ldvortex.state import (Layout, random_low_energy_state, random_rough_state,
+from ldvortex.state import (LayeredState, Layout, gauge_fix, gauge_transform,
+                            random_low_energy_state, random_rough_state,
                             uniform_field_state, zero_coupling_minimizer)
+from ldvortex.validity import discrete_norm_matrix
 
 # The package re-exports the function `minimize` under the module's name.
 minimize_mod = importlib.import_module("ldvortex.minimize")
@@ -588,11 +591,8 @@ def test_banded_assembly_matches_hessian_apply(desk, rng):
                               desk.applied_field, r)
         grid = Grid1D.build(params, dx=1.0 / 16.0)
         state = random_rough_state(params, grid, rng)
-        layout = Layout.build(N, grid.M)
-        n = layout.size
-        products = hessian_apply_arrays(state.f, state.phi, state.a,
-                                        *layout.unpack(np.eye(n)), params, grid)
-        H = layout.pack(*products).T  # product j is column j
+        n = Layout.build(N, grid.M).size
+        H = hessian_apply(state, np.eye(n), params, grid).T  # product j is column j
 
         ab, bw = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
         assert ab.shape == (2 * bw + 1, n)
@@ -601,6 +601,53 @@ def test_banded_assembly_matches_hessian_apply(desk, rng):
         for k in range(1, bw + 1):
             assert np.array_equal(ab[bw + k, :n - k], ab[bw - k, k:])
             assert not ab[bw + k, n - k:].any() and not ab[bw - k, :k].any()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_band_scatter_commutes_with_the_mirror(N):
+    """The mirror R: (f, phi, a)(x) -> (f, -phi, a)(-x) acts on the packed
+    DOFs as the signed permutation P read off the Layout.  The Hessian band
+    at R(state) is P H P^T and the norm matrix is P B P^T = B, to the bit;
+    the energy is unchanged to rounding, as its sums run in reverse."""
+    params = LdParameters(N, 1.0, 0.5, 1.0, 3.0, 1e-3)
+    grid = Grid1D.build(params, dx=1.0 / 20.0)
+    state = random_rough_state(params, grid, np.random.default_rng(N))
+    mirror = LayeredState(state.f[:, ::-1], -state.phi[:, ::-1], state.a[:, ::-1])
+    layout = Layout.build(N, grid.M)
+    P = np.zeros((layout.size, layout.size))
+    for idx, sign in ((layout.idx_f, 1.0), (layout.idx_phi, -1.0), (layout.idx_a, 1.0)):
+        P[idx[:, ::-1], idx] = sign
+    assert np.array_equal(P @ layout.pack_state(state), layout.pack_state(mirror))
+
+    def band(s):
+        return _dense(assemble_banded_hessian(s.f, s.phi, s.a, params, grid)[0])
+
+    assert np.array_equal(band(mirror), P @ band(state) @ P.T)
+    B = _dense(discrete_norm_matrix(params, grid))
+    assert np.array_equal(P @ B @ P.T, B)
+    e = total_energy(state, params, grid).total
+    assert total_energy(mirror, params, grid).total == pytest.approx(e, rel=1e-15)
+
+
+def test_solvers_refuse_a_state_that_is_not_gauge_fixed(desk, rng):
+    """Packing drops phi_0, so a state with phi_0 != 0 would become another
+    state: minimize, fd_gradient_check and newton_critical raise on a
+    gauge-transformed state, and run on its gauge_fix twin."""
+    grid = Grid1D.build(desk, dx=1.0 / 20.0)
+    chi = rng.standard_normal(grid.M + 1)
+    rough = gauge_transform(random_rough_state(desk, grid, np.random.default_rng(0)),
+                            chi, grid)
+    seed = gauge_transform(seed_state(desk, grid, vortex_plane_delta(desk)), chi, grid)
+    runs = ((rough, lambda s: minimize(s, desk, grid, max_iter=0).energy),
+            (rough, lambda s: fd_gradient_check(s, desk, grid)),
+            (seed, lambda s: newton_critical(s, desk, grid).residual))
+    for state, run in runs:
+        with pytest.raises(DomainError, match="gauge_fix"):
+            run(state)
+    energy, fd_error, residual = (run(gauge_fix(state, grid)) for state, run in runs)
+    assert energy == pytest.approx(total_energy(rough, desk, grid).total, rel=1e-13)
+    assert fd_error <= 1e-6
+    assert residual <= minimize_mod.default_newton_tol(desk)
 
 
 def test_minimize_energy_not_above_start(desk, desk_grid, rng):
@@ -651,14 +698,10 @@ def test_batched_hessian_apply_matches_single_products(desk, rng):
     layout = Layout.build(desk.num_gaps, grid.M)
     vs = rng.standard_normal((5, layout.size))
 
-    def apply(v):
-        return layout.pack(*hessian_apply_arrays(state.f, state.phi, state.a,
-                                                 *layout.unpack(v), desk, grid))
-
-    batched = apply(vs)
+    batched = hessian_apply(state, vs, desk, grid)
     assert batched.shape == vs.shape
     for v, row in zip(vs, batched):
-        assert np.array_equal(apply(v), row)
+        assert np.array_equal(hessian_apply(state, v, desk, grid), row)
 
 
 def test_newton_tail_shifts_singular_zero_coupling_hessian(desk, coarse_grid,
