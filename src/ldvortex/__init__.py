@@ -10,7 +10,7 @@ the validity-radius bounds) against the numerics.
 from .errors import (DegenerateField, DomainError, FactorizationFailure,
                      InvalidParameters, LdError, NoCompleteCycle,
                      NoConvergence, NonFinite, ShapeMismatch, SingularHessian)
-from .params import Grid1D, LdParameters, PhaseConfig, default_dx, validate
+from .params import Grid1D, LdParameters, default_dx, phase_offsets, validate
 from .state import (LayeredState, gauge_fix, gauge_transform,
                     uniform_field_state, zero_coupling_minimizer)
 from .observables import Observables, distance, lift_field_2d, observables

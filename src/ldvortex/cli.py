@@ -168,7 +168,7 @@ def _cmd_perturb(args) -> int:
                "seeds": [s.to_dict() for s in seeds]}
     _emit(args.out, payload)
     if args.out and args.format == "csv":
-        H_max = args.H_max if args.H_max else 2.0 * params.applied_field
+        H_max = 2.0 * params.applied_field if args.H_max is None else args.H_max
         grid = np.linspace(0.5, H_max, args.H_points)
         diagram = epsilon_and_jumps(params, grid)
         exports.write_nucleation_csv(

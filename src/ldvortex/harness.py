@@ -148,10 +148,6 @@ def convergence_study(params: LdParameters, r_list,
 # ---------------------------------------------------------------------------
 # Critical-point census.
 
-def _circ_dist(a: float, b: float) -> float:
-    return abs(float(wrap_to_pi(a - b)))
-
-
 def _census_descent_job(args) -> dict:
     params, dx, seed = args
     grid = Grid1D.build(params, dx)
@@ -167,7 +163,8 @@ def census(params: LdParameters, r: float, n_random: int = 50,
            match_threshold: float = 1e-3) -> ExperimentRecord:
     """Enumerate all low-energy critical points at coupling r.
 
-    Newton from the 2^N perturbative seeds (residual <= CENSUS_NEWTON_TOL),
+    Newton from the 2^N perturbative seeds (residual <= CENSUS_NEWTON_TOL,
+    or sweep_tol where that is smaller: the phase modes' curvature is O(r)),
     required to lie at least 0.1 apart in observable distance, classified
     here: the Morse index by inertia (each its own seed's prediction), the
     reduced phases by delta_estimate.  A seed whose Newton or inertia fails
@@ -184,15 +181,17 @@ def census(params: LdParameters, r: float, n_random: int = 50,
     grid = Grid1D.build(pr, dx)
     N = pr.num_gaps
 
+    tol = min(CENSUS_NEWTON_TOL, sweep_tol(pr))
     seeds = enumerate_seeds(pr)
-    starts = seed_state(pr, grid, np.array([s.delta.delta for s in seeds]))
+    deltas = np.array([s.delta for s in seeds])
+    starts = seed_state(pr, grid, deltas)
     points, inertias, predicted, failures = [], [], [], []
     for s, start in zip(seeds, starts):
         try:
-            cp = newton_critical(start, pr, grid, tol=CENSUS_NEWTON_TOL)
+            cp = newton_critical(start, pr, grid, tol=tol)
             inertias.append(inertia(cp.state, pr, grid))
         except (NoConvergence, FactorizationFailure) as exc:
-            failures.append({"delta": s.delta.delta.tolist(), "error": str(exc)})
+            failures.append({"delta": s.delta.tolist(), "error": str(exc)})
         else:
             points.append(cp)
             predicted.append(s.predicted_inertia)
@@ -203,7 +202,7 @@ def census(params: LdParameters, r: float, n_random: int = 50,
     obs_pts = stacked([observables(c.state, pr, grid) for c in points]) if points else None
     min_pair = min((float(distances(obs_pts[i], obs_pts[i + 1:]).min())
                     for i in range(n_pts - 1)), default=math.inf)
-    delta_hat = [delta_estimate(obs_pts[i], pr, grid) for i in range(n_pts)]
+    delta_hat = delta_estimate(obs_pts, pr, grid) if points else np.empty((0, N))
 
     binom = sorted(m for m in range(N + 1) for _ in range(math.comb(N, m)))
 
@@ -211,13 +210,13 @@ def census(params: LdParameters, r: float, n_random: int = 50,
     i_min = int(np.argmin(energies)) if n_pts else -1
     ds = vortex_plane_delta(pr)
     min_is_vp = (n_pts == 2**N and inertias[i_min] == 0
-                 and all(_circ_dist(dh, ds) < 0.05 for dh in delta_hat[i_min])
+                 and (abs(wrap_to_pi(delta_hat[i_min] - ds)) < 0.05).all()
                  and inertias.count(0) == 1)
 
     # Energy order must follow the reduced-energy order (ties grouped).
     order_ok = True
     if n_pts == 2**N:
-        g0s = np.array([s.g0 for s in seeds])
+        g0s = g0(pr, deltas)
         for lo, hi in zip(np.unique(np.round(g0s, 12))[:-1],
                           np.unique(np.round(g0s, 12))[1:]):
             emax_lo = energies[np.isclose(g0s, lo)].max()
@@ -245,7 +244,7 @@ def census(params: LdParameters, r: float, n_random: int = 50,
         "residuals": [c.residual for c in points],
         "energies": energies.tolist(),
         "inertias": inertias,
-        "delta_hat": [dh.tolist() for dh in delta_hat],
+        "delta_hat": delta_hat.tolist(),
         "newton_iterations": [c.newton_iterations for c in points],
         "min_pairwise_distance": min_pair,
         "newton_failures": failures,
@@ -256,7 +255,7 @@ def census(params: LdParameters, r: float, n_random: int = 50,
     rec.checks = {
         "census_complete": n_pts == 2**N and not failures,
         "pairwise_distinct": min_pair >= 0.1,
-        "residuals_small": all(c.residual <= CENSUS_NEWTON_TOL for c in points),
+        "residuals_small": all(c.residual <= tol for c in points),
         "inertia_multiset_binomial": sorted(inertias) == binom,
         "inertia_matches_seed": inertias == predicted,
         "unique_minimizer_is_vortex_plane": bool(min_is_vp),

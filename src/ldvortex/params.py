@@ -1,4 +1,4 @@
-"""Model parameters, 1D grids and reduced phase coordinates.
+"""Model parameters, 1D grids and the phase offsets of the degenerate torus.
 
 Units follow the standard non-dimensionalization of the Lawrence-Doniach
 free energy: lengths in units of the in-plane penetration depth, magnetic
@@ -13,6 +13,9 @@ values outside the model's domain (N >= 1, 0 < L, 0 < p <= 1, kappa > 0,
 H > 0, r >= 0, all finite) with InvalidParameters, so code that receives
 one never checks it again.  validate() only reports the soft regime
 warnings.
+
+phase_offsets owns the format of the N phase offsets delta_n of the
+decoupled (r = 0) torus: every function that takes offsets reads them there.
 """
 
 from __future__ import annotations
@@ -177,50 +180,19 @@ def wrap_to_pi(delta: np.ndarray | float) -> np.ndarray | float:
     return np.pi - np.mod(np.pi - np.asarray(delta), 2.0 * np.pi)
 
 
-@dataclass(frozen=True)
-class PhaseConfig:
-    """Reduced coordinates (delta_1, ..., delta_N) of the degenerate manifold.
-
-    delta_n is the constant part of the gauge-invariant phase difference
-    across gap n; stored representative lies in [0, 2*pi).  Valid by
-    construction: a non-finite delta_n raises InvalidParameters.
-    """
-
-    delta: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.delta, dtype=float).reshape(-1)
-        if not np.isfinite(arr).all():
-            raise InvalidParameters(f"phase offsets must be finite, got {arr.tolist()}")
-        arr = wrap_angle(arr).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "delta", arr)
-
-    @property
-    def num_gaps(self) -> int:
-        return self.delta.shape[0]
-
-    @staticmethod
-    def constant(value: float, num_gaps: int) -> "PhaseConfig":
-        return PhaseConfig(np.full(num_gaps, float(value)))
-
-    def alphas(self) -> np.ndarray:
-        """Per-plane phase offsets alpha_n = sum_{m<=n} delta_m, alpha_0 = 0."""
-        return np.concatenate([[0.0], np.cumsum(self.delta)])
-
-
-def as_phase_config(delta, num_gaps: int) -> PhaseConfig:
-    """Coerce a PhaseConfig, scalar, array, or None (all zeros) to PhaseConfig."""
-    if delta is None:
-        return PhaseConfig(np.zeros(num_gaps))
-    if isinstance(delta, PhaseConfig):
-        if delta.num_gaps != num_gaps:
-            raise InvalidParameters(
-                f"PhaseConfig has {delta.num_gaps} gaps, expected {num_gaps}")
-        return delta
-    arr = np.asarray(delta, dtype=float)
+def phase_offsets(delta, num_gaps: int) -> np.ndarray:
+    """Phase offsets delta_n as a read-only float array in [0, 2*pi)
+    (wrap_angle's): None gives zeros, a scalar fills every gap, an array is
+    one configuration, shape (N,), or a stack of K, shape (K, N).  Any other
+    shape, or a non-finite offset, raises InvalidParameters."""
+    arr = np.zeros(num_gaps) if delta is None else np.asarray(delta, dtype=float)
     if arr.ndim == 0:
-        return PhaseConfig.constant(float(arr), num_gaps)
-    if arr.shape != (num_gaps,):
-        raise InvalidParameters(f"delta has shape {arr.shape}, expected ({num_gaps},)")
-    return PhaseConfig(arr)
+        arr = np.full(num_gaps, float(arr))
+    if arr.ndim > 2 or arr.shape[-1] != num_gaps:
+        raise InvalidParameters(f"phase offsets have shape {arr.shape}, expected "
+                                f"({num_gaps},) or (K, {num_gaps})")
+    if not np.isfinite(arr).all():
+        raise InvalidParameters(f"phase offsets must be finite, got {arr.tolist()}")
+    out = wrap_angle(arr)
+    out.setflags(write=False)
+    return out

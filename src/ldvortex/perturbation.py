@@ -15,9 +15,11 @@ states, the order-r observable formulas, and the nucleation diagram
 
 The order-r fields rest on one sine quadrature, the field correction b1;
 the supervelocity correction sv1 is its jump across each plane (discrete
-Ampere).  The seed builders take a leading stack of offsets, a (K, N)
-array, and build all K in one pass with one tridiagonal dgtsv call for
-every amplitude correction, each to the bit of its own single call.  The
+Ampere).  Offsets are read by params.phase_offsets, so each function takes
+one configuration, shape (N,), or a stack of K, shape (K, N): g0 gives one
+value per row, and the seed builders build all K in one pass with one
+tridiagonal dgtsv call for every amplitude correction, each to the bit of
+its own single call.  The
 private core _seed_states also takes the applied field per member: the
 census seeds its 2^N points at one field that way, and a field sweep the
 two branches of every field at once.
@@ -36,8 +38,8 @@ import numpy as np
 from ._lapack import flapack
 from .errors import DegenerateField, FactorizationFailure, InvalidParameters
 from .observables import Observables, circular_mean
-from .params import (DEGENERACY_TOL, Grid1D, LdParameters, PhaseConfig,
-                     as_phase_config, wrap_angle, wrap_to_pi)
+from .params import (DEGENERACY_TOL, Grid1D, LdParameters, phase_offsets,
+                     wrap_to_pi)
 from .state import LayeredState, zero_coupling_minimizer
 
 #: Largest N whose 2^N seeds are enumerated (4 096 seeds).
@@ -52,11 +54,13 @@ def _require_nondegenerate(params: LdParameters) -> float:
     return s
 
 
-def g0(params: LdParameters, delta) -> float:
-    """Reduced energy per unit coupling on the degenerate manifold."""
-    cfg = as_phase_config(delta, params.num_gaps)
+def g0(params: LdParameters, delta) -> float | np.ndarray:
+    """Reduced energy per unit coupling on the degenerate manifold: a float,
+    or for a (K, N) stack an array of each row's value to the bit."""
+    delta = phase_offsets(delta, params.num_gaps)
     N, p, L, H = params.num_gaps, params.spacing, params.half_width, params.applied_field
-    return 2.0 * N * p * L - (2.0 * math.sin(params.hpl) / H) * float(np.sum(np.cos(cfg.delta)))
+    out = 2.0 * N * p * L - (2.0 * math.sin(params.hpl) / H) * np.cos(delta).sum(axis=-1)
+    return float(out) if delta.ndim == 1 else out
 
 
 def vortex_plane_delta(params: LdParameters) -> float:
@@ -75,33 +79,33 @@ def leading_min_energy(params: LdParameters) -> float:
 
 @dataclass(frozen=True)
 class SeedInfo:
-    """One entry of the 2^N enumeration."""
+    """One entry of the 2^N enumeration; delta is its (N,) offsets."""
 
-    delta: PhaseConfig
+    delta: np.ndarray
     predicted_inertia: int
     g0: float
 
     def to_dict(self) -> dict:
-        return {"delta": self.delta.delta.tolist(),
+        return {"delta": self.delta.tolist(),
                 "inertia": self.predicted_inertia, "g0": self.g0}
 
 
 def enumerate_seeds(params: LdParameters) -> list[SeedInfo]:
     """All 2^N phase configurations delta_n in {0, pi}, sorted by reduced
-    energy; the predicted inertia counts gaps with (sin(HpL)/H) cos(delta_n) < 0
-    (the reduced Hessian is diagonal).  N above MAX_SEED_GAPS raises
+    energy, each with its (N,) phase_offsets; the predicted inertia counts
+    gaps with (sin(HpL)/H) cos(delta_n) < 0 (the reduced Hessian is
+    diagonal).  N above MAX_SEED_GAPS raises
     InvalidParameters: each seed costs a Newton solve in the census."""
     if params.num_gaps > MAX_SEED_GAPS:
         raise InvalidParameters(
             f"2^N seeds at N = {params.num_gaps}: N must be <= {MAX_SEED_GAPS}")
     s = _require_nondegenerate(params)
-    sH = s / params.applied_field
-    out = []
-    for bits in product((0.0, math.pi), repeat=params.num_gaps):
-        cfg = PhaseConfig(np.array(bits))
-        inertia = int(np.sum(sH * np.cos(cfg.delta) < 0.0))
-        out.append(SeedInfo(cfg, inertia, g0(params, cfg)))
-    out.sort(key=lambda e: (e.g0, tuple(e.delta.delta)))
+    deltas = phase_offsets(list(product((0.0, math.pi), repeat=params.num_gaps)),
+                           params.num_gaps)
+    inertias = np.sum(s / params.applied_field * np.cos(deltas) < 0.0, axis=1)
+    out = [SeedInfo(d, int(i), float(e))
+           for d, i, e in zip(deltas, inertias, g0(params, deltas))]
+    out.sort(key=lambda e: (e.g0, tuple(e.delta)))
     return out
 
 
@@ -122,21 +126,6 @@ class CorrectionFields:
     u1: np.ndarray = field(repr=False)     # (N+1, M+1)
     sv1: np.ndarray = field(repr=False)    # (N+1, M)
     b1: np.ndarray = field(repr=False)     # (N,   M)
-
-
-def _phase_offsets(delta, num_gaps: int) -> np.ndarray:
-    """The offsets of one configuration, shape (N,), from anything
-    as_phase_config takes, or of a stack of K, shape (K, N), from a 2-D
-    array; in [0, 2 pi) either way, and non-finite offsets raise
-    InvalidParameters."""
-    if np.ndim(delta) < 2:
-        return as_phase_config(delta, num_gaps).delta
-    arr = np.asarray(delta, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != num_gaps:
-        raise InvalidParameters(f"delta stack has shape {arr.shape}, expected (K, {num_gaps})")
-    if not np.isfinite(arr).all():
-        raise InvalidParameters("phase offsets must be finite")
-    return wrap_angle(arr)
 
 
 def _u1_rhs(delta: np.ndarray, params: LdParameters, x: np.ndarray,
@@ -192,7 +181,7 @@ def field_correction(params: LdParameters, delta, x: np.ndarray) -> np.ndarray:
     mean_n = sin(delta_n) sin(HpL)/(HpL) is the mean of the sine over
     [-L, L].  One row per gap, evaluated at the points x, and a leading
     axis of K for a (K, N) stack of delta."""
-    return _field_correction(params, _phase_offsets(delta, params.num_gaps),
+    return _field_correction(params, phase_offsets(delta, params.num_gaps),
                              np.asarray(x, dtype=float), params.applied_field)
 
 
@@ -226,7 +215,7 @@ def first_order_correction(params: LdParameters, grid: Grid1D,
     which is what quadrature of (1/k^2) sv1' = (sine sources - I_n)/2 with
     the plane constants I_n gives; it inherits b1's zeros at +-L.
     """
-    return _corrections(params, grid, _phase_offsets(delta, params.num_gaps),
+    return _corrections(params, grid, phase_offsets(delta, params.num_gaps),
                         params.applied_field)
 
 
@@ -278,7 +267,7 @@ def seed_state(params: LdParameters, grid: Grid1D, delta):
     and phi integrates phi_n' = V_n + a_n with per-plane constants chosen
     so the circular mean of Phi_{n,n-1} - Hpx equals delta_n.
     """
-    delta = _phase_offsets(delta, params.num_gaps)
+    delta = phase_offsets(delta, params.num_gaps)
     states = _seed_states(params, grid, delta.reshape(-1, params.num_gaps),
                           params.applied_field)
     return states if delta.ndim == 2 else states[0]

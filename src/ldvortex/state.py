@@ -25,8 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatch
-from .params import Grid1D, LdParameters, as_phase_config
+from .errors import DomainError, InvalidParameters, ShapeMismatch
+from .params import Grid1D, LdParameters, phase_offsets
 
 #: phi_0 is considered gauge fixed when its sup norm is below this.
 GAUGE_FIX_TOL = 1e-12
@@ -175,11 +175,16 @@ def zero_coupling_minimizer(params: LdParameters, grid: Grid1D,
     """Exact minimizer of the decoupled (r = 0) problem in reduced gauge.
 
     f = 1, h = H, V_n = 0 and Phi_{n,n-1} = delta_n + H p x; the manifold
-    of such states is parametrized by the N phase offsets delta.
+    of such states is parametrized by the N phase offsets delta (one
+    configuration as phase_offsets reads it; a stack raises
+    InvalidParameters), plane n shifted by delta_1 + ... + delta_n.
     """
-    cfg = as_phase_config(delta, params.num_gaps)
+    delta = phase_offsets(delta, params.num_gaps)
+    if delta.ndim != 1:
+        raise InvalidParameters(f"zero_coupling_minimizer takes one configuration, "
+                                f"got shape {delta.shape}")
     base = uniform_field_state(params, grid)
-    phi = base.phi + cfg.alphas()[:, None]
+    phi = base.phi + np.concatenate([[0.0], np.cumsum(delta)])[:, None]
     return LayeredState(base.f, phi, base.a)
 
 

@@ -89,7 +89,10 @@ def test_invalid_parameters_exit_1(capsys):
 @pytest.mark.parametrize("argv", [
     ["sweep", "--H-points", "3"] + GRID,
     ["perturb", "--H-points", "0", "--format", "csv", "--out", "x.json"],
-], ids=["sweep-short-grid", "perturb-empty-grid"])
+    ["perturb", "--H-max", "0", "--format", "csv", "--out", "x.json"],
+    ["perturb", "--H-max", "0.3", "--format", "csv", "--out", "x.json"],
+], ids=["sweep-short-grid", "perturb-empty-grid", "perturb-zero-H-max",
+        "perturb-H-max-below-start"])
 def test_bad_field_grid_exits_1_without_traceback(argv, tmp_path, monkeypatch,
                                                   capsys):
     monkeypatch.chdir(tmp_path)

@@ -51,6 +51,16 @@ def test_census_small(desk):
     assert max(rec.data["newton_iterations"]) <= 10
 
 
+def test_census_solves_its_seeds_at_small_coupling(desk):
+    """The phase modes' curvature is O(r), so at r = 1e-4 the seeds'
+    residuals already meet a fixed 1e-9: the census tightens to sweep_tol
+    and takes a Newton step from every seed."""
+    rec = census(desk, 1e-4, n_random=0, dx=1.0 / 30.0)
+    assert rec.passed, rec.checks
+    assert min(rec.data["newton_iterations"]) >= 1
+    assert max(rec.data["residuals"]) <= harness.sweep_tol(desk.with_coupling(1e-4))
+
+
 def test_census_distances_take_one_observables_per_state(desk, monkeypatch):
     """Each census point and each descent end gets its observables once,
     and the stacked distance pass gives the pairwise loop's values."""

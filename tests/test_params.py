@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ldvortex.errors import InvalidParameters
-from ldvortex.params import (Grid1D, LdParameters, PhaseConfig, default_dx,
+from ldvortex.params import (Grid1D, LdParameters, default_dx, phase_offsets,
                              validate, wrap_angle, wrap_to_pi)
 from ldvortex.perturbation import g0, seed_state
 
@@ -109,22 +109,25 @@ def test_trapezoid_weights_are_cached_read_only(desk_grid):
 
 @given(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=6))
 def test_phase_config_stores_canonical_representative(deltas):
-    cfg = PhaseConfig(np.array(deltas))
-    assert np.all(cfg.delta >= 0.0)
-    assert np.all(cfg.delta < 2.0 * np.pi)
-    for raw, stored in zip(deltas, cfg.delta):
+    stored_all = phase_offsets(np.array(deltas), len(deltas))
+    assert np.all(stored_all >= 0.0)
+    assert np.all(stored_all < 2.0 * np.pi)
+    for raw, stored in zip(deltas, stored_all):
         assert math.cos(raw) == pytest.approx(math.cos(stored), abs=1e-9)
         assert math.sin(raw) == pytest.approx(math.sin(stored), abs=1e-9)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_phase_config_refuses_non_finite_offsets(desk, bad):
-    """A non-finite delta_n fails at construction with InvalidParameters,
-    so the reduced energy and the seed state never see it."""
+    """A non-finite delta_n, in one configuration, a stack or a scalar,
+    fails in phase_offsets with InvalidParameters, so the reduced energy
+    and the seed state never see it."""
     with pytest.raises(InvalidParameters, match="finite"):
-        PhaseConfig(np.array([bad, 0.0]))
+        phase_offsets(np.array([bad, 0.0]), 2)
     with pytest.raises(InvalidParameters, match="finite"):
-        PhaseConfig.constant(bad, 2)
+        phase_offsets(np.array([[0.0, 0.0], [0.0, bad]]), 2)
+    with pytest.raises(InvalidParameters, match="finite"):
+        phase_offsets(bad, 2)
     with pytest.raises(InvalidParameters, match="finite"):
         g0(desk, [bad, 0.0])
     with pytest.raises(InvalidParameters, match="finite"):
@@ -138,9 +141,36 @@ def test_wrap_to_pi_range(x):
     assert math.cos(w) == pytest.approx(math.cos(x), abs=1e-9)
 
 
-def test_phase_config_alphas_accumulate():
-    cfg = PhaseConfig(np.array([0.5, 1.0]))
-    assert np.allclose(cfg.alphas(), [0.0, 0.5, 1.5])
+def test_phase_offsets_shapes():
+    """None gives zeros and a scalar fills every gap; an (N,) array is one
+    configuration and a (K, N) array a stack, each wrapped elementwise."""
+    assert np.array_equal(phase_offsets(None, 3), np.zeros(3))
+    assert np.array_equal(phase_offsets(-math.pi, 3), np.full(3, math.pi))
+    one = phase_offsets([0.5, -0.5], 2)
+    assert one.shape == (2,)
+    assert np.array_equal(one, wrap_angle(np.array([0.5, -0.5])))
+    stack = np.array([[0.0, 7.0], [-1.0, 2.0 * math.pi], [-1e-300, 3.0]])
+    out = phase_offsets(stack, 2)
+    assert out.shape == (3, 2)
+    assert np.array_equal(out, wrap_angle(stack))
+    assert out[2, 0] == 0.0
+    assert np.array_equal(phase_offsets(np.empty((0, 2)), 2), np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("delta", [np.zeros(3), np.zeros((4, 3)),
+                                   np.zeros((2, 2, 2))],
+                         ids=["wrong-N", "stack-wrong-N", "3-D"])
+def test_phase_offsets_refuse_a_wrong_shape(delta):
+    with pytest.raises(InvalidParameters, match="shape"):
+        phase_offsets(delta, 2)
+
+
+@pytest.mark.parametrize("delta", [None, 1.0, [1.0, 2.0], [[1.0, 2.0]]])
+def test_phase_offsets_are_read_only(delta):
+    out = phase_offsets(delta, 2)
+    assert not out.flags.writeable
+    with pytest.raises(ValueError):
+        out[..., 0] = 0.0
 
 
 def test_wrap_angle_half_open():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ldvortex.energy import gradient
 from ldvortex.errors import DegenerateField, InvalidParameters
 from ldvortex.observables import delta_estimate, observables
-from ldvortex.params import Grid1D, LdParameters, PhaseConfig, wrap_to_pi
+from ldvortex.params import Grid1D, LdParameters, phase_offsets, wrap_to_pi
 from ldvortex.perturbation import (_seed_states, _solve_u1, _u1_rhs,
                                    critical_josephson_current,
                                    enumerate_seeds, epsilon_and_jumps,
@@ -37,6 +37,18 @@ def test_g0_examples():
     assert g0(p1, math.pi) == pytest.approx(G0_ANTI, rel=1e-14)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 12])
+def test_g0_of_a_stack_is_each_rows_g0_bit_for_bit(N):
+    """g0 of a (K, N) stack gives one value per row, each equal to that
+    row's own g0 to the bit."""
+    params = LdParameters(N, 1.0, 0.5, 1.0, 3.0, 1e-3)
+    deltas = np.random.default_rng(N).uniform(-7.0, 7.0, (9, N))
+    values = g0(params, deltas)
+    assert values.shape == (9,)
+    assert [float(v) for v in values] == [g0(params, d) for d in deltas]
+    assert isinstance(g0(params, deltas[0]), float)
+
+
 def test_g0_degenerate_field_is_flat():
     # HpL = pi: sin vanishes and the reduced energy is 2NpL for every delta.
     pd = LdParameters(2, 2.0, 0.5, 1.0, math.pi, 1e-3)
@@ -54,7 +66,7 @@ def test_enumerate_seeds_counts_and_inertia(desk):
     # sin(HpL)/H > 0 here: the unique stable entry is delta = 0.
     zero = [s for s in seeds2 if s.predicted_inertia == 0]
     assert len(zero) == 1
-    assert np.allclose(zero[0].delta.delta, 0.0)
+    assert np.allclose(zero[0].delta, 0.0)
 
 
 def test_enumerate_seeds_degenerate_raises():
@@ -181,7 +193,7 @@ def test_seed_phase_constants_recover_delta(delta, r, H):
     assert np.max(np.abs(wrap_to_pi(est - np.array(delta)))) <= 1e-12
 
     N, p, dx = params.num_gaps, params.spacing, grid.dx
-    wrapped = PhaseConfig(np.array(delta)).delta
+    wrapped = phase_offsets(delta, N)
     cf = first_order_correction(params, grid, delta)
     a = np.empty((N + 1, grid.M))
     a[0] = -r * cf.sv1[0]
@@ -242,7 +254,7 @@ def test_stacked_seeds_equal_the_single_seeds_bit_for_bit(N, r):
     member's seed, correction fields and amplitude solve to the bit."""
     params = LdParameters(N, 1.0, 0.5, 1.0, 3.0, r)
     grid = Grid1D.build(params, dx=1.0 / 20.0)
-    deltas = np.array([s.delta.delta for s in enumerate_seeds(params)]
+    deltas = np.array([s.delta for s in enumerate_seeds(params)]
                       + [np.random.default_rng(N).uniform(-7.0, 7.0, N)])
     stack = seed_state(params, grid, deltas)
     assert len(stack) == len(deltas)
@@ -251,9 +263,9 @@ def test_stacked_seeds_equal_the_single_seeds_bit_for_bit(N, r):
         for name in ("f", "phi", "a"):
             assert np.array_equal(getattr(seed, name), getattr(single, name)), name
     assert np.array_equal(seed_state(params, grid, deltas[:1])[0].phi,
-                          seed_state(params, grid, PhaseConfig(deltas[0])).phi)
+                          seed_state(params, grid, phase_offsets(deltas[0], N)).phi)
 
-    wrapped = PhaseConfig(deltas[-1]).delta
+    wrapped = phase_offsets(deltas[-1], N)
     rhs = _u1_rhs(deltas, params, grid.nodes)
     u1 = _solve_u1(rhs, params, grid)
     cf = first_order_correction(params, grid, deltas)

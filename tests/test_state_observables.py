@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from ldvortex.energy import total_energy
-from ldvortex.errors import ShapeMismatch
+from ldvortex.errors import InvalidParameters, ShapeMismatch
 from ldvortex.observables import (Observables, delta_estimate, distance,
                                   distances, lift_field_2d, observables,
                                   stacked)
@@ -60,6 +60,18 @@ def test_zero_coupling_minimizer_is_exact(desk, desk_grid):
         assert np.max(np.abs(obs.Phi - (delta + drift))) < 1e-12
         assert np.max(np.abs(obs.h - params.applied_field)) == 0.0
         assert np.max(np.abs(obs.V)) < 1e-13
+
+
+def test_zero_coupling_minimizer_takes_one_configuration(desk, desk_grid):
+    """Plane n is shifted by delta_1 + ... + delta_n, so Phi_n = delta_n +
+    Hpx gap by gap; a stack of configurations is refused."""
+    delta = np.array([2.0, 0.4])
+    obs = observables(zero_coupling_minimizer(desk, desk_grid, delta), desk,
+                      desk_grid)
+    drift = desk.applied_field * desk.spacing * desk_grid.nodes
+    assert np.max(np.abs(obs.Phi - (delta[:, None] + drift))) < 1e-12
+    with pytest.raises(InvalidParameters, match="one configuration"):
+        zero_coupling_minimizer(desk, desk_grid, np.zeros((2, 2)))
 
 
 def test_degenerate_manifold_energy_is_flat(desk, desk_grid):
