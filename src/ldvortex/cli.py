@@ -9,8 +9,10 @@ A key must name a flag exactly; only the command line may abbreviate.
 No key may be config: a config file cannot name another.
 A switch such as --numerical-gap takes no value, so no file can set it.
 LD_VORTEX_LOG in {error, warn, info, debug} controls verbosity.
-Exit codes: 0 success; 1 failed acceptance, a solver failure or parameters
-outside the model's domain; 2 usage error, a bad config file included.
+Exit codes: 0 success; 1 failed acceptance, a solver failure, parameters
+outside the model's domain or an input the solvers refuse (a field grid
+that is not finite, a NaN --tol, a grid finer than MAX_INTERVALS
+intervals); 2 usage error, a bad config file included.
 """
 
 from __future__ import annotations
@@ -163,9 +165,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_perturb(args) -> int:
     params = _params(args)
-    seeds = enumerate_seeds(params)
+    table = (column.tolist() for column in enumerate_seeds(params))
     payload = {"parameters": exports.params_dict(params),
-               "seeds": [s.to_dict() for s in seeds]}
+               "seeds": [{"delta": d, "inertia": i, "g0": e} for d, i, e in zip(*table)]}
     _emit(args.out, payload)
     if args.out and args.format == "csv":
         H_max = 2.0 * params.applied_field if args.H_max is None else args.H_max

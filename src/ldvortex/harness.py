@@ -23,10 +23,10 @@ from .minimize import (MinimizeReport, default_newton_tol, inertia, minimize,
 from .observables import (_fields, circular_mean, delta_estimate, distances,
                           observables, stacked)
 from .params import Grid1D, LdParameters, default_dx, wrap_angle, wrap_to_pi
-from .perturbation import (_seed_states, enumerate_seeds, g0,
-                           interior_u1_closed_form, magnetization_jump,
-                           nucleation_field, nucleation_fields, seed_state,
-                           vortex_plane_delta, vortex_plane_observables)
+from .perturbation import (enumerate_seeds, g0, interior_u1_closed_form,
+                           magnetization_jump, nucleation_field,
+                           nucleation_fields, seed_state, vortex_plane_delta,
+                           vortex_plane_observables)
 from .state import LayeredState, random_low_energy_state
 from .validity import energy_bound_coefficient
 
@@ -182,19 +182,18 @@ def census(params: LdParameters, r: float, n_random: int = 50,
     N = pr.num_gaps
 
     tol = min(CENSUS_NEWTON_TOL, sweep_tol(pr))
-    seeds = enumerate_seeds(pr)
-    deltas = np.array([s.delta for s in seeds])
+    deltas, seed_inertias, g0s = enumerate_seeds(pr)
     starts = seed_state(pr, grid, deltas)
     points, inertias, predicted, failures = [], [], [], []
-    for s, start in zip(seeds, starts):
+    for delta, seed_inertia, start in zip(deltas, seed_inertias, starts):
         try:
             cp = newton_critical(start, pr, grid, tol=tol)
             inertias.append(inertia(cp.state, pr, grid))
         except (NoConvergence, FactorizationFailure) as exc:
-            failures.append({"delta": s.delta.tolist(), "error": str(exc)})
+            failures.append({"delta": delta.tolist(), "error": str(exc)})
         else:
             points.append(cp)
-            predicted.append(s.predicted_inertia)
+            predicted.append(int(seed_inertia))
 
     # Pairwise distances one row of the upper triangle at a time: one
     # broadcast over all 32 640 pairs at N = 8 would hold ~130 MB per field.
@@ -216,7 +215,6 @@ def census(params: LdParameters, r: float, n_random: int = 50,
     # Energy order must follow the reduced-energy order (ties grouped).
     order_ok = True
     if n_pts == 2**N:
-        g0s = g0(pr, deltas)
         for lo, hi in zip(np.unique(np.round(g0s, 12))[:-1],
                           np.unique(np.round(g0s, 12))[1:]):
             emax_lo = energies[np.isclose(g0s, lo)].max()
@@ -295,26 +293,19 @@ def _sweep_point_job(args) -> MinimizeReport:
                 for start in starts), key=lambda rep: rep.energy)
 
 
-def _sweep_seeds(params: LdParameters, H_grid: np.ndarray,
-                 grid: Grid1D) -> list[LayeredState]:
-    """Pass 1 of field_sweep: the seeds delta = 0 and pi of every field,
-    in field order and 0 before pi, in one pass (one dgtsv)."""
-    branches = np.array([[0.0], [math.pi]]).repeat(params.num_gaps, axis=1)
-    return _seed_states(params, grid, np.tile(branches, (H_grid.size, 1)),
-                        H_grid.repeat(2))
-
-
 def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
                 jobs: int = 1) -> ExperimentRecord:
     """Minimization along an increasing field grid: each field keeps the
     lower of the descents from the seeds delta = 0 and pi (a tie keeps 0).
 
     Three passes over one grid, which every field shares (L and dx): the
-    seeds of all fields in one pass, then the two descents of each field
-    (the only pass that fans out over `jobs` processes), then one analysis
-    pass over the stacked kept states for delta_hat, the collective
-    configurations, dE/dH and the maxima of the gap-averaged h.  All seeds
-    are held at once, so memory grows as O(len(H_grid) n).
+    seeds of all fields from one seed_state call with one field per member
+    (one dgtsv), then the two descents of each field (the only pass that
+    fans out over `jobs` processes), then one analysis pass over the
+    stacked kept states for delta_hat, the collective configurations, dE/dH
+    and the maxima of the gap-averaged h.  All seeds are held at once, so
+    memory grows as O(len(H_grid) n).  A grid that is not finite, positive
+    and increasing raises InvalidParameters before any solve.
 
     Detects the collective flips of the reduced phases (robust first-order
     transition marker), counts interior maxima of h, and measures the
@@ -326,9 +317,10 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
     t0 = time.time()
     require_jobs(jobs)
     H_grid = np.asarray(H_grid, dtype=float)
-    if np.any(np.diff(H_grid) <= 0) or H_grid.size < 8 or H_grid[0] <= 0.0:
-        raise InvalidParameters(
-            "H_grid must be positive and increasing with enough points to fit")
+    if (not np.isfinite(H_grid).all() or np.any(np.diff(H_grid) <= 0)
+            or H_grid.size < 8 or H_grid[0] <= 0.0):
+        raise InvalidParameters("H_grid must be finite, positive and "
+                                "increasing with enough points to fit")
     H_ks = nucleation_fields(params, float(H_grid[-1]) + 1e-3)
     if any(abs(H - Hk) < 1e-3 for H in H_grid for Hk in H_ks):
         raise InvalidParameters("H_grid passes within 1e-3 of a degenerate field")
@@ -337,7 +329,9 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
     grid = Grid1D.build(params, dx)
     tol = sweep_tol(params)
 
-    seeds = _sweep_seeds(params, H_grid, grid)
+    # Rows 2j and 2j + 1 are field j's delta = 0 and pi branches.
+    branches = np.tile([[0.0], [math.pi]], (H_grid.size, params.num_gaps))
+    seeds = seed_state(params, grid, branches, H_grid.repeat(2))
     best = _fan_out(_sweep_point_job,
                     [(params, H, grid, tol, seeds[2 * j:2 * j + 2])
                      for j, H in enumerate(H_grid)], jobs)

@@ -56,8 +56,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._lapack import flapack, one_blas_thread
-from .errors import (FactorizationFailure, NoConvergence, NonFinite,
-                     SingularHessian)
+from .errors import (FactorizationFailure, InvalidParameters, NoConvergence,
+                     NonFinite, SingularHessian)
 from .energy import energy_arrays
 from .observables import _fields
 from .params import Grid1D, LdParameters
@@ -278,10 +278,13 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
     so the descent ends at minima.
 
     state0 must be gauge fixed.  Terminates when the sup-norm of the
-    gradient drops to tol or the iteration budget runs out.  The energy
-    trace is nonincreasing; a stalled steepest-descent line search returns
-    the best state so far with converged=False.
+    gradient drops to tol or the iteration budget runs out; a NaN tol
+    raises InvalidParameters.  The energy trace is nonincreasing; a stalled
+    steepest-descent line search returns the best state so far with
+    converged=False.
     """
+    if math.isnan(tol):
+        raise InvalidParameters("tol must not be NaN")
     state0.check_grid(params, grid)
     layout = Layout.build(params.num_gaps, grid.M)
     fun = _flat_functions(params, grid, layout)

@@ -9,10 +9,10 @@ The stack has N+1 superconducting planes z_n = n*p, n = 0..N, of width 2L
 in x, so there are N insulating gaps.
 
 An LdParameters object is valid by construction: its constructor refuses
-values outside the model's domain (N >= 1, 0 < L, 0 < p <= 1, kappa > 0,
-H > 0, r >= 0, all finite) with InvalidParameters, so code that receives
-one never checks it again.  validate() only reports the soft regime
-warnings.
+values outside the model's domain (N an integer >= 1, 0 < L, 0 < p <= 1,
+kappa > 0, H > 0, r >= 0, all finite) with InvalidParameters, so code that
+receives one never checks it again.  validate() only reports the soft
+regime warnings.
 
 phase_offsets owns the format of the N phase offsets delta_n of the
 decoupled (r = 0) torus: every function that takes offsets reads them there.
@@ -32,6 +32,9 @@ DEGENERACY_TOL = 1e-9
 
 #: Hard floor on the number of grid intervals.
 MIN_INTERVALS = 16
+#: Hard ceiling on the number of grid intervals: 160 times the 600 of the
+#: widest grid in use (L = 10, dx = 1/30) and 40 times its dx/4 refinement.
+MAX_INTERVALS = 100_000
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,10 @@ class LdParameters:
 
     def __post_init__(self):
         errors = []
-        if self.num_gaps < 1:
+        if (isinstance(self.num_gaps, bool)
+                or not isinstance(self.num_gaps, (int, np.integer))):
+            errors.append(f"num_gaps must be an integer, got {self.num_gaps!r}")
+        elif self.num_gaps < 1:
             errors.append(f"num_gaps must be >= 1 (at least one gap), got {self.num_gaps}")
         if not (self.half_width > 0.0 and math.isfinite(self.half_width)):
             errors.append(f"half_width must be positive and finite, got {self.half_width}")
@@ -145,11 +151,16 @@ class Grid1D:
     @staticmethod
     def build(params: LdParameters, dx: float | None = None) -> "Grid1D":
         """Build the grid for params; dx overrides the default rule but the
-        interval count is floored at MIN_INTERVALS."""
+        interval count is floored at MIN_INTERVALS.  A dx that needs more
+        than MAX_INTERVALS intervals raises InvalidParameters."""
         target = default_dx(params) if dx is None else float(dx)
         if not (target > 0.0 and math.isfinite(target)):
             raise InvalidParameters(f"dx must be positive and finite, got {target}")
-        M = max(int(math.ceil(2.0 * params.half_width / target - 1e-12)), MIN_INTERVALS)
+        count = 2.0 * params.half_width / target - 1e-12
+        if count > MAX_INTERVALS:
+            raise InvalidParameters(f"dx = {target:.6g} needs {count:.6g} intervals, "
+                                    f"more than MAX_INTERVALS = {MAX_INTERVALS}")
+        M = max(int(math.ceil(count)), MIN_INTERVALS)
         actual = 2.0 * params.half_width / M
         nodes = np.linspace(-params.half_width, params.half_width, M + 1)
         mids = 0.5 * (nodes[:-1] + nodes[1:])

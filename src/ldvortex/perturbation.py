@@ -17,12 +17,11 @@ The order-r fields rest on one sine quadrature, the field correction b1;
 the supervelocity correction sv1 is its jump across each plane (discrete
 Ampere).  Offsets are read by params.phase_offsets, so each function takes
 one configuration, shape (N,), or a stack of K, shape (K, N): g0 gives one
-value per row, and the seed builders build all K in one pass with one
+value per row, and seed_state builds all K in one pass with one
 tridiagonal dgtsv call for every amplitude correction, each to the bit of
-its own single call.  The
-private core _seed_states also takes the applied field per member: the
-census seeds its 2^N points at one field that way, and a field sweep the
-two branches of every field at once.
+its own single call.  seed_state also takes one applied field per member
+of a stack: the census seeds its 2^N points at one field, and a field
+sweep the two branches of every field at once.
 vortex_plane_observables stays an independent closed form, not built from
 these fields: the seed and convergence checks compare against it.
 """
@@ -77,25 +76,14 @@ def leading_min_energy(params: LdParameters) -> float:
     return 2.0 * N * p * (L - abs(math.sin(params.hpl)) / (H * p)) * r
 
 
-@dataclass(frozen=True)
-class SeedInfo:
-    """One entry of the 2^N enumeration; delta is its (N,) offsets."""
-
-    delta: np.ndarray
-    predicted_inertia: int
-    g0: float
-
-    def to_dict(self) -> dict:
-        return {"delta": self.delta.tolist(),
-                "inertia": self.predicted_inertia, "g0": self.g0}
-
-
-def enumerate_seeds(params: LdParameters) -> list[SeedInfo]:
-    """All 2^N phase configurations delta_n in {0, pi}, sorted by reduced
-    energy, each with its (N,) phase_offsets; the predicted inertia counts
-    gaps with (sin(HpL)/H) cos(delta_n) < 0 (the reduced Hessian is
-    diagonal).  N above MAX_SEED_GAPS raises
-    InvalidParameters: each seed costs a Newton solve in the census."""
+def enumerate_seeds(params: LdParameters) -> tuple[np.ndarray, ...]:
+    """The seed table (deltas, inertias, g0s) of the 2^N phase
+    configurations delta_n in {0, pi}: row k holds one seed's (N,)
+    phase_offsets, predicted inertia and reduced energy, sorted by g0 and
+    then by delta.  The predicted inertia counts gaps with
+    (sin(HpL)/H) cos(delta_n) < 0 (the reduced Hessian is diagonal).
+    N above MAX_SEED_GAPS raises InvalidParameters: each seed costs a
+    Newton solve in the census."""
     if params.num_gaps > MAX_SEED_GAPS:
         raise InvalidParameters(
             f"2^N seeds at N = {params.num_gaps}: N must be <= {MAX_SEED_GAPS}")
@@ -103,10 +91,10 @@ def enumerate_seeds(params: LdParameters) -> list[SeedInfo]:
     deltas = phase_offsets(list(product((0.0, math.pi), repeat=params.num_gaps)),
                            params.num_gaps)
     inertias = np.sum(s / params.applied_field * np.cos(deltas) < 0.0, axis=1)
-    out = [SeedInfo(d, int(i), float(e))
-           for d, i, e in zip(deltas, inertias, g0(params, deltas))]
-    out.sort(key=lambda e: (e.g0, tuple(e.delta)))
-    return out
+    g0s = g0(params, deltas)
+    # lexsort's last key is the primary one: g0, then delta_1, delta_2, ...
+    order = np.lexsort((*deltas.T[::-1], g0s))
+    return deltas[order], inertias[order], g0s[order]
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +120,7 @@ def _u1_rhs(delta: np.ndarray, params: LdParameters, x: np.ndarray,
             H=None) -> np.ndarray:
     """Right side of the amplitude correction ODE per plane, (..., N+1,
     x.size) for offsets delta of shape (..., N), at the applied field H
-    (params' own by default; see _seed_states for one field per member)."""
+    (params' own by default; see seed_state for one field per member)."""
     N = params.num_gaps
     Hp = (params.applied_field if H is None else H) * params.spacing
     cos_gap = np.cos(delta[..., :, None] + Hp * x)  # (..., N, M+1)
@@ -175,21 +163,15 @@ def _solve_u1(rhs: np.ndarray, params: LdParameters, grid: Grid1D) -> np.ndarray
     return u1.T.reshape(rhs.shape)
 
 
-def field_correction(params: LdParameters, delta, x: np.ndarray) -> np.ndarray:
+def _field_correction(params: LdParameters, delta: np.ndarray, x: np.ndarray,
+                      H) -> np.ndarray:
     """Order-r field correction per gap, by exact quadrature of
     b1' = (p k^2 / 2)(sin(delta_n + Hpx) - mean_n) with b1(+-L) = 0, where
     mean_n = sin(delta_n) sin(HpL)/(HpL) is the mean of the sine over
     [-L, L].  One row per gap, evaluated at the points x, and a leading
-    axis of K for a (K, N) stack of delta."""
-    return _field_correction(params, phase_offsets(delta, params.num_gaps),
-                             np.asarray(x, dtype=float), params.applied_field)
-
-
-def _field_correction(params: LdParameters, delta: np.ndarray, x: np.ndarray,
-                      H) -> np.ndarray:
-    """field_correction of checked offsets at the applied field H, a float
-    or one field per member shaped (K, 1, 1); sin(HpL) is math.sin's for
-    every field."""
+    axis of K for a (K, N) stack of phase_offsets delta.  The applied field
+    H is a float or one field per member shaped (K, 1, 1); sin(HpL) is
+    math.sin's for every field."""
     delta = delta[..., None]
     Hp = H * params.spacing
     hpl = Hp * params.half_width
@@ -200,10 +182,11 @@ def _field_correction(params: LdParameters, delta: np.ndarray, x: np.ndarray,
         prim - mean * (x + params.half_width))
 
 
-def first_order_correction(params: LdParameters, grid: Grid1D,
-                           delta) -> CorrectionFields:
-    """Order-r correction fields for an arbitrary phase configuration, or
-    for each of a (K, N) stack of them.
+def _corrections(params: LdParameters, grid: Grid1D, delta: np.ndarray,
+                 H) -> CorrectionFields:
+    """Order-r correction fields of the phase_offsets delta, one
+    configuration (N,) or a (K, N) stack, at the applied field H, a float
+    or one field per member shaped (K, 1, 1).
 
     u1 is solved numerically (tridiagonal FD, Neumann ends, the stencil
     induced by the discrete energy); b1 comes from exact quadrature of its
@@ -215,14 +198,6 @@ def first_order_correction(params: LdParameters, grid: Grid1D,
     which is what quadrature of (1/k^2) sv1' = (sine sources - I_n)/2 with
     the plane constants I_n gives; it inherits b1's zeros at +-L.
     """
-    return _corrections(params, grid, phase_offsets(delta, params.num_gaps),
-                        params.applied_field)
-
-
-def _corrections(params: LdParameters, grid: Grid1D, delta: np.ndarray,
-                 H) -> CorrectionFields:
-    """first_order_correction of checked offsets at the applied field H, a
-    float or one field per member shaped (K, 1, 1)."""
     u1 = _solve_u1(_u1_rhs(delta, params, grid.nodes, H), params, grid)
     b1 = _field_correction(params, delta, grid.mids, H)
     zero = np.zeros(delta.shape[:-1] + (1, grid.M))
@@ -256,11 +231,16 @@ def interior_u1_closed_form(params: LdParameters, delta_star: float,
             + B * np.cos(delta_star + Hp * np.asarray(x)))
 
 
-def seed_state(params: LdParameters, grid: Grid1D, delta):
+def seed_state(params: LdParameters, grid: Grid1D, delta, H=None):
     """Assemble the perturbative seed s(delta) + r * w1: one LayeredState
     for one configuration, or the list of them for a (K, N) stack of delta,
     built in one pass (one dgtsv for all of them) and each equal to its
     single seed to the bit.
+
+    The applied field is params' own, or for a stack H, one positive finite
+    field per member, shape (K,): member k is then
+    seed_state(params.with_field(H[k]), grid, delta[k]) to the bit.  H of
+    another shape or value raises InvalidParameters.
 
     f = 1 + r u1 and h = H + r b1; the traces a are stacked across the
     gaps anchored at a_0 = -r sv1_0 (so V_0 = r sv1_0 with phi_0 = 0),
@@ -268,24 +248,23 @@ def seed_state(params: LdParameters, grid: Grid1D, delta):
     so the circular mean of Phi_{n,n-1} - Hpx equals delta_n.
     """
     delta = phase_offsets(delta, params.num_gaps)
-    states = _seed_states(params, grid, delta.reshape(-1, params.num_gaps),
-                          params.applied_field)
-    return states if delta.ndim == 2 else states[0]
-
-
-def _seed_states(params: LdParameters, grid: Grid1D, stack: np.ndarray,
-                 H) -> list[LayeredState]:
-    """seed_state of each row of a (K, N) stack of offsets in [0, 2 pi) at
-    the applied field H: a float, or one field per row, shape (K,).  One
-    pass and one dgtsv for all K; member k equals
-    seed_state(params.with_field(H[k]), grid, stack[k]) to the bit."""
+    stack = delta.reshape(-1, params.num_gaps)
+    if H is None:
+        H = params.applied_field
+    else:
+        H = np.asarray(H, dtype=float)
+        if (delta.ndim != 2 or H.shape != (len(stack),)
+                or not (np.isfinite(H) & (H > 0.0)).all()):
+            raise InvalidParameters(
+                f"seed_state takes one positive finite field per row of a (K, N) "
+                f"stack of offsets, got {H.tolist()} for offsets of shape {delta.shape}")
     r, p = params.coupling, params.spacing
     if r == 0.0:
-        fields = np.broadcast_to(H, len(stack))
-        return [zero_coupling_minimizer(params.with_field(float(h)), grid, d)
-                for h, d in zip(fields, stack)]
+        states = [zero_coupling_minimizer(params.with_field(float(h)), grid, d)
+                  for h, d in zip(np.broadcast_to(H, len(stack)), stack)]
+        return states if delta.ndim == 2 else states[0]
     if np.ndim(H):
-        H = np.asarray(H, dtype=float)[:, None, None]
+        H = H[:, None, None]
     cf = _corrections(params, grid, stack, H)
     f = 1.0 + r * cf.u1
     # a_0 = -r sv1_0, then a_n = a_{n-1} + p h_n with h_n = H + r b1_n.
@@ -298,7 +277,8 @@ def _seed_states(params: LdParameters, grid: Grid1D, stack: np.ndarray,
     # circular mean of the unshifted Phi_{k,k-1} - Hpx.
     m = circular_mean(phi[:, 1:] - phi[:, :-1] - H * p * grid.nodes)
     phi[:, 1:] += wrap_to_pi(np.cumsum(stack - m, axis=1))[..., None]
-    return [LayeredState(*fields) for fields in zip(f, phi, a)]
+    states = [LayeredState(*fields) for fields in zip(f, phi, a)]
+    return states if delta.ndim == 2 else states[0]
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +393,14 @@ class NucleationDiagram:
 
 
 def epsilon_and_jumps(params: LdParameters, H_grid) -> NucleationDiagram:
-    """Evaluate the nucleation diagram on a positive sorted field grid:
-    the fields H_k, the magnetization jump at each, and the leading-order
-    energy and one-sided magnetizations at every grid field."""
+    """Evaluate the nucleation diagram on a positive finite sorted field
+    grid: the fields H_k, the magnetization jump at each, and the
+    leading-order energy and one-sided magnetizations at every grid field."""
     H_grid = np.asarray(H_grid, dtype=float)
-    if H_grid.ndim != 1 or H_grid.size == 0 or np.any(H_grid <= 0.0):
-        raise InvalidParameters("H_grid must be a nonempty 1D array of positive fields")
+    if (H_grid.ndim != 1 or H_grid.size == 0
+            or not (np.isfinite(H_grid) & (H_grid > 0.0)).all()):
+        raise InvalidParameters(
+            "H_grid must be a nonempty 1D array of positive finite fields")
     if np.any(np.diff(H_grid) <= 0.0):
         raise InvalidParameters("H_grid must be strictly increasing")
     Hk = np.asarray(nucleation_fields(params, float(H_grid[-1])))

@@ -91,13 +91,29 @@ def test_invalid_parameters_exit_1(capsys):
     ["perturb", "--H-points", "0", "--format", "csv", "--out", "x.json"],
     ["perturb", "--H-max", "0", "--format", "csv", "--out", "x.json"],
     ["perturb", "--H-max", "0.3", "--format", "csv", "--out", "x.json"],
+    ["sweep", "--H-max", "inf"] + GRID,
+    ["sweep", "--H-max", "nan"] + GRID,
+    ["perturb", "--format", "csv", "--out", "p.json", "--H-max", "inf"],
 ], ids=["sweep-short-grid", "perturb-empty-grid", "perturb-zero-H-max",
-        "perturb-H-max-below-start"])
+        "perturb-H-max-below-start", "sweep-inf-H-max", "sweep-nan-H-max",
+        "perturb-inf-H-max"])
 def test_bad_field_grid_exits_1_without_traceback(argv, tmp_path, monkeypatch,
                                                   capsys):
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("error: H_grid must be")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["minimize", "--dx", "1e-300"], "error: dx = 1e-300 needs"),
+    (["flux", "--H", "1e300"], "error: dx = 2e-301 needs"),
+    (["minimize", "--tol", "nan"] + GRID, "error: tol must not be NaN"),
+], ids=["minimize-tiny-dx", "flux-huge-H", "minimize-nan-tol"])
+def test_refused_input_exits_1_without_traceback(argv, message, capsys):
+    """A grid too fine to allocate and a NaN tolerance are refused with
+    exit 1 and an error line, not a NumPy traceback or a silent exit 0."""
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith(message)
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,7 +14,8 @@ from ldvortex.harness import (census, convergence_study, count_interior_maxima,
 from ldvortex.minimize import minimize, newton_critical
 from ldvortex.observables import delta_estimate, distance, observables
 from ldvortex.params import Grid1D, LdParameters, default_dx, wrap_to_pi
-from ldvortex.perturbation import (MAX_SEED_GAPS, enumerate_seeds, seed_state,
+from ldvortex.perturbation import (MAX_SEED_GAPS, enumerate_seeds,
+                                   epsilon_and_jumps, seed_state,
                                    vortex_plane_delta)
 
 
@@ -139,7 +140,7 @@ def no_solves(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a solve or a process pool was started")
 
-    for name in ("newton_critical", "minimize", "seed_state", "_seed_states"):
+    for name in ("newton_critical", "minimize", "seed_state"):
         monkeypatch.setattr(harness, name, no_work)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
 
@@ -165,6 +166,19 @@ def test_jobs_outside_usable_cores_fail_before_any_solve(jobs, desk,
         census(desk, 1e-3, n_random=2, jobs=jobs)
     with pytest.raises(InvalidParameters, match="usable cores"):
         field_sweep(desk, np.linspace(2.0, 3.0, 11), jobs=jobs)
+
+
+@pytest.mark.parametrize("tail", [[math.inf, math.inf], [math.nan, math.nan],
+                                  [3.5, math.nan]],
+                         ids=["inf-inf", "nan-nan", "trailing-nan"])
+def test_non_finite_field_grid_fails_before_any_solve(tail, desk, no_solves):
+    """inf - inf and any difference with NaN are NaN, which an increasing
+    check alone lets through; both field grids refuse the values."""
+    H_grid = np.concatenate([np.linspace(2.0, 3.0, 8), tail])
+    with pytest.raises(InvalidParameters, match="finite"):
+        field_sweep(desk, H_grid)
+    with pytest.raises(InvalidParameters, match="finite"):
+        epsilon_and_jumps(desk, H_grid)
 
 
 def test_field_sweep_detects_first_transition(desk):
@@ -218,7 +232,8 @@ def test_field_sweep_jumps_at_wide_sample():
         errors = []
         for h in (1e-2, 1e-3):
             fields = H_grid[j] + np.array([h, -h])
-            seeds = harness._sweep_seeds(params, fields, grid)
+            seeds = seed_state(params, grid, np.tile([[0.0], [math.pi]], (2, 2)),
+                               fields.repeat(2))
             up, down = (harness._sweep_point_job((params, H, grid, tol,
                                                   seeds[2 * k:2 * k + 2]))
                         for k, H in enumerate(fields))

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ldvortex.energy import fd_gradient_check, hessian_apply, total_energy
-from ldvortex.errors import (DomainError, FactorizationFailure, NoConvergence,
-                             SingularHessian)
+from ldvortex.errors import (DomainError, FactorizationFailure,
+                             InvalidParameters, NoConvergence, SingularHessian)
 from ldvortex import harness
 from ldvortex.harness import census, field_sweep
 from ldvortex.minimize import (assemble_banded_hessian, banded_solve, inertia,
@@ -35,6 +35,14 @@ def test_infinite_tolerance_returns_start(desk, desk_grid):
     assert rep.iterations == 0
     assert rep.converged
     assert np.array_equal(rep.state.f, state.f)
+
+
+def test_nan_tolerance_raises(desk, desk_grid):
+    """A NaN tol would end the descent at once (no norm exceeds NaN) and
+    report converged=False without a step."""
+    with pytest.raises(InvalidParameters, match="tol"):
+        minimize(uniform_field_state(desk, desk_grid), desk, desk_grid,
+                 tol=math.nan)
 
 
 def test_descent_finds_zero_coupling_ground_state(desk, coarse_grid, rng):
@@ -409,9 +417,11 @@ def test_measured_inertia_equals_predicted_inertia(N, H, r):
     params = LdParameters(N, 1.0, 0.5, 1.0, H, r)
     assume(abs(math.sin(params.hpl)) >= 0.2)
     grid = Grid1D.build(params, dx=1.0 / 16.0)
-    for s in enumerate_seeds(params):
-        cp = newton_critical(seed_state(params, grid, s.delta), params, grid)
-        assert inertia(cp.state, params, grid) == s.predicted_inertia, s.delta
+    deltas, predicted, _ = enumerate_seeds(params)
+    for delta, seed, count in zip(deltas, seed_state(params, grid, deltas),
+                                  predicted):
+        cp = newton_critical(seed, params, grid)
+        assert inertia(cp.state, params, grid) == count, delta
 
 
 def _dense(ab: np.ndarray) -> np.ndarray:
@@ -430,8 +440,8 @@ def _identity_band(ab: np.ndarray) -> np.ndarray:
 
 def test_inertia_matches_dense_reference(desk):
     grid = Grid1D.build(desk, dx=1.0 / 16.0)
-    states = [newton_critical(seed_state(desk, grid, s.delta), desk, grid,
-                              tol=1e-9).state for s in enumerate_seeds(desk)]
+    states = [newton_critical(seed, desk, grid, tol=1e-9).state
+              for seed in seed_state(desk, grid, enumerate_seeds(desk)[0])]
     counts = []
     for state in states:
         ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, desk, grid)
@@ -489,8 +499,8 @@ def test_schur_inertia_is_the_morse_index(N, L, r, caplog):
     params = LdParameters(N, L, 0.5, 1.0, 3.0, r)
     grid = Grid1D.build(params, dx=1.0 / 16.0)
     rng = np.random.default_rng(5)
-    states = [newton_critical(seed_state(params, grid, s.delta), params,
-                              grid).state for s in enumerate_seeds(params)]
+    states = [newton_critical(seed, params, grid).state
+              for seed in seed_state(params, grid, enumerate_seeds(params)[0])]
     states += [random_low_energy_state(params, grid, rng) for _ in range(3)]
     for state in states:
         ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ldvortex.errors import InvalidParameters
-from ldvortex.params import (Grid1D, LdParameters, default_dx, phase_offsets,
-                             validate, wrap_angle, wrap_to_pi)
+from ldvortex.params import (MAX_INTERVALS, Grid1D, LdParameters, default_dx,
+                             phase_offsets, validate, wrap_angle, wrap_to_pi)
 from ldvortex.perturbation import g0, seed_state
 
 
@@ -28,6 +28,27 @@ def test_validate_degenerate_field_is_warning():
 def test_validate_no_gaps_is_error():
     with pytest.raises(InvalidParameters, match="num_gaps"):
         LdParameters(0, 1.0, 0.5, 1.0, 3.0, 1e-3)
+
+
+@pytest.mark.parametrize("N", [2.5, 2.0, True, "2", None])
+def test_non_integer_gap_count_is_refused(N):
+    with pytest.raises(InvalidParameters, match="num_gaps must be an integer"):
+        LdParameters(N, 1.0, 0.5, 1.0, 3.0, 1e-3)
+
+
+@pytest.mark.parametrize("N", [np.int64(2), np.int32(3), np.uint8(1)])
+def test_numpy_integer_gap_count_is_accepted(N):
+    params = LdParameters(N, 1.0, 0.5, 1.0, 3.0, 1e-3)
+    grid = Grid1D.build(params, dx=1.0 / 16.0)
+    assert seed_state(params, grid, 0.0).f.shape == (int(N) + 1, grid.M + 1)
+
+
+def test_grid_above_max_intervals_is_refused(desk):
+    step = 2.0 * desk.half_width / MAX_INTERVALS
+    assert Grid1D.build(desk, step * (1.0 + 1e-6)).M == MAX_INTERVALS
+    for dx in (step / 1.01, 1e-300, 5e-324):
+        with pytest.raises(InvalidParameters, match="MAX_INTERVALS"):
+            Grid1D.build(desk, dx)
 
 
 @pytest.mark.parametrize("field, value", [

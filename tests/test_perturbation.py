@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from ldvortex.energy import gradient
 from ldvortex.errors import DegenerateField, InvalidParameters
 from ldvortex.observables import delta_estimate, observables
 from ldvortex.params import Grid1D, LdParameters, phase_offsets, wrap_to_pi
-from ldvortex.perturbation import (_seed_states, _solve_u1, _u1_rhs,
+from ldvortex.perturbation import (_corrections, _field_correction,
+                                   _solve_u1, _u1_rhs,
                                    critical_josephson_current,
                                    enumerate_seeds, epsilon_and_jumps,
-                                   epsilon_of_field, field_correction,
-                                   first_order_correction, g0,
+                                   epsilon_of_field, g0,
                                    interior_amplitude_constants,
                                    interior_u1_closed_form,
                                    leading_min_energy, magnetization,
@@ -58,15 +59,32 @@ def test_g0_degenerate_field_is_flat():
 
 
 def test_enumerate_seeds_counts_and_inertia(desk):
-    seeds3 = enumerate_seeds(LdParameters(3, 1.0, 0.5, 1.0, 3.0, 1e-3))
-    assert len(seeds3) == 8
-    seeds2 = enumerate_seeds(desk)
-    assert sorted(s.predicted_inertia for s in seeds2) == [0, 1, 1, 2]
-    assert [s.g0 for s in seeds2] == sorted(s.g0 for s in seeds2)
+    deltas3, _, _ = enumerate_seeds(LdParameters(3, 1.0, 0.5, 1.0, 3.0, 1e-3))
+    assert deltas3.shape == (8, 3)
+    deltas, inertias, g0s = enumerate_seeds(desk)
+    assert sorted(inertias.tolist()) == [0, 1, 1, 2]
+    assert g0s.tolist() == sorted(g0s.tolist())
     # sin(HpL)/H > 0 here: the unique stable entry is delta = 0.
-    zero = [s for s in seeds2 if s.predicted_inertia == 0]
-    assert len(zero) == 1
-    assert np.allclose(zero[0].delta, 0.0)
+    [zero] = deltas[inertias == 0]
+    assert np.allclose(zero, 0.0)
+
+
+@pytest.mark.parametrize("H", [3.0, 8.0])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_enumerate_seeds_order_is_the_g0_then_delta_sort(N, H):
+    """The seed table is in the order of sorting the seeds by the key
+    (g0, tuple(delta)), ties in g0 (every N > 1) broken by delta; each row's
+    inertia counts its wrong phases."""
+    params = LdParameters(N, 1.0, 0.5, 1.0, H, 1e-3)
+    deltas, inertias, g0s = enumerate_seeds(params)
+    rows = sorted((tuple(phase_offsets(d, N).tolist()) for d in
+                   product((0.0, math.pi), repeat=N)),
+                  key=lambda d: (g0(params, d), d))
+    assert deltas.tolist() == [list(d) for d in rows]
+    assert g0s.tolist() == [g0(params, d) for d in rows]
+    wrong = math.pi if vortex_plane_delta(params) == 0.0 else 0.0
+    assert inertias.tolist() == [d.count(wrong) for d in rows]
+    assert len(set(g0s.tolist())) == N + 1
 
 
 def test_enumerate_seeds_degenerate_raises():
@@ -95,7 +113,8 @@ def test_u1_matches_closed_form():
         params = LdParameters(2, 1.0, 0.5, kappa, 3.0, 1e-3)
         grid = Grid1D.build(params, dx=1.0 / 160.0)
         ds = vortex_plane_delta(params)
-        cf = first_order_correction(params, grid, ds)
+        cf = _corrections(params, grid, phase_offsets(ds, 2),
+                          params.applied_field)
         closed = interior_u1_closed_form(params, ds, grid.nodes)
         assert np.max(np.abs(cf.u1[1] - closed)) <= 5.0 * grid.dx**2
         # Top and bottom planes carry exactly half the correction.
@@ -115,7 +134,7 @@ def test_amplitude_constants_example():
 def test_u1_strictly_negative_for_any_delta(delta):
     params = LdParameters(2, 1.0, 0.5, 1.0, 3.0, 1e-3)
     grid = Grid1D.build(params, dx=1.0 / 30.0)
-    cf = first_order_correction(params, grid, np.array(delta))
+    cf = _corrections(params, grid, phase_offsets(delta, 2), params.applied_field)
     assert np.all(cf.u1 < 0.0)
 
 
@@ -124,7 +143,9 @@ def test_u1_strictly_negative_for_any_delta(delta):
 def test_correction_profiles_vanish_at_edges(delta):
     params = LdParameters(2, 1.0, 0.5, 1.0, 3.0, 1e-3)
     edges = np.array([-params.half_width, params.half_width])
-    assert np.max(np.abs(field_correction(params, np.array(delta), edges))) <= 1e-12
+    b1 = _field_correction(params, phase_offsets(delta, 2), edges,
+                           params.applied_field)
+    assert np.max(np.abs(b1)) <= 1e-12
 
 
 def _quadrature_reference(params, delta, x):
@@ -162,7 +183,8 @@ def test_correction_fields_match_quadrature_reference(delta, H, kappa):
     params = LdParameters(len(delta), 1.0, 0.5, kappa, H, 1e-3)
     grid = Grid1D.build(params, dx=1.0 / 20.0)
     delta = np.array(delta)
-    cf = first_order_correction(params, grid, delta)
+    cf = _corrections(params, grid, phase_offsets(delta, len(delta)),
+                      params.applied_field)
     sv1, b1 = _quadrature_reference(params, delta, grid.mids)
     assert np.max(np.abs(cf.b1 - b1)) <= 1e-14
     assert np.max(np.abs(cf.sv1 - sv1)) <= 1e-14
@@ -194,7 +216,7 @@ def test_seed_phase_constants_recover_delta(delta, r, H):
 
     N, p, dx = params.num_gaps, params.spacing, grid.dx
     wrapped = phase_offsets(delta, N)
-    cf = first_order_correction(params, grid, delta)
+    cf = _corrections(params, grid, wrapped, H)
     a = np.empty((N + 1, grid.M))
     a[0] = -r * cf.sv1[0]
     phi = np.zeros((N + 1, grid.M + 1))
@@ -254,8 +276,8 @@ def test_stacked_seeds_equal_the_single_seeds_bit_for_bit(N, r):
     member's seed, correction fields and amplitude solve to the bit."""
     params = LdParameters(N, 1.0, 0.5, 1.0, 3.0, r)
     grid = Grid1D.build(params, dx=1.0 / 20.0)
-    deltas = np.array([s.delta for s in enumerate_seeds(params)]
-                      + [np.random.default_rng(N).uniform(-7.0, 7.0, N)])
+    deltas = np.vstack([enumerate_seeds(params)[0],
+                        np.random.default_rng(N).uniform(-7.0, 7.0, N)])
     stack = seed_state(params, grid, deltas)
     assert len(stack) == len(deltas)
     for delta, seed in zip(deltas, stack):
@@ -265,18 +287,19 @@ def test_stacked_seeds_equal_the_single_seeds_bit_for_bit(N, r):
     assert np.array_equal(seed_state(params, grid, deltas[:1])[0].phi,
                           seed_state(params, grid, phase_offsets(deltas[0], N)).phi)
 
-    wrapped = phase_offsets(deltas[-1], N)
+    wrapped = phase_offsets(deltas, N)
     rhs = _u1_rhs(deltas, params, grid.nodes)
     u1 = _solve_u1(rhs, params, grid)
-    cf = first_order_correction(params, grid, deltas)
-    b1 = field_correction(params, deltas, grid.mids)
+    cf = _corrections(params, grid, wrapped, params.applied_field)
+    b1 = _field_correction(params, wrapped, grid.mids, params.applied_field)
     for k, delta in enumerate(deltas[:-1]):
         assert np.array_equal(rhs[k], _u1_rhs(delta, params, grid.nodes))
         assert np.array_equal(u1[k], _solve_u1(rhs[k], params, grid))
-        assert np.array_equal(b1[k], field_correction(params, delta, grid.mids))
-    one = first_order_correction(params, grid, deltas[-1])
-    assert np.array_equal(one.u1, _solve_u1(_u1_rhs(wrapped, params, grid.nodes),
-                                            params, grid))
+        assert np.array_equal(b1[k], _field_correction(
+            params, wrapped[k], grid.mids, params.applied_field))
+    one = _corrections(params, grid, wrapped[-1], params.applied_field)
+    assert np.array_equal(one.u1, _solve_u1(
+        _u1_rhs(wrapped[-1], params, grid.nodes), params, grid))
     for name in ("u1", "sv1", "b1"):
         assert np.array_equal(getattr(cf, name)[-1], getattr(one, name)), name
 
@@ -291,8 +314,8 @@ def test_field_stacked_seeds_equal_the_single_seeds_bit_for_bit(N, r):
     fields = np.array([5.5, 6.1, 6.5, 7.0])
     deltas = np.vstack([np.zeros(N), np.full(N, math.pi),
                         np.random.default_rng(N).uniform(0.0, 2.0 * math.pi, N)])
-    stack = _seed_states(params, grid, np.tile(deltas, (fields.size, 1)),
-                         fields.repeat(len(deltas)))
+    stack = seed_state(params, grid, np.tile(deltas, (fields.size, 1)),
+                       fields.repeat(len(deltas)))
     assert len(stack) == fields.size * len(deltas)
     for k, H in enumerate(fields):
         singles = seed_state(params.with_field(H), grid, deltas)
@@ -306,6 +329,27 @@ def test_seed_stack_validation(desk, desk_grid):
                 np.zeros((1, 2, 2))):
         with pytest.raises(InvalidParameters):
             seed_state(desk, desk_grid, bad)
+
+
+@pytest.mark.parametrize("delta, H", [
+    (np.zeros((2, 2)), [3.0]),
+    (np.zeros((2, 2)), [3.0, 3.1, 3.2]),
+    (np.zeros((2, 2)), 3.0),
+    (np.zeros(2), [3.0]),
+    (0.0, [3.0]),
+    (np.zeros((2, 2)), [3.0, math.inf]),
+    (np.zeros((2, 2)), [math.nan, 3.0]),
+    (np.zeros((2, 2)), [3.0, 0.0]),
+    (np.zeros((2, 2)), [-3.0, 3.0]),
+], ids=["too-few", "too-many", "scalar-for-stack", "single-config",
+        "scalar-config", "inf", "nan", "zero", "negative"])
+@pytest.mark.parametrize("r", [1e-3, 0.0])
+def test_seed_state_refuses_bad_member_fields(delta, H, r, desk, desk_grid):
+    """Per-member fields come one per row of a (K, N) stack, each positive
+    and finite; anything else raises before any seed is built."""
+    with pytest.raises(InvalidParameters,
+                       match="one positive finite field per row"):
+        seed_state(desk.with_coupling(r), desk_grid, delta, H)
 
 
 def test_seed_observables_match_order_r_fields(desk, desk_grid):
@@ -329,8 +373,9 @@ def test_vortex_plane_observables_formulas(desk, desk_grid):
     assert np.max(np.abs(ocf.jx[0])) > 0.0
     # The field correction vanishes at the edges.
     edges = np.array([-desk.half_width, desk.half_width])
-    assert np.max(np.abs(field_correction(desk, vortex_plane_delta(desk),
-                                          edges))) <= 1e-12
+    b1 = _field_correction(desk, phase_offsets(vortex_plane_delta(desk), 2),
+                           edges, desk.applied_field)
+    assert np.max(np.abs(b1)) <= 1e-12
 
 
 def test_nucleation_fields_examples():
