@@ -30,7 +30,7 @@ import numpy as np
 from . import exports
 from .acceptance import PRESETS, run_acceptance
 from .energy import total_energy
-from .errors import LdError
+from .errors import InvalidParameters, LdError
 from .harness import census, field_sweep, flux_check
 from .minimize import minimize, newton_critical
 from .observables import lift_field_2d, observables
@@ -123,6 +123,13 @@ def _emit(out: str | None, payload: dict) -> None:
         sys.stdout.write(exports.dumps(payload))
 
 
+def _field_grid(H_min: float, H_max: float, points: int) -> np.ndarray:
+    """np.linspace(H_min, H_max, points); a non-finite end is refused first."""
+    if not (math.isfinite(H_min) and math.isfinite(H_max)):
+        raise InvalidParameters(f"H_grid must be finite, got ends {H_min} and {H_max}")
+    return np.linspace(H_min, H_max, points)
+
+
 def _cmd_minimize(args) -> int:
     params = _params(args)
     grid = Grid1D.build(params, args.dx)
@@ -150,7 +157,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params = _params(args)
-    H_grid = np.linspace(args.H_min, args.H_max, args.H_points)
+    H_grid = _field_grid(args.H_min, args.H_max, args.H_points)
     rec = field_sweep(params, H_grid, dx=args.dx, jobs=args.jobs)
     _emit(args.out, rec.to_dict())
     if args.out and args.format == "csv":
@@ -165,14 +172,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_perturb(args) -> int:
     params = _params(args)
+    if args.format == "csv":  # the diagram first: a refused grid writes nothing
+        H_max = 2.0 * params.applied_field if args.H_max is None else args.H_max
+        diagram = epsilon_and_jumps(params, _field_grid(0.5, H_max, args.H_points))
     table = (column.tolist() for column in enumerate_seeds(params))
     payload = {"parameters": exports.params_dict(params),
                "seeds": [{"delta": d, "inertia": i, "g0": e} for d, i, e in zip(*table)]}
     _emit(args.out, payload)
-    if args.out and args.format == "csv":
-        H_max = 2.0 * params.applied_field if args.H_max is None else args.H_max
-        grid = np.linspace(0.5, H_max, args.H_points)
-        diagram = epsilon_and_jumps(params, grid)
+    if args.format == "csv":
         exports.write_nucleation_csv(
             str(Path(args.out).with_suffix("")) + ".nucleation.csv", diagram)
     return 0

@@ -20,8 +20,7 @@ from .errors import (DegenerateField, FactorizationFailure, InvalidParameters,
 from .exports import params_dict
 from .minimize import (MinimizeReport, default_newton_tol, inertia, minimize,
                        newton_critical)
-from .observables import (_fields, circular_mean, delta_estimate, distances,
-                          observables, stacked)
+from .observables import circular_mean, delta_estimate, distances, observables
 from .params import Grid1D, LdParameters, default_dx, wrap_angle, wrap_to_pi
 from .perturbation import (enumerate_seeds, g0, interior_u1_closed_form,
                            magnetization_jump, nucleation_field,
@@ -148,14 +147,11 @@ def convergence_study(params: LdParameters, r_list,
 # ---------------------------------------------------------------------------
 # Critical-point census.
 
-def _census_descent_job(args) -> dict:
-    params, dx, seed = args
-    grid = Grid1D.build(params, dx)
-    rng = np.random.default_rng(seed)
-    start = random_low_energy_state(params, grid, rng)
-    rep = minimize(start, params, grid, tol=1e-8, max_iter=DESCENT_MAX_ITER)
-    return {"energy": rep.energy, "grad_norm": rep.grad_norm,
-            "converged": rep.converged, "state": rep.state}
+def _census_descent_job(args) -> MinimizeReport:
+    """One random-start descent of census, from the generator seeded by seed."""
+    params, grid, seed = args
+    start = random_low_energy_state(params, grid, np.random.default_rng(seed))
+    return minimize(start, params, grid, tol=1e-8, max_iter=DESCENT_MAX_ITER)
 
 
 def census(params: LdParameters, r: float, n_random: int = 50,
@@ -163,15 +159,16 @@ def census(params: LdParameters, r: float, n_random: int = 50,
            match_threshold: float = 1e-3) -> ExperimentRecord:
     """Enumerate all low-energy critical points at coupling r.
 
-    Newton from the 2^N perturbative seeds (residual <= CENSUS_NEWTON_TOL,
-    or sweep_tol where that is smaller: the phase modes' curvature is O(r)),
-    required to lie at least 0.1 apart in observable distance, classified
-    here: the Morse index by inertia (each its own seed's prediction), the
-    reduced phases by delta_estimate.  A seed whose Newton or inertia fails
-    is listed in newton_failures.  Then n_random random-start descents, each
-    counted as converged or not and matched to a census member.  The energy
-    shell is three times the linear upper bound (the analytic cutoff below
-    which the census is exhaustive is not constructive).
+    Three passes: Newton from the 2^N perturbative seeds (residual <=
+    CENSUS_NEWTON_TOL, or sweep_tol where smaller: the phase modes'
+    curvature is O(r)) with each point's Morse index by inertia (its own
+    seed's prediction), a seed whose Newton or inertia fails listed in
+    newton_failures; then n_random random-start descents (the one pass that
+    fans out over `jobs`); then one observables call over the points and
+    the descent ends: points at least 0.1 apart in observable distance,
+    delta_hat by delta_estimate, each descent matched to a point.  The
+    energy shell is three times the linear upper bound (the analytic cutoff
+    below which the census is exhaustive is not constructive).
     """
     t0 = time.time()
     require_jobs(jobs)
@@ -195,13 +192,21 @@ def census(params: LdParameters, r: float, n_random: int = 50,
             points.append(cp)
             predicted.append(int(seed_inertia))
 
+    descents = _fan_out(_census_descent_job, [(pr, grid, seed * 100003 + 17 * i)
+                                              for i in range(n_random)], jobs)
+
+    # One observables pass over the points followed by the descent ends.
+    n_pts = len(points)
+    states = [c.state for c in points] + [rep.state for rep in descents]
+    obs = observables(states, pr, grid) if states else None
+    pts = obs[:n_pts] if points else None
     # Pairwise distances one row of the upper triangle at a time: one
     # broadcast over all 32 640 pairs at N = 8 would hold ~130 MB per field.
-    n_pts = len(points)
-    obs_pts = stacked([observables(c.state, pr, grid) for c in points]) if points else None
-    min_pair = min((float(distances(obs_pts[i], obs_pts[i + 1:]).min())
+    min_pair = min((float(distances(pts[i], pts[i + 1:]).min())
                     for i in range(n_pts - 1)), default=math.inf)
-    delta_hat = delta_estimate(obs_pts, pr, grid) if points else np.empty((0, N))
+    delta_hat = delta_estimate(pts, pr, grid) if points else np.empty((0, N))
+    match_dists = [float(distances(obs[k], pts).min()) if points else math.inf
+                   for k in range(n_pts, len(states))]
 
     binom = sorted(m for m in range(N + 1) for _ in range(math.comb(N, m)))
 
@@ -213,27 +218,15 @@ def census(params: LdParameters, r: float, n_random: int = 50,
                  and inertias.count(0) == 1)
 
     # Energy order must follow the reduced-energy order (ties grouped).
-    order_ok = True
-    if n_pts == 2**N:
-        for lo, hi in zip(np.unique(np.round(g0s, 12))[:-1],
-                          np.unique(np.round(g0s, 12))[1:]):
-            emax_lo = energies[np.isclose(g0s, lo)].max()
-            emin_hi = energies[np.isclose(g0s, hi)].min()
-            order_ok = order_ok and emax_lo < emin_hi
-
-    # Random-start descents.
-    job_args = [(pr, grid.dx, seed * 100003 + 17 * i) for i in range(n_random)]
-    descents = _fan_out(_census_descent_job, job_args, jobs)
+    levels = np.unique(np.round(g0s, 12))
+    order_ok = n_pts != 2**N or all(
+        energies[np.isclose(g0s, lo)].max() < energies[np.isclose(g0s, hi)].min()
+        for lo, hi in zip(levels[:-1], levels[1:]))
 
     shell = 3.0 * energy_bound_coefficient(pr) * pr.coupling
-    n_converged = sum(d["converged"] for d in descents)
-    match_dists, matched, in_shell = [], 0, 0
-    for d in descents:
-        dist_min = (float(distances(observables(d["state"], pr, grid), obs_pts).min())
-                    if points else math.inf)
-        match_dists.append(dist_min)
-        matched += dist_min <= match_threshold
-        in_shell += bool(d["energy"] <= shell)
+    n_converged = sum(rep.converged for rep in descents)
+    matched = sum(dist <= match_threshold for dist in match_dists)
+    in_shell = sum(bool(rep.energy <= shell) for rep in descents)
 
     rec = ExperimentRecord("census", params_dict(pr))
     rec.parameters["dx"] = grid.dx
@@ -298,14 +291,15 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
     """Minimization along an increasing field grid: each field keeps the
     lower of the descents from the seeds delta = 0 and pi (a tie keeps 0).
 
-    Three passes over one grid, which every field shares (L and dx): the
-    seeds of all fields from one seed_state call with one field per member
-    (one dgtsv), then the two descents of each field (the only pass that
-    fans out over `jobs` processes), then one analysis pass over the
-    stacked kept states for delta_hat, the collective configurations, dE/dH
-    and the maxima of the gap-averaged h.  All seeds are held at once, so
-    memory grows as O(len(H_grid) n).  A grid that is not finite, positive
-    and increasing raises InvalidParameters before any solve.
+    Three passes over one grid, which every field shares (L and dx; the
+    record holds the grid's dx): the seeds of all fields from one
+    seed_state call with one field per member (one dgtsv), then the two
+    descents of each field (the only pass that fans out over `jobs`
+    processes), then one observables call over the kept states for
+    delta_hat, the collective configurations, dE/dH and the maxima of the
+    gap-averaged h.  All seeds are held at once, so memory grows as
+    O(len(H_grid) n).  A grid that is not finite, positive and increasing
+    raises InvalidParameters before any solve.
 
     Detects the collective flips of the reduced phases (robust first-order
     transition marker), counts interior maxima of h, and measures the
@@ -338,17 +332,16 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
 
     # Pass 3 over the stacked kept states.  dE/dH is exact at a critical
     # state (envelope theorem): H is only in the field term.
-    _, _, Phi, h = _fields(*(np.stack([getattr(rep.state, name) for rep in best])
-                             for name in ("f", "phi", "a")), params, grid)
+    obs = observables([rep.state for rep in best], params, grid)
     H_col = H_grid[:, None, None]
-    delta_hat = wrap_angle(circular_mean(Phi - H_col * params.spacing * grid.nodes))
+    delta_hat = wrap_angle(circular_mean(obs.Phi - H_col * params.spacing * grid.nodes))
     eps = np.array([rep.energy for rep in best])
     dE_dH = (-2.0 * params.spacing * grid.dx / params.kappa**2
-             * (h - H_col).reshape(H_grid.size, -1).sum(axis=1))
+             * (obs.h - H_col).reshape(H_grid.size, -1).sum(axis=1))
     near = {c: np.all(np.abs(wrap_to_pi(delta_hat - c)) < 0.5 * math.pi, axis=1)
             for c in (0.0, math.pi)}
     configs = np.where(near[0.0], 0.0, np.where(near[math.pi], math.pi, math.nan))
-    maxima = np.array([count_interior_maxima(row) for row in h.mean(axis=1)])
+    maxima = np.array([count_interior_maxima(row) for row in obs.h.mean(axis=1)])
 
     flips = [j for j in range(1, len(H_grid))
              if not math.isclose(configs[j], configs[j - 1], abs_tol=1e-9)]
@@ -379,7 +372,7 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
     expected_flips = [Hk for Hk in H_ks if H_grid[0] < Hk < H_grid[-1]]
 
     rec = ExperimentRecord("field_sweep", params_dict(params))
-    rec.parameters["dx"] = dx
+    rec.parameters["dx"] = grid.dx
     rec.data = {"H_grid": H_grid.tolist(), "epsilon": eps.tolist(),
                 "dE_dH": dE_dH.tolist(),
                 "configs": configs.tolist(), "n_maxima": maxima.tolist(),
@@ -421,24 +414,16 @@ def flux_check(state: LayeredState, params: LdParameters,
     gap; each complete cycle should carry one flux quantum (2*pi).  The
     integral is exact for h interpolated linearly between midpoints.
     """
-    obs = observables(state, params, grid)
+    obs, x = observables(state, params, grid), grid.mids
     out: list[CycleFlux] = []
-    for n in range(obs.num_gaps):
-        y = obs.jz[n]
-        x = grid.mids
-        crossings = []
-        for k in range(len(y) - 1):
-            if y[k] == 0.0 or y[k] * y[k + 1] < 0.0:
-                if y[k] == 0.0:
-                    xc = x[k]
-                else:
-                    xc = x[k] - y[k] * (x[k + 1] - x[k]) / (y[k + 1] - y[k])
-                crossings.append(xc)
+    for n, y in enumerate(obs.jz):
+        crossings = [x[k] if y[k] == 0.0
+                     else x[k] - y[k] * (x[k + 1] - x[k]) / (y[k + 1] - y[k])
+                     for k in range(len(y) - 1) if y[k] == 0.0 or y[k] * y[k + 1] < 0.0]
         for xa, xb in zip(crossings, crossings[2:]):
             knots = np.concatenate(([xa], x[(x > xa) & (x < xb)], [xb]))
-            hval = np.interp(knots, x, obs.h[n])
-            flux = params.spacing * float(np.trapezoid(hval, knots))
-            out.append(CycleFlux(n, float(xa), float(xb), flux))
+            flux = np.trapezoid(np.interp(knots, x, obs.h[n]), knots)
+            out.append(CycleFlux(n, float(xa), float(xb), params.spacing * float(flux)))
     if not out:
         raise NoCompleteCycle("no complete Josephson cycle inside the sample")
     return out

@@ -590,13 +590,15 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
     the residual it stopped at.  It finds the point and does not classify
     it: inertia and delta_estimate do that (see harness.census).
     Requires a gauge-fixed state0 and r > 0: at r = 0 the Hessian has an
-    exact N-dimensional kernel.
+    exact N-dimensional kernel.  A NaN tol raises InvalidParameters.
     """
     state0.check_grid(params, grid)
     if params.coupling == 0.0:
         raise SingularHessian("r = 0: the phase manifold gives an exact kernel")
     if tol is None:
         tol = default_newton_tol(params)
+    if math.isnan(tol):
+        raise InvalidParameters("tol must not be NaN")
 
     layout = Layout.build(params.num_gaps, grid.M)
     fun = _flat_functions(params, grid, layout)

@@ -5,6 +5,10 @@ velocity V_n = phi_n' - a_n, the gauge-invariant phase difference
 Phi_{n,n-1} = phi_n - phi_{n-1} (A_z = 0 in the layered gauge), the local
 field h per gap, the in-plane supercurrent j_x = V f^2 and the Josephson
 current j_z = (r kappa^2 p / 2) f_n f_{n-1} sin Phi.
+
+observables takes one state or a list of states: a list gives one stacked
+Observables (one row per state) in a single pass, and row k equals the
+observables of state k to the bit, since every field is built elementwise.
 """
 
 from __future__ import annotations
@@ -61,26 +65,25 @@ def _fields(f: np.ndarray, phi: np.ndarray, a: np.ndarray, params: LdParameters,
     return V, fm, Phi, h
 
 
-def observables(state: LayeredState, params: LdParameters,
+def observables(states: LayeredState | list[LayeredState], params: LdParameters,
                 grid: Grid1D) -> Observables:
-    """Compute all five observable fields of a state."""
-    state.check_grid(params, grid)
+    """Compute all five observable fields of a state, or of a nonempty list
+    of states in one pass, each field stacked on a leading axis (member k
+    equals observables(states[k], ...) to the bit)."""
+    single = isinstance(states, LayeredState)
+    for state in [states] if single else states:
+        state.check_grid(params, grid)
+    f, phi, a = (states.f, states.phi, states.a) if single else (
+        np.stack([getattr(s, name) for s in states]) for name in ("f", "phi", "a"))
     p, kappa, r = params.spacing, params.kappa, params.coupling
 
-    V, fm, Phi, h = _fields(state.f, state.phi, state.a, params, grid)
+    V, fm, Phi, h = _fields(f, phi, a, params, grid)
     jx = V * fm**2
-    Phi_mid = 0.5 * (Phi[:, 1:] + Phi[:, :-1])
-    jz = 0.5 * r * kappa**2 * p * fm[1:] * fm[:-1] * np.sin(Phi_mid)
+    Phi_mid = 0.5 * (Phi[..., 1:] + Phi[..., :-1])
+    jz = 0.5 * r * kappa**2 * p * fm[..., 1:, :] * fm[..., :-1, :] * np.sin(Phi_mid)
     for arr in (V, Phi, h, jx, jz):
         arr.setflags(write=False)
     return Observables(V, Phi, h, jx, jz)
-
-
-def stacked(points: list[Observables]) -> Observables:
-    """The observables of several states, each field stacked on a leading
-    axis (one row per state)."""
-    return Observables(*(np.stack([getattr(o, name) for o in points])
-                         for name in _FIELDS))
 
 
 def distances(obs: Observables, stack: Observables) -> np.ndarray:
@@ -107,7 +110,7 @@ def distance(obs1: Observables, obs2: Observables) -> float:
     (-pi, pi]) so that configurations equal modulo 2*pi in any phi_n are at
     distance zero: those are physically identical.
     """
-    return float(distances(obs1, stacked([obs2]))[0])
+    return float(distances(obs1, obs2[None])[0])
 
 
 def circular_mean(angles: np.ndarray) -> np.ndarray:

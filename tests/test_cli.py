@@ -53,6 +53,13 @@ def test_eigensolver_failure_exits_1_without_traceback(monkeypatch, capsys):
 GRID = ["--dx", "0.125"]
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run(argv) -> int:
     try:
         return cli.main(argv)
@@ -102,6 +109,29 @@ def test_bad_field_grid_exits_1_without_traceback(argv, tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("error: H_grid must be")
+
+
+@pytest.mark.parametrize("H_max", ["inf", "0"])
+def test_refused_perturb_grid_leaves_no_output(H_max, tmp_path, monkeypatch):
+    """perturb checks its diagram's grid before it writes the seed JSON."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["perturb", "--format", "csv", "--out", "p.json", "--H-max", H_max]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--H-max", "inf"] + GRID,
+    ["perturb", "--format", "csv", "--out", "p.json", "--H-max", "inf"],
+], ids=["sweep", "perturb"])
+def test_non_finite_field_grid_prints_only_the_error_line(argv, tmp_path):
+    """A non-finite end is refused before np.linspace can print its
+    RuntimeWarning: stderr holds the one error line."""
+    out = subprocess.run([sys.executable, "-m", "ldvortex", *argv], env=_src_env(),
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 1
+    assert out.stderr.splitlines() == [
+        "error: H_grid must be finite, got ends "
+        + ("2.0 and inf" if argv[0] == "sweep" else "0.5 and inf")]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -268,10 +298,7 @@ def test_negative_counts_exit_2_without_traceback(argv, no_pool, capsys):
     ["census", "--N", "1", "--random-starts", "1", "--jobs", "1"] + GRID,
 ], ids=["help", "census-N1"])
 def test_python_dash_m_ldvortex_exits_0(argv):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-m", "ldvortex", *argv], env=env,
+    out = subprocess.run([sys.executable, "-m", "ldvortex", *argv], env=_src_env(),
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("usage: ldvortex" if argv == ["--help"] else "{")

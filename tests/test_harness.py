@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ldvortex import harness, perturbation
-from ldvortex.errors import DegenerateField, InvalidParameters, NoCompleteCycle
+from ldvortex.errors import (DegenerateField, InvalidParameters, NoCompleteCycle,
+                             NoConvergence)
 from ldvortex.harness import (census, convergence_study, count_interior_maxima,
                               field_sweep, flux_check)
 from ldvortex.minimize import minimize, newton_critical
@@ -62,9 +63,10 @@ def test_census_solves_its_seeds_at_small_coupling(desk):
     assert max(rec.data["residuals"]) <= harness.sweep_tol(desk.with_coupling(1e-4))
 
 
-def test_census_distances_take_one_observables_per_state(desk, monkeypatch):
-    """Each census point and each descent end gets its observables once,
-    and the stacked distance pass gives the pairwise loop's values."""
+def test_census_analyses_its_states_in_one_observables_call(desk, monkeypatch):
+    """The census points followed by the descent ends get their observables
+    in one stacked call, and the distance pass gives the pairwise loop's
+    values."""
     calls, points, descents = [], [], []
     for name, kept in (("observables", calls), ("newton_critical", points),
                        ("minimize", descents)):
@@ -75,7 +77,7 @@ def test_census_distances_take_one_observables_per_state(desk, monkeypatch):
     grid = Grid1D.build(desk, dx=1.0 / 20.0)
     rec = census(desk, 1e-3, n_random=3, dx=grid.dx, seed=7)
     assert rec.passed and len(points) == 4 and len(descents) == 3
-    assert len(calls) == len(points) + len(descents)
+    assert len(calls) == 1 and calls[0].h.shape[0] == len(points) + len(descents)
 
     obs = [observables(c.state, desk, grid) for c in points]
     assert rec.data["min_pairwise_distance"] == min(
@@ -127,6 +129,20 @@ def test_census_reports_unconverged_descents(desk, monkeypatch):
     assert not rec.checks["all_descents_converged"]
     assert not rec.passed
     assert rec.checks["census_complete"]
+
+
+def test_census_without_points_or_descents_fails_cleanly(desk, monkeypatch):
+    """With every Newton solve failing and no descents there is nothing to
+    analyse: the record says so instead of crashing."""
+    def newton_never_converges(*args, **kwargs):
+        raise NoConvergence("Newton forced to fail")
+
+    monkeypatch.setattr(harness, "newton_critical", newton_never_converges)
+    rec = census(desk, 1e-3, n_random=0, dx=1.0 / 16.0)
+    assert rec.data["count"] == 0 and len(rec.data["newton_failures"]) == 4
+    assert rec.data["delta_hat"] == [] and rec.data["match_distances"] == []
+    assert rec.data["min_pairwise_distance"] == math.inf
+    assert not rec.checks["census_complete"] and not rec.passed
 
 
 def test_census_degenerate_field_raises():
@@ -324,6 +340,13 @@ def test_field_sweep_makes_one_dgtsv_call(desk, monkeypatch, points):
     monkeypatch.setattr(perturbation, "flapack", SimpleNamespace(dgtsv=counted))
     field_sweep(desk, np.linspace(5.4, 7.0, points))
     assert columns == [2 * points * (desk.num_gaps + 1)]
+
+
+def test_field_sweep_records_the_dx_its_grid_runs_at(desk):
+    """dx = 0.3 asks for 7 intervals on 2L = 2, below the floor of 16: the
+    record holds the grid's 0.125, as census and convergence_study do."""
+    rec = field_sweep(desk, np.linspace(2.0, 3.0, 8), dx=0.3)
+    assert rec.parameters["dx"] == Grid1D.build(desk, 0.3).dx == 0.125
 
 
 def test_field_sweep_rejects_degenerate_grid(desk):

@@ -172,3 +172,36 @@ def test_no_function_imports_a_package_module():
               "def g():\n    from ldvortex import harness\n")
     assert _function_local_package_imports(sample) == [
         "f: .minimize", "f: ldvortex.state", "g: ldvortex"]
+
+
+def _private_sibling_names(source: str) -> list[str]:
+    """Underscore names a module takes from a sibling package module: each
+    `from .x import _y` (or `from ldvortex.x import _y`) as `.x: _y`, and
+    each `x._y` read off a module imported whole by `from . import x`."""
+    tree, found, siblings = ast.parse(source), [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "ldvortex"):
+            origin = "." * node.level + (node.module or "")
+            if origin in (".", "ldvortex"):
+                siblings.update(alias.asname or alias.name for alias in node.names)
+            found += [f"{origin}: {alias.name}" for alias in node.names
+                      if alias.name.startswith("_")]
+    found += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in siblings and node.attr.startswith("_")]
+    return sorted(found)
+
+
+def test_experiment_and_interface_modules_use_public_names_only():
+    """harness, acceptance, cli and exports reach their sibling modules
+    through public names only, so the benchmark's tracer, which wraps
+    public functions, sees every pass they run."""
+    names = {name: _private_sibling_names((PACKAGE / name).read_text())
+             for name in ("harness.py", "acceptance.py", "cli.py", "exports.py")}
+    assert {name: found for name, found in names.items() if found} == {}
+    sample = ("from .observables import _fields, observables\n"
+              "from . import exports, _lapack\nfrom ldvortex.state import _x\n"
+              "import numpy as np\n\n\ndef f():\n    exports._emit(np._core)\n")
+    assert _private_sibling_names(sample) == [
+        ".: _lapack", ".observables: _fields", "exports._emit", "ldvortex.state: _x"]

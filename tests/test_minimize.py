@@ -45,6 +45,15 @@ def test_nan_tolerance_raises(desk, desk_grid):
                  tol=math.nan)
 
 
+def test_newton_nan_tolerance_raises(desk):
+    """No residual is <= NaN: Newton would converge and then blame itself
+    with NoConvergence; the bad input is refused up front instead."""
+    grid = Grid1D.build(desk, dx=1.0 / 16.0)
+    with pytest.raises(InvalidParameters, match="tol must not be NaN"):
+        newton_critical(seed_state(desk, grid, np.zeros(desk.num_gaps)), desk,
+                        grid, tol=math.nan)
+
+
 def test_descent_finds_zero_coupling_ground_state(desk, coarse_grid, rng):
     params = desk.with_coupling(0.0)
     rep = minimize(random_low_energy_state(params, coarse_grid, rng),

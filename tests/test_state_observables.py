@@ -7,8 +7,7 @@ from scipy.integrate import quad
 from ldvortex.energy import total_energy
 from ldvortex.errors import InvalidParameters, ShapeMismatch
 from ldvortex.observables import (Observables, delta_estimate, distance,
-                                  distances, lift_field_2d, observables,
-                                  stacked)
+                                  distances, lift_field_2d, observables)
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.state import (LayeredState, Layout, gauge_fix, gauge_transform,
                             random_rough_state, uniform_field_state,
@@ -203,21 +202,27 @@ def test_distance_shape_mismatch(desk):
 
 
 def test_distances_equal_distance_bit_for_bit(desk, desk_grid, rng):
-    """One pass over a stacked Observables gives each pairwise distance
-    to the bit, and a member of the stack is the Observables stacked."""
-    obs = [observables(random_rough_state(desk, desk_grid, rng), desk, desk_grid)
-           for _ in range(4)]
-    stack = stacked(obs)
+    """observables over a list of states is one stacked Observables whose
+    member k equals states[k]'s own observables in all five fields to the
+    bit; one pass over it gives each pairwise distance to the bit."""
+    states = [random_rough_state(desk, desk_grid, rng) for _ in range(4)]
+    obs = [observables(s, desk, desk_grid) for s in states]
+    stack = observables(states, desk, desk_grid)
     for i, o in enumerate(obs):
         for name in ("V", "Phi", "h", "jx", "jz"):
-            assert np.array_equal(getattr(stack[i], name), getattr(o, name))
+            member, single = getattr(stack[i], name), getattr(o, name)
+            assert member.shape == single.shape
+            assert member.tobytes() == single.tobytes()
         got = distances(o, stack)
         assert got.tolist() == [distance(o, p) for p in obs]
         assert distances(o, stack[i + 1:]).tolist() == got[i + 1:].tolist()
     assert stack.num_gaps == desk.num_gaps
     coarse = Grid1D.build(desk, dx=1.0 / 24.0)
+    off_grid = uniform_field_state(desk, coarse)
     with pytest.raises(ShapeMismatch):
-        distances(observables(uniform_field_state(desk, coarse), desk, coarse), stack)
+        distances(observables(off_grid, desk, coarse), stack)
+    with pytest.raises(ShapeMismatch):
+        observables(states + [off_grid], desk, desk_grid)
 
 
 def test_delta_estimate_recovers_offsets(desk, desk_grid):
