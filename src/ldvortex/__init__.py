@@ -14,9 +14,9 @@ from .params import Grid1D, LdParameters, default_dx, phase_offsets, validate
 from .state import (LayeredState, gauge_fix, gauge_transform,
                     uniform_field_state, zero_coupling_minimizer)
 from .observables import Observables, distance, lift_field_2d, observables
-from .energy import (EnergyBreakdown, el_residual, fd_gradient_check,
-                     gradient, hessian_apply, total_energy)
-from .minimize import (CriticalPoint, MinimizeReport, inertia, minimize,
-                       newton_critical)
+from .energy import (EnergyBreakdown, el_residual, gradient, gradient_check,
+                     total_energy)
+from .minimize import (CriticalPoint, MinimizeReport, hessian_apply, inertia,
+                       minimize, newton_critical)
 
 __version__ = "0.1.0"

@@ -13,11 +13,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .energy import fd_gradient_check, hessian_apply, total_energy
+from .energy import energy_arrays, gradient_check, total_energy
 from .errors import LdError
 from .exports import jsonable
 from .harness import census, convergence_study, field_sweep, flux_check
-from .minimize import minimize, newton_critical
+from .minimize import hessian_apply, minimize, newton_critical
 from .observables import observables
 from .params import Grid1D, LdParameters
 from .perturbation import seed_state, vortex_plane_delta
@@ -61,20 +61,26 @@ def _crit_gradient(preset: Preset) -> tuple[bool, dict]:
     p = preset.params
     grid = Grid1D.build(p, preset.dx)
     rng = np.random.default_rng(2024)
-    errs = [fd_gradient_check(random_rough_state(p, grid, rng), p, grid,
-                              eps=1e-6, seed=k) for k in range(5)]
-    errs.append(fd_gradient_check(uniform_field_state(p, grid), p, grid, eps=1e-6))
+    errs = [gradient_check(random_rough_state(p, grid, rng), p, grid, seed=k)
+            for k in range(5)]
+    errs.append(gradient_check(uniform_field_state(p, grid), p, grid))
     layout = Layout.build(p.num_gaps, grid.M)
-    asym = 0.0
+    asym = h_err = 0.0
     for k in range(2):
         state = random_rough_state(p, grid, rng)
+        x = layout.pack_state(state)
         for _ in range(5):
             v = rng.standard_normal((2, layout.size))
             h = hessian_apply(state, v, p, grid)
             a, b = float(h[0] @ v[1]), float(h[1] @ v[0])
             asym = max(asym, abs(a - b) / max(abs(a), abs(b), 1e-30))
-    ok = max(errs) <= 1e-6 and asym <= 1e-10
-    return ok, {"fd_errors": errs, "hessian_asymmetry": asym}
+            for row, u in zip(h, v):  # against the complex-step product
+                _, grads = energy_arrays(*layout.unpack(x + 1e-30j * u), p, grid)
+                ref = layout.pack(*grads).imag / 1e-30
+                h_err = max(h_err, float(abs(row - ref).max() / abs(ref).max()))
+    ok = max(errs) <= 1e-6 and h_err <= 1e-12 and asym <= 1e-10
+    return ok, {"gradient_errors": errs, "hessian_error": h_err,
+                "hessian_asymmetry": asym}
 
 
 def _crit_zero_coupling(preset: Preset) -> tuple[bool, dict]:

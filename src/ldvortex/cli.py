@@ -9,7 +9,9 @@ A key must name a flag exactly; only the command line may abbreviate.
 No key may be config: a config file cannot name another.
 A switch such as --numerical-gap takes no value, so no file can set it.
 LD_VORTEX_LOG in {error, warn, info, debug} controls verbosity.
-Exit codes: 0 success; 1 failed acceptance, a solver failure, parameters
+Exit codes: 0 success; 1 failed acceptance, a census or sweep record
+that fails its own checks (the record and its CSV are written all the
+same, and stderr names the failed checks), a solver failure, parameters
 outside the model's domain or an input the solvers refuse (a field grid
 that is not finite, a NaN --tol, a grid finer than MAX_INTERVALS
 intervals); 2 usage error, a bad config file included.
@@ -130,6 +132,16 @@ def _field_grid(H_min: float, H_max: float, points: int) -> np.ndarray:
     return np.linspace(H_min, H_max, points)
 
 
+def _record_status(rec) -> int:
+    """The exit code of a written census or sweep record: 0 when it passes
+    its own checks, else 1 with the failed checks named on stderr."""
+    failed = [name for name, ok in rec.checks.items() if not ok]
+    if failed:
+        print(f"error: the record fails its checks: {', '.join(failed)}",
+              file=sys.stderr)
+    return 1 if failed else 0
+
+
 def _cmd_minimize(args) -> int:
     params = _params(args)
     grid = Grid1D.build(params, args.dx)
@@ -152,7 +164,7 @@ def _cmd_census(args) -> int:
     rec = census(params, params.coupling, n_random=args.random_starts,
                  dx=args.dx, seed=args.seed, jobs=args.jobs)
     _emit(args.out, rec.to_dict())
-    return 0
+    return _record_status(rec)
 
 
 def _cmd_sweep(args) -> int:
@@ -167,7 +179,7 @@ def _cmd_sweep(args) -> int:
                                       rec.data["configs"], rec.data["n_maxima"])]
         exports.write_table_csv(f"{stem}.table.csv",
                                 ["H", "epsilon", "config", "n_maxima"], rows)
-    return 0
+    return _record_status(rec)
 
 
 def _cmd_perturb(args) -> int:

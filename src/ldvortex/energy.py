@@ -14,14 +14,19 @@ symmetric and the gradient exactly the derivative of the discrete energy.
 
 One kernel, energy_arrays, returns the energy and its gradient from a
 single pass over the staggered fields V, fm, Phi and h, which
-observables._fields defines for every module.  hessian_apply_arrays reads
-the same fields but linearizes the gradient on its own: it is the
-reference the banded Hessian is tested against.  gradient and
-hessian_apply work on free-DOF vectors as state.Layout packs them.  At
-the sizes the solvers run, a kernel call is bound by NumPy's per-call
-overhead rather than by arithmetic, so energy_arrays uses slicing and
-ndarray reductions and computes each repeated subexpression (f^2 - 1,
-V^2, fm^2) once.
+observables._fields defines for every module; gradient works on free-DOF
+vectors as state.Layout packs them.  The second derivatives are written
+only in minimize.assemble_banded_hessian.  At the sizes the solvers run, a
+kernel call is bound by NumPy's per-call overhead rather than by
+arithmetic, so energy_arrays uses slicing and ndarray reductions and
+computes each repeated subexpression (f^2 - 1, V^2, fm^2) once.
+
+The derivative checks rely on energy_arrays staying analytic in
+(f, phi, a): no abs, conj or branch on their values.  Then a complex step
+gives the derivative along e_j as Im F(x + i t e_j) / t, t = 1e-30, exact
+to roundoff with no step size to choose (Squire & Trapp, SIAM Rev. 40
+(1998) 110): of the energy in gradient_check, and of the gradient for
+the Hessian references of the tests and of acceptance criterion 1.
 
 f is unconstrained here; at solutions of the discrete system f stays in
 (0, 1] and the harness asserts it.
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, ShapeMismatch
+from .errors import NonFinite
 from .observables import _fields
 from .params import Grid1D, LdParameters
 from .state import LayeredState, Layout
@@ -145,75 +150,6 @@ def gradient(state: LayeredState, params: LdParameters,
     return Layout.build(params.num_gaps, grid.M).pack(*grads)
 
 
-def hessian_apply_arrays(f, phi, a, uf, uphi, ua, params: LdParameters,
-                         grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Directional derivative of the gradient of energy_arrays along
-    (uf, uphi, ua).
-
-    This is the independent reference for the Hessian: it linearizes the
-    gradient on its own from the shared fields, while
-    minimize.assemble_banded_hessian writes the second derivatives term by
-    term, and the tests hold the two together.
-
-    uphi has a plane-0 row, zero for a free-DOF direction (Layout.unpack).
-    The directions may carry leading axes, e.g. (k, N+1, M+1) for k
-    directions; the products carry the same ones, each bit-identical to
-    the product along that direction alone.
-    """
-    p, kappa, r = params.spacing, params.kappa, params.coupling
-    dx = grid.dx
-    wt = grid.trapezoid_weights()
-
-    V, fm, Phi, _ = _fields(f, phi, a, params, grid)
-    cosPhi = np.cos(Phi)
-    sinPhi = np.sin(Phi)
-
-    duf = np.diff(uf, axis=-1) / dx
-    dV = np.diff(uphi, axis=-1) / dx - ua
-    dfm = 0.5 * (uf[..., 1:] + uf[..., :-1])
-    dPhi = uphi[..., 1:, :] - uphi[..., :-1, :]
-    dh = (ua[..., 1:, :] - ua[..., :-1, :]) / p
-
-    Hf = p * wt * 2.0 * (3.0 * f**2 - 1.0) * uf
-    mid_lin = p * dx * (2.0 * V * dV * fm + V**2 * dfm) / kappa**2
-    grad_lin = p * dx * (2.0 * duf / dx) / kappa**2
-    Hf[..., :-1] += mid_lin - grad_lin
-    Hf[..., 1:] += mid_lin + grad_lin
-    jf = 0.5 * r * p * wt
-    Hf[..., 1:, :] += jf * (2.0 * uf[..., 1:, :] - 2.0 * uf[..., :-1, :] * cosPhi
-                            + 2.0 * f[:-1] * sinPhi * dPhi)
-    Hf[..., :-1, :] += jf * (2.0 * uf[..., :-1, :] - 2.0 * uf[..., 1:, :] * cosPhi
-                             + 2.0 * f[1:] * sinPhi * dPhi)
-
-    Hphi = np.zeros(np.broadcast_shapes(phi.shape, uphi.shape))
-    tlin = (2.0 * p / kappa**2) * (dV * fm**2 + 2.0 * V * fm * dfm)
-    Hphi[..., :-1] -= tlin
-    Hphi[..., 1:] += tlin
-    jlin = jf * 2.0 * ((uf[..., 1:, :] * f[:-1] + f[1:] * uf[..., :-1, :]) * sinPhi
-                       + f[1:] * f[:-1] * cosPhi * dPhi)
-    Hphi[..., 1:, :] += jlin
-    Hphi[..., :-1, :] -= jlin
-
-    Ha = -(2.0 * p * dx / kappa**2) * (dV * fm**2 + 2.0 * V * fm * dfm)
-    ghl = (2.0 * dx / kappa**2) * dh
-    Ha[..., 1:, :] += ghl
-    Ha[..., :-1, :] -= ghl
-    return Hf, Hphi, Ha
-
-
-def hessian_apply(state: LayeredState, v: np.ndarray, params: LdParameters,
-                  grid: Grid1D) -> np.ndarray:
-    """Exact Hessian-vector product H v over the free DOFs; symmetric.  v is
-    packed by Layout and may carry leading axes, e.g. (k, n) for k
-    directions; the products carry the same ones."""
-    _check(state, params, grid)
-    layout = Layout.build(params.num_gaps, grid.M)
-    if v.shape[-1:] != (layout.size,):
-        raise ShapeMismatch(f"direction has shape {v.shape}, expected (..., {layout.size})")
-    return layout.pack(*hessian_apply_arrays(state.f, state.phi, state.a,
-                                             *layout.unpack(v), params, grid))
-
-
 def el_residual(state: LayeredState, params: LdParameters,
                 grid: Grid1D) -> dict[str, float]:
     """Sup-norms of the semi-discrete Euler-Lagrange residuals.
@@ -285,48 +221,32 @@ def el_residual(state: LayeredState, params: LdParameters,
             "stokes": res_stokes, "boundary": res_bnd}
 
 
-def fd_gradient_check(state: LayeredState, params: LdParameters, grid: Grid1D,
-                      eps: float = 1e-6, n_samples: int = 200,
-                      seed: int = 0) -> float:
-    """Max relative error between the analytic gradient and central finite
-    differences over a random sample of free DOFs.
+def gradient_check(state: LayeredState, params: LdParameters, grid: Grid1D,
+                   n_samples: int = 200, seed: int = 0) -> float:
+    """Max relative error between the analytic gradient and the complex-step
+    derivative Im E(x + 1e-30 i e_j) / 1e-30 of the energy, exact to
+    roundoff, over a random sample of free DOFs.
 
-    The difference quotient is evaluated in extended precision so its
-    roundoff stays below what a 1e-6 relative comparison needs.  A
-    component can still sit arbitrarily close to a zero crossing of the
-    gradient, where no difference quotient certifies relative accuracy;
-    components whose analytic and FD values both fall below the 1e-6
+    A component can sit arbitrarily close to a zero crossing of the
+    gradient, where no relative comparison means anything; components
+    whose analytic and complex-step values both fall below the 1e-6
     energy-scale floor are therefore compared absolutely (they match
     within the floor) rather than through the relative quotient.
 
     The state must be gauge fixed, and n_samples at least 1.
     """
-    if not (1e-9 <= eps <= 1e-3):
-        raise ValueError(f"eps must lie in [1e-9, 1e-3], got {eps}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     ga = gradient(state, params, grid)
     layout = Layout.build(params.num_gaps, grid.M)
-    x0 = layout.pack_state(state).astype(np.longdouble)
-
-    def energy(x: np.ndarray):
-        (b, j, fl), _ = energy_arrays(*layout.unpack(x), params, grid)
-        return b + j + fl
-
-    e0 = float(energy(x0))
-    floor = 1e-6 * max(1.0, abs(e0))
-
-    rng = np.random.default_rng(seed)
-    n = x0.size
-    idx = rng.permutation(n)[:n_samples] if n > n_samples else np.arange(n)
+    x0 = layout.pack_state(state)
+    floor = 1e-6 * max(1.0, abs(total_energy(state, params, grid).total))
     worst = 0.0
-    for j in idx:
-        xp = x0.copy()
-        xp[j] += eps
-        xm = x0.copy()
-        xm[j] -= eps
-        fd = float((energy(xp) - energy(xm)) / (2.0 * eps))
-        if abs(ga[j]) < floor and abs(fd) < floor:
+    for j in np.random.default_rng(seed).permutation(x0.size)[:n_samples]:
+        x = x0.astype(complex)
+        x[j] += 1e-30j
+        cs = sum(energy_arrays(*layout.unpack(x), params, grid)[0]).imag / 1e-30
+        if abs(ga[j]) < floor and abs(cs) < floor:
             continue
-        worst = max(worst, abs(ga[j] - fd) / (abs(ga[j]) + 1e-12))
+        worst = max(worst, abs(ga[j] - cs) / (abs(ga[j]) + 1e-12))
     return worst

@@ -4,9 +4,10 @@ The solvers work on the flat vector of free DOFs that state.Layout packs
 from a gauge-fixed state and hand the kernels the whole (f, phi, a) it
 unpacks.  The packing is plane-major, so the Hessian is a symmetric banded
 matrix with bandwidth 3N+3: couplings reach at most one grid column and
-one plane away.  The band is assembled straight from the stencil:
-every energy term is local, so its second derivatives form small dense
-blocks that one bincount sums into the band in O(n).
+one plane away.  The band is the one Hessian of the package, assembled
+straight from the stencil: every energy term is local, so its second
+derivatives form small dense blocks that one bincount sums into the band
+in O(n).  hessian_apply is its product with packed directions.
 Minimization and the saddle search share the band, its one-call LAPACK
 solve (banded_solve) and one Armijo backtracking search (_armijo).  A
 descent step raises a Levenberg shift mu until H + mu I factors by Cholesky
@@ -57,8 +58,8 @@ import numpy as np
 
 from ._lapack import flapack, one_blas_thread
 from .errors import (FactorizationFailure, InvalidParameters, NoConvergence,
-                     NonFinite, SingularHessian)
-from .energy import energy_arrays
+                     NonFinite, ShapeMismatch, SingularHessian)
+from .energy import _check, energy_arrays
 from .observables import _fields
 from .params import Grid1D, LdParameters
 from .state import LayeredState, Layout
@@ -425,16 +426,34 @@ def _start_vector(n: int) -> np.ndarray:
     return (z >> np.uint64(11)) * 2.0**-53 - 0.5
 
 
-def _band_matvec(mb: np.ndarray, offsets: list[int], x: np.ndarray) -> np.ndarray:
+def _band_matvec(mb: np.ndarray, offsets: range | list[int],
+                 x: np.ndarray) -> np.ndarray:
     """M x for the symmetric M in the (2*bw+1, n) band mb, through its
-    diagonal and the subdiagonals at offsets (the others are zero)."""
+    diagonal and the subdiagonals at offsets (the others are zero).  x may
+    carry leading axes; each row of the product is the product of that row
+    alone, to the bit."""
     bw = (mb.shape[0] - 1) // 2
     y = mb[bw] * x
     for k in offsets:
         e = mb[bw + k, :-k]
-        y[k:] += e * x[:-k]
-        y[:-k] += e * x[k:]
+        y[..., k:] += e * x[..., :-k]
+        y[..., :-k] += e * x[..., k:]
     return y
+
+
+def hessian_apply(state: LayeredState, v: np.ndarray, params: LdParameters,
+                  grid: Grid1D) -> np.ndarray:
+    """The Hessian-vector product H v over the free DOFs, through the band
+    of assemble_banded_hessian at the state.  v is packed by Layout and may
+    carry leading axes, e.g. (k, n) for k directions; the products carry
+    the same ones, each equal to the product along that direction alone
+    to the bit."""
+    _check(state, params, grid)
+    layout = Layout.build(params.num_gaps, grid.M)
+    if v.shape[-1:] != (layout.size,):
+        raise ShapeMismatch(f"direction has shape {v.shape}, expected (..., {layout.size})")
+    ab, bw = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
+    return _band_matvec(ab, range(1, bw + 1), v)
 
 
 @one_blas_thread

@@ -119,6 +119,35 @@ def test_refused_perturb_grid_leaves_no_output(H_max, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, solver, written", [
+    (["census", "--random-starts", "0", "--out", "r.json"] + GRID, "census",
+     ["r.json"]),
+    (["sweep", "--H-min", "5.4", "--H-max", "7", "--H-points", "9",
+      "--format", "csv", "--out", "r.json"] + GRID, "field_sweep",
+     ["r.json", "r.table.csv"]),
+], ids=["census", "sweep"])
+def test_record_failing_its_checks_is_written_and_exits_1(argv, solver, written,
+                                                          tmp_path, monkeypatch,
+                                                          capsys):
+    """A census or sweep record that fails one of its own checks is still
+    written, stderr names the check, and the command exits 1."""
+    original = getattr(cli, solver)
+    names = []
+
+    def one_check_fails(*args, **kwargs):
+        rec = original(*args, **kwargs)
+        names.append(next(iter(rec.checks)))
+        rec.checks[names[0]] = False
+        return rec
+
+    monkeypatch.setattr(cli, solver, one_check_fails)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
+    assert not json.loads((tmp_path / "r.json").read_text())["passed"]
+    assert capsys.readouterr().err == f"error: the record fails its checks: {names[0]}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--H-max", "inf"] + GRID,
     ["perturb", "--format", "csv", "--out", "p.json", "--H-max", "inf"],

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldvortex.energy import (el_residual, fd_gradient_check, gradient,
-                             hessian_apply, total_energy)
+from ldvortex import energy as energy_mod
+from ldvortex.energy import (el_residual, energy_arrays, gradient,
+                             gradient_check, total_energy)
 from ldvortex.errors import NonFinite, ShapeMismatch
+from ldvortex.minimize import hessian_apply
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.state import (LayeredState, Layout, random_rough_state,
                             uniform_field_state, zero_coupling_minimizer)
@@ -77,29 +79,46 @@ def test_non_finite_rejected(desk, desk_grid):
 def test_fd_gradient_random_states(desk, coarse_grid, rng):
     for k in range(3):
         state = random_rough_state(desk, coarse_grid, rng)
-        assert fd_gradient_check(state, desk, coarse_grid, eps=1e-6, seed=k) <= 1e-6
+        assert gradient_check(state, desk, coarse_grid, seed=k) <= 1e-6
 
 
 def test_fd_gradient_uniform_state(desk, coarse_grid):
     state = uniform_field_state(desk, coarse_grid)
-    assert fd_gradient_check(state, desk, coarse_grid, eps=1e-6) <= 1e-6
+    assert gradient_check(state, desk, coarse_grid) <= 1e-6
 
 
 def test_fd_gradient_stressed_amplitude(desk, coarse_grid):
     base = uniform_field_state(desk, coarse_grid)
     state = LayeredState(0.5 * np.ones_like(base.f), base.phi, base.a)
-    assert fd_gradient_check(state, desk, coarse_grid, eps=1e-6) <= 1e-5
+    assert gradient_check(state, desk, coarse_grid) <= 1e-5
 
 
-def test_fd_gradient_eps_domain(desk, coarse_grid):
-    """eps outside [1e-9, 1e-3] and fewer than one sample raise ValueError:
-    n_samples = 0 would pass without testing anything."""
+def test_gradient_check_needs_a_sample(desk, coarse_grid):
+    """Fewer than one sample raises ValueError: n_samples = 0 would pass
+    without testing anything."""
     state = uniform_field_state(desk, coarse_grid)
-    with pytest.raises(ValueError):
-        fd_gradient_check(state, desk, coarse_grid, eps=1e-2)
     for n_samples in (0, -3):
         with pytest.raises(ValueError, match="n_samples"):
-            fd_gradient_check(state, desk, coarse_grid, n_samples=n_samples)
+            gradient_check(state, desk, coarse_grid, n_samples=n_samples)
+
+
+def test_gradient_check_sees_one_wrong_component(desk, coarse_grid, rng,
+                                                 monkeypatch):
+    """A gradient off by 1e-5 relative in one sampled component pushes
+    gradient_check above its 1e-6 bound."""
+    state = random_rough_state(desk, coarse_grid, rng)
+    assert gradient_check(state, desk, coarse_grid, n_samples=20) <= 1e-6
+    j = np.random.default_rng(0).permutation(
+        Layout.build(desk.num_gaps, coarse_grid.M).size)[0]  # first sampled DOF
+    exact = energy_mod.gradient
+
+    def off(*args):
+        g = exact(*args)
+        g[j] *= 1.0 + 1e-5
+        return g
+
+    monkeypatch.setattr(energy_mod, "gradient", off)
+    assert gradient_check(state, desk, coarse_grid, n_samples=20) > 1e-6
 
 
 def test_gradient_vanishes_on_degenerate_manifold(desk, desk_grid):
@@ -124,18 +143,15 @@ def test_hessian_symmetry(desk, coarse_grid, rng):
 
 
 def test_hessian_matches_fd_of_gradient(desk, coarse_grid, rng):
+    """H d against the complex-step derivative of the gradient kernel along
+    d, which is exact to roundoff since energy_arrays is analytic."""
     layout = Layout.build(desk.num_gaps, coarse_grid.M)
     state = random_rough_state(desk, coarse_grid, rng)
     d = rng.standard_normal(layout.size)
     hv = hessian_apply(state, d, desk, coarse_grid)
-    eps = 1e-6
-    uf, uphi, ua = layout.unpack(d)
-    sp = LayeredState(state.f + eps * uf, state.phi + eps * uphi, state.a + eps * ua)
-    sm = LayeredState(state.f - eps * uf, state.phi - eps * uphi, state.a - eps * ua)
-    fd = (gradient(sp, desk, coarse_grid) - gradient(sm, desk, coarse_grid)) / (2.0 * eps)
-    for idx in (layout.idx_f, layout.idx_phi, layout.idx_a):
-        an = hv[idx]
-        assert np.max(np.abs(fd[idx] - an)) <= 1e-5 * max(1.0, np.max(np.abs(an)))
+    x = layout.pack_state(state) + 1e-30j * d
+    ref = layout.pack(*energy_arrays(*layout.unpack(x), desk, coarse_grid)[1]).imag / 1e-30
+    assert np.max(np.abs(hv - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_hessian_apply_rejects_a_direction_of_another_size(desk, coarse_grid, rng):

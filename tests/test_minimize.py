@@ -8,13 +8,14 @@ import scipy.linalg as sla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ldvortex.energy import fd_gradient_check, hessian_apply, total_energy
+from ldvortex.energy import energy_arrays, gradient_check, total_energy
 from ldvortex.errors import (DomainError, FactorizationFailure,
                              InvalidParameters, NoConvergence, SingularHessian)
 from ldvortex import harness
 from ldvortex.harness import census, field_sweep
-from ldvortex.minimize import (assemble_banded_hessian, banded_solve, inertia,
-                               minimize, nearest_eigenvalues, newton_critical)
+from ldvortex.minimize import (assemble_banded_hessian, banded_solve,
+                               hessian_apply, inertia, minimize,
+                               nearest_eigenvalues, newton_critical)
 from ldvortex.observables import delta_estimate, distance, observables
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.perturbation import (enumerate_seeds, leading_min_energy,
@@ -602,16 +603,20 @@ def test_layout_partitions_the_dofs_within_bandwidth_3n_plus_3(N):
 
 
 def test_banded_assembly_matches_hessian_apply(desk, rng):
-    """Every band entry against one batched reference product on the
-    identity, to roundoff: the stencil assembly sums the same terms in
-    another order, so equality holds only to a few ulps of max|H|."""
+    """Every band entry against the complex-step derivative of the gradient
+    kernel, column j along e_j, which is exact to roundoff (energy_arrays
+    is analytic): the two sum the same terms in another order, so equality
+    holds only to a few ulps of max|H|."""
     for N, r in ((1, 1e-3), (2, 0.3), (3, 1e-3)):
         params = LdParameters(N, desk.half_width, desk.spacing, desk.kappa,
                               desk.applied_field, r)
         grid = Grid1D.build(params, dx=1.0 / 16.0)
         state = random_rough_state(params, grid, rng)
-        n = Layout.build(N, grid.M).size
-        H = hessian_apply(state, np.eye(n), params, grid).T  # product j is column j
+        layout = Layout.build(N, grid.M)
+        n, x = layout.size, layout.pack_state(state)
+        H = np.array([layout.pack(*energy_arrays(*layout.unpack(x + 1e-30j * e),
+                                                 params, grid)[1]).imag / 1e-30
+                      for e in np.eye(n)]).T  # column j is the step along e_j
 
         ab, bw = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
         assert ab.shape == (2 * bw + 1, n)
@@ -650,7 +655,7 @@ def test_band_scatter_commutes_with_the_mirror(N):
 
 def test_solvers_refuse_a_state_that_is_not_gauge_fixed(desk, rng):
     """Packing drops phi_0, so a state with phi_0 != 0 would become another
-    state: minimize, fd_gradient_check and newton_critical raise on a
+    state: minimize, gradient_check and newton_critical raise on a
     gauge-transformed state, and run on its gauge_fix twin."""
     grid = Grid1D.build(desk, dx=1.0 / 20.0)
     chi = rng.standard_normal(grid.M + 1)
@@ -658,7 +663,7 @@ def test_solvers_refuse_a_state_that_is_not_gauge_fixed(desk, rng):
                             chi, grid)
     seed = gauge_transform(seed_state(desk, grid, vortex_plane_delta(desk)), chi, grid)
     runs = ((rough, lambda s: minimize(s, desk, grid, max_iter=0).energy),
-            (rough, lambda s: fd_gradient_check(s, desk, grid)),
+            (rough, lambda s: gradient_check(s, desk, grid)),
             (seed, lambda s: newton_critical(s, desk, grid).residual))
     for state, run in runs:
         with pytest.raises(DomainError, match="gauge_fix"):
