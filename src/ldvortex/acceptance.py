@@ -137,7 +137,7 @@ def _crit_census(preset: Preset) -> tuple[bool, dict]:
                              "wall_time": rec.wall_time}
         ok = ok and rec.passed and worst is not None and worst <= 1e-8
         if N == 3:
-            ok = ok and rec.wall_time < 300.0
+            ok = ok and rec.wall_time < 60.0
     return ok, details
 
 
@@ -228,8 +228,8 @@ CRITERIA = [
     (2, "zero-coupling-ground", 30.0, _crit_zero_coupling),
     (3, "order-r-energy-law", 60.0, _crit_energy_law),
     (4, "observable-convergence", 60.0, _crit_observables),
-    (5, "census", 600.0, _crit_census),
-    (6, "nucleation-sweep", 300.0, _crit_sweep),
+    (5, "census", 60.0, _crit_census),
+    (6, "nucleation-sweep", 30.0, _crit_sweep),
     (7, "flux-quantization", 60.0, _crit_flux),
     (8, "solution-bounds", 60.0, _crit_bounds),
     (9, "validity-formulas", 10.0, _crit_validity),

@@ -245,8 +245,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_export_field(args) -> int:
     params = _params(args)
-    if not args.out:
-        raise LdError("export-field requires --out")
     grid = Grid1D.build(params, args.dx)
     if args.source == "uniform":
         state = uniform_field_state(params, grid)
@@ -354,6 +352,8 @@ def main(argv=None) -> int:
         args = parser.parse_args([argv[0], *args.config, *argv[1:]])
     if args.command == "validity":
         _check_validity_flags(parser, args)
+    elif args.command == "export-field" and not args.out:
+        parser.error("export-field writes its CSV to --out and needs it")
     elif getattr(args, "format", None) == "csv" and not args.out:
         # sweep and perturb write their CSV tables beside the --out file.
         parser.error("--format csv writes its table beside --out and needs it")

@@ -1,9 +1,11 @@
 """Verification experiments: convergence studies, the critical-point
-census, field sweeps with transition detection, and flux quantization.
+census, field sweeps that locate each first-order transition at the root
+of E_pi - E_0, and flux quantization.
 
-Every experiment is deterministic for fixed seeds; independent jobs
-(random starts, field points) can fan out over a process pool and are
-merged in deterministic key order.
+Every experiment is deterministic for fixed seeds.  Its descents (from the
+census's random starts or the sweep's branch seeds, all built in this
+process) run through one job, _descent_job, which can fan out over a
+process pool; the results come back in input order.
 """
 
 from __future__ import annotations
@@ -62,6 +64,13 @@ def _fan_out(job, args: list, jobs: int) -> list:
     return [job(a) for a in args]
 
 
+def _descent_job(args) -> MinimizeReport:
+    """One experiment descent from start to |g|inf <= tol: a random start
+    of census or a branch seed of field_sweep."""
+    params, grid, tol, start = args
+    return minimize(start, params, grid, tol=tol, max_iter=DESCENT_MAX_ITER)
+
+
 @dataclass
 class ExperimentRecord:
     """Uniform container for experiment outputs."""
@@ -114,7 +123,7 @@ def convergence_study(params: LdParameters, r_list,
         cp = newton_critical(seed_state(pr, grid, ds), pr, grid, tol=1e-11)
         obs = observables(cp.state, pr, grid)
         ocf = vortex_plane_observables(pr, grid)
-        e_gap.append(abs(cp.energy / r - g0(pr, ds)))
+        e_gap.append(float(abs(cp.energy / r - g0(pr, ds))))
         h_gap.append(float(np.max(np.abs(obs.h - ocf.h))))
         jz_gap.append(float(np.max(np.abs(obs.jz - ocf.jz))))
         u_int = interior_u1_closed_form(pr, ds, grid.nodes)
@@ -125,7 +134,7 @@ def convergence_study(params: LdParameters, r_list,
         dphi = obs.Phi - ocf.Phi
         dphi -= np.mean(dphi, axis=1, keepdims=True)
         phi_gap.append(float(np.max(np.abs(dphi))))
-        minima.append(cp.energy)
+        minima.append(float(cp.energy))
         bounds_ok.append(cp.energy <= energy_bound_coefficient(pr) * r)
 
     rec = ExperimentRecord("convergence_study", params_dict(params))
@@ -147,13 +156,6 @@ def convergence_study(params: LdParameters, r_list,
 # ---------------------------------------------------------------------------
 # Critical-point census.
 
-def _census_descent_job(args) -> MinimizeReport:
-    """One random-start descent of census, from the generator seeded by seed."""
-    params, grid, seed = args
-    start = random_low_energy_state(params, grid, np.random.default_rng(seed))
-    return minimize(start, params, grid, tol=1e-8, max_iter=DESCENT_MAX_ITER)
-
-
 def census(params: LdParameters, r: float, n_random: int = 50,
            dx: float | None = None, seed: int = 0, jobs: int = 1,
            match_threshold: float = 1e-3) -> ExperimentRecord:
@@ -163,12 +165,13 @@ def census(params: LdParameters, r: float, n_random: int = 50,
     CENSUS_NEWTON_TOL, or sweep_tol where smaller: the phase modes'
     curvature is O(r)) with each point's Morse index by inertia (its own
     seed's prediction), a seed whose Newton or inertia fails listed in
-    newton_failures; then n_random random-start descents (the one pass that
-    fans out over `jobs`); then one observables call over the points and
-    the descent ends: points at least 0.1 apart in observable distance,
-    delta_hat by delta_estimate, each descent matched to a point.  The
-    energy shell is three times the linear upper bound (the analytic cutoff
-    below which the census is exhaustive is not constructive).
+    newton_failures; then n_random descents from random starts drawn here
+    (the one pass that fans out over `jobs`); then one observables call
+    over the points and the descent ends: points at least 0.1 apart in
+    observable distance, delta_hat by delta_estimate, each descent matched
+    to a point.  The energy shell is three times the linear upper bound
+    (the analytic cutoff below which the census is exhaustive is not
+    constructive).
     """
     t0 = time.time()
     require_jobs(jobs)
@@ -192,8 +195,9 @@ def census(params: LdParameters, r: float, n_random: int = 50,
             points.append(cp)
             predicted.append(int(seed_inertia))
 
-    descents = _fan_out(_census_descent_job, [(pr, grid, seed * 100003 + 17 * i)
-                                              for i in range(n_random)], jobs)
+    rngs = [np.random.default_rng(seed * 100003 + 17 * i) for i in range(n_random)]
+    descents = _fan_out(_descent_job, [(pr, grid, 1e-8, random_low_energy_state(pr, grid, rng))
+                                       for rng in rngs], jobs)
 
     # One observables pass over the points followed by the descent ends.
     n_pts = len(points)
@@ -271,21 +275,6 @@ def count_interior_maxima(profile: np.ndarray) -> int:
     return int(np.sum((dy[:-1] > 0.0) & (dy[1:] < 0.0)))
 
 
-def _extrapolate(x: np.ndarray, y: np.ndarray, x0: float) -> float:
-    """The value at x0 of the polynomial of degree len(x) - 1 through (x, y)."""
-    return float(np.polyfit(x - x0, y, len(x) - 1)[-1])
-
-
-def _sweep_point_job(args) -> MinimizeReport:
-    """Pass 2 of field_sweep at one field H: descend from each of its seeds
-    (delta = 0, then pi) and return the lower descent; a tie keeps the
-    first."""
-    params, H, grid, tol, starts = args
-    ph = params.with_field(float(H))
-    return min((minimize(start, ph, grid, tol=tol, max_iter=DESCENT_MAX_ITER)
-                for start in starts), key=lambda rep: rep.energy)
-
-
 def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
                 jobs: int = 1) -> ExperimentRecord:
     """Minimization along an increasing field grid: each field keeps the
@@ -293,20 +282,25 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
 
     Three passes over one grid, which every field shares (L and dx; the
     record holds the grid's dx): the seeds of all fields from one
-    seed_state call with one field per member (one dgtsv), then the two
-    descents of each field (the only pass that fans out over `jobs`
-    processes), then one observables call over the kept states for
-    delta_hat, the collective configurations, dE/dH and the maxima of the
-    gap-averaged h.  All seeds are held at once, so memory grows as
-    O(len(H_grid) n).  A grid that is not finite, positive and increasing
-    raises InvalidParameters before any solve.
+    seed_state call with one field per member (one dgtsv), then one descent
+    per seed, 2K for K fields (the only pass that fans out over `jobs`
+    processes), then one observables call over all 2K ends for delta_hat,
+    the collective configurations, dE/dH and the maxima of the gap-averaged
+    h.  All seeds are held at once, so memory grows as O(len(H_grid) n).
+    A grid that is not finite, positive and increasing raises
+    InvalidParameters before any solve.
 
-    Detects the collective flips of the reduced phases (robust first-order
-    transition marker), counts interior maxima of h, and measures the
-    magnetization jump at each detected transition against
-    perturbation.magnetization_jump to 10%: M- and M+ at the nearest
-    nucleation field H_k extrapolate the exact dE/dH of each field from the
-    <= 3 nearest fields of its branch.
+    Each descent ends at a critical point of its seed's branch (a saddle
+    where that branch is not a minimum), and branches_held checks that
+    every end stays within pi/2 of its seed configuration in every gap.
+    The vortex-plane nucleations are first-order: a transition is a strict
+    sign change of E_pi_minus_E_0 = E_pi - E_0 between two fields, located
+    at its linear root H*.  dE/dH is exact at a critical point of either
+    branch (envelope theorem), so M- and M+ are the dE/dH of the branches
+    kept below and above H*, each interpolated linearly to H*; their
+    difference is measured against perturbation.magnetization_jump to 10%,
+    and H* must lie within 0.05 of the smallest grid step of its nucleation
+    field H_k.
     """
     t0 = time.time()
     require_jobs(jobs)
@@ -314,7 +308,7 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
     if (not np.isfinite(H_grid).all() or np.any(np.diff(H_grid) <= 0)
             or H_grid.size < 8 or H_grid[0] <= 0.0):
         raise InvalidParameters("H_grid must be finite, positive and "
-                                "increasing with enough points to fit")
+                                "increasing with at least 8 points")
     H_ks = nucleation_fields(params, float(H_grid[-1]) + 1e-3)
     if any(abs(H - Hk) < 1e-3 for H in H_grid for Hk in H_ks):
         raise InvalidParameters("H_grid passes within 1e-3 of a degenerate field")
@@ -325,43 +319,43 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
 
     # Rows 2j and 2j + 1 are field j's delta = 0 and pi branches.
     branches = np.tile([[0.0], [math.pi]], (H_grid.size, params.num_gaps))
-    seeds = seed_state(params, grid, branches, H_grid.repeat(2))
-    best = _fan_out(_sweep_point_job,
-                    [(params, H, grid, tol, seeds[2 * j:2 * j + 2])
-                     for j, H in enumerate(H_grid)], jobs)
+    H_rows = H_grid.repeat(2)
+    seeds = seed_state(params, grid, branches, H_rows)
+    ends = _fan_out(_descent_job, [(params.with_field(float(H)), grid, tol, start)
+                                   for H, start in zip(H_rows, seeds)], jobs)
 
-    # Pass 3 over the stacked kept states.  dE/dH is exact at a critical
-    # state (envelope theorem): H is only in the field term.
-    obs = observables([rep.state for rep in best], params, grid)
-    H_col = H_grid[:, None, None]
-    delta_hat = wrap_angle(circular_mean(obs.Phi - H_col * params.spacing * grid.nodes))
-    eps = np.array([rep.energy for rep in best])
-    dE_dH = (-2.0 * params.spacing * grid.dx / params.kappa**2
-             * (obs.h - H_col).reshape(H_grid.size, -1).sum(axis=1))
+    # Pass 3 over all the ends.  dE/dH is exact at a critical state
+    # (envelope theorem): H is only in the field term.
+    obs = observables([rep.state for rep in ends], params, grid)
+    H_col = H_rows[:, None, None]
+    delta_rows = wrap_angle(circular_mean(obs.Phi - H_col * params.spacing * grid.nodes))
+    energy = np.array([rep.energy for rep in ends]).reshape(-1, 2)
+    slope = (-2.0 * params.spacing * grid.dx / params.kappa**2
+             * (obs.h - H_col).reshape(H_rows.size, -1).sum(axis=1)).reshape(-1, 2)
+    split = energy[:, 1] - energy[:, 0]  # E_pi - E_0 of each field
+    pi_kept = split < 0.0
+    kept = 2 * np.arange(H_grid.size) + pi_kept
+    delta_hat = delta_rows[kept]
     near = {c: np.all(np.abs(wrap_to_pi(delta_hat - c)) < 0.5 * math.pi, axis=1)
             for c in (0.0, math.pi)}
     configs = np.where(near[0.0], 0.0, np.where(near[math.pi], math.pi, math.nan))
-    maxima = np.array([count_interior_maxima(row) for row in obs.h.mean(axis=1)])
+    maxima = np.array([count_interior_maxima(row) for row in obs.h[kept].mean(axis=1)])
 
-    flips = [j for j in range(1, len(H_grid))
-             if not math.isclose(configs[j], configs[j - 1], abs_tol=1e-9)]
     dH = float(np.min(np.diff(H_grid)))
     transitions = []
-    bounds = [0] + flips + [len(H_grid)]
-    for i, j in enumerate(flips):
-        loc = 0.5 * (H_grid[j - 1] + H_grid[j])
+    for j in np.flatnonzero(np.sign(split[:-1]) * np.sign(split[1:]) < 0.0) + 1:
+        fields = H_grid[j - 1:j + 1]
+        loc = float(fields[0] + split[j - 1] / (split[j - 1] - split[j])
+                    * (fields[1] - fields[0]))
         k = max(1, round(loc / nucleation_field(params, 1)))
-        Hk = nucleation_field(params, k)
-        below = slice(max(bounds[i], j - 3), j)
-        above = slice(j, min(bounds[i + 2], j + 3))
-        m_minus = _extrapolate(H_grid[below], dE_dH[below], Hk)
-        m_plus = _extrapolate(H_grid[above], dE_dH[above], Hk)
+        Hk = float(nucleation_field(params, k))
+        # The branches kept at H_{j-1} (below H*) and at H_j (above H*).
+        m_minus, m_plus = (float(np.interp(loc, fields, slope[j - 1:j + 1, int(b)]))
+                           for b in pi_kept[j - 1:j + 1])
         jump = abs(m_plus - m_minus)
-        predicted = magnetization_jump(params, k)
+        predicted = float(magnetization_jump(params, k))
         transitions.append({
-            "interval": [float(H_grid[j - 1]), float(H_grid[j])],
-            "location": float(loc), "k": k, "H_k": Hk,
-            "within_one_step": bool(abs(loc - Hk) <= dH),
+            "interval": fields.tolist(), "location": loc, "k": k, "H_k": Hk,
             "maxima_before": int(maxima[j - 1]), "maxima_after": int(maxima[j]),
             "maxima_increment": int(maxima[j] - maxima[j - 1]),
             "M_minus": m_minus, "M_plus": m_plus, "jump": jump,
@@ -373,16 +367,19 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
 
     rec = ExperimentRecord("field_sweep", params_dict(params))
     rec.parameters["dx"] = grid.dx
-    rec.data = {"H_grid": H_grid.tolist(), "epsilon": eps.tolist(),
-                "dE_dH": dE_dH.tolist(),
+    rec.data = {"H_grid": H_grid.tolist(), "epsilon": energy.ravel()[kept].tolist(),
+                "dE_dH": slope.ravel()[kept].tolist(),
+                "E_pi_minus_E_0": split.tolist(),
                 "configs": configs.tolist(), "n_maxima": maxima.tolist(),
                 "delta_hat": delta_hat.tolist(),
                 "transitions": transitions,
                 "expected_transitions": expected_flips}
     rec.checks = {
         "found_all_transitions": len(transitions) == len(expected_flips),
-        "locations_within_grid_step": all(t["within_one_step"] for t in transitions),
-        "collective_flips": bool(np.all(~np.isnan(configs))),
+        "locations_near_H_k": all(abs(t["location"] - t["H_k"]) <= 0.05 * dH
+                                  for t in transitions),
+        "branches_held": bool(np.all(np.abs(wrap_to_pi(delta_rows - branches))
+                                     < 0.5 * math.pi)),
         "maxima_increment_one": all(t["maxima_increment"] == 1 for t in transitions),
         "jumps_within_tolerance": all(t["jump_rel_err"] <= 0.10
                                       for t in transitions),

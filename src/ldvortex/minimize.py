@@ -276,7 +276,10 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
     energy.  When no shift factors, the direction is not a descent
     direction or its line search stalls, the step is one steepest-descent
     step under the same line search instead.  Every step lowers the energy,
-    so the descent ends at minima.
+    and the descent ends where |g|inf <= tol: a minimum from a generic
+    start, but from a seed next to a saddle possibly that saddle (below
+    H_1 the desk stack's delta = pi seed stops at its index-2 saddle in
+    one step).
 
     state0 must be gauge fixed.  Terminates when the sup-norm of the
     gradient drops to tol or the iteration budget runs out; a NaN tol

@@ -193,6 +193,7 @@ def test_refused_input_exits_1_without_traceback(argv, message, capsys):
     ["census", "--format", "csv"],
     ["flux", "--format", "csv"],
     ["export-field", "--format", "csv"],
+    ["export-field"],
     ["validity", "--numerical-gap", "--format", "csv"],
     ["validity", "--dx", "0.5"],
     ["validity", "--L", "3", "--format", "csv"],
@@ -202,8 +203,9 @@ def test_refused_input_exits_1_without_traceback(argv, message, capsys):
         "census-tol", "sweep-max-iter", "sweep-seed", "minimize-seed",
         "minimize-jobs", "validity-jobs", "perturb-seed", "perturb-jobs",
         "perturb-dx", "minimize-format", "census-format", "flux-format",
-        "export-field-format", "validity-gap-csv", "validity-dx-no-gap",
-        "validity-L-csv", "validity-kappa-csv", "validity-dx-csv"])
+        "export-field-format", "export-field-no-out", "validity-gap-csv",
+        "validity-dx-no-gap", "validity-L-csv", "validity-kappa-csv",
+        "validity-dx-csv"])
 def test_usage_errors_exit_2(argv, no_pool):
     assert run(argv) == 2
 

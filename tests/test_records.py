@@ -2,7 +2,8 @@
 and sweep records of the benchmark workloads, the details of acceptance
 criteria 5 and 6 and the stdout of `ldvortex perturb --N 3`.  Ints, bools,
 strings and list lengths must match exactly, floats by repr; wall_time is
-left out.  Regenerate: `PYTHONPATH=src python tests/test_records.py`."""
+left out.  Regenerate: `PYTHONPATH=src python tests/test_records.py`, which
+prints for each file the key paths that moved and how far."""
 
 import contextlib
 import importlib.util
@@ -52,9 +53,11 @@ def _plain(payload) -> dict:
 
 
 def _diff(old, new, path: str = "$") -> list[tuple[str, float]]:
-    """(key path, relative difference) of every leaf where new differs."""
-    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
-        return [d for key in old for d in _diff(old[key], new[key], f"{path}.{key}")]
+    """(key path, relative difference) of every leaf where new differs; a
+    key on one side only (read as ..., which no JSON holds) differs by inf."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [d for key in {**old, **new}
+                for d in _diff(old.get(key, ...), new.get(key, ...), f"{path}.{key}")]
     if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         return [d for i, (a, b) in enumerate(zip(old, new)) for d in _diff(a, b, f"{path}[{i}]")]
     if type(old) is float and type(new) is float:
@@ -74,4 +77,10 @@ def test_record_matches_its_golden_file(name):
 if __name__ == "__main__":
     RECORDS.mkdir(exist_ok=True)
     for name, source in SOURCES.items():
-        (RECORDS / f"{name}.json").write_text(dumps(_plain(source())))
+        path, new = RECORDS / f"{name}.json", _plain(source())
+        diffs = _diff(json.loads(path.read_text()) if path.exists() else {}, new)
+        print(f"{name}: {len(diffs)} key paths moved, largest relative difference "
+              f"{max((rel for _, rel in diffs), default=0.0):.3e}")
+        for key_path, rel in diffs:
+            print(f"  {key_path}  {rel:.3e}")
+        path.write_text(dumps(new))
