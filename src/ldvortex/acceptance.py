@@ -87,8 +87,7 @@ def _crit_zero_coupling(preset: Preset) -> tuple[bool, dict]:
     p = preset.params.with_coupling(0.0)
     grid = Grid1D.build(p, preset.dx)
     rng = np.random.default_rng(11)
-    rep = minimize(random_low_energy_state(p, grid, rng), p, grid,
-                   tol=1e-9, max_iter=8000)
+    rep = minimize(random_low_energy_state(p, grid, rng), p, grid, max_iter=8000)
     obs = observables(rep.state, p, grid)
     f_dev = float(np.max(np.abs(rep.state.f - 1.0)))
     h_dev = float(np.max(np.abs(obs.h - p.applied_field)))

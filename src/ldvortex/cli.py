@@ -79,7 +79,8 @@ OPTIONAL_FLAGS = {
     "dx": ("--dx", float, None, "grid spacing override"),
     "seed": ("--seed", int, 0, "RNG seed"),
     "jobs": ("--jobs", int, 1, "worker pool size"),
-    "tol": ("--tol", float, 1e-8, "solver tolerance"),
+    "tol": ("--tol", float, None, "stop at |grad|inf <= TOL (default "
+            "minimize.stop_tol: 3e-6 r clipped to [3e-12, 1e-9])"),
     "max_iter": ("--max-iter", count, 4000, "descent step budget"),
     "format": ("--format", str, "json", "output format", "json", "csv"),
 }

@@ -20,8 +20,8 @@ import numpy as np
 from .errors import (DegenerateField, FactorizationFailure, InvalidParameters,
                      NoCompleteCycle, NoConvergence)
 from .exports import params_dict
-from .minimize import (MinimizeReport, default_newton_tol, inertia, minimize,
-                       newton_critical)
+from .minimize import (MinimizeReport, inertia, minimize, newton_critical,
+                       stop_tol)
 from .observables import circular_mean, delta_estimate, distances, observables
 from .params import Grid1D, LdParameters, default_dx, wrap_angle, wrap_to_pi
 from .perturbation import (enumerate_seeds, g0, interior_u1_closed_form,
@@ -32,16 +32,8 @@ from .state import LayeredState, random_low_energy_state
 from .validity import energy_bound_coefficient
 
 #: Step budget of every experiment descent.  Each step factors a band; the
-#: descents of the acceptance census take at most 27 steps.
+#: descents of the acceptance census take at most 32 steps.
 DESCENT_MAX_ITER = 500
-#: Residual tolerance of the census's seed Newton solves.
-CENSUS_NEWTON_TOL = 1e-9
-
-
-def sweep_tol(params: LdParameters) -> float:
-    """Gradient tolerance of the sweep descents, 3e-9 at r = 1e-3: seeds
-    met 3e-8 without a step, and a kept seed's dE/dH is not critical."""
-    return 0.03 * default_newton_tol(params)
 
 
 def require_jobs(jobs: int) -> None:
@@ -65,10 +57,10 @@ def _fan_out(job, args: list, jobs: int) -> list:
 
 
 def _descent_job(args) -> MinimizeReport:
-    """One experiment descent from start to |g|inf <= tol: a random start
-    of census or a branch seed of field_sweep."""
-    params, grid, tol, start = args
-    return minimize(start, params, grid, tol=tol, max_iter=DESCENT_MAX_ITER)
+    """One experiment descent from start to |g|inf <= stop_tol(params): a
+    random start of census or a branch seed of field_sweep."""
+    params, grid, start = args
+    return minimize(start, params, grid, max_iter=DESCENT_MAX_ITER)
 
 
 @dataclass
@@ -161,17 +153,17 @@ def census(params: LdParameters, r: float, n_random: int = 50,
            match_threshold: float = 1e-3) -> ExperimentRecord:
     """Enumerate all low-energy critical points at coupling r.
 
-    Three passes: Newton from the 2^N perturbative seeds (residual <=
-    CENSUS_NEWTON_TOL, or sweep_tol where smaller: the phase modes'
-    curvature is O(r)) with each point's Morse index by inertia (its own
-    seed's prediction), a seed whose Newton or inertia fails listed in
-    newton_failures; then n_random descents from random starts drawn here
-    (the one pass that fans out over `jobs`); then one observables call
-    over the points and the descent ends: points at least 0.1 apart in
-    observable distance, delta_hat by delta_estimate, each descent matched
-    to a point.  The energy shell is three times the linear upper bound
-    (the analytic cutoff below which the census is exhaustive is not
-    constructive).
+    Three passes: Newton from the 2^N perturbative seeds with each point's
+    Morse index by inertia (its own seed's prediction), a seed whose Newton
+    or inertia fails listed in newton_failures; then n_random descents from
+    random starts drawn here (the one pass that fans out over `jobs`); then
+    one observables call over the points and the descent ends: points at
+    least 0.1 apart in observable distance, delta_hat by delta_estimate,
+    each descent matched to a point.  The Newton solves and the descents
+    stop at the one rule stop_tol(pr), which tightens with r as the phase
+    modes' curvature is O(r), so residuals_small compares with it.  The
+    energy shell is three times the linear upper bound (the analytic cutoff
+    below which the census is exhaustive is not constructive).
     """
     t0 = time.time()
     require_jobs(jobs)
@@ -181,7 +173,7 @@ def census(params: LdParameters, r: float, n_random: int = 50,
     grid = Grid1D.build(pr, dx)
     N = pr.num_gaps
 
-    tol = min(CENSUS_NEWTON_TOL, sweep_tol(pr))
+    tol = stop_tol(pr)
     deltas, seed_inertias, g0s = enumerate_seeds(pr)
     starts = seed_state(pr, grid, deltas)
     points, inertias, predicted, failures = [], [], [], []
@@ -196,7 +188,7 @@ def census(params: LdParameters, r: float, n_random: int = 50,
             predicted.append(int(seed_inertia))
 
     rngs = [np.random.default_rng(seed * 100003 + 17 * i) for i in range(n_random)]
-    descents = _fan_out(_descent_job, [(pr, grid, 1e-8, random_low_energy_state(pr, grid, rng))
+    descents = _fan_out(_descent_job, [(pr, grid, random_low_energy_state(pr, grid, rng))
                                        for rng in rngs], jobs)
 
     # One observables pass over the points followed by the descent ends.
@@ -287,12 +279,13 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
     processes), then one observables call over all 2K ends for delta_hat,
     the collective configurations, dE/dH and the maxima of the gap-averaged
     h.  All seeds are held at once, so memory grows as O(len(H_grid) n).
-    A grid that is not finite, positive and increasing raises
-    InvalidParameters before any solve.
+    A grid of fewer than two fields, or one that is not finite, positive
+    and increasing, raises InvalidParameters before any solve.
 
-    Each descent ends at a critical point of its seed's branch (a saddle
-    where that branch is not a minimum), and branches_held checks that
-    every end stays within pi/2 of its seed configuration in every gap.
+    Each descent stops at stop_tol(params), the census's rule, at a
+    critical point of its seed's branch (a saddle where that branch is not
+    a minimum), and branches_held checks that every end stays within pi/2
+    of its seed configuration in every gap.
     The vortex-plane nucleations are first-order: a transition is a strict
     sign change of E_pi_minus_E_0 = E_pi - E_0 between two fields, located
     at its linear root H*.  dE/dH is exact at a critical point of either
@@ -306,22 +299,21 @@ def field_sweep(params: LdParameters, H_grid, dx: float | None = None,
     require_jobs(jobs)
     H_grid = np.asarray(H_grid, dtype=float)
     if (not np.isfinite(H_grid).all() or np.any(np.diff(H_grid) <= 0)
-            or H_grid.size < 8 or H_grid[0] <= 0.0):
+            or H_grid.size < 2 or H_grid[0] <= 0.0):
         raise InvalidParameters("H_grid must be finite, positive and "
-                                "increasing with at least 8 points")
+                                "increasing with at least 2 points")
     H_ks = nucleation_fields(params, float(H_grid[-1]) + 1e-3)
     if any(abs(H - Hk) < 1e-3 for H in H_grid for Hk in H_ks):
         raise InvalidParameters("H_grid passes within 1e-3 of a degenerate field")
     if dx is None:
         dx = default_dx(params.with_field(float(H_grid[-1])))
     grid = Grid1D.build(params, dx)
-    tol = sweep_tol(params)
 
     # Rows 2j and 2j + 1 are field j's delta = 0 and pi branches.
     branches = np.tile([[0.0], [math.pi]], (H_grid.size, params.num_gaps))
     H_rows = H_grid.repeat(2)
     seeds = seed_state(params, grid, branches, H_rows)
-    ends = _fan_out(_descent_job, [(params.with_field(float(H)), grid, tol, start)
+    ends = _fan_out(_descent_job, [(params.with_field(float(H)), grid, start)
                                    for H, start in zip(H_rows, seeds)], jobs)
 
     # Pass 3 over all the ends.  dE/dH is exact at a critical state

@@ -18,7 +18,8 @@ last one accepted.  Each trial point costs one call of the energy kernel
 (energy.energy_arrays), whose gradient the accepted trial hands to the next
 step.  Descent takes Newton steps because the Hessian mixes N eigenvalues of
 size O(r) along the phase torus with stiff modes of size O(1/(kappa dx)^2),
-which a gradient-based descent crawls across.
+which a gradient-based descent crawls across.  For the same reason every
+solve stops by one rule scaled with r, stop_tol.
 
 Those N soft modes also say which shifts cannot factor.  The plane-constant
 phase vectors have the Ritz matrix K/(M+1), K = D^T diag(c) D with D the gap
@@ -29,7 +30,11 @@ T^T diag((2 sin HpL / H) cos delta_n) T.  Since lambda_min(H) <=
 lambda_min(K)/(M+1), the descent skips every shift that an O(N)
 LDL^T of K/(M+1) + mu I proves indefinite beyond rounding, instead of
 failing a factorization on it (More & Sorensen 1983 choose shifts from such
-curvature bounds); the shifts that factor, and so every step, are the same.
+curvature bounds); a skip changes no accepted shift.  Where K/(M+1) has a
+negative eigenvalue within the first nonzero shift, that shift becomes
+twice the eigenvalue's size, so the step leaves the saddle along the
+negative mode instead of creeping off it at |g|/mu per step (More &
+Sorensen, Math. Prog. 16 (1979) 1; Nocedal & Wright (2006) 3.4).
 
 Inertia is the discrete Lyapunov-Schmidt reduction: with one phase per plane
 pinned, a Hessian whose other block factors by Cholesky has the inertia of
@@ -222,14 +227,41 @@ def _ritz_skips(c: list[float], m: int, shift: float) -> bool:
     return False
 
 
+def stop_tol(params: LdParameters) -> float:
+    """The stopping rule of every solve: |grad|inf <= 3e-6 r, clipped to
+    [3e-12, 1e-9].  Near a critical point the N phase modes have curvature
+    O(r), so a residual g leaves the phases O(g / r) from the point; the
+    rule holds that to O(3e-6) for r >= 1e-6, and its floor stays far above
+    the rounding of the gradient."""
+    return max(3e-12, min(1e-9, 3e-6 * params.coupling))
+
+
+def _first_rung(c: list[float], m: int, floor: float) -> float:
+    """The first nonzero shift of the Levenberg ladder: floor, or
+    2 |lambda_min(K/m)| when the sign test of _ritz_skips proves
+    -floor <= lambda_min(K/m) < 0, from the upper end of a bisection on
+    that test that brackets lambda_min to 1 % (at most 64 steps)."""
+    if not _ritz_skips(c, m, 0.0) or _ritz_skips(c, m, floor):
+        return floor
+    lo, hi = 0.0, floor
+    for _ in range(64):
+        if hi - lo <= 0.01 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _ritz_skips(c, m, mid) else (lo, mid)
+    return 2.0 * hi
+
+
 def _shifted_newton(x: np.ndarray, g: np.ndarray, params: LdParameters,
                     grid: Grid1D, layout: Layout, counts: dict[str, int],
                     mu_last: float = 0.0) -> tuple[np.ndarray | None, float]:
     """The descent step: solve (H + mu I) d = -g by Cholesky on the banded
     Hessian at x, assembled once.  mu starts at mu_last / 10, or at 0 when
-    that is below the first nonzero shift 1e-8 max|diag H|, and rises to that
-    shift from 0, then x10 each time, until banded_solve factors, at most
-    MAX_SHIFTS rungs.
+    that is below the first nonzero shift, and rises to that shift from 0,
+    then x10 each time, until banded_solve factors, at most MAX_SHIFTS
+    rungs.  The first nonzero shift is 1e-8 max|diag H|, or twice the size
+    of a negative eigenvalue of the phase Ritz matrix below that lies
+    within it (_first_rung).
 
     A rung is skipped, not factored, when the phase modes prove H + mu I
     indefinite: the N plane-constant phase vectors (M+1 ones each) have the
@@ -249,24 +281,24 @@ def _shifted_newton(x: np.ndarray, g: np.ndarray, params: LdParameters,
     if not np.isfinite(ab).all():
         raise NonFinite("non-finite Hessian band")
     scale = float(abs(ab[bw]).max())
-    floor = 1e-8 * (scale or 1.0)
     margin = (bw + 1) ** 3 * EPS
-    ritz = c.tolist()
-    mu = mu_last / 10.0 if mu_last / 10.0 >= floor else 0.0
+    ritz, m = c.tolist(), layout.M + 1
+    first = _first_rung(ritz, m, 1e-8 * (scale or 1.0))
+    mu = mu_last / 10.0 if mu_last / 10.0 >= first else 0.0
     for _ in range(MAX_SHIFTS):
-        if _ritz_skips(ritz, layout.M + 1, mu + margin * (scale + mu)):
+        if _ritz_skips(ritz, m, mu + margin * (scale + mu)):
             counts["skipped"] += 1
         else:
             d = banded_solve(ab, -g, True, mu)
             if d is not None:
                 return (d, mu) if np.isfinite(d).all() else (None, mu_last)
             counts["shifts"] += 1
-        mu = floor if mu == 0.0 else 10.0 * mu
+        mu = first if mu == 0.0 else 10.0 * mu
     return None, mu_last
 
 
 def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
-             tol: float = 1e-8, max_iter: int = 4000) -> MinimizeReport:
+             tol: float | None = None, max_iter: int = 4000) -> MinimizeReport:
     """Energy descent by modified Newton steps with Armijo backtracking.
 
     Each step solves the Levenberg-shifted banded Newton system (see
@@ -282,11 +314,12 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
     one step).
 
     state0 must be gauge fixed.  Terminates when the sup-norm of the
-    gradient drops to tol or the iteration budget runs out; a NaN tol
-    raises InvalidParameters.  The energy trace is nonincreasing; a stalled
-    steepest-descent line search returns the best state so far with
-    converged=False.
+    gradient drops to tol (stop_tol(params) by default) or the iteration
+    budget runs out; a NaN tol raises InvalidParameters.  The energy trace
+    is nonincreasing; a stalled steepest-descent line search returns the
+    best state so far with converged=False.
     """
+    tol = stop_tol(params) if tol is None else tol
     if math.isnan(tol):
         raise InvalidParameters("tol must not be NaN")
     state0.check_grid(params, grid)
@@ -595,12 +628,6 @@ class CriticalPoint:
                 "residual_history": self.residual_history.tolist()}
 
 
-def default_newton_tol(params: LdParameters) -> float:
-    """The Hessian has N eigenvalues of size O(r) near critical points, so
-    chasing residuals far below 1e-4*r resolves nothing."""
-    return max(1e-10, 1e-4 * params.coupling)
-
-
 def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
                     tol: float | None = None, max_newton: int = 60) -> CriticalPoint:
     """Full Newton iteration on grad(energy) = 0 with a direct banded solve.
@@ -610,15 +637,15 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
     with the descent's Armijo search on the merit |grad|^2.  A failed LU, a
     non-finite step or a stalled search raises NoConvergence at once, with
     the residual it stopped at.  It finds the point and does not classify
-    it: inertia and delta_estimate do that (see harness.census).
+    it: inertia and delta_estimate do that (see harness.census).  It stops
+    at |grad|inf <= tol, stop_tol(params) by default.
     Requires a gauge-fixed state0 and r > 0: at r = 0 the Hessian has an
     exact N-dimensional kernel.  A NaN tol raises InvalidParameters.
     """
     state0.check_grid(params, grid)
     if params.coupling == 0.0:
         raise SingularHessian("r = 0: the phase manifold gives an exact kernel")
-    if tol is None:
-        tol = default_newton_tol(params)
+    tol = stop_tol(params) if tol is None else tol
     if math.isnan(tol):
         raise InvalidParameters("tol must not be NaN")
 

@@ -94,7 +94,7 @@ def test_invalid_parameters_exit_1(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["sweep", "--H-points", "3"] + GRID,
+    ["sweep", "--H-points", "1"] + GRID,
     ["perturb", "--H-points", "0", "--format", "csv", "--out", "x.json"],
     ["perturb", "--H-max", "0", "--format", "csv", "--out", "x.json"],
     ["perturb", "--H-max", "0.3", "--format", "csv", "--out", "x.json"],
@@ -109,6 +109,26 @@ def test_bad_field_grid_exits_1_without_traceback(argv, tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("error: H_grid must be")
+
+
+def test_three_field_sweep_locates_H_1(capsys):
+    """A transition needs only the sign change of E_pi - E_0 between two
+    fields, so three fields over [5.8, 6.8] find H_1 = 2 pi: at 6.2843,
+    with the jump within 0.3 % of its prediction."""
+    assert run(["sweep", "--H-min", "5.8", "--H-max", "6.8", "--H-points", "3"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    [transition] = record["data"]["transitions"]
+    assert record["passed"] and transition["k"] == 1
+    assert abs(transition["location"] - transition["H_k"]) <= 2e-3
+    assert transition["jump_rel_err"] <= 3e-3
+
+
+def test_census_at_small_coupling_passes_its_checks(capsys):
+    """At r = 3e-6 the phase modes are soft: every random descent of the
+    desk census reaches a census point and the command exits 0."""
+    assert run(["census", "--random-starts", "10", "--r", "3e-6"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["passed"] and record["data"]["n_matched"] == 10
 
 
 @pytest.mark.parametrize("H_max", ["inf", "0"])

@@ -11,12 +11,13 @@ from ldvortex.errors import (DegenerateField, InvalidParameters, NoCompleteCycle
                              NoConvergence)
 from ldvortex.harness import (census, convergence_study, count_interior_maxima,
                               field_sweep, flux_check)
-from ldvortex.minimize import minimize, newton_critical
+from ldvortex.minimize import minimize, newton_critical, stop_tol
 from ldvortex.observables import delta_estimate, distance, observables
 from ldvortex.params import Grid1D, LdParameters, default_dx, wrap_to_pi
 from ldvortex.perturbation import (MAX_SEED_GAPS, enumerate_seeds,
                                    epsilon_and_jumps, seed_state,
                                    vortex_plane_delta)
+from ldvortex.validity import rstar_lower
 
 
 def test_convergence_study_slopes(desk):
@@ -54,12 +55,43 @@ def test_census_small(desk):
 
 def test_census_solves_its_seeds_at_small_coupling(desk):
     """The phase modes' curvature is O(r), so at r = 1e-4 the seeds'
-    residuals already meet a fixed 1e-9: the census tightens to sweep_tol
-    and takes a Newton step from every seed."""
+    residuals already meet a fixed 1e-9: the census solves to stop_tol,
+    3e-10 here, and takes a Newton step from every seed."""
     rec = census(desk, 1e-4, n_random=0, dx=1.0 / 30.0)
     assert rec.passed, rec.checks
     assert min(rec.data["newton_iterations"]) >= 1
-    assert max(rec.data["residuals"]) <= harness.sweep_tol(desk.with_coupling(1e-4))
+    assert max(rec.data["residuals"]) <= stop_tol(desk.with_coupling(1e-4))
+
+
+def _small_coupling_cloud(n: int) -> list[LdParameters]:
+    """n points of the paper's domain, drawn with seed 0: N in 1..4,
+    L in [1, 6], p in [0.2, 1], kappa in [1, 4] and H in [0.5, 10] with
+    |sin HpL| >= 0.2 (a draw closer to a degenerate field is drawn again),
+    at r = min(1e-3, 0.1 rstar_lower), inside the validity radius."""
+    rng = np.random.default_rng(0)
+    points = []
+    while len(points) < n:
+        N, L, p = int(rng.integers(1, 5)), rng.uniform(1.0, 6.0), rng.uniform(0.2, 1.0)
+        kappa, H = rng.uniform(1.0, 4.0), rng.uniform(0.5, 10.0)
+        if abs(math.sin(H * p * L)) >= 0.2:
+            params = LdParameters(N, L, p, kappa, H, 1e-3)
+            points.append(params.with_coupling(min(1e-3, 0.1 * rstar_lower(params))))
+    return points
+
+
+def test_census_passes_every_check_across_a_small_coupling_cloud():
+    """Twelve cloud points, r from 1.9e-7 to 4.3e-4, each censused with 4
+    random starts at census seeds 0 and 1: every census check passes.  The
+    phase modes' curvature is O(r), so a fixed tolerance or a Levenberg
+    rung far above that curvature leaves descents short of the points."""
+    failed = {}
+    for i, params in enumerate(_small_coupling_cloud(12)):
+        for seed in (0, 1):
+            rec = census(params, params.coupling, n_random=4, seed=seed)
+            names = [name for name, ok in rec.checks.items() if not ok]
+            if names:
+                failed[i, seed, params.coupling] = names
+    assert not failed, failed
 
 
 def test_census_analyses_its_states_in_one_observables_call(desk, monkeypatch):
@@ -257,7 +289,7 @@ def test_field_sweep_jumps_at_wide_sample():
     def kept_energy(H):
         """The lower energy of the two public seed descents at field H."""
         ph = params.with_field(float(H))
-        return min(minimize(start, ph, grid, tol=harness.sweep_tol(params),
+        return min(minimize(start, ph, grid, tol=stop_tol(params),
                             max_iter=harness.DESCENT_MAX_ITER).energy
                    for start in seed_state(ph, grid, [[0.0, 0.0], [math.pi, math.pi]]))
 
@@ -311,7 +343,7 @@ def test_field_sweep_matches_a_per_field_reference(desk):
     H_grid = np.linspace(5.8, 6.8, 8)
     data = field_sweep(desk, H_grid).to_dict()["data"]
     dx = default_dx(desk.with_field(float(H_grid[-1])))
-    tol = harness.sweep_tol(desk)
+    tol = stop_tol(desk)
     branches = np.array([[0.0], [math.pi]]).repeat(desk.num_gaps, axis=1)
     ref = {"epsilon": [], "dE_dH": [], "configs": [], "n_maxima": [],
            "delta_hat": [], "E_pi_minus_E_0": []}

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import logging
 import math
 
@@ -15,7 +16,7 @@ from ldvortex import harness
 from ldvortex.harness import census, field_sweep
 from ldvortex.minimize import (assemble_banded_hessian, banded_solve,
                                hessian_apply, inertia, minimize,
-                               nearest_eigenvalues, newton_critical)
+                               nearest_eigenvalues, newton_critical, stop_tol)
 from ldvortex.observables import delta_estimate, distance, observables
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.perturbation import (enumerate_seeds, leading_min_energy,
@@ -229,19 +230,29 @@ def test_banded_solve_matches_scipy_bit_for_bit(desk, rng):
 
 
 def _recorded_ladders(monkeypatch) -> list:
-    """Record every rung of every _shifted_newton call, in order: per call a
-    list of ("ritz", shift, skipped) and ("solve", ab, rhs, mu, factored)."""
+    """Record every rung of every _shifted_newton call, in order: per call
+    one ("first", c, m, floor, rung) from _first_rung, then per rung
+    ("ritz", shift, skipped) and ("solve", ab, rhs, mu, factored).  The sign
+    tests that _first_rung bisects with are not rungs and are not recorded."""
     solve, skips = minimize_mod.banded_solve, minimize_mod._ritz_skips
-    direction = minimize_mod._shifted_newton
-    ladders = []
+    direction, first = minimize_mod._shifted_newton, minimize_mod._first_rung
+    ladders, bisecting = [], []
 
     def step(*args, **kwargs):
         ladders.append([])
         return direction(*args, **kwargs)
 
+    def rung(c, m, floor):
+        bisecting.append(None)
+        out = first(c, m, floor)
+        bisecting.pop()
+        ladders[-1].append(("first", c, m, floor, out))
+        return out
+
     def ritz(c, m, shift):
         out = skips(c, m, shift)
-        ladders[-1].append(("ritz", shift, out))
+        if not bisecting:
+            ladders[-1].append(("ritz", shift, out))
         return out
 
     def recorded(ab, rhs, definite, mu):
@@ -250,41 +261,64 @@ def _recorded_ladders(monkeypatch) -> list:
         return out
 
     monkeypatch.setattr(minimize_mod, "_shifted_newton", step)
+    monkeypatch.setattr(minimize_mod, "_first_rung", rung)
     monkeypatch.setattr(minimize_mod, "_ritz_skips", ritz)
     monkeypatch.setattr(minimize_mod, "banded_solve", recorded)
     return ladders
 
 
+def _check_first_rung(c: list[float], m: int, floor: float, rung: float) -> bool:
+    """The first nonzero rung is 2 |lambda_min(K/m)| to 1 % where
+    -floor <= lambda_min(K/m) < 0, else floor, with lambda_min from a dense
+    eigensolve of K = D^T diag(c) D (compared up to rounding, tiny); True
+    when the phase curvature set the rung."""
+    c = np.asarray(c)
+    K = np.diag(c + np.append(c[1:], 0.0)) - np.diag(c[1:], 1) - np.diag(c[1:], -1)
+    lam = float(np.linalg.eigvalsh(K)[0]) / m
+    tiny = 1e-12 * float(abs(c).max()) / m
+    if rung == floor:
+        assert not -floor + tiny < lam < -tiny, (lam, floor)
+        return False
+    assert -floor - tiny <= lam < tiny, (lam, floor, rung)
+    assert 2.0 * abs(lam) - 2.0 * tiny <= rung <= 2.0205 * abs(lam) + 2.0 * tiny, (lam, rung)
+    return True
+
+
 def test_descent_shift_starts_at_a_tenth_of_the_last_accepted(
         desk, coarse_grid, monkeypatch):
     """Levenberg-Marquardt damping update: each step's first shift is the
-    previous step's accepted shift / 10, or 0 below 1e-8 max|diag H|, and
-    the ladder rises to 1e-8 max|diag H| from 0, then x10; every descent
-    starts from 0.  Each rung is first put to the phase-mode Ritz test at
-    mu + (bw+1)^3 eps (max|diag H| + mu): a rung it proves indefinite is
-    skipped (and banded_solve refuses it), any other is factored, and the
-    last rung factors."""
+    previous step's accepted shift / 10, or 0 below the first nonzero rung,
+    and the ladder rises to that rung from 0, then x10; every descent
+    starts from 0.  The first nonzero rung is 1e-8 max|diag H|, or twice
+    the phase modes' negative Ritz curvature where that lies within it
+    (seen at r = 1e-6, never at r = 1e-3).  Each rung is first put to the
+    phase-mode Ritz test at mu + (bw+1)^3 eps (max|diag H| + mu): a rung it
+    proves indefinite is skipped (and banded_solve refuses it), any other
+    is factored, and the last rung factors."""
     solve = minimize_mod.banded_solve
     ladders = _recorded_ladders(monkeypatch)
-    for seed in (11 * 100003, 11 * 100003 + 17):
-        start = random_low_energy_state(desk, coarse_grid,
+    for r, seed in itertools.product((1e-3, 1e-6), (11 * 100003, 11 * 100003 + 17)):
+        params = desk.with_coupling(r)
+        start = random_low_energy_state(params, coarse_grid,
                                         np.random.default_rng(seed))
         ladders.clear()
-        rep = minimize(start, desk, coarse_grid, tol=1e-8, max_iter=500)
+        rep = minimize(start, params, coarse_grid, max_iter=500)
         assert rep.converged and rep.steepest_steps == 0
         assert len(ladders) == rep.iterations
-        skipped = failed = warm = cold = 0
+        skipped = failed = warm = cold = curved = 0
         last = 0.0  # the accepted shift of the previous step
         for events in ladders:
+            kind, c, m, floor, first = events[0]
             ab, rhs = events[-1][1], events[-1][2]
             bw = (ab.shape[0] - 1) // 2
             scale = float(np.max(np.abs(ab[bw])))
-            floor = 1e-8 * scale
+            assert kind == "first" and floor == 1e-8 * scale
+            curved += _check_first_rung(c, m, floor, first)
             margin = (bw + 1) ** 3 * minimize_mod.EPS
-            mu = last / 10.0 if last / 10.0 >= floor else 0.0
+            mu = last / 10.0 if last / 10.0 >= first else 0.0
             warm += mu > 0.0
             cold += last > 0.0 and mu == 0.0
-            events = iter(events)
+            events = iter(events[1:])
             while True:
                 kind, shift, skip = next(events)
                 assert kind == "ritz" and shift == mu + margin * (scale + mu)
@@ -297,52 +331,60 @@ def test_descent_shift_starts_at_a_tenth_of_the_last_accepted(
                     if ok:
                         break
                     failed += 1
-                mu = floor if mu == 0.0 else 10.0 * mu
+                mu = first if mu == 0.0 else 10.0 * mu
             assert next(events, None) is None
             last = mu
         assert (skipped, failed) == (rep.skipped_shifts, rep.levenberg_shifts)
         assert rep.to_dict()["skipped_shifts"] == skipped >= 1
-        assert failed == 0 and warm >= 1 and cold >= 1
+        assert failed == 0 and cold >= 1
+        # At r = 1e-6 the phase curvature is below 1e-8 max|diag H|.
+        assert (warm >= 1 and curved == 0) if r == 1e-3 else curved >= 1
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_every_skipped_shift_is_one_the_cholesky_refuses(N, monkeypatch):
-    """On random low-energy, rough and delta = pi seed states, a rung the
-    phase-mode Ritz test skips is one banded_solve refuses, from mu = 0 and
-    from a warm start; and the skips are many."""
-    params = LdParameters(N, 1.0, 0.5, 1.0, 3.0, 1e-3)
-    grid = Grid1D.build(params, dx=1.0 / 20.0)
-    layout = Layout.build(N, grid.M)
-    fun = minimize_mod._flat_functions(params, grid, layout)
-    rng = np.random.default_rng(N)
-    states = ([random_low_energy_state(params, grid, rng) for _ in range(4)]
-              + [random_rough_state(params, grid, rng) for _ in range(4)]
-              + [seed_state(params, grid, math.pi)])
+    """On random low-energy, rough and delta = pi seed states, at r = 1e-3
+    and at r = 1e-6 (where the phase curvature lies within 1e-8 max|diag H|
+    and sets the first nonzero rung), a rung the phase-mode Ritz test skips
+    is one banded_solve refuses, from mu = 0 and from a warm start; and at
+    r = 1e-3 the skips are many."""
     solve = minimize_mod.banded_solve
     ladders = _recorded_ladders(monkeypatch)
-    skipped = 0
-    for state in states:
-        x = layout.pack(state.f, state.phi, state.a)
-        _, g = fun(x)
-        for mu_last in (0.0, 1e-5):
-            minimize_mod._shifted_newton(x, g, params, grid, layout,
-                                         {"shifts": 0, "skipped": 0},
-                                         mu_last=mu_last)
-            events = ladders[-1]
-            ab, rhs = next((e[1], e[2]) for e in reversed(events)
-                           if e[0] == "solve")
-            bw = (ab.shape[0] - 1) // 2
-            floor = 1e-8 * float(np.max(np.abs(ab[bw])))
-            mu = mu_last / 10.0 if mu_last / 10.0 >= floor else 0.0
-            for event in events:
-                if event[0] == "ritz":
-                    if event[2]:
-                        assert solve(ab, rhs, True, mu) is None, (mu, event)
-                        skipped += 1
-                        mu = floor if mu == 0.0 else 10.0 * mu
-                elif not event[4]:
-                    mu = floor if mu == 0.0 else 10.0 * mu
-    assert skipped >= len(states)
+    skipped, curved = {}, {}
+    for r in (1e-3, 1e-6):
+        params = LdParameters(N, 1.0, 0.5, 1.0, 3.0, r)
+        grid = Grid1D.build(params, dx=1.0 / 20.0)
+        layout = Layout.build(N, grid.M)
+        fun = minimize_mod._flat_functions(params, grid, layout)
+        rng = np.random.default_rng(N)
+        states = ([random_low_energy_state(params, grid, rng) for _ in range(4)]
+                  + [random_rough_state(params, grid, rng) for _ in range(4)]
+                  + [seed_state(params, grid, math.pi)])
+        skipped[r] = curved[r] = 0
+        for state in states:
+            x = layout.pack(state.f, state.phi, state.a)
+            _, g = fun(x)
+            for mu_last in (0.0, 1e-5):
+                minimize_mod._shifted_newton(x, g, params, grid, layout,
+                                             {"shifts": 0, "skipped": 0},
+                                             mu_last=mu_last)
+                (_, c, m, floor, first), *events = ladders[-1]
+                ab, rhs = next((e[1], e[2]) for e in reversed(events)
+                               if e[0] == "solve")
+                bw = (ab.shape[0] - 1) // 2
+                assert floor == 1e-8 * float(np.max(np.abs(ab[bw])))
+                curved[r] += _check_first_rung(c, m, floor, first)
+                mu = mu_last / 10.0 if mu_last / 10.0 >= first else 0.0
+                for event in events:
+                    if event[0] == "ritz":
+                        if event[2]:
+                            assert solve(ab, rhs, True, mu) is None, (mu, event)
+                            skipped[r] += 1
+                            mu = first if mu == 0.0 else 10.0 * mu
+                    elif not event[4]:
+                        mu = first if mu == 0.0 else 10.0 * mu
+    assert skipped[1e-3] >= len(states) and skipped[1e-6] >= 1
+    assert curved[1e-3] == 0 and curved[1e-6] >= N
 
 
 def test_phase_curvature_is_the_reduced_hessian_at_seeds():
@@ -493,9 +535,8 @@ def test_newton_returns_the_point_inertia_cannot_classify():
     only the classification raises."""
     params = LdParameters(1, 1.0, 0.5, 1.0, 3.0, 1.0)
     grid = Grid1D.build(params, dx=1.0 / 20.0)
-    cp = newton_critical(seed_state(params, grid, math.pi), params, grid,
-                         tol=harness.CENSUS_NEWTON_TOL)
-    assert cp.residual <= harness.CENSUS_NEWTON_TOL
+    cp = newton_critical(seed_state(params, grid, math.pi), params, grid)
+    assert cp.residual <= stop_tol(params)
     with pytest.raises(FactorizationFailure, match="^inertia:"):
         inertia(cp.state, params, grid)
 
@@ -671,7 +712,7 @@ def test_solvers_refuse_a_state_that_is_not_gauge_fixed(desk, rng):
     energy, fd_error, residual = (run(gauge_fix(state, grid)) for state, run in runs)
     assert energy == pytest.approx(total_energy(rough, desk, grid).total, rel=1e-13)
     assert fd_error <= 1e-6
-    assert residual <= minimize_mod.default_newton_tol(desk)
+    assert residual <= stop_tol(desk)
 
 
 def test_minimize_energy_not_above_start(desk, desk_grid, rng):
@@ -761,6 +802,33 @@ def test_newton_tail_converges_stalled_n3_census_descent(desk):
     assert rep.converged
     assert rep.newton_steps >= 1
     assert np.all(np.diff(rep.energy_trace) <= 0.0)
+
+
+def test_descent_steps_off_a_phase_saddle_it_crept_along(monkeypatch):
+    """Census start 3 (census seed 1) at point 5 of the small-coupling
+    cloud of tests/test_harness.py: N = 2, r = 8.3e-6.  With the first
+    nonzero rung at 1e-8 max|diag H|, far above the negative phase
+    curvature, this descent crept along a phase saddle and used all
+    DESCENT_MAX_ITER = 500 steps, ending at |g|inf = 1.3e-9 above the
+    rule's 2.5e-11.  With the rung at twice that curvature it converges
+    in a few steps."""
+    params = LdParameters(2, 4.235947557871251, 0.6923080891850031,
+                          2.15103266278565, 9.973494389997505,
+                          8.330130983020093e-06)
+    grid = Grid1D.build(params)
+    start = random_low_energy_state(params, grid,
+                                    np.random.default_rng(1 * 100003 + 17 * 3))
+    first, rungs = minimize_mod._first_rung, []
+
+    def recorded(c, m, floor):
+        rungs.append((first(c, m, floor), floor))
+        return rungs[-1][0]
+
+    monkeypatch.setattr(minimize_mod, "_first_rung", recorded)
+    rep = minimize(start, params, grid, max_iter=harness.DESCENT_MAX_ITER)
+    assert rep.converged and rep.grad_norm <= stop_tol(params) == 3e-6 * params.coupling
+    assert rep.iterations <= 20 and rep.steepest_steps == 0
+    assert any(rung < floor for rung, floor in rungs)
 
 
 def test_one_kernel_call_per_line_search_trial(desk, desk_grid, rng, monkeypatch):
