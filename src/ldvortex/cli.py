@@ -34,7 +34,7 @@ from .acceptance import PRESETS, run_acceptance
 from .energy import total_energy
 from .errors import InvalidParameters, LdError
 from .harness import census, field_sweep, flux_check
-from .minimize import minimize, newton_critical
+from .minimize import MAX_DESCENT_STEPS, minimize, newton_critical
 from .observables import lift_field_2d, observables
 from .params import Grid1D, LdParameters, validate
 from .perturbation import (enumerate_seeds, epsilon_and_jumps, seed_state,
@@ -81,7 +81,9 @@ OPTIONAL_FLAGS = {
     "jobs": ("--jobs", int, 1, "worker pool size"),
     "tol": ("--tol", float, None, "stop at |grad|inf <= TOL (default "
             "minimize.stop_tol: 3e-6 r clipped to [3e-12, 1e-9])"),
-    "max_iter": ("--max-iter", count, 4000, "descent step budget"),
+    "max_iter": ("--max-iter", count, MAX_DESCENT_STEPS, "stop the descent "
+                 "after MAX_ITER steps (default minimize.MAX_DESCENT_STEPS = "
+                 f"{MAX_DESCENT_STEPS})"),
     "format": ("--format", str, "json", "output format", "json", "csv"),
 }
 

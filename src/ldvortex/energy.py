@@ -44,6 +44,9 @@ from .observables import _fields
 from .params import Grid1D, LdParameters
 from .state import LayeredState, Layout
 
+#: Free DOFs that gradient_check samples.
+GRADIENT_CHECK_SAMPLES = 200
+
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
@@ -222,10 +225,10 @@ def el_residual(state: LayeredState, params: LdParameters,
 
 
 def gradient_check(state: LayeredState, params: LdParameters, grid: Grid1D,
-                   n_samples: int = 200, seed: int = 0) -> float:
+                   seed: int = 0) -> float:
     """Max relative error between the analytic gradient and the complex-step
     derivative Im E(x + 1e-30 i e_j) / 1e-30 of the energy, exact to
-    roundoff, over a random sample of free DOFs.
+    roundoff, over GRADIENT_CHECK_SAMPLES free DOFs drawn by seed.
 
     A component can sit arbitrarily close to a zero crossing of the
     gradient, where no relative comparison means anything; components
@@ -233,16 +236,14 @@ def gradient_check(state: LayeredState, params: LdParameters, grid: Grid1D,
     energy-scale floor are therefore compared absolutely (they match
     within the floor) rather than through the relative quotient.
 
-    The state must be gauge fixed, and n_samples at least 1.
+    The state must be gauge fixed.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     ga = gradient(state, params, grid)
     layout = Layout.build(params.num_gaps, grid.M)
     x0 = layout.pack_state(state)
     floor = 1e-6 * max(1.0, abs(total_energy(state, params, grid).total))
     worst = 0.0
-    for j in np.random.default_rng(seed).permutation(x0.size)[:n_samples]:
+    for j in np.random.default_rng(seed).permutation(x0.size)[:GRADIENT_CHECK_SAMPLES]:
         x = x0.astype(complex)
         x[j] += 1e-30j
         cs = sum(energy_arrays(*layout.unpack(x), params, grid)[0]).imag / 1e-30

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import (DegenerateField, FactorizationFailure, InvalidParameters,
-                     NoCompleteCycle, NoConvergence)
+from .errors import (FactorizationFailure, InvalidParameters, NoCompleteCycle,
+                     NoConvergence)
 from .exports import params_dict
 from .minimize import (MinimizeReport, inertia, minimize, newton_critical,
                        stop_tol)
@@ -30,10 +30,6 @@ from .perturbation import (enumerate_seeds, g0, interior_u1_closed_form,
                            vortex_plane_observables)
 from .state import LayeredState, random_low_energy_state
 from .validity import energy_bound_coefficient
-
-#: Step budget of every experiment descent.  Each step factors a band; the
-#: descents of the acceptance census take at most 32 steps.
-DESCENT_MAX_ITER = 500
 
 
 def require_jobs(jobs: int) -> None:
@@ -57,10 +53,11 @@ def _fan_out(job, args: list, jobs: int) -> list:
 
 
 def _descent_job(args) -> MinimizeReport:
-    """One experiment descent from start to |g|inf <= stop_tol(params): a
-    random start of census or a branch seed of field_sweep."""
+    """One experiment descent from start to |g|inf <= stop_tol(params),
+    within minimize's MAX_DESCENT_STEPS: a random start of census or a
+    branch seed of field_sweep."""
     params, grid, start = args
-    return minimize(start, params, grid, max_iter=DESCENT_MAX_ITER)
+    return minimize(start, params, grid)
 
 
 @dataclass
@@ -103,9 +100,10 @@ def convergence_study(params: LdParameters, r_list,
     t0 = time.time()
     r_list = [float(r) for r in r_list]
     if len(r_list) < 3 or any(np.diff(r_list) >= 0):
-        raise ValueError("r_list must be decreasing with at least 3 entries")
+        raise InvalidParameters("r_list must be decreasing with at least 3 entries")
     if r_list[0] > 0.02:
-        raise ValueError("convergence study expects couplings below the expansion scale")
+        raise InvalidParameters(
+            "convergence study expects couplings below the expansion scale")
     grid = Grid1D.build(params, dx)
     ds = vortex_plane_delta(params)
 
@@ -163,13 +161,13 @@ def census(params: LdParameters, r: float, n_random: int = 50,
     stop at the one rule stop_tol(pr), which tightens with r as the phase
     modes' curvature is O(r), so residuals_small compares with it.  The
     energy shell is three times the linear upper bound (the analytic cutoff
-    below which the census is exhaustive is not constructive).
+    below which the census is exhaustive is not constructive).  A bad jobs
+    count, or a degenerate field (enumerate_seeds raises DegenerateField),
+    is refused before any solve.
     """
     t0 = time.time()
     require_jobs(jobs)
     pr = params.with_coupling(float(r))
-    if pr.is_degenerate:
-        raise DegenerateField(f"census needs sin(HpL) != 0, got HpL = {pr.hpl:.6g}")
     grid = Grid1D.build(pr, dx)
     N = pr.num_gaps
 

@@ -73,6 +73,14 @@ ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 40
 MAX_SHIFTS = 20  # Levenberg escalations tried per descent step
+#: Step budget of every descent.  The longest descent of the tests, of
+#: `ldvortex check` and of the small-coupling cloud takes 32 steps.
+MAX_DESCENT_STEPS = 500
+#: Step budget of newton_critical: three times the 4 steps of its longest
+#: converging run in the tests and `ldvortex check`.  From a seed O(r^2)
+#: from its point Newton converges quadratically in a step or two; a run
+#: still short of tol after this many steps has lost its point.
+MAX_NEWTON_STEPS = 12
 LANCZOS_MAX_BASIS = 200  # Lanczos vectors before nearest_eigenvalues gives up
 EPS = float(np.finfo(float).eps)
 LANCZOS_TOL = EPS  # relative Ritz residual estimate
@@ -276,8 +284,7 @@ def _shifted_newton(x: np.ndarray, g: np.ndarray, params: LdParameters,
     counts["shifts"], each skipped rung one to counts["skipped"].  Returns
     (d, mu) with the shift that factored, or (None, mu_last) if no shift
     factors or d is not finite; raises NonFinite for a non-finite band."""
-    ab, bw, c = assemble_banded_hessian(*layout.unpack(x), params, grid,
-                                        phase_curvature=True)
+    ab, bw, c = assemble_banded_hessian(*layout.unpack(x), params, grid)
     if not np.isfinite(ab).all():
         raise NonFinite("non-finite Hessian band")
     scale = float(abs(ab[bw]).max())
@@ -298,7 +305,8 @@ def _shifted_newton(x: np.ndarray, g: np.ndarray, params: LdParameters,
 
 
 def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
-             tol: float | None = None, max_iter: int = 4000) -> MinimizeReport:
+             tol: float | None = None,
+             max_iter: int = MAX_DESCENT_STEPS) -> MinimizeReport:
     """Energy descent by modified Newton steps with Armijo backtracking.
 
     Each step solves the Levenberg-shifted banded Newton system (see
@@ -314,8 +322,9 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
     one step).
 
     state0 must be gauge fixed.  Terminates when the sup-norm of the
-    gradient drops to tol (stop_tol(params) by default) or the iteration
-    budget runs out; a NaN tol raises InvalidParameters.  The energy trace
+    gradient drops to tol (stop_tol(params) by default) or after max_iter
+    steps (MAX_DESCENT_STEPS by default, `ldvortex minimize --max-iter`
+    sets it); a NaN tol raises InvalidParameters.  The energy trace
     is nonincreasing; a stalled steepest-descent line search returns the
     best state so far with converged=False.
     """
@@ -382,8 +391,7 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
 
 
 def assemble_banded_hessian(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
-                            params: LdParameters, grid: Grid1D,
-                            phase_curvature: bool = False) -> tuple:
+                            params: LdParameters, grid: Grid1D) -> tuple:
     """Assemble the free-DOF Hessian at the raw arrays (f, phi, a) of a
     gauge-fixed state in LAPACK banded storage ab[bw + i - j, j] = H[i, j]
     straight from the stencil, in O(n).
@@ -393,9 +401,8 @@ def assemble_banded_hessian(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
     f diagonal, per gap and node a 4x4 Josephson block, and per gap and
     midpoint a 2x2 field block (their variables are listed above
     _MID_PAIRS), which _scatter_band sums into an exactly symmetric band.
-    Returns (ab, bw), or with phase_curvature (ab, bw, c): c_n is the x-sum
-    of the Josephson phase curvature r p w f_n f_n-1 cos Phi_n of gap n
-    (see _ritz_skips)."""
+    Returns (ab, bw, c): c_n is the x-sum of the Josephson phase curvature
+    r p w f_n f_n-1 cos Phi_n of gap n (see _ritz_skips)."""
     N, M = params.num_gaps, grid.M
     p, kappa, r = params.spacing, params.kappa, params.coupling
     dx = grid.dx
@@ -429,9 +436,7 @@ def assemble_banded_hessian(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
     s = 2.0 * dx / (kappa**2 * p)
     ab = _scatter_band(N, M, np.concatenate([mid.ravel(), node.ravel(), jos.ravel(),
                                              np.array([s, s, -s]).repeat(N * M)]))
-    if phase_curvature:
-        return ab, bw, jpp.sum(axis=1)
-    return ab, bw
+    return ab, bw, jpp.sum(axis=1)
 
 
 def _scatter_band(N: int, M: int, values: np.ndarray) -> np.ndarray:
@@ -488,7 +493,7 @@ def hessian_apply(state: LayeredState, v: np.ndarray, params: LdParameters,
     layout = Layout.build(params.num_gaps, grid.M)
     if v.shape[-1:] != (layout.size,):
         raise ShapeMismatch(f"direction has shape {v.shape}, expected (..., {layout.size})")
-    ab, bw = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
+    ab, bw, _ = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
     return _band_matvec(ab, range(1, bw + 1), v)
 
 
@@ -589,7 +594,7 @@ def inertia(state: LayeredState, params: LdParameters, grid: Grid1D) -> int:
     index, is that of the Schur complement H_pp - H_fp^T X (Haynsworth).
     Otherwise the phases are not the only soft modes, and it raises
     FactorizationFailure."""
-    ab, bw = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
+    ab, bw, _ = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
     pin = Layout.build(params.num_gaps, grid.M).idx_phi[:, grid.M // 2]
     rows = pin[:, None] + np.arange(-bw, bw + 1)  # H[rows[k], pin[k]] = ab[:, pin[k]]
     k = np.arange(pin.size)[:, None]
@@ -629,7 +634,7 @@ class CriticalPoint:
 
 
 def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
-                    tol: float | None = None, max_newton: int = 60) -> CriticalPoint:
+                    tol: float | None = None) -> CriticalPoint:
     """Full Newton iteration on grad(energy) = 0 with a direct banded solve.
 
     Each step assembles the band and solves H d = -g by one banded LU
@@ -638,7 +643,9 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
     non-finite step or a stalled search raises NoConvergence at once, with
     the residual it stopped at.  It finds the point and does not classify
     it: inertia and delta_estimate do that (see harness.census).  It stops
-    at |grad|inf <= tol, stop_tol(params) by default.
+    at |grad|inf <= tol, stop_tol(params) by default, and raises
+    NoConvergence when MAX_NEWTON_STEPS steps, each one banded_solve, do not
+    reach it.
     Requires a gauge-fixed state0 and r > 0: at r = 0 the Hessian has an
     exact N-dimensional kernel.  A NaN tol raises InvalidParameters.
     """
@@ -657,10 +664,10 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
         raise NonFinite("non-finite gradient at the Newton start")
     history = [float(abs(g).max())]
 
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON_STEPS):
         if history[-1] <= tol:
             break
-        ab, _ = assemble_banded_hessian(*layout.unpack(x), params, grid)
+        ab, *_ = assemble_banded_hessian(*layout.unpack(x), params, grid)
         d = banded_solve(ab, -g, False, 0.0)
         if d is None or not np.isfinite(d).all():
             what = "failed" if d is None else "gave a non-finite step"
@@ -675,8 +682,8 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
         history.append(float(abs(g).max()))
 
     if history[-1] > tol:
-        raise NoConvergence(
-            f"Newton used {max_newton} iterations, residual {history[-1]:.3e} > tol {tol:.1e}")
+        raise NoConvergence(f"Newton used {MAX_NEWTON_STEPS} iterations, "
+                            f"residual {history[-1]:.3e} > tol {tol:.1e}")
 
     return CriticalPoint(state=LayeredState(*layout.unpack(x)),
                          residual=history[-1], energy=e,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import InvalidParameters, ShapeMismatch
 from .params import Grid1D, LdParameters, wrap_angle, wrap_to_pi
 from .state import LayeredState
 
@@ -152,7 +152,7 @@ def lift_field_2d(obs: Observables, params: LdParameters,
     from the bottom gap upward; within each gap h is independent of z.
     """
     if nz_per_gap < 1:
-        raise ValueError(f"nz_per_gap must be >= 1, got {nz_per_gap}")
+        raise InvalidParameters(f"nz_per_gap must be >= 1, got {nz_per_gap}")
     N, p = obs.num_gaps, params.spacing
     rows = np.repeat(obs.h, nz_per_gap, axis=0)
     z = (np.arange(N * nz_per_gap) + 0.5) * (p / nz_per_gap)

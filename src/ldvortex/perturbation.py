@@ -347,7 +347,7 @@ def nucleation_field(params: LdParameters, k):
 def nucleation_fields(params: LdParameters, H_max: float) -> list[float]:
     """The fields H_k <= H_max."""
     if H_max <= 0.0:
-        raise ValueError(f"H_max must be positive, got {H_max}")
+        raise InvalidParameters(f"H_max must be positive, got {H_max}")
     last = int(H_max / nucleation_field(params, 1) + 1e-12)
     return [nucleation_field(params, k) for k in range(1, last + 1)]
 

@@ -87,11 +87,6 @@ class LayeredState:
                 f"state shape {self.f.shape} does not match "
                 f"(N+1, M+1) = {(params.num_gaps + 1, grid.M + 1)}")
 
-    def with_fields(self, f=None, phi=None, a=None) -> "LayeredState":
-        return LayeredState(self.f if f is None else f,
-                            self.phi if phi is None else phi,
-                            self.a if a is None else a)
-
 
 @dataclass(frozen=True)
 class Layout:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError
 from .minimize import _scatter_band, assemble_banded_hessian, nearest_eigenvalues
 from .params import Grid1D, LdParameters
-from .state import Layout, zero_coupling_minimizer
+from .state import zero_coupling_minimizer
 
 
 def c0(params: LdParameters) -> float:
@@ -195,26 +195,20 @@ def discrete_norm_matrix(params: LdParameters, grid: Grid1D) -> np.ndarray:
     return _scatter_band(N, M, np.concatenate([mid.ravel(), zero, fld]))
 
 
-def gap_spectrum(params: LdParameters, grid: Grid1D | None = None,
-                 count: int | None = None) -> np.ndarray:
-    """The count (default N+1) smallest generalized eigenvalues of half the
-    Hessian at the r = 0 minimizer against the discrete norm, ascending.
-    The first N vanish (the phase manifold); the (N+1)-th is the measured
-    spectral gap.  The pencil is positive semidefinite, so the eigenvalues
-    nearest GAP_SHIFT < 0 are the smallest, and shift-invert Lanczos
-    computes only those."""
-    if count is None:
-        count = params.num_gaps + 1
+def gap_spectrum(params: LdParameters, grid: Grid1D | None = None) -> np.ndarray:
+    """The N+1 smallest generalized eigenvalues of half the Hessian at the
+    r = 0 minimizer against the discrete norm, ascending.  The first N
+    vanish (the phase manifold); the (N+1)-th is the measured spectral gap.
+    The pencil is positive semidefinite, so the eigenvalues nearest
+    GAP_SHIFT < 0 are the smallest, and shift-invert Lanczos computes only
+    those."""
     base = params.with_coupling(0.0)
     if grid is None:
         grid = Grid1D.build(base)
-    n = Layout.build(base.num_gaps, grid.M).size
-    if not 1 <= count < n:
-        raise ValueError(f"count must be >= 1 and < n = {n}, got {count}")
     state = zero_coupling_minimizer(base, grid)
-    ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, base, grid)
+    ab, *_ = assemble_banded_hessian(state.f, state.phi, state.a, base, grid)
     B = discrete_norm_matrix(base, grid)
-    return nearest_eigenvalues(0.5 * ab, count, GAP_SHIFT, M=B)
+    return nearest_eigenvalues(0.5 * ab, base.num_gaps + 1, GAP_SHIFT, M=B)
 
 
 def numerical_gap(params: LdParameters, grid: Grid1D | None = None) -> float:
@@ -227,15 +221,14 @@ def numerical_gap(params: LdParameters, grid: Grid1D | None = None) -> float:
 # ---------------------------------------------------------------------------
 # Discrete trace inequality.
 
-def trace_inequality_margin(params: LdParameters, M: int = 64,
-                            nz_per_gap: int = 8, n_samples: int = 20,
-                            seed: int = 0) -> float:
+def trace_inequality_margin(params: LdParameters) -> float:
     """Worst ratio of p * sum_n ||a_x(., z_n)||^2 to
-    ((p+1)(N+1)/N) ||a_x||_{H1}^2 over random smooth 2D fields with zero
-    normal trace (a_x = 0 at x = +-L); the inequality holds when <= 1."""
+    ((p+1)(N+1)/N) ||a_x||_{H1}^2 over 20 random smooth 2D fields (seed 0)
+    with zero normal trace (a_x = 0 at x = +-L), on 65 nodes in x and 8
+    intervals per gap in z; the inequality holds when <= 1."""
     N, p, L = params.num_gaps, params.spacing, params.half_width
-    rng = np.random.default_rng(seed)
-    nx = M + 1
+    rng = np.random.default_rng(0)
+    nx, nz_per_gap = 65, 8
     nz = N * nz_per_gap + 1
     x = np.linspace(-L, L, nx)
     z = np.linspace(0.0, N * p, nz)
@@ -246,7 +239,7 @@ def trace_inequality_margin(params: LdParameters, M: int = 64,
     const = (p + 1.0) * (N + 1) / N
 
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(20):
         field2d = np.zeros((nz, nx))
         for mx in range(1, 5):
             for mz in range(0, 4):

@@ -10,7 +10,7 @@ def newton_never_converges(*args, **kwargs):
 
 
 def test_desk_acceptance_passes_in_full_within_budgets():
-    report = run_acceptance("desk-N2", echo=None)
+    report = run_acceptance("desk-N2")
     assert [r.index for r in report.results] == [idx for idx, *_ in CRITERIA]
     for res in report.results:
         assert res.passed, res.line()

@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 
 from ldvortex import harness, perturbation
-from ldvortex.errors import (DegenerateField, InvalidParameters, NoCompleteCycle,
-                             NoConvergence)
+from ldvortex.acceptance import get_preset, run_criterion
+from ldvortex.errors import (DegenerateField, InvalidParameters, LdError,
+                             NoCompleteCycle, NoConvergence)
 from ldvortex.harness import (census, convergence_study, count_interior_maxima,
                               field_sweep, flux_check)
 from ldvortex.minimize import minimize, newton_critical, stop_tol
-from ldvortex.observables import delta_estimate, distance, observables
+from ldvortex.observables import (delta_estimate, distance, lift_field_2d,
+                                  observables)
 from ldvortex.params import Grid1D, LdParameters, default_dx, wrap_to_pi
 from ldvortex.perturbation import (MAX_SEED_GAPS, enumerate_seeds,
-                                   epsilon_and_jumps, seed_state,
-                                   vortex_plane_delta)
+                                   epsilon_and_jumps, nucleation_fields,
+                                   seed_state, vortex_plane_delta)
+from ldvortex.state import uniform_field_state
 from ldvortex.validity import rstar_lower
 
 
@@ -188,6 +191,29 @@ def test_census_without_points_or_descents_fails_cleanly(desk, monkeypatch):
     assert not rec.checks["census_complete"] and not rec.passed
 
 
+def _lift_no_rows(params):
+    grid = Grid1D.build(params)
+    obs = observables(uniform_field_state(params, grid), params, grid)
+    return lift_field_2d(obs, params, 0)
+
+
+@pytest.mark.parametrize("refused", [
+    lambda p: convergence_study(p, [1e-3, 2e-3, 4e-3]),
+    lambda p: convergence_study(p, [0.1, 0.05, 0.01]),
+    lambda p: nucleation_fields(p, 0.0),
+    _lift_no_rows,
+    lambda p: run_criterion(11),
+    lambda p: get_preset("desk-N9"),
+], ids=["r-list-increasing", "r-above-expansion-scale", "nonpositive-H-max",
+        "no-lift-rows", "no-such-criterion", "no-such-preset"])
+def test_refused_input_raises_an_ld_error(refused, desk):
+    """A refusal of outside input is an LdError (InvalidParameters, still a
+    ValueError), which the command line reports with exit code 1."""
+    with pytest.raises(LdError) as info:
+        refused(desk)
+    assert isinstance(info.value, InvalidParameters)
+
+
 def test_census_degenerate_field_raises():
     params = LdParameters(1, 2.0, 0.5, 1.0, math.pi, 1e-3)
     with pytest.raises(DegenerateField):
@@ -289,8 +315,7 @@ def test_field_sweep_jumps_at_wide_sample():
     def kept_energy(H):
         """The lower energy of the two public seed descents at field H."""
         ph = params.with_field(float(H))
-        return min(minimize(start, ph, grid, tol=stop_tol(params),
-                            max_iter=harness.DESCENT_MAX_ITER).energy
+        return min(minimize(start, ph, grid, tol=stop_tol(params)).energy
                    for start in seed_state(ph, grid, [[0.0, 0.0], [math.pi, math.pi]]))
 
     for j in (10, 21):  # H = 3, 4.1
@@ -350,7 +375,7 @@ def test_field_sweep_matches_a_per_field_reference(desk):
     for H in H_grid:
         ph = desk.with_field(float(H))
         grid = Grid1D.build(ph, dx)
-        zero, pi = (minimize(start, ph, grid, tol=tol, max_iter=harness.DESCENT_MAX_ITER)
+        zero, pi = (minimize(start, ph, grid, tol=tol)
                     for start in seed_state(ph, grid, branches))
         best = pi if pi.energy < zero.energy else zero
         obs = observables(best.state, ph, grid)

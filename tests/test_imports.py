@@ -205,3 +205,96 @@ def test_experiment_and_interface_modules_use_public_names_only():
               "import numpy as np\n\n\ndef f():\n    exports._emit(np._core)\n")
     assert _private_sibling_names(sample) == [
         ".: _lapack", ".observables: _fields", "exports._emit", "ldvortex.state: _x"]
+
+
+def _defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, position) of each defaulted parameter of the
+    public module-level functions and public methods of public classes;
+    the position is None for a keyword-only parameter, and counts from the
+    first argument a caller passes (a method's self is not one)."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            fns = [(node, 0)]
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            fns = [(fn, int(not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                    for d in fn.decorator_list)))
+                   for fn in node.body if isinstance(fn, ast.FunctionDef)]
+        else:
+            continue
+        for fn, bound in fns:
+            if fn.name.startswith("_"):
+                continue
+            args = fn.args
+            positional = [a.arg for a in args.posonlyargs + args.args][bound:]
+            first = len(positional) - len(args.defaults)
+            found += [(fn.name, name, i) for i, name in enumerate(positional) if i >= first]
+            found += [(fn.name, a.arg, None)
+                      for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def _calls(source: str) -> list[tuple[str, str, int | None, set[str]]]:
+    """(caller, called name, positional count, keyword names) of each call:
+    the caller is the outermost enclosing def, or <module>, and the count
+    is None when a *args makes it unknown."""
+    found = []
+
+    def visit(node, caller):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and caller == "<module>":
+            caller = node.name
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            count = None if starred else len(node.args)
+            found.append((caller, name, count, {k.arg for k in node.keywords}))
+        for child in ast.iter_child_nodes(node):
+            visit(child, caller)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def _unset_options(package: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """function.parameter for each defaulted parameter of a public function
+    of the package modules that no call in the callers passes, by keyword
+    or by position.  Calls match by the called name.  A call from a private
+    helper of the defining module does not count: a value that only the
+    module's own internals set is no option of its public function."""
+    calls = [(path, *call) for path, source in callers.items() for call in _calls(source)]
+    return sorted(
+        f"{fn}.{param}" for module, source in package.items()
+        for fn, param, pos in _defaulted_parameters(source)
+        if not any(name == fn and not (path == module and caller.startswith("_"))
+                   and (param in keywords or (None not in (pos, count) and count > pos))
+                   for path, caller, name, count, keywords in calls))
+
+
+#: Defaulted parameters that no call in the package or the benchmark sets,
+#: each with its reason.
+UNSET_OPTIONS = {
+    "main.argv": "the console script reads sys.argv; tests pass argv",
+    "rstar_lower.c": "the paper leaves the constant c unspecified; the reports take 1",
+    "f_dip_threshold.C_u": "the paper leaves the constant C_u unspecified; the reports take 1",
+}
+
+
+def test_every_option_is_set_by_a_caller():
+    """A defaulted parameter of a public package function is an option, and
+    an option that no call in the package or the benchmark sets is a
+    constant: each one is passed somewhere in src/ or perfbench/, but for
+    the reasoned entries of UNSET_OPTIONS."""
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    bench = {f"perfbench/{p.name}": p.read_text()
+             for p in sorted((ROOT / "perfbench").glob("*.py"))}
+    assert len(package) >= 14 and len(bench) >= 4
+    assert _unset_options(package, {**package, **bench}) == sorted(UNSET_OPTIONS)
+    sample = {"m.py": "def solve(x, tol=1e-8, steps=10, *, log=None):\n"
+                      "    return _step(x)\n\n\n"
+                      "def _step(x, cap=3):\n    return solve(x, steps=5)\n\n\n"
+                      "class Grid:\n    def refine(self, k=2):\n        return k\n"}
+    caller = ("from m import Grid, solve\n\n\n"
+              "def _cmd():\n    return solve(1, 1e-6), Grid().refine(4)\n")
+    assert _unset_options(sample, {**sample, "cli.py": caller}) == ["solve.log",
+                                                                    "solve.steps"]

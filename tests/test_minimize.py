@@ -14,7 +14,8 @@ from ldvortex.errors import (DomainError, FactorizationFailure,
                              InvalidParameters, NoConvergence, SingularHessian)
 from ldvortex import harness
 from ldvortex.harness import census, field_sweep
-from ldvortex.minimize import (assemble_banded_hessian, banded_solve,
+from ldvortex.minimize import (MAX_DESCENT_STEPS, MAX_NEWTON_STEPS,
+                               assemble_banded_hessian, banded_solve,
                                hessian_apply, inertia, minimize,
                                nearest_eigenvalues, newton_critical, stop_tol)
 from ldvortex.observables import delta_estimate, distance, observables
@@ -59,7 +60,7 @@ def test_newton_nan_tolerance_raises(desk):
 def test_descent_finds_zero_coupling_ground_state(desk, coarse_grid, rng):
     params = desk.with_coupling(0.0)
     rep = minimize(random_low_energy_state(params, coarse_grid, rng),
-                   params, coarse_grid, tol=1e-9, max_iter=6000)
+                   params, coarse_grid, tol=1e-9)
     assert rep.converged
     assert rep.energy <= 1e-8
     obs = observables(rep.state, params, coarse_grid)
@@ -70,7 +71,7 @@ def test_descent_finds_zero_coupling_ground_state(desk, coarse_grid, rng):
 
 def test_descent_reaches_leading_order_energy(desk, desk_grid):
     rep = minimize(uniform_field_state(desk, desk_grid), desk, desk_grid,
-                   tol=1e-9, max_iter=6000)
+                   tol=1e-9)
     assert rep.converged
     lead = 2.0 * desk.num_gaps * desk.spacing * (
         desk.half_width - math.sin(desk.hpl) / (desk.applied_field * desk.spacing)
@@ -96,8 +97,8 @@ def test_newton_quadratic_tail(desk, desk_grid):
     start = zero_coupling_minimizer(desk, desk_grid, vortex_plane_delta(desk))
     phi = start.phi.copy()
     phi[1] += 0.05 * np.sin(np.pi * desk_grid.nodes / desk.half_width)
-    start = start.with_fields(phi=phi)
-    cp = newton_critical(start, desk, desk_grid, tol=1e-12, max_newton=40)
+    start = LayeredState(start.f, phi, start.a)
+    cp = newton_critical(start, desk, desk_grid, tol=1e-12)
     hist = cp.residual_history
     floor = 50.0 * hist[-1] if cp.residual > 0 else 1e-13
     clean = hist[hist > max(floor, 1e-13)]
@@ -109,6 +110,25 @@ def test_newton_quadratic_tail(desk, desk_grid):
     for a, b in zip(hist[:-1], hist[1:]):
         if a < 1e-4 and b > 1e-13:
             assert b <= 1e6 * a * a
+
+
+def test_newton_gives_up_after_its_step_budget(desk, monkeypatch):
+    """Far outside small coupling Newton wanders: on the desk stack at
+    r = 1, dx = 1/20, from the (pi, pi) seed a budget of 60 steps let it
+    converge after 26 banded solves.  It raises NoConvergence after
+    MAX_NEWTON_STEPS steps of one banded_solve each."""
+    solve, calls = minimize_mod.banded_solve, []
+
+    def counted(*args):
+        calls.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(minimize_mod, "banded_solve", counted)
+    params = desk.with_coupling(1.0)
+    grid = Grid1D.build(params, dx=1.0 / 20.0)
+    with pytest.raises(NoConvergence, match=f"Newton used {MAX_NEWTON_STEPS} iterations"):
+        newton_critical(seed_state(params, grid, [math.pi, math.pi]), params, grid)
+    assert len(calls) == MAX_NEWTON_STEPS
 
 
 def test_newton_saddle_with_unit_inertia(desk, desk_grid):
@@ -204,7 +224,7 @@ def test_banded_solve_matches_scipy_bit_for_bit(desk, rng):
                               desk.applied_field, 1e-3)
         grid = Grid1D.build(params, dx=dx)
         state = random_rough_state(params, grid, rng)
-        ab, bw = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
+        ab, bw, _ = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
         singular = ab.copy()
         singular[:, ab.shape[1] // 2] = 0.0  # a zero column
         rhs = rng.standard_normal(ab.shape[1])
@@ -302,7 +322,7 @@ def test_descent_shift_starts_at_a_tenth_of_the_last_accepted(
         start = random_low_energy_state(params, coarse_grid,
                                         np.random.default_rng(seed))
         ladders.clear()
-        rep = minimize(start, params, coarse_grid, max_iter=500)
+        rep = minimize(start, params, coarse_grid)
         assert rep.converged and rep.steepest_steps == 0
         assert len(ladders) == rep.iterations
         skipped = failed = warm = cold = curved = 0
@@ -397,10 +417,7 @@ def test_phase_curvature_is_the_reduced_hessian_at_seeds():
         params = LdParameters(3, 1.0, 0.5, 1.0, 3.0, r)
         grid = Grid1D.build(params, dx=1.0 / 40.0)
         s = seed_state(params, grid, delta)
-        ab, bw, c = assemble_banded_hessian(s.f, s.phi, s.a, params, grid,
-                                            phase_curvature=True)
-        assert np.array_equal(ab, assemble_banded_hessian(s.f, s.phi, s.a,
-                                                          params, grid)[0])
+        _, _, c = assemble_banded_hessian(s.f, s.phi, s.a, params, grid)
         reduced = r * 2.0 * math.sin(params.hpl) / params.applied_field * np.cos(delta)
         errors.append(float(np.max(np.abs(c - reduced)) / np.max(np.abs(reduced))))
     assert errors[0] <= 0.05 and errors[1] <= errors[0] / 5.0
@@ -496,7 +513,7 @@ def test_inertia_matches_dense_reference(desk):
               for seed in seed_state(desk, grid, enumerate_seeds(desk)[0])]
     counts = []
     for state in states:
-        ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, desk, grid)
+        ab, *_ = assemble_banded_hessian(state.f, state.phi, state.a, desk, grid)
         counts.append(inertia(state, desk, grid))
         assert counts[-1] == int(np.sum(np.linalg.eigvalsh(_dense(ab)) < 0.0))
     assert sorted(counts) == [0, 1, 1, 2]
@@ -554,7 +571,7 @@ def test_schur_inertia_is_the_morse_index(N, L, r, caplog):
               for seed in seed_state(params, grid, enumerate_seeds(params)[0])]
     states += [random_low_energy_state(params, grid, rng) for _ in range(3)]
     for state in states:
-        ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
+        ab, *_ = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
         dense = _dense(ab)
         with caplog.at_level(logging.DEBUG, logger="ldvortex"):
             caplog.clear()
@@ -567,7 +584,7 @@ def test_schur_inertia_is_the_morse_index(N, L, r, caplog):
 def test_nearest_eigenvalues_repeat_bit_for_bit(desk, rng):
     grid = Grid1D.build(desk, dx=1.0 / 16.0)
     state = random_rough_state(desk, grid, rng)
-    ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, desk, grid)
+    ab, *_ = assemble_banded_hessian(state.f, state.phi, state.a, desk, grid)
     eye = _identity_band(ab)
     first = nearest_eigenvalues(ab, desk.num_gaps + 1, 0.0, eye)
     second = nearest_eigenvalues(ab, desk.num_gaps + 1, 0.0, eye)
@@ -601,7 +618,7 @@ def test_nearest_eigenvalues_of_rough_bands_match_dense(N, dx):
     rng = np.random.default_rng(N)
     for _ in range(4):
         state = random_rough_state(params, grid, rng)
-        ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
+        ab, *_ = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
         eigs = nearest_eigenvalues(ab, N + 1, 0.0, _identity_band(ab))
         dense = np.linalg.eigvalsh(_dense(ab))
         ref = np.sort(dense[np.argsort(np.abs(dense))[:N + 1]])
@@ -613,7 +630,7 @@ def test_nearest_eigenvalues_of_rough_bands_match_dense(N, dx):
 def test_eigensolve_logs_its_basis_and_residual(desk, rng, caplog):
     grid = Grid1D.build(desk, dx=1.0 / 16.0)
     state = random_rough_state(desk, grid, rng)
-    ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, desk, grid)
+    ab, *_ = assemble_banded_hessian(state.f, state.phi, state.a, desk, grid)
     with caplog.at_level(logging.DEBUG, logger="ldvortex"):
         nearest_eigenvalues(ab, 3, 0.0, _identity_band(ab))
     [line] = caplog.messages
@@ -659,7 +676,7 @@ def test_banded_assembly_matches_hessian_apply(desk, rng):
                                                  params, grid)[1]).imag / 1e-30
                       for e in np.eye(n)]).T  # column j is the step along e_j
 
-        ab, bw = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
+        ab, bw, _ = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
         assert ab.shape == (2 * bw + 1, n)
         band = _dense(ab)
         assert np.max(np.abs(band - H)) <= 1e-13 * np.max(np.abs(H))
@@ -718,16 +735,16 @@ def test_solvers_refuse_a_state_that_is_not_gauge_fixed(desk, rng):
 def test_minimize_energy_not_above_start(desk, desk_grid, rng):
     state = random_low_energy_state(desk, desk_grid, rng)
     e0 = total_energy(state, desk, desk_grid).total
-    rep = minimize(state, desk, desk_grid, tol=1e-6, max_iter=500)
+    rep = minimize(state, desk, desk_grid, tol=1e-6)
     assert rep.energy <= e0
     assert np.all(np.diff(rep.energy_trace) <= 1e-15)
 
 
 def test_newton_tail_finishes_random_descent(desk, desk_grid, rng):
     rep = minimize(random_low_energy_state(desk, desk_grid, rng), desk,
-                   desk_grid, tol=1e-8, max_iter=1000)
+                   desk_grid, tol=1e-8)
     assert rep.converged
-    assert rep.iterations <= 1000
+    assert rep.iterations <= MAX_DESCENT_STEPS
     assert rep.newton_steps >= 1
     assert rep.to_dict()["newton_steps"] == rep.newton_steps
     assert np.all(np.diff(rep.energy_trace) <= 0.0)
@@ -745,7 +762,7 @@ def test_failed_newton_direction_falls_back_to_one_steepest_step(
     monkeypatch.setattr(minimize_mod, "_shifted_newton", first_fails)
     with caplog.at_level(logging.DEBUG, logger="ldvortex"):
         rep = minimize(random_low_energy_state(desk, desk_grid, rng), desk,
-                       desk_grid, tol=1e-8, max_iter=500)
+                       desk_grid, tol=1e-8)
     assert rep.converged
     assert rep.steepest_steps == 1
     assert rep.newton_steps == rep.iterations - 1 >= 1
@@ -782,7 +799,7 @@ def test_newton_tail_shifts_singular_zero_coupling_hessian(desk, coarse_grid,
     monkeypatch.setattr(minimize_mod, "banded_solve", counted)
     params = desk.with_coupling(0.0)
     rep = minimize(random_low_energy_state(params, coarse_grid, rng),
-                   params, coarse_grid, tol=1e-9, max_iter=1000)
+                   params, coarse_grid, tol=1e-9)
     assert rep.converged
     assert rep.newton_steps >= 1
     assert False in outcomes  # the unshifted Hessian did not factor
@@ -798,7 +815,7 @@ def test_newton_tail_converges_stalled_n3_census_descent(desk):
     grid = Grid1D.build(params, dx=1.0 / 30.0)
     start = random_low_energy_state(params, grid,
                                     np.random.default_rng(34 * 100003 + 17 * 28))
-    rep = minimize(start, params, grid, tol=1e-8, max_iter=500)
+    rep = minimize(start, params, grid, tol=1e-8)
     assert rep.converged
     assert rep.newton_steps >= 1
     assert np.all(np.diff(rep.energy_trace) <= 0.0)
@@ -809,7 +826,7 @@ def test_descent_steps_off_a_phase_saddle_it_crept_along(monkeypatch):
     cloud of tests/test_harness.py: N = 2, r = 8.3e-6.  With the first
     nonzero rung at 1e-8 max|diag H|, far above the negative phase
     curvature, this descent crept along a phase saddle and used all
-    DESCENT_MAX_ITER = 500 steps, ending at |g|inf = 1.3e-9 above the
+    MAX_DESCENT_STEPS = 500 steps, ending at |g|inf = 1.3e-9 above the
     rule's 2.5e-11.  With the rung at twice that curvature it converges
     in a few steps."""
     params = LdParameters(2, 4.235947557871251, 0.6923080891850031,
@@ -825,7 +842,7 @@ def test_descent_steps_off_a_phase_saddle_it_crept_along(monkeypatch):
         return rungs[-1][0]
 
     monkeypatch.setattr(minimize_mod, "_first_rung", recorded)
-    rep = minimize(start, params, grid, max_iter=harness.DESCENT_MAX_ITER)
+    rep = minimize(start, params, grid)
     assert rep.converged and rep.grad_norm <= stop_tol(params) == 3e-6 * params.coupling
     assert rep.iterations <= 20 and rep.steepest_steps == 0
     assert any(rung < floor for rung, floor in rungs)

@@ -5,10 +5,11 @@ import pytest
 import scipy.linalg as sla
 
 from ldvortex.errors import DomainError
-from ldvortex.minimize import assemble_banded_hessian
+from ldvortex.minimize import assemble_banded_hessian, nearest_eigenvalues
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.state import Layout, zero_coupling_minimizer
-from ldvortex.validity import (c0, discrete_norm_matrix, energy_bound_coefficient,
+from ldvortex.validity import (GAP_SHIFT, c0, discrete_norm_matrix,
+                               energy_bound_coefficient,
                                f_dip_threshold, gap_spectrum, k_factor,
                                lambda_lower, lambda_upper, numerical_gap,
                                rstar_lower, trace_inequality_margin,
@@ -97,8 +98,7 @@ def test_numerical_gap_stable_under_refinement():
 
 def test_gap_spectrum_kernel_dimension(desk):
     params = desk.with_coupling(0.0)
-    eigs = gap_spectrum(params, Grid1D.build(params, dx=1.0 / 24.0),
-                        count=params.num_gaps + 2)
+    eigs = gap_spectrum(params, Grid1D.build(params, dx=1.0 / 24.0))
     assert np.all(np.abs(eigs[:params.num_gaps]) <= 1e-10)
     assert eigs[params.num_gaps] > 1e-3
 
@@ -110,24 +110,29 @@ def _dense(ab: np.ndarray) -> np.ndarray:
                for k in range(-bw, bw + 1))
 
 
-def _dense_pencil(params, grid):
-    """Half the r = 0 Hessian and the norm matrix, both dense."""
+def _banded_pencil(params, grid):
+    """The bands of gap_spectrum's pencil: half the r = 0 Hessian and the
+    norm matrix."""
     state = zero_coupling_minimizer(params, grid)
-    ab, _ = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
-    return 0.5 * _dense(ab), _dense(discrete_norm_matrix(params, grid))
+    ab, *_ = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
+    return 0.5 * ab, discrete_norm_matrix(params, grid)
 
 
 def test_gap_spectrum_matches_dense_pencil(desk):
     params = desk.with_coupling(0.0)
     grid = Grid1D.build(params, dx=1.0 / 16.0)
     N = params.num_gaps
-    Q, B = _dense_pencil(params, grid)
-    ref = sla.eigh(Q, B, eigvals_only=True)[:N + 2]
-    eigs = gap_spectrum(params, grid, count=N + 2)
+    Q, B = _banded_pencil(params, grid)
+    ref = sla.eigh(_dense(Q), _dense(B), eigvals_only=True)[:N + 2]
+    eigs = nearest_eigenvalues(Q, N + 2, GAP_SHIFT, B)
     assert np.all(np.abs(eigs[:N] - ref[:N]) <= 1e-10)
     assert np.all(np.abs(eigs[N:] - ref[N:]) <= 1e-10 * ref[N:])
-    assert np.array_equal(eigs, gap_spectrum(params, grid, count=N + 2))
-    assert gap_spectrum(params, grid).shape == (N + 1,)
+    gap = gap_spectrum(params, grid)
+    assert gap.shape == (N + 1,)
+    assert np.all(np.abs(gap[:N] - ref[:N]) <= 1e-10)
+    assert abs(gap[N] - ref[N]) <= 1e-10 * ref[N]
+    assert np.array_equal(gap, gap_spectrum(params, grid))
+    assert np.array_equal(gap, nearest_eigenvalues(Q, N + 1, GAP_SHIFT, B))
 
 
 @pytest.mark.parametrize("N, dx", [(1, 1.0 / 16.0), (1, 1.0 / 24.0),
@@ -138,32 +143,25 @@ def test_gap_pencil_matches_dense_eigh(N, dx):
     zero modes to 1e-10 absolute, the next two to 1e-10 relative."""
     params = LdParameters(N, 1.0, 0.5, 1.0, 3.0, 0.0)
     grid = Grid1D.build(params, dx=dx)
-    Q, B = _dense_pencil(params, grid)
-    ref = sla.eigh(Q, B, eigvals_only=True)[:N + 2]
-    eigs = gap_spectrum(params, grid, count=N + 2)
+    Q, B = _banded_pencil(params, grid)
+    ref = sla.eigh(_dense(Q), _dense(B), eigvals_only=True)[:N + 2]
+    eigs = nearest_eigenvalues(Q, N + 2, GAP_SHIFT, B)
     assert np.all(np.abs(eigs[:N]) <= 1e-10)
     assert np.all(np.abs(eigs[:N] - ref[:N]) <= 1e-10)
     assert np.all(np.abs(eigs[N:] - ref[N:]) <= 1e-10 * ref[N:])
 
 
-def test_gap_spectrum_takes_every_count_below_size():
-    """count = n - 1, the largest count taken, runs the Lanczos basis up to
-    the whole space."""
+def test_nearest_eigenvalues_takes_every_count_below_size():
+    """n - 1 eigenvalues of the gap pencil run the Lanczos basis up to the
+    whole space."""
     params = LdParameters(1, 1.0, 0.5, 1.0, 3.0, 0.0)
     grid = Grid1D.build(params, dx=0.25)
     n = Layout.build(1, grid.M).size
-    Q, B = _dense_pencil(params, grid)
-    ref = sla.eigh(Q, B, eigvals_only=True)[:n - 1]
-    eigs = gap_spectrum(params, grid, count=n - 1)
+    Q, B = _banded_pencil(params, grid)
+    ref = sla.eigh(_dense(Q), _dense(B), eigvals_only=True)[:n - 1]
+    eigs = nearest_eigenvalues(Q, n - 1, GAP_SHIFT, B)
     assert eigs.shape == (n - 1,)
     assert np.all(np.abs(eigs - ref) <= 1e-10 * np.maximum(np.abs(ref), 1.0))
-
-
-def test_gap_spectrum_rejects_count_at_size(desk):
-    grid = Grid1D.build(desk, dx=1.0 / 16.0)
-    n = Layout.build(desk.num_gaps, grid.M).size
-    with pytest.raises(ValueError, match="count must be"):
-        gap_spectrum(desk, grid, count=n)
 
 
 def test_norm_matrix_is_spd():
@@ -189,7 +187,7 @@ def test_norm_matrix_is_spd():
 
 
 def test_trace_inequality_on_random_fields(desk):
-    margin = trace_inequality_margin(desk, n_samples=20, seed=3)
+    margin = trace_inequality_margin(desk)
     assert margin <= 1.0
 
 
