@@ -8,39 +8,36 @@ one plane away.  The band is the one Hessian of the package, assembled
 straight from the stencil: every energy term is local, so its second
 derivatives form small dense blocks that one bincount sums into the band
 in O(n).  hessian_apply is its product with packed directions.
-Minimization and the saddle search share the band, its one-call LAPACK
-solve (banded_solve) and one Armijo backtracking search (_armijo).  A
-descent step raises a Levenberg shift mu until H + mu I factors by Cholesky
-(dpbsv) and searches on the energy; a Newton step solves H d = -g once by
-banded LU (dgbsv), as saddles make H indefinite, and searches on |grad|^2.
-Only the descent shifts, starting each step at a tenth of the shift the
-last one accepted.  Each trial point costs one call of the energy kernel
-(energy.energy_arrays), whose gradient the accepted trial hands to the next
-step.  Descent takes Newton steps because the Hessian mixes N eigenvalues of
-size O(r) along the phase torus with stiff modes of size O(1/(kappa dx)^2),
-which a gradient-based descent crawls across.  For the same reason every
-solve stops by one rule scaled with r, stop_tol.
+Minimization and the saddle search share the band, its one-call LAPACK solve
+(banded_solve) and one Armijo backtracking search (_armijo).  A descent step
+raises a Levenberg shift mu until H + mu I factors by Cholesky (dpbsv) and
+searches on the energy; a Newton step solves H d = -g once by banded LU
+(dgbsv), as saddles make H indefinite, and searches on |grad|^2.  Each trial
+point costs one call of the energy kernel (energy.energy_arrays), whose
+gradient the accepted trial hands to the next step.  Descent takes Newton
+steps because the Hessian mixes N eigenvalues of size O(r) along the phase
+torus with stiff modes of size O(1/(kappa dx)^2), which a gradient-based
+descent crawls across.  For the same reason every solve stops by one rule:
+stop_tol on the residual, scaled with r, and CORRECTION_TOL on the Newton
+correction from the last step's factor.
 
-Those N soft modes also say which shifts cannot factor.  The plane-constant
-phase vectors have the Ritz matrix K/(M+1), K = D^T diag(c) D with D the gap
-difference and c_n the x-sum of the Josephson curvature
+Those N soft modes also say where the descent's shift starts.  The
+plane-constant phase vectors have the Ritz matrix K/(M+1), K = D^T diag(c) D
+with D the gap difference and c_n the x-sum of the Josephson curvature
 r p w f_n f_n-1 cos Phi_n; at a seed c_n = r (2 sin HpL / H) cos delta_n +
 O(r^2), so K/r is the discrete form of the paper's reduced Hessian
 T^T diag((2 sin HpL / H) cos delta_n) T.  Since lambda_min(H) <=
-lambda_min(K)/(M+1), the descent skips every shift that an O(N)
-LDL^T of K/(M+1) + mu I proves indefinite beyond rounding, instead of
-failing a factorization on it (More & Sorensen 1983 choose shifts from such
-curvature bounds); a skip changes no accepted shift.  Where K/(M+1) has a
-negative eigenvalue within the first nonzero shift, that shift becomes
-twice the eigenvalue's size, so the step leaves the saddle along the
-negative mode instead of creeping off it at |g|/mu per step (More &
-Sorensen, Math. Prog. 16 (1979) 1; Nocedal & Wright (2006) 3.4).
+lambda_min(K)/(M+1), no shift below -lambda_min(K)/(M+1) factors; each step
+starts at twice that bound or at a tenth of the last accepted shift,
+whichever is larger, so next to a saddle of the reduced energy it leaves
+along the negative mode instead of creeping off it at |g|/mu per step (More
+& Sorensen, Math. Prog. 16 (1979) 1; Nocedal & Wright (2006) 3.4).
 
 Inertia is the discrete Lyapunov-Schmidt reduction: with one phase per plane
 pinned, a Hessian whose other block factors by Cholesky has the inertia of
 the NxN Schur complement on the pinned phases (Haynsworth), the Morse index
 from one banded solve; where that block is indefinite, inertia raises.
-Shift-invert Lanczos on a banded LU (nearest_eigenvalues) solves the
+Shift-invert Lanczos on a banded Cholesky (nearest_eigenvalues) solves the
 spectral-gap pencil.  SciPy stays off the import path: every LAPACK driver
 comes from _lapack (scipy.linalg._flapack without scipy.linalg), and no
 other SciPy module loads.  banded_solve and nearest_eigenvalues run with
@@ -81,9 +78,14 @@ MAX_DESCENT_STEPS = 500
 #: from its point Newton converges quadratically in a step or two; a run
 #: still short of tol after this many steps has lost its point.
 MAX_NEWTON_STEPS = 12
+#: The distance half of the stopping rule: the simplified Newton correction
+#: |F^-1 g|inf, F the factor of the last step, estimates the distance to the
+#: critical point (Deuflhard, Newton Methods for Nonlinear Problems, 2004,
+#: 2.1), and the census matches descent ends within 1e-3 of a point
+#: (match_threshold): 1e-5 keeps each end a hundred times inside that.
+CORRECTION_TOL = 1e-5
 LANCZOS_MAX_BASIS = 200  # Lanczos vectors before nearest_eigenvalues gives up
-EPS = float(np.finfo(float).eps)
-LANCZOS_TOL = EPS  # relative Ritz residual estimate
+LANCZOS_TOL = float(np.finfo(float).eps)  # relative Ritz residual estimate
 
 log = logging.getLogger("ldvortex")
 
@@ -131,12 +133,14 @@ def _band_index_cached(N: int, M: int) -> np.ndarray:
 
 
 def _flat_functions(params: LdParameters, grid: Grid1D, layout: Layout):
-    """The kernel over packed free DOFs: x -> (energy, gradient), one
-    energy_arrays call."""
+    """The kernel over packed free DOFs: x -> (energy, gradient, (f, phi,
+    a)), one energy_arrays call; the band and the final state reuse the
+    unpacked arrays."""
 
-    def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
-        (b, j, fl), grads = energy_arrays(*layout.unpack(x), params, grid)
-        return b + j + fl, layout.pack(*grads)
+    def fun(x: np.ndarray) -> tuple[float, np.ndarray, tuple]:
+        fields = layout.unpack(x)
+        (b, j, fl), grads = energy_arrays(*fields, params, grid)
+        return b + j + fl, layout.pack(*grads), fields
 
     return fun
 
@@ -145,8 +149,8 @@ def _flat_functions(params: LdParameters, grid: Grid1D, layout: Layout):
 class MinimizeReport:
     """Descent outcome with the full per-iteration trace.  Every iteration
     is a Newton or a steepest-descent step; levenberg_shifts counts the
-    Cholesky factorizations that failed and raised the shift, and
-    skipped_shifts the shifts raised without one (see _shifted_newton)."""
+    Cholesky factorizations that failed; correction is the final Newton
+    correction (NaN where none was taken)."""
 
     state: LayeredState
     iterations: int
@@ -160,7 +164,7 @@ class MinimizeReport:
     newton_steps: int = 0
     steepest_steps: int = 0
     levenberg_shifts: int = 0
-    skipped_shifts: int = 0
+    correction: float = math.nan
 
     def to_dict(self) -> dict:
         return {"iterations": self.iterations, "grad_norm": self.grad_norm,
@@ -169,22 +173,22 @@ class MinimizeReport:
                 "newton_steps": self.newton_steps,
                 "steepest_steps": self.steepest_steps,
                 "levenberg_shifts": self.levenberg_shifts,
-                "skipped_shifts": self.skipped_shifts}
+                "correction": self.correction}
 
 
 def _armijo(fun, merit, x: np.ndarray, m: float, d: np.ndarray, slope: float):
     """Backtrack t = 1, 1/2, ... along d, one kernel call fun(x + t d) =
-    (e, g) per trial, until merit(e, g) (the energy for minimize, |g|^2 for
-    newton_critical) drops below m by at least ARMIJO_C * t * slope; returns
-    (x_new, e_new, g_new, t), or None on a stall."""
-    t = 1.0
+    (e, g, fields) per trial, until merit(e, g) (the energy for minimize,
+    |g|^2 for newton_critical) drops below m by at least ARMIJO_C * t *
+    slope; returns (x_new, e_new, g_new, fields, t), or None on a stall."""
+    t, x_new = 1.0, x + d
     for _ in range(MAX_BACKTRACKS):
-        x_new = x + t * d
-        e_new, g_new = fun(x_new)
+        e_new, g_new, fields = fun(x_new)
         m_new = merit(e_new, g_new)
         if math.isfinite(m_new) and m_new <= m + ARMIJO_C * t * slope:
-            return x_new, e_new, g_new, t
+            return x_new, e_new, g_new, fields, t
         t *= BACKTRACK
+        x_new = x + t * d
     return None
 
 
@@ -198,109 +202,80 @@ def _residual_merit(e: float, g: np.ndarray) -> float:
 
 @one_blas_thread
 def banded_solve(ab: np.ndarray, rhs: np.ndarray, definite: bool,
-                 mu: float) -> np.ndarray | None:
+                 mu: float) -> tuple | None:
     """Solve (H + mu I) x = rhs for H in the (2*bw+1, n) band of
     assemble_banded_hessian, factoring and solving in one LAPACK driver
     call: dpbsv on the upper half when definite (its success is the
     positive-definiteness test), dgbsv otherwise.  These are the routines
     that scipy.linalg's cholesky_banded/cho_solve_banded and solve_banded
     call, so x is the same to the bit; no finiteness check is made.
-    Returns None when the factorization fails.  Runs on one OpenBLAS
-    thread: at bandwidth 27 (N = 8) two threads make dpbsv several times
-    slower."""
+    Returns (x, resolve), resolve(b) = (H + mu I)^-1 b by one dpbtrs or
+    dgbtrs on the factor dpbsv or dgbsv made, or None when the factorization
+    fails.  Runs on one OpenBLAS thread: at bandwidth 27 (N = 8) two
+    threads make dpbsv several times slower."""
     bw = (ab.shape[0] - 1) // 2
     if definite:
         upper = np.array(ab[:bw + 1], order="F")
         upper[bw] += mu
-        _, x, info = flapack.dpbsv(upper, rhs, overwrite_ab=True)
+        factor, x, info = flapack.dpbsv(upper, rhs, overwrite_ab=True)
+
+        def resolve(b):
+            return flapack.dpbtrs(factor, b)[0]
     else:
         full = np.zeros((3 * bw + 1, ab.shape[1]), order="F")  # bw fill rows
         full[bw:] = ab
         full[2 * bw] += mu
-        _, _, x, info = flapack.dgbsv(bw, bw, full, rhs, overwrite_ab=True)
-    return x if info == 0 else None
+        lu, piv, x, info = flapack.dgbsv(bw, bw, full, rhs, overwrite_ab=True)
 
-
-def _ritz_skips(c: list[float], m: int, shift: float) -> bool:
-    """True when K/m + shift I is proven indefinite, K = D^T diag(c) D the
-    tridiagonal phase curvature (D the gap difference, phi_0 = 0): one LDL^T
-    meets a negative pivot before a zero one, so K/m has an eigenvalue
-    below -shift.  O(N), and a zero pivot leaves it undecided."""
-    d, b = 1.0, 0.0
-    for ck, nxt in zip(c, c[1:] + [0.0]):
-        d = (ck + nxt) / m + shift - b * b / d
-        if d <= 0.0:
-            return d < 0.0
-        b = nxt / m
-    return False
+        def resolve(b):
+            return flapack.dgbtrs(lu, bw, bw, b, piv)[0]
+    return (x, resolve) if info == 0 else None
 
 
 def stop_tol(params: LdParameters) -> float:
-    """The stopping rule of every solve: |grad|inf <= 3e-6 r, clipped to
-    [3e-12, 1e-9].  Near a critical point the N phase modes have curvature
-    O(r), so a residual g leaves the phases O(g / r) from the point; the
-    rule holds that to O(3e-6) for r >= 1e-6, and its floor stays far above
-    the rounding of the gradient."""
+    """The residual half of the stopping rule of every solve, |grad|inf <=
+    3e-6 r clipped to [3e-12, 1e-9]; CORRECTION_TOL is the other half.  The
+    phase modes have curvature O(r), so a residual g leaves the phases
+    O(g / r) from the point, which the correction measures; the floor stays
+    far above the rounding of the gradient.  At r = 0 H has an exact kernel,
+    and the correction uses the shifted factor that the descent accepted."""
     return max(3e-12, min(1e-9, 3e-6 * params.coupling))
 
 
-def _first_rung(c: list[float], m: int, floor: float) -> float:
-    """The first nonzero shift of the Levenberg ladder: floor, or
-    2 |lambda_min(K/m)| when the sign test of _ritz_skips proves
-    -floor <= lambda_min(K/m) < 0, from the upper end of a bisection on
-    that test that brackets lambda_min to 1 % (at most 64 steps)."""
-    if not _ritz_skips(c, m, 0.0) or _ritz_skips(c, m, floor):
-        return floor
-    lo, hi = 0.0, floor
-    for _ in range(64):
-        if hi - lo <= 0.01 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if _ritz_skips(c, m, mid) else (lo, mid)
-    return 2.0 * hi
+def _correction(resolve, g: np.ndarray) -> float:
+    """|F^-1 g|inf through resolve from banded_solve, NaN without one."""
+    return float(abs(resolve(g)).max()) if resolve else math.nan
 
 
-def _shifted_newton(x: np.ndarray, g: np.ndarray, params: LdParameters,
-                    grid: Grid1D, layout: Layout, counts: dict[str, int],
-                    mu_last: float = 0.0) -> tuple[np.ndarray | None, float]:
+def _shifted_newton(fields: tuple, g: np.ndarray, params: LdParameters,
+                    grid: Grid1D, counts: dict[str, int],
+                    mu_last: float = 0.0) -> tuple:
     """The descent step: solve (H + mu I) d = -g by Cholesky on the banded
-    Hessian at x, assembled once.  mu starts at mu_last / 10, or at 0 when
-    that is below the first nonzero shift, and rises to that shift from 0,
-    then x10 each time, until banded_solve factors, at most MAX_SHIFTS
-    rungs.  The first nonzero shift is 1e-8 max|diag H|, or twice the size
-    of a negative eigenvalue of the phase Ritz matrix below that lies
-    within it (_first_rung).
-
-    A rung is skipped, not factored, when the phase modes prove H + mu I
-    indefinite: the N plane-constant phase vectors (M+1 ones each) have the
-    Ritz matrix K/(M+1), K = D^T diag(c) D with c from
-    assemble_banded_hessian, and lambda_min(H) <= lambda_min(K)/(M+1).
-    The test adds the rounding margin (bw+1)^3 eps (max|diag H| + mu), which
-    bounds both the backward error of a banded Cholesky that succeeds
-    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3) and
-    the rounding of the band, so a skipped rung is one that banded_solve
-    refuses, and the accepted shift is the same.  At r = 0, K = 0 and every
-    rung is factored.  Each failed factorization adds one to
-    counts["shifts"], each skipped rung one to counts["skipped"].  Returns
-    (d, mu) with the shift that factored, or (None, mu_last) if no shift
-    factors or d is not finite; raises NonFinite for a non-finite band."""
-    ab, bw, c = assemble_banded_hessian(*layout.unpack(x), params, grid)
-    if not np.isfinite(ab).all():
+    Hessian at (f, phi, a), assembled once.  mu starts at the larger of
+    mu_last / 10 (0 below the floor 1e-8 max|diag H|) and
+    2 max(0, -lambda_K), and rises to max(floor, 10 mu) each time
+    banded_solve refuses it (one more in counts["shifts"]), at most
+    MAX_SHIFTS rungs.  lambda_K, the smallest eigenvalue of the Ritz matrix
+    K/(M+1) of the N plane-constant phase vectors, is one dstev (c_0/(M+1)
+    at N = 1); as lambda_min(H) <= lambda_K, no lower shift factors.  At
+    r = 0, K = 0 and the floor shifts the kernel of H.  Returns (solved, mu),
+    solved = (d, resolve) from banded_solve at the shift mu, or
+    (None, mu_last) if no shift factors or d is not finite; raises
+    NonFinite for a non-finite band."""
+    ab, bw, c = assemble_banded_hessian(*fields, params, grid)
+    if not np.isfinite(ab[:bw + 1]).all():  # the upper half holds every entry
         raise NonFinite("non-finite Hessian band")
-    scale = float(abs(ab[bw]).max())
-    margin = (bw + 1) ** 3 * EPS
-    ritz, m = c.tolist(), layout.M + 1
-    first = _first_rung(ritz, m, 1e-8 * (scale or 1.0))
-    mu = mu_last / 10.0 if mu_last / 10.0 >= first else 0.0
+    floor = 1e-8 * (float(abs(ab[bw]).max()) or 1.0)
+    e = -c[1:]  # K = D^T diag(c) D: off-diagonal -c_n+1, diagonal c_n + c_n+1
+    c[:-1] -= e
+    lam = (flapack.dstev(c, e, compute_v=0)[0][0] if e.size else c[0]) / (grid.M + 1)
+    mu = max(mu_last / 10.0 if mu_last / 10.0 >= floor else 0.0, -2.0 * float(lam))
     for _ in range(MAX_SHIFTS):
-        if _ritz_skips(ritz, m, mu + margin * (scale + mu)):
-            counts["skipped"] += 1
-        else:
-            d = banded_solve(ab, -g, True, mu)
-            if d is not None:
-                return (d, mu) if np.isfinite(d).all() else (None, mu_last)
-            counts["shifts"] += 1
-        mu = first if mu == 0.0 else 10.0 * mu
+        solved = banded_solve(ab, -g, True, mu)
+        if solved is not None:
+            return (solved, mu) if np.isfinite(solved[0]).all() else (None, mu_last)
+        counts["shifts"] += 1
+        mu = max(floor, 10.0 * mu)
     return None, mu_last
 
 
@@ -311,22 +286,25 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
 
     Each step solves the Levenberg-shifted banded Newton system (see
     _shifted_newton, Cholesky), starting from a tenth of the shift the last
-    step accepted (the Levenberg-Marquardt damping update) and skipping the
-    shifts the phase modes prove indefinite, and backtracks along it on the
-    energy.  When no shift factors, the direction is not a descent
-    direction or its line search stalls, the step is one steepest-descent
-    step under the same line search instead.  Every step lowers the energy,
-    and the descent ends where |g|inf <= tol: a minimum from a generic
-    start, but from a seed next to a saddle possibly that saddle (below
-    H_1 the desk stack's delta = pi seed stops at its index-2 saddle in
-    one step).
+    step accepted (the Levenberg-Marquardt damping update) or from twice the
+    negative phase curvature, and backtracks along it on the energy.  When
+    no shift factors, the direction is not a descent direction or its line
+    search stalls, the step is one steepest-descent step under the same
+    line search instead.  Every step lowers the energy, and the descent ends
+    by the stopping rule: a minimum from a generic start, but from a seed
+    next to a saddle possibly that saddle (below H_1 the desk stack's
+    delta = pi seed stops at its index-2 saddle in one step).
 
-    state0 must be gauge fixed.  Terminates when the sup-norm of the
-    gradient drops to tol (stop_tol(params) by default) or after max_iter
-    steps (MAX_DESCENT_STEPS by default, `ldvortex minimize --max-iter`
-    sets it); a NaN tol raises InvalidParameters.  The energy trace
-    is nonincreasing; a stalled steepest-descent line search returns the
-    best state so far with converged=False.
+    state0 must be gauge fixed.  The descent stops where |g|inf <= tol
+    (stop_tol(params) by default) and the simplified Newton correction
+    |F^-1 g|inf, F the last step's Cholesky factor (shifted where H is
+    not definite, as at r = 0), is at most CORRECTION_TOL; a start within
+    tol has no factor and is returned as it is.  It stops short after
+    max_iter steps (MAX_DESCENT_STEPS by default, `ldvortex minimize
+    --max-iter` sets it); a NaN tol raises InvalidParameters.  The energy
+    trace is nonincreasing; a stalled steepest-descent line search returns
+    the best state so far with converged=False.  At debug level it logs
+    |g|inf, mu, t and the correction of every step.
     """
     tol = stop_tol(params) if tol is None else tol
     if math.isnan(tol):
@@ -336,21 +314,25 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
     fun = _flat_functions(params, grid, layout)
 
     x = layout.pack_state(state0)
-    e, g = fun(x)
+    e, g, fields = fun(x)
     if not (math.isfinite(e) and np.isfinite(g).all()):
         raise NonFinite("non-finite energy or gradient at the start state")
 
     energies = [e]
     gnorms = [float(abs(g).max())]
     steps: list[float] = []
-    counts = {"newton": 0, "steepest": 0, "shifts": 0, "skipped": 0}
+    counts = {"newton": 0, "steepest": 0, "shifts": 0}
     failures = 0
     iterations = 0
     mu = 0.0
+    correction = math.nan
+    done = gnorms[-1] <= tol
+    debug = log.isEnabledFor(logging.DEBUG)
 
-    while gnorms[-1] > tol and iterations < max_iter:
+    while not done and iterations < max_iter:
         step = None
-        d, mu = _shifted_newton(x, g, params, grid, layout, counts, mu_last=mu)
+        solved, mu = _shifted_newton(fields, g, params, grid, counts, mu_last=mu)
+        d, resolve = solved or (None, None)
         slope = float(g @ d) if d is not None else 0.0
         if slope < 0.0:
             step = _armijo(fun, _energy_merit, x, e, d, slope)
@@ -362,23 +344,29 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
                 failures += 1
                 break
             counts["steepest"] += 1
-        x, e, g, t = step
+        x, e, g, fields, t = step
         if not np.isfinite(g).all():
             raise NonFinite("non-finite gradient during descent")
         iterations += 1
         energies.append(e)
         gnorms.append(float(abs(g).max()))
         steps.append(t)
+        correction = _correction(resolve, g) if gnorms[-1] <= tol or debug else math.nan
+        done = gnorms[-1] <= tol and correction <= CORRECTION_TOL
+        if debug:
+            log.debug("minimize step %d: |g|inf %.3e, mu %.3e, t %g, correction %.3e",
+                      iterations, gnorms[-1], mu, t, correction)
 
-    log.debug("minimize: %d iterations (%d Newton, %d steepest), %d Levenberg "
-              "shifts, %d skipped, |g|inf %.3e", iterations, counts["newton"],
-              counts["steepest"], counts["shifts"], counts["skipped"], gnorms[-1])
+    if debug:
+        log.debug("minimize: %d iterations (%d Newton, %d steepest), %d Levenberg "
+                  "shifts, |g|inf %.3e, correction %.3e", iterations, counts["newton"],
+                  counts["steepest"], counts["shifts"], gnorms[-1], correction)
     return MinimizeReport(
-        state=LayeredState(*layout.unpack(x)),
+        state=LayeredState(*fields),
         iterations=iterations,
         grad_norm=gnorms[-1],
         energy=e,
-        converged=bool(gnorms[-1] <= tol),
+        converged=done,
         line_search_failures=failures,
         energy_trace=np.asarray(energies),
         grad_trace=np.asarray(gnorms),
@@ -386,7 +374,7 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
         newton_steps=counts["newton"],
         steepest_steps=counts["steepest"],
         levenberg_shifts=counts["shifts"],
-        skipped_shifts=counts["skipped"],
+        correction=correction,
     )
 
 
@@ -402,7 +390,7 @@ def assemble_banded_hessian(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
     midpoint a 2x2 field block (their variables are listed above
     _MID_PAIRS), which _scatter_band sums into an exactly symmetric band.
     Returns (ab, bw, c): c_n is the x-sum of the Josephson phase curvature
-    r p w f_n f_n-1 cos Phi_n of gap n (see _ritz_skips)."""
+    r p w f_n f_n-1 cos Phi_n of gap n (see _shifted_newton)."""
     N, M = params.num_gaps, grid.M
     p, kappa, r = params.spacing, params.kappa, params.coupling
     dx = grid.dx
@@ -502,11 +490,12 @@ def nearest_eigenvalues(ab: np.ndarray, k: int, sigma: float,
                         M: np.ndarray) -> np.ndarray:
     """The k eigenvalues nearest sigma, ascending, of the symmetric pencil
     (A, M), with A and M given by their (2*bw+1, n) bands
-    ab[bw + i - j, j] = A[i, j], M positive definite: the spectral-gap
-    pencil of validity.gap_spectrum.
+    ab[bw + i - j, j] = A[i, j], M positive definite and sigma below the
+    spectrum (A - sigma M positive definite): the spectral-gap pencil of
+    validity.gap_spectrum, A semidefinite and sigma < 0.
 
-    Shift-invert Lanczos (Ericsson & Ruhe 1980) on one banded LU
-    factorization (LAPACK dgbtrf) of A - sigma M: the operator
+    Shift-invert Lanczos (Ericsson & Ruhe 1980) on one banded Cholesky
+    factorization (LAPACK dpbtrf) of A - sigma M: the operator
     C = (A - sigma M)^-1 M is self-adjoint in the M inner product, and its
     largest eigenvalues theta in modulus give lambda = sigma + 1/theta.
     The basis is M-orthonormal: each step follows the three-term recurrence
@@ -518,15 +507,15 @@ def nearest_eigenvalues(ab: np.ndarray, k: int, sigma: float,
     estimate beta |s_last| of each wanted one is at most LANCZOS_TOL |theta|
     (ARPACK's test at its default tolerance), or when the basis spans the
     whole space.  Runs on one OpenBLAS thread, like banded_solve.  Raises
-    FactorizationFailure when A - sigma M does not factor, when the values
-    are not finite, or when LANCZOS_MAX_BASIS vectors do not converge."""
+    FactorizationFailure when A - sigma M is not positive definite, when
+    the values are not finite, or when LANCZOS_MAX_BASIS vectors do not
+    converge."""
     bw, n = (ab.shape[0] - 1) // 2, ab.shape[1]
-    shifted = np.zeros((3 * bw + 1, n), order="F")  # bw fill rows, then A
-    shifted[bw:] = ab - sigma * M
+    shifted = np.array(ab[:bw + 1] - sigma * M[:bw + 1], order="F")  # upper half
     offsets = (M[bw + 1:].any(axis=1).nonzero()[0] + 1).tolist()
-    lu, piv, info = flapack.dgbtrf(shifted, bw, bw, overwrite_ab=True)
+    chol, info = flapack.dpbtrf(shifted, overwrite_ab=True)
     if info != 0:
-        raise FactorizationFailure(f"banded LU of the shifted matrix failed (info {info})")
+        raise FactorizationFailure(f"banded Cholesky of the shifted matrix failed ({info})")
 
     cap = min(n, LANCZOS_MAX_BASIS)
     Q = np.empty((cap, n))  # the basis, one vector per row
@@ -541,7 +530,7 @@ def nearest_eigenvalues(ab: np.ndarray, k: int, sigma: float,
         np.multiply(z, 1.0 / b, out=P[j])
         # C q_j, then the three-term recurrence and one full Gram-Schmidt
         # pass in the M inner product.
-        w = flapack.dgbtrs(lu, bw, bw, P[j], piv)[0]
+        w = flapack.dpbtrs(chol, P[j])[0]
         alpha[j] = a = float(np.einsum("i,i", P[j], w))
         w -= a * Q[j]
         if j:
@@ -604,7 +593,7 @@ def inertia(state: LayeredState, params: LdParameters, grid: Grid1D) -> int:
     # ab becomes H_ff, with the identity on the pinned DOFs.
     ab[:, pin] = ab[bw + pin[:, None] - rows, rows] = 0.0
     ab[bw, pin] = 1.0
-    X = banded_solve(ab, E, True, 0.0)
+    X, _ = banded_solve(ab, E, True, 0.0) or (None, None)
     if X is None:
         raise FactorizationFailure(
             "inertia: the pinned Hessian block H_ff is not positive definite")
@@ -617,20 +606,22 @@ def inertia(state: LayeredState, params: LdParameters, grid: Grid1D) -> int:
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """Converged Newton output: the state, its energy and the residual
-    history.  It is not classified; harness.census takes its inertia and
-    reduced phases."""
+    """Converged Newton output: the state, its energy, the residual
+    history and the final Newton correction (NaN where none was taken).  It
+    is not classified; harness.census takes its inertia and reduced phases."""
 
     state: LayeredState
     residual: float
     energy: float
     newton_iterations: int
     residual_history: np.ndarray = field(repr=False)
+    correction: float = math.nan
 
     def to_dict(self) -> dict:
         return {"residual": self.residual, "energy": self.energy,
                 "newton_iterations": self.newton_iterations,
-                "residual_history": self.residual_history.tolist()}
+                "residual_history": self.residual_history.tolist(),
+                "correction": self.correction}
 
 
 def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
@@ -643,9 +634,11 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
     non-finite step or a stalled search raises NoConvergence at once, with
     the residual it stopped at.  It finds the point and does not classify
     it: inertia and delta_estimate do that (see harness.census).  It stops
-    at |grad|inf <= tol, stop_tol(params) by default, and raises
-    NoConvergence when MAX_NEWTON_STEPS steps, each one banded_solve, do not
-    reach it.
+    where |grad|inf <= tol, stop_tol(params) by default, and the simplified
+    Newton correction |H(x_k)^-1 g(x_k+1)|inf from the last step's LU is at
+    most CORRECTION_TOL (a start within tol has no factor and is returned),
+    and raises NoConvergence when MAX_NEWTON_STEPS steps, each one
+    banded_solve, do not reach it.  At debug level it logs every step.
     Requires a gauge-fixed state0 and r > 0: at r = 0 the Hessian has an
     exact N-dimensional kernel.  A NaN tol raises InvalidParameters.
     """
@@ -659,16 +652,21 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
     layout = Layout.build(params.num_gaps, grid.M)
     fun = _flat_functions(params, grid, layout)
     x = layout.pack_state(state0)
-    e, g = fun(x)
+    e, g, fields = fun(x)
     if not np.isfinite(g).all():
         raise NonFinite("non-finite gradient at the Newton start")
     history = [float(abs(g).max())]
+    correction = math.nan
+    done = history[-1] <= tol
+    debug = log.isEnabledFor(logging.DEBUG)
 
-    for _ in range(MAX_NEWTON_STEPS):
-        if history[-1] <= tol:
-            break
-        ab, *_ = assemble_banded_hessian(*layout.unpack(x), params, grid)
-        d = banded_solve(ab, -g, False, 0.0)
+    while not done:
+        if len(history) > MAX_NEWTON_STEPS:
+            raise NoConvergence(
+                f"Newton used {MAX_NEWTON_STEPS} iterations, residual {history[-1]:.3e} "
+                f"(tol {tol:.1e}), correction {correction:.3e}")
+        ab, *_ = assemble_banded_hessian(*fields, params, grid)
+        d, resolve = banded_solve(ab, -g, False, 0.0) or (None, None)
         if d is None or not np.isfinite(d).all():
             what = "failed" if d is None else "gave a non-finite step"
             raise NoConvergence(
@@ -678,14 +676,16 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
         if step is None:
             raise NoConvergence(
                 f"Newton stalled at residual {history[-1]:.3e} (tol {tol:.1e})")
-        x, e, g, _ = step
+        x, e, g, fields, _ = step
         history.append(float(abs(g).max()))
+        correction = _correction(resolve, g) if history[-1] <= tol or debug else math.nan
+        done = history[-1] <= tol and correction <= CORRECTION_TOL
+        if debug:
+            log.debug("newton_critical step %d: |g|inf %.3e, correction %.3e",
+                      len(history) - 1, history[-1], correction)
 
-    if history[-1] > tol:
-        raise NoConvergence(f"Newton used {MAX_NEWTON_STEPS} iterations, "
-                            f"residual {history[-1]:.3e} > tol {tol:.1e}")
-
-    return CriticalPoint(state=LayeredState(*layout.unpack(x)),
+    return CriticalPoint(state=LayeredState(*fields),
                          residual=history[-1], energy=e,
                          newton_iterations=len(history) - 1,
-                         residual_history=np.asarray(history))
+                         residual_history=np.asarray(history),
+                         correction=correction)

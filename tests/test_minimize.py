@@ -168,7 +168,6 @@ def test_newton_shifts_past_a_failed_banded_solve(desk, desk_grid,
     assert plain.converged and shifted.converged
     assert (plain.levenberg_shifts, shifted.levenberg_shifts) == (0, 1)
     assert shifted.to_dict()["levenberg_shifts"] == 1
-    assert shifted.skipped_shifts == plain.skipped_shifts == 0
     assert shifted.steepest_steps == 0
     assert len(calls) == shifted.newton_steps + 1
     assert calls[0] == 0.0 < calls[1]
@@ -212,12 +211,13 @@ def test_newton_finds_without_classifying(desk, desk_grid, monkeypatch):
     assert not hasattr(minimize_mod, "observables")
     assert cp.energy == plain.energy and cp.residual <= 1e-9
     assert set(cp.to_dict()) == {"residual", "energy", "newton_iterations",
-                                 "residual_history"}
+                                 "residual_history", "correction"}
 
 
 def test_banded_solve_matches_scipy_bit_for_bit(desk, rng):
     """One LAPACK driver call gives the solution of SciPy's factor-then-solve
-    wrappers to the bit, and None exactly where they raise LinAlgError."""
+    wrappers to the bit, and None exactly where they raise LinAlgError; the
+    factor it returns solves the same right-hand side to the same bits."""
     failed = {True: 0, False: 0}
     for N, dx in ((1, 1.0 / 16.0), (2, 1.0 / 20.0), (3, 1.0 / 12.0)):
         params = LdParameters(N, desk.half_width, desk.spacing, desk.kappa,
@@ -244,78 +244,52 @@ def test_banded_solve_matches_scipy_bit_for_bit(desk, rng):
                         ref = None
                     got = banded_solve(band, rhs, definite, mu)
                     assert (got is None) == (ref is None), (N, mu, definite)
-                    assert ref is None or np.array_equal(got, ref)
+                    if ref is not None:
+                        x, resolve = got
+                        assert np.array_equal(x, ref)
+                        assert np.array_equal(resolve(rhs), ref)
                     failed[definite] += ref is None
     assert 0 < failed[True] < 24 and 0 < failed[False] < 24
 
 
 def _recorded_ladders(monkeypatch) -> list:
-    """Record every rung of every _shifted_newton call, in order: per call
-    one ("first", c, m, floor, rung) from _first_rung, then per rung
-    ("ritz", shift, skipped) and ("solve", ab, rhs, mu, factored).  The sign
-    tests that _first_rung bisects with are not rungs and are not recorded."""
-    solve, skips = minimize_mod.banded_solve, minimize_mod._ritz_skips
-    direction, first = minimize_mod._shifted_newton, minimize_mod._first_rung
-    ladders, bisecting = [], []
+    """Record every _shifted_newton call as (c, m, rungs): the phase
+    curvature c of assemble_banded_hessian at its fields, m = M + 1, and per
+    banded_solve call (ab, mu, factored), in order."""
+    solve, direction = minimize_mod.banded_solve, minimize_mod._shifted_newton
+    ladders = []
 
-    def step(*args, **kwargs):
-        ladders.append([])
-        return direction(*args, **kwargs)
-
-    def rung(c, m, floor):
-        bisecting.append(None)
-        out = first(c, m, floor)
-        bisecting.pop()
-        ladders[-1].append(("first", c, m, floor, out))
-        return out
-
-    def ritz(c, m, shift):
-        out = skips(c, m, shift)
-        if not bisecting:
-            ladders[-1].append(("ritz", shift, out))
-        return out
+    def step(fields, g, params, grid, *args, **kwargs):
+        c = assemble_banded_hessian(*fields, params, grid)[2]
+        ladders.append((c, grid.M + 1, []))
+        return direction(fields, g, params, grid, *args, **kwargs)
 
     def recorded(ab, rhs, definite, mu):
         out = solve(ab, rhs, definite, mu)
-        ladders[-1].append(("solve", ab, rhs, mu, out is not None))
+        ladders[-1][2].append((ab, mu, out is not None))
         return out
 
     monkeypatch.setattr(minimize_mod, "_shifted_newton", step)
-    monkeypatch.setattr(minimize_mod, "_first_rung", rung)
-    monkeypatch.setattr(minimize_mod, "_ritz_skips", ritz)
     monkeypatch.setattr(minimize_mod, "banded_solve", recorded)
     return ladders
 
 
-def _check_first_rung(c: list[float], m: int, floor: float, rung: float) -> bool:
-    """The first nonzero rung is 2 |lambda_min(K/m)| to 1 % where
-    -floor <= lambda_min(K/m) < 0, else floor, with lambda_min from a dense
-    eigensolve of K = D^T diag(c) D (compared up to rounding, tiny); True
-    when the phase curvature set the rung."""
-    c = np.asarray(c)
+def _phase_curvature(c: np.ndarray, m: int) -> float:
+    """lambda_min(K/m), K = D^T diag(c) D, by a dense eigensolve."""
     K = np.diag(c + np.append(c[1:], 0.0)) - np.diag(c[1:], 1) - np.diag(c[1:], -1)
-    lam = float(np.linalg.eigvalsh(K)[0]) / m
-    tiny = 1e-12 * float(abs(c).max()) / m
-    if rung == floor:
-        assert not -floor + tiny < lam < -tiny, (lam, floor)
-        return False
-    assert -floor - tiny <= lam < tiny, (lam, floor, rung)
-    assert 2.0 * abs(lam) - 2.0 * tiny <= rung <= 2.0205 * abs(lam) + 2.0 * tiny, (lam, rung)
-    return True
+    return float(np.linalg.eigvalsh(K)[0]) / m
 
 
 def test_descent_shift_starts_at_a_tenth_of_the_last_accepted(
         desk, coarse_grid, monkeypatch):
-    """Levenberg-Marquardt damping update: each step's first shift is the
-    previous step's accepted shift / 10, or 0 below the first nonzero rung,
-    and the ladder rises to that rung from 0, then x10; every descent
-    starts from 0.  The first nonzero rung is 1e-8 max|diag H|, or twice
-    the phase modes' negative Ritz curvature where that lies within it
-    (seen at r = 1e-6, never at r = 1e-3).  Each rung is first put to the
-    phase-mode Ritz test at mu + (bw+1)^3 eps (max|diag H| + mu): a rung it
-    proves indefinite is skipped (and banded_solve refuses it), any other
-    is factored, and the last rung factors."""
-    solve = minimize_mod.banded_solve
+    """Levenberg-Marquardt damping update, bounded below by the phase
+    curvature: each step's first shift is the larger of the previous step's
+    accepted shift / 10 (0 below the floor 1e-8 max|diag H|) and twice the
+    size of a negative eigenvalue of the phase Ritz matrix K/(M+1) (dense
+    eigensolve here, to rounding), and a refused shift rises to
+    max(floor, 10 mu); every descent starts from mu_last = 0.  The phase
+    curvature sets a first shift in every descent here, below the floor at
+    r = 1e-6; the warm start sets some at r = 1e-3; no shift is refused."""
     ladders = _recorded_ladders(monkeypatch)
     for r, seed in itertools.product((1e-3, 1e-6), (11 * 100003, 11 * 100003 + 17)):
         params = desk.with_coupling(r)
@@ -325,86 +299,32 @@ def test_descent_shift_starts_at_a_tenth_of_the_last_accepted(
         rep = minimize(start, params, coarse_grid)
         assert rep.converged and rep.steepest_steps == 0
         assert len(ladders) == rep.iterations
-        skipped = failed = warm = cold = curved = 0
+        failed = warm = curved = below = 0
         last = 0.0  # the accepted shift of the previous step
-        for events in ladders:
-            kind, c, m, floor, first = events[0]
-            ab, rhs = events[-1][1], events[-1][2]
+        for c, m, rungs in ladders:
+            ab = rungs[0][0]
             bw = (ab.shape[0] - 1) // 2
-            scale = float(np.max(np.abs(ab[bw])))
-            assert kind == "first" and floor == 1e-8 * scale
-            curved += _check_first_rung(c, m, floor, first)
-            margin = (bw + 1) ** 3 * minimize_mod.EPS
-            mu = last / 10.0 if last / 10.0 >= first else 0.0
-            warm += mu > 0.0
-            cold += last > 0.0 and mu == 0.0
-            events = iter(events[1:])
-            while True:
-                kind, shift, skip = next(events)
-                assert kind == "ritz" and shift == mu + margin * (scale + mu)
-                if skip:
-                    assert solve(ab, rhs, True, mu) is None
-                    skipped += 1
-                else:
-                    kind, band, _, tried, ok = next(events)
-                    assert kind == "solve" and band is ab and tried == mu
-                    if ok:
-                        break
-                    failed += 1
-                mu = first if mu == 0.0 else 10.0 * mu
-            assert next(events, None) is None
+            floor = 1e-8 * float(np.max(np.abs(ab[bw])))
+            tenth = last / 10.0 if last / 10.0 >= floor else 0.0
+            bound = -2.0 * _phase_curvature(c, m)
+            tiny = 1e-12 * float(np.max(np.abs(c))) / m
+            mu = rungs[0][1]
+            if bound > tenth + tiny:
+                assert abs(mu - bound) <= 1e-10 * bound + tiny, (mu, bound)
+                curved += 1
+                below += mu < floor
+            else:
+                assert mu == tenth, (mu, tenth, bound)
+                warm += mu > 0.0
+            for (band, tried, ok), (_, nxt, _) in zip(rungs, rungs[1:]):
+                assert band is ab and tried == mu and not ok
+                mu = max(floor, 10.0 * mu)
+                assert nxt == mu
+                failed += 1
+            assert rungs[-1][2]
             last = mu
-        assert (skipped, failed) == (rep.skipped_shifts, rep.levenberg_shifts)
-        assert rep.to_dict()["skipped_shifts"] == skipped >= 1
-        assert failed == 0 and cold >= 1
-        # At r = 1e-6 the phase curvature is below 1e-8 max|diag H|.
-        assert (warm >= 1 and curved == 0) if r == 1e-3 else curved >= 1
-
-
-@pytest.mark.parametrize("N", [1, 2, 3])
-def test_every_skipped_shift_is_one_the_cholesky_refuses(N, monkeypatch):
-    """On random low-energy, rough and delta = pi seed states, at r = 1e-3
-    and at r = 1e-6 (where the phase curvature lies within 1e-8 max|diag H|
-    and sets the first nonzero rung), a rung the phase-mode Ritz test skips
-    is one banded_solve refuses, from mu = 0 and from a warm start; and at
-    r = 1e-3 the skips are many."""
-    solve = minimize_mod.banded_solve
-    ladders = _recorded_ladders(monkeypatch)
-    skipped, curved = {}, {}
-    for r in (1e-3, 1e-6):
-        params = LdParameters(N, 1.0, 0.5, 1.0, 3.0, r)
-        grid = Grid1D.build(params, dx=1.0 / 20.0)
-        layout = Layout.build(N, grid.M)
-        fun = minimize_mod._flat_functions(params, grid, layout)
-        rng = np.random.default_rng(N)
-        states = ([random_low_energy_state(params, grid, rng) for _ in range(4)]
-                  + [random_rough_state(params, grid, rng) for _ in range(4)]
-                  + [seed_state(params, grid, math.pi)])
-        skipped[r] = curved[r] = 0
-        for state in states:
-            x = layout.pack(state.f, state.phi, state.a)
-            _, g = fun(x)
-            for mu_last in (0.0, 1e-5):
-                minimize_mod._shifted_newton(x, g, params, grid, layout,
-                                             {"shifts": 0, "skipped": 0},
-                                             mu_last=mu_last)
-                (_, c, m, floor, first), *events = ladders[-1]
-                ab, rhs = next((e[1], e[2]) for e in reversed(events)
-                               if e[0] == "solve")
-                bw = (ab.shape[0] - 1) // 2
-                assert floor == 1e-8 * float(np.max(np.abs(ab[bw])))
-                curved[r] += _check_first_rung(c, m, floor, first)
-                mu = mu_last / 10.0 if mu_last / 10.0 >= first else 0.0
-                for event in events:
-                    if event[0] == "ritz":
-                        if event[2]:
-                            assert solve(ab, rhs, True, mu) is None, (mu, event)
-                            skipped[r] += 1
-                            mu = first if mu == 0.0 else 10.0 * mu
-                    elif not event[4]:
-                        mu = first if mu == 0.0 else 10.0 * mu
-    assert skipped[1e-3] >= len(states) and skipped[1e-6] >= 1
-    assert curved[1e-3] == 0 and curved[1e-6] >= N
+        assert failed == rep.levenberg_shifts == 0
+        assert curved >= 1 and (warm >= 1 if r == 1e-3 else below >= 1)
 
 
 def test_phase_curvature_is_the_reduced_hessian_at_seeds():
@@ -426,7 +346,10 @@ def test_phase_curvature_is_the_reduced_hessian_at_seeds():
 def test_no_failed_factorization_on_the_benchmark_inputs(desk, monkeypatch):
     """The census of the desk stack (dx = 1/20, 6 random starts, census
     seeds 7 and 11) and the 17-field sweep across H_1 factor every band
-    they try: the Ritz test skips every shift the Cholesky would refuse."""
+    they try, and their 46 descents take at most 112 steps in all, the
+    count measured when each shift started at the phase curvature (136
+    before): a step-count guard that no machine's speed moves.  The sweep's
+    34 descents take one step each."""
     solve = minimize_mod.banded_solve
     outcomes = []
 
@@ -450,8 +373,9 @@ def test_no_failed_factorization_on_the_benchmark_inputs(desk, monkeypatch):
     assert field_sweep(desk, np.linspace(5.4, 7.0, 17)).passed
     assert len(descents) == 2 * 6 + 2 * 17 and len(outcomes) > len(descents)
     assert all(outcomes)
-    assert sum(d.skipped_shifts for d in descents) >= len(descents)
     assert all(d.levenberg_shifts == 0 for d in descents)
+    assert [d.iterations for d in descents[12:]] == [1] * 34
+    assert sum(d.iterations for d in descents) <= 112
 
 
 def test_newton_rejects_zero_coupling(desk, desk_grid):
@@ -498,6 +422,11 @@ def _dense(ab: np.ndarray) -> np.ndarray:
     bw, n = (ab.shape[0] - 1) // 2, ab.shape[1]
     return sum(np.diag(ab[bw - k, max(k, 0):n + min(k, 0)], k)
                for k in range(-bw, bw + 1))
+
+
+def _below_spectrum(ab: np.ndarray) -> float:
+    """A shift one unit below the spectrum of the band ab (dense eigvalsh)."""
+    return float(np.linalg.eigvalsh(_dense(ab))[0]) - 1.0
 
 
 def _identity_band(ab: np.ndarray) -> np.ndarray:
@@ -585,17 +514,20 @@ def test_nearest_eigenvalues_repeat_bit_for_bit(desk, rng):
     grid = Grid1D.build(desk, dx=1.0 / 16.0)
     state = random_rough_state(desk, grid, rng)
     ab, *_ = assemble_banded_hessian(state.f, state.phi, state.a, desk, grid)
-    eye = _identity_band(ab)
-    first = nearest_eigenvalues(ab, desk.num_gaps + 1, 0.0, eye)
-    second = nearest_eigenvalues(ab, desk.num_gaps + 1, 0.0, eye)
+    eye, sigma = _identity_band(ab), _below_spectrum(ab)
+    first = nearest_eigenvalues(ab, desk.num_gaps + 1, sigma, eye)
+    second = nearest_eigenvalues(ab, desk.num_gaps + 1, sigma, eye)
     assert np.array_equal(first, second)
 
 
 def test_eigensolver_failures_are_factorization_failures(monkeypatch):
+    """A shift that leaves A - sigma M singular or indefinite fails its
+    Cholesky; so does a basis too small to converge."""
     singular = np.arange(6.0)[None, :]  # the band of diag(0, 1, ..., 5)
     eye = _identity_band(singular)
-    with pytest.raises(FactorizationFailure):
-        nearest_eigenvalues(singular, 2, 0.0, eye)
+    for sigma in (0.0, 2.5):
+        with pytest.raises(FactorizationFailure, match="^banded Cholesky"):
+            nearest_eigenvalues(singular, 2, sigma, eye)
     assert np.allclose(nearest_eigenvalues(singular, 2, -1.0, eye), [0.0, 1.0],
                        rtol=0.0, atol=1e-14)
 
@@ -607,21 +539,20 @@ def test_eigensolver_failures_are_factorization_failures(monkeypatch):
 @pytest.mark.parametrize("N, dx", [(1, 1.0 / 16.0), (2, 1.0 / 20.0),
                                    (3, 1.0 / 24.0)])
 def test_nearest_eigenvalues_of_rough_bands_match_dense(N, dx):
-    """Sigma = 0 on indefinite bands, with the identity as M: the N+1
-    eigenvalues nearest 0 agree with dense eigvalsh, and so does the count
-    of negatives among them.  Both solvers are backward stable, so they
-    agree to 1e-10 relative plus 64 eps |A|_2: the values nearest 0 are O(r)
-    soft phase modes (1e-6 here), whose relative conditioning is
-    eps |A| / |lambda| ~ 1e-8 for any solver in double precision."""
+    """Sigma one unit below the spectrum of indefinite bands, with the
+    identity as M: the N+1 eigenvalues nearest sigma, the lowest, agree with
+    dense eigvalsh, and so does the count of negatives among them.  Both
+    solvers are backward stable, so they agree to 1e-10 relative plus
+    64 eps |A|_2, the absolute accuracy of any solver in double precision."""
     params = LdParameters(N, 1.0, 0.5, 1.0, 3.0, 1e-3)
     grid = Grid1D.build(params, dx=dx)
     rng = np.random.default_rng(N)
     for _ in range(4):
         state = random_rough_state(params, grid, rng)
         ab, *_ = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
-        eigs = nearest_eigenvalues(ab, N + 1, 0.0, _identity_band(ab))
         dense = np.linalg.eigvalsh(_dense(ab))
-        ref = np.sort(dense[np.argsort(np.abs(dense))[:N + 1]])
+        eigs = nearest_eigenvalues(ab, N + 1, dense[0] - 1.0, _identity_band(ab))
+        ref = dense[:N + 1]
         bound = 1e-10 * np.abs(ref) + 64.0 * np.finfo(float).eps * np.abs(dense).max()
         assert np.all(np.abs(eigs - ref) <= bound)
         assert np.sum(eigs < 0.0) == np.sum(ref < 0.0)
@@ -631,10 +562,11 @@ def test_eigensolve_logs_its_basis_and_residual(desk, rng, caplog):
     grid = Grid1D.build(desk, dx=1.0 / 16.0)
     state = random_rough_state(desk, grid, rng)
     ab, *_ = assemble_banded_hessian(state.f, state.phi, state.a, desk, grid)
+    sigma = _below_spectrum(ab)
     with caplog.at_level(logging.DEBUG, logger="ldvortex"):
-        nearest_eigenvalues(ab, 3, 0.0, _identity_band(ab))
+        nearest_eigenvalues(ab, 3, sigma, _identity_band(ab))
     [line] = caplog.messages
-    assert line.startswith("nearest_eigenvalues: k 3, sigma 0, basis ")
+    assert line.startswith(f"nearest_eigenvalues: k 3, sigma {sigma:g}, basis ")
     basis, worst = line.split("basis ")[1].split(", worst residual estimate ")
     assert 3 <= int(basis) <= minimize_mod.LANCZOS_MAX_BASIS
     assert float(worst) <= minimize_mod.LANCZOS_TOL
@@ -769,9 +701,57 @@ def test_failed_newton_direction_falls_back_to_one_steepest_step(
     assert rep.line_search_failures == 0
     assert rep.to_dict()["steepest_steps"] == 1
     assert np.all(np.diff(rep.energy_trace) <= 0.0)
-    [line] = [r.getMessage() for r in caplog.records if r.name == "ldvortex"]
+    *steps, line = [r.getMessage() for r in caplog.records if r.name == "ldvortex"]
+    assert [s.split(":")[0] for s in steps] == [
+        f"minimize step {k}" for k in range(1, rep.iterations + 1)]
+    assert "correction nan" in steps[0]  # the steepest step made no factor
     assert f"{rep.iterations} iterations" in line and "1 steepest" in line
-    assert f"{rep.skipped_shifts} skipped" in line
+    assert line.endswith(f"correction {rep.correction:.3e}")
+
+
+def test_solvers_report_the_correction_and_log_steps_only_at_debug(
+        desk, desk_grid, rng, monkeypatch, caplog):
+    """Both solvers end with the simplified Newton correction within
+    CORRECTION_TOL and report it.  Below debug level each solve asks the
+    logger once and takes a correction only where the residual rule holds;
+    at debug level it logs |g|inf, mu, t and the correction of every step."""
+    start = random_low_energy_state(desk, desk_grid, rng)
+    seed = seed_state(desk, desk_grid, [math.pi, 0.0])
+    correction, enabled = minimize_mod._correction, minimize_mod.log.isEnabledFor
+    taken, asked = [], []
+
+    def counted(resolve, g):
+        taken.append(float(np.max(np.abs(g))))
+        return correction(resolve, g)
+
+    def spy(level):
+        asked.append(level)
+        return enabled(level)
+
+    monkeypatch.setattr(minimize_mod, "_correction", counted)
+    with caplog.at_level(logging.INFO, logger="ldvortex"):
+        monkeypatch.setattr(minimize_mod.log, "isEnabledFor", spy)
+        rep = minimize(start, desk, desk_grid)
+        cp = newton_critical(seed, desk, desk_grid)
+    tol = stop_tol(desk)
+    assert asked == [logging.DEBUG] * 2 and not caplog.messages
+    assert len(taken) == (np.sum(rep.grad_trace[1:] <= tol)
+                          + np.sum(cp.residual_history[1:] <= tol)) >= 2
+    assert max(taken) <= tol
+    for out in (rep, cp):
+        assert out.to_dict()["correction"] == out.correction <= minimize_mod.CORRECTION_TOL
+
+    with caplog.at_level(logging.DEBUG, logger="ldvortex"):
+        again = minimize(start, desk, desk_grid)
+        point = newton_critical(seed, desk, desk_grid)
+    assert again.correction == rep.correction and point.correction == cp.correction
+    steps = [m for m in caplog.messages if m.startswith("minimize step ")]
+    newton = [m for m in caplog.messages if m.startswith("newton_critical step ")]
+    assert len(steps) == rep.iterations and len(newton) == cp.newton_iterations
+    assert steps[-1].startswith(f"minimize step {rep.iterations}: |g|inf "
+                                f"{rep.grad_norm:.3e}, mu ")
+    for line, out in ((steps[-1], rep), (newton[-1], cp)):
+        assert line.endswith(f"correction {out.correction:.3e}")
 
 
 def test_batched_hessian_apply_matches_single_products(desk, rng):
@@ -827,25 +807,26 @@ def test_descent_steps_off_a_phase_saddle_it_crept_along(monkeypatch):
     nonzero rung at 1e-8 max|diag H|, far above the negative phase
     curvature, this descent crept along a phase saddle and used all
     MAX_DESCENT_STEPS = 500 steps, ending at |g|inf = 1.3e-9 above the
-    rule's 2.5e-11.  With the rung at twice that curvature it converges
-    in a few steps."""
+    rule's 2.5e-11.  With the shift at twice that curvature, below that
+    floor, it converges in a few steps."""
     params = LdParameters(2, 4.235947557871251, 0.6923080891850031,
                           2.15103266278565, 9.973494389997505,
                           8.330130983020093e-06)
     grid = Grid1D.build(params)
     start = random_low_energy_state(params, grid,
                                     np.random.default_rng(1 * 100003 + 17 * 3))
-    first, rungs = minimize_mod._first_rung, []
+    solve, rungs = minimize_mod.banded_solve, []
 
-    def recorded(c, m, floor):
-        rungs.append((first(c, m, floor), floor))
-        return rungs[-1][0]
+    def recorded(ab, rhs, definite, mu):
+        bw = (ab.shape[0] - 1) // 2
+        rungs.append((mu, 1e-8 * float(np.max(np.abs(ab[bw])))))
+        return solve(ab, rhs, definite, mu)
 
-    monkeypatch.setattr(minimize_mod, "_first_rung", recorded)
+    monkeypatch.setattr(minimize_mod, "banded_solve", recorded)
     rep = minimize(start, params, grid)
     assert rep.converged and rep.grad_norm <= stop_tol(params) == 3e-6 * params.coupling
     assert rep.iterations <= 20 and rep.steepest_steps == 0
-    assert any(rung < floor for rung, floor in rungs)
+    assert any(0.0 < mu < floor for mu, floor in rungs)
 
 
 def test_one_kernel_call_per_line_search_trial(desk, desk_grid, rng, monkeypatch):
