@@ -75,7 +75,7 @@ def _crit_gradient(preset: Preset) -> tuple[bool, dict]:
             a, b = float(h[0] @ v[1]), float(h[1] @ v[0])
             asym = max(asym, abs(a - b) / max(abs(a), abs(b), 1e-30))
             for row, u in zip(h, v):  # against the complex-step product
-                _, grads = energy_arrays(*layout.unpack(x + 1e-30j * u), p, grid)
+                grads = energy_arrays(*layout.unpack(x + 1e-30j * u), p, grid)[1]
                 ref = layout.pack(*grads).imag / 1e-30
                 h_err = max(h_err, float(abs(row - ref).max() / abs(ref).max()))
     ok = max(errs) <= 1e-6 and h_err <= 1e-12 and asym <= 1e-10

@@ -12,14 +12,17 @@ scheme O(dx^2) consistent.  The midpoint amplitude in V^2 f^2 is the
 arithmetic nodal mean squared after averaging, which keeps the Hessian
 symmetric and the gradient exactly the derivative of the discrete energy.
 
-One kernel, energy_arrays, returns the energy and its gradient from a
-single pass over the staggered fields V, fm, Phi and h, which
-observables._fields defines for every module; gradient works on free-DOF
-vectors as state.Layout packs them.  The second derivatives are written
-only in minimize.assemble_banded_hessian.  At the sizes the solvers run, a
-kernel call is bound by NumPy's per-call overhead rather than by
-arithmetic, so energy_arrays uses slicing and ndarray reductions and
-computes each repeated subexpression (f^2 - 1, V^2, fm^2) once.
+One kernel, energy_arrays, returns the energy, its gradient and its
+stencil from a single pass over the staggered fields V, fm, Phi and h,
+which observables._fields defines for every module; gradient works on
+free-DOF vectors as state.Layout packs them.  The second derivatives are
+written only in minimize.assemble_banded_hessian, from the stencil the
+kernel returned (V, fm, cos Phi, sin Phi, f^2, V^2, fm^2, as _stencil
+computes them).  At the sizes the solvers run, a kernel call is bound by
+NumPy's per-call overhead rather than by arithmetic, so energy_arrays
+uses slicing and ndarray reductions, folds the scalar factors of each
+term into one multiply and computes each repeated product (f^2 - 1,
+V fm^2, r p w f) once.
 
 The derivative checks rely on energy_arrays staying analytic in
 (f, phi, a): no abs, conj or branch on their values.  Then a complex step
@@ -72,68 +75,62 @@ def _check(state: LayeredState, params: LdParameters, grid: Grid1D) -> None:
         raise NonFinite("state contains non-finite entries")
 
 
+def _stencil(f: np.ndarray, phi: np.ndarray, a: np.ndarray, params: LdParameters,
+             grid: Grid1D) -> tuple[np.ndarray, tuple]:
+    """(h, stencil) at raw arrays: h of _fields and the stencil (V, fm,
+    cos Phi, sin Phi, f^2, V^2, fm^2) that the kernel and the band share."""
+    V, fm, Phi, h = _fields(f, phi, a, params, grid)
+    return h, (V, fm, np.cos(Phi), np.sin(Phi), f * f, V * V, fm * fm)
+
+
 def energy_arrays(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
                   params: LdParameters, grid: Grid1D
                   ) -> tuple[tuple[float, float, float],
-                             tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """((bulk, josephson, field), (gf, gphi, ga)) for raw arrays: the
-    energy and its exact derivative arrays in one pass over the stencil.
+                             tuple[np.ndarray, np.ndarray, np.ndarray], tuple]:
+    """((bulk, josephson, field), (gf, gphi, ga), stencil) for raw arrays:
+    the energy and its exact derivative arrays in one pass over the
+    stencil, which minimize.assemble_banded_hessian takes as it is.
 
     gphi includes plane 0, which Layout.pack drops from the free-DOF
     gradient.
     """
-    p, kappa, r, H = (params.spacing, params.kappa, params.coupling,
-                      params.applied_field)
-    dx = grid.dx
-    k2 = kappa**2
-    wt = grid.trapezoid_weights()
-
-    df = (f[:, 1:] - f[:, :-1]) / dx
-    V, fm, Phi, h = _fields(f, phi, a, params, grid)
-    cosPhi = np.cos(Phi)
-    sinPhi = np.sin(Phi)
-    f2 = f**2
-    f2m1 = f2 - 1.0
-    V2 = V**2
-    fm2 = fm**2
-    hH = h - H
+    p, dx, wt = params.spacing, grid.dx, grid.trapezoid_weights()
+    c = p * dx / params.kappa**2
+    h, stencil = _stencil(f, phi, a, params, grid)
+    V, fm, cosPhi, sinPhi, f2, V2, fm2 = stencil
     fu, fl = f[1:], f[:-1]
-    tfu, tfl = 2.0 * fu, 2.0 * fl
+    d, f2m1, Vfm2, hH = f[:, 1:] - f[:, :-1], f2 - 1.0, V * fm2, h - params.applied_field
+    jwf = (params.coupling * p * wt) * f  # 2 f times the Josephson weight r p w / 2
 
-    bulk = p * ((wt * 0.5 * f2m1**2).sum() + dx * (df**2 + V2 * fm2).sum() / k2)
-    jos = 0.5 * r * p * (wt * (f2[1:] + f2[:-1] - tfu * fl * cosPhi)).sum()
-    fld = (p * dx / k2) * (hH**2).sum()
-
-    gf = p * wt * 2.0 * f2m1 * f
-    mid_f = p * dx * (V2 * fm) / k2                  # d(V^2 fm^2)/df_node
-    grad_f = p * dx * (2.0 * df / dx) / k2           # d(df^2)/df via sign below
+    gf = (2.0 * p * wt) * (f2m1 * f)
+    mid_f, grad_f = c * (V2 * fm), (2.0 * c / dx**2) * d  # d/df of c V^2 fm^2, c (f')^2
     gf[:, :-1] += mid_f - grad_f
     gf[:, 1:] += mid_f + grad_f
-
-    jf = 0.5 * r * p * wt
-    gf[1:] += jf * (tfu - tfl * cosPhi)
-    gf[:-1] += jf * (tfl - tfu * cosPhi)
+    ju, jl = jwf[1:] - jwf[:-1] * cosPhi, jwf[:-1] - jwf[1:] * cosPhi
+    gf[1:] += ju
+    gf[:-1] += jl
 
     gphi = np.zeros(phi.shape, phi.dtype)
-    tphi = (2.0 * p / k2) * V * fm2
+    tphi, jphi = (2.0 * c / dx) * Vfm2, jwf[1:] * fl * sinPhi
     gphi[:, :-1] -= tphi
     gphi[:, 1:] += tphi
-    jphi = jf * 2.0 * fu * fl * sinPhi
     gphi[1:] += jphi
     gphi[:-1] -= jphi
 
-    ga = -(2.0 * p * dx / k2) * V * fm2
-    gh = (2.0 * dx / k2) * hH
+    ga, gh = -dx * tphi, (2.0 * c / p) * hH
     ga[1:] += gh
     ga[:-1] -= gh
-    return (bulk, jos, fld), (gf, gphi, ga)
+    # The Josephson energy is quadratic in f: half its f-gradient dotted with f.
+    bulk = 0.5 * p * (wt * f2m1 * f2m1).sum() + c * ((d * d).sum() / dx**2 + (V * Vfm2).sum())
+    jos = 0.5 * ((ju * fu).sum() + (jl * fl).sum())
+    return (bulk, jos, c * (hH * hH).sum()), (gf, gphi, ga), stencil
 
 
 def total_energy(state: LayeredState, params: LdParameters,
                  grid: Grid1D) -> EnergyBreakdown:
     """Evaluate the discrete free energy of a state."""
     _check(state, params, grid)
-    (bulk, jos, fld), _ = energy_arrays(state.f, state.phi, state.a, params, grid)
+    bulk, jos, fld = energy_arrays(state.f, state.phi, state.a, params, grid)[0]
     out = EnergyBreakdown(float(bulk), float(jos), float(fld))
     if not math.isfinite(out.total):
         raise NonFinite("energy is not finite")
@@ -149,7 +146,7 @@ def gradient(state: LayeredState, params: LdParameters,
     offset (h^(N) = H + p f_N^2 V_N at stationarity).
     """
     _check(state, params, grid)
-    _, grads = energy_arrays(state.f, state.phi, state.a, params, grid)
+    grads = energy_arrays(state.f, state.phi, state.a, params, grid)[1]
     return Layout.build(params.num_gaps, grid.M).pack(*grads)
 
 

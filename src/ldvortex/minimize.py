@@ -45,8 +45,10 @@ SciPy's OpenBLAS capped at one thread (_lapack.one_blas_thread).
 
 At a few hundred free DOFs (the desk stack) a step is bound by the
 per-call overhead of NumPy, not by arithmetic, so the hot path uses
-slicing and ndarray methods instead of the np.* wrappers and hands raw
-(f, phi, a) arrays, not validated states, to the band assembly.
+slicing and ndarray methods instead of the np.* wrappers, and hands the
+band assembly raw (f, phi, a) arrays, not validated states, with the
+stencil the kernel computed there: one stencil pass per point.  The
+returned state takes over the arrays of the last unpack uncopied.
 """
 
 from __future__ import annotations
@@ -61,8 +63,7 @@ import numpy as np
 from ._lapack import flapack, one_blas_thread
 from .errors import (FactorizationFailure, InvalidParameters, NoConvergence,
                      NonFinite, ShapeMismatch, SingularHessian)
-from .energy import _check, energy_arrays
-from .observables import _fields
+from .energy import _check, _stencil, energy_arrays
 from .params import Grid1D, LdParameters
 from .state import LayeredState, Layout
 
@@ -133,14 +134,14 @@ def _band_index_cached(N: int, M: int) -> np.ndarray:
 
 
 def _flat_functions(params: LdParameters, grid: Grid1D, layout: Layout):
-    """The kernel over packed free DOFs: x -> (energy, gradient, (f, phi,
-    a)), one energy_arrays call; the band and the final state reuse the
-    unpacked arrays."""
+    """The kernel over packed free DOFs: x -> (energy, gradient, point),
+    one energy_arrays call; the band and the final state reuse the point
+    (f, phi, a, stencil), the unpacked arrays and the kernel's stencil."""
 
     def fun(x: np.ndarray) -> tuple[float, np.ndarray, tuple]:
-        fields = layout.unpack(x)
-        (b, j, fl), grads = energy_arrays(*fields, params, grid)
-        return b + j + fl, layout.pack(*grads), fields
+        f, phi, a = layout.unpack(x)
+        (b, j, fl), grads, stencil = energy_arrays(f, phi, a, params, grid)
+        return b + j + fl, layout.pack(*grads), (f, phi, a, stencil)
 
     return fun
 
@@ -178,15 +179,15 @@ class MinimizeReport:
 
 def _armijo(fun, merit, x: np.ndarray, m: float, d: np.ndarray, slope: float):
     """Backtrack t = 1, 1/2, ... along d, one kernel call fun(x + t d) =
-    (e, g, fields) per trial, until merit(e, g) (the energy for minimize,
+    (e, g, point) per trial, until merit(e, g) (the energy for minimize,
     |g|^2 for newton_critical) drops below m by at least ARMIJO_C * t *
-    slope; returns (x_new, e_new, g_new, fields, t), or None on a stall."""
+    slope; returns (x_new, e_new, g_new, point, t), or None on a stall."""
     t, x_new = 1.0, x + d
     for _ in range(MAX_BACKTRACKS):
-        e_new, g_new, fields = fun(x_new)
+        e_new, g_new, point = fun(x_new)
         m_new = merit(e_new, g_new)
         if math.isfinite(m_new) and m_new <= m + ARMIJO_C * t * slope:
-            return x_new, e_new, g_new, fields, t
+            return x_new, e_new, g_new, point, t
         t *= BACKTRACK
         x_new = x + t * d
     return None
@@ -247,11 +248,12 @@ def _correction(resolve, g: np.ndarray) -> float:
     return float(abs(resolve(g)).max()) if resolve else math.nan
 
 
-def _shifted_newton(fields: tuple, g: np.ndarray, params: LdParameters,
+def _shifted_newton(point: tuple, g: np.ndarray, params: LdParameters,
                     grid: Grid1D, counts: dict[str, int],
                     mu_last: float = 0.0) -> tuple:
     """The descent step: solve (H + mu I) d = -g by Cholesky on the banded
-    Hessian at (f, phi, a), assembled once.  mu starts at the larger of
+    Hessian at point = (f, phi, a, stencil), assembled once from the
+    kernel's stencil.  mu starts at the larger of
     mu_last / 10 (0 below the floor 1e-8 max|diag H|) and
     2 max(0, -lambda_K), and rises to max(floor, 10 mu) each time
     banded_solve refuses it (one more in counts["shifts"]), at most
@@ -262,7 +264,8 @@ def _shifted_newton(fields: tuple, g: np.ndarray, params: LdParameters,
     solved = (d, resolve) from banded_solve at the shift mu, or
     (None, mu_last) if no shift factors or d is not finite; raises
     NonFinite for a non-finite band."""
-    ab, bw, c = assemble_banded_hessian(*fields, params, grid)
+    f, phi, a, stencil = point
+    ab, bw, c = assemble_banded_hessian(f, phi, a, params, grid, stencil)
     if not np.isfinite(ab[:bw + 1]).all():  # the upper half holds every entry
         raise NonFinite("non-finite Hessian band")
     floor = 1e-8 * (float(abs(ab[bw]).max()) or 1.0)
@@ -314,7 +317,7 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
     fun = _flat_functions(params, grid, layout)
 
     x = layout.pack_state(state0)
-    e, g, fields = fun(x)
+    e, g, point = fun(x)
     if not (math.isfinite(e) and np.isfinite(g).all()):
         raise NonFinite("non-finite energy or gradient at the start state")
 
@@ -331,7 +334,7 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
 
     while not done and iterations < max_iter:
         step = None
-        solved, mu = _shifted_newton(fields, g, params, grid, counts, mu_last=mu)
+        solved, mu = _shifted_newton(point, g, params, grid, counts, mu_last=mu)
         d, resolve = solved or (None, None)
         slope = float(g @ d) if d is not None else 0.0
         if slope < 0.0:
@@ -344,7 +347,7 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
                 failures += 1
                 break
             counts["steepest"] += 1
-        x, e, g, fields, t = step
+        x, e, g, point, t = step
         if not np.isfinite(g).all():
             raise NonFinite("non-finite gradient during descent")
         iterations += 1
@@ -362,7 +365,7 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
                   "shifts, |g|inf %.3e, correction %.3e", iterations, counts["newton"],
                   counts["steepest"], counts["shifts"], gnorms[-1], correction)
     return MinimizeReport(
-        state=LayeredState(*fields),
+        state=LayeredState._owning(*point[:3]),
         iterations=iterations,
         grad_norm=gnorms[-1],
         energy=e,
@@ -379,10 +382,12 @@ def minimize(state0: LayeredState, params: LdParameters, grid: Grid1D,
 
 
 def assemble_banded_hessian(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
-                            params: LdParameters, grid: Grid1D) -> tuple:
+                            params: LdParameters, grid: Grid1D,
+                            stencil: tuple | None = None) -> tuple:
     """Assemble the free-DOF Hessian at the raw arrays (f, phi, a) of a
     gauge-fixed state in LAPACK banded storage ab[bw + i - j, j] = H[i, j]
-    straight from the stencil, in O(n).
+    straight from the stencil, in O(n): the one that energy_arrays returned
+    at the same arrays, which the solvers pass, or else energy._stencil's.
 
     The Hessian is a sum of local blocks: per plane and midpoint a 5x5
     block from (f')^2 and V^2 fm^2, the node term 2 p w (3 f^2 - 1) on the
@@ -397,12 +402,15 @@ def assemble_banded_hessian(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
     wt = grid.trapezoid_weights()
     bw = Layout.build(N, M).bandwidth
 
+    if stencil is None:
+        stencil = _stencil(f, phi, a, params, grid)[1]
+    V, fm, cosPhi, sinPhi, f2, V2, fm2 = stencil
+
     # Midpoint blocks: c ((f_m+1 - f_m)/dx)^2 + c V^2 fm^2.
     c = p * dx / kappa**2
-    V, fm, Phi, _ = _fields(f, phi, a, params, grid)
-    ff = 0.5 * c * V**2
+    ff = 0.5 * c * V2
     stiff = 2.0 * c / dx**2
-    aa = 2.0 * c * fm**2
+    aa = 2.0 * c * fm2
     fa = 2.0 * c * V * fm
     pp, pa, fp = aa / dx**2, aa / dx, fa / dx
     ffs, nfp, nfa = ff + stiff, -fp, -fa
@@ -411,8 +419,8 @@ def assemble_banded_hessian(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
 
     # Josephson blocks: (r p w / 2) (f_n^2 + f_n-1^2 - 2 f_n f_n-1 cos Phi).
     jw = (r * p * wt)[None].repeat(N, axis=0)
-    jc = jw * np.cos(Phi)
-    js = jw * np.sin(Phi)
+    jc = jw * cosPhi
+    js = jw * sinPhi
     fu, fl = f[1:], f[:-1]
     jpp = fu * fl * jc
     jos = np.array([jw, jw, -jc, -fu * js, fu * js, -fl * js, fl * js, jpp, jpp,
@@ -420,7 +428,7 @@ def assemble_banded_hessian(f: np.ndarray, phi: np.ndarray, a: np.ndarray,
 
     # Node term p w (f^2 - 1)^2 / 2; field blocks (p dx / kappa^2)
     # ((a_n - a_n-1)/p - H)^2.
-    node = 2.0 * p * wt * (3.0 * f**2 - 1.0)
+    node = 2.0 * p * wt * (3.0 * f2 - 1.0)
     s = 2.0 * dx / (kappa**2 * p)
     ab = _scatter_band(N, M, np.concatenate([mid.ravel(), node.ravel(), jos.ravel(),
                                              np.array([s, s, -s]).repeat(N * M)]))
@@ -431,15 +439,16 @@ def _scatter_band(N: int, M: int, values: np.ndarray) -> np.ndarray:
     """The (2*bw+1, n) band of the Hessian or the gap norm matrix, whose
     block entries values lists as _band_index_cached places them (per
     _MID_PAIRS, node, _JOS_PAIRS, _FLD_PAIRS).  One bincount sums them into
-    the lower band, which is then mirrored: the band is exactly symmetric
+    the lower band, which one copy mirrors: the band is exactly symmetric
     and its entries outside the matrix are exactly 0."""
     layout = Layout.build(N, M)
     n, bw = layout.size, layout.bandwidth
     # The last bin collects the entries on the gauge-fixed phi_0.
     ab = np.bincount(_band_index_cached(N, M), values,
                      minlength=(2 * bw + 1) * n + 1)[:-1].reshape(2 * bw + 1, n)
-    for k in range(1, bw + 1):
-        ab[bw - k, k:] = ab[bw + k, :n - k]
+    # ab[bw - k, j] = ab[bw + k, j - k] for k = 1..bw, j >= 1: abutting runs of
+    # the flat band; at j < k they read lower entries outside the matrix, all 0.
+    ab[bw - 1::-1, 1:] = ab.reshape(-1)[(bw + 1) * n:][:bw * (n - 1)].reshape(bw, n - 1)
     return ab
 
 
@@ -652,7 +661,7 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
     layout = Layout.build(params.num_gaps, grid.M)
     fun = _flat_functions(params, grid, layout)
     x = layout.pack_state(state0)
-    e, g, fields = fun(x)
+    e, g, point = fun(x)
     if not np.isfinite(g).all():
         raise NonFinite("non-finite gradient at the Newton start")
     history = [float(abs(g).max())]
@@ -665,7 +674,8 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
             raise NoConvergence(
                 f"Newton used {MAX_NEWTON_STEPS} iterations, residual {history[-1]:.3e} "
                 f"(tol {tol:.1e}), correction {correction:.3e}")
-        ab, *_ = assemble_banded_hessian(*fields, params, grid)
+        f, phi, a, stencil = point
+        ab, *_ = assemble_banded_hessian(f, phi, a, params, grid, stencil)
         d, resolve = banded_solve(ab, -g, False, 0.0) or (None, None)
         if d is None or not np.isfinite(d).all():
             what = "failed" if d is None else "gave a non-finite step"
@@ -676,7 +686,7 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
         if step is None:
             raise NoConvergence(
                 f"Newton stalled at residual {history[-1]:.3e} (tol {tol:.1e})")
-        x, e, g, fields, _ = step
+        x, e, g, point, _ = step
         history.append(float(abs(g).max()))
         correction = _correction(resolve, g) if history[-1] <= tol or debug else math.nan
         done = history[-1] <= tol and correction <= CORRECTION_TOL
@@ -684,7 +694,7 @@ def newton_critical(state0: LayeredState, params: LdParameters, grid: Grid1D,
             log.debug("newton_critical step %d: |g|inf %.3e, correction %.3e",
                       len(history) - 1, history[-1], correction)
 
-    return CriticalPoint(state=LayeredState(*fields),
+    return CriticalPoint(state=LayeredState._owning(*point[:3]),
                          residual=history[-1], energy=e,
                          newton_iterations=len(history) - 1,
                          residual_history=np.asarray(history),

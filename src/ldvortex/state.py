@@ -56,9 +56,17 @@ class LayeredState:
     gauge_fixed: bool = field(init=False)
 
     def __post_init__(self):
-        f = _locked(self.f)
-        phi = _locked(self.phi)
-        a = _locked(self.a)
+        self._adopt(_locked(self.f), _locked(self.phi), _locked(self.a))
+
+    @classmethod
+    def _owning(cls, *arrays: np.ndarray) -> "LayeredState":
+        """The state of float arrays (f, phi, a) that a solver owns and hands
+        over, such as its final unpack: locked in place, not copied again."""
+        state = object.__new__(cls)
+        state._adopt(*(arr.setflags(write=False) or arr for arr in arrays))
+        return state
+
+    def _adopt(self, f: np.ndarray, phi: np.ndarray, a: np.ndarray) -> None:
         if f.ndim != 2 or phi.shape != f.shape:
             raise ShapeMismatch(f"f {f.shape} and phi {phi.shape} must both be (N+1, M+1)")
         if a.shape != (f.shape[0], f.shape[1] - 1):

@@ -254,15 +254,16 @@ def test_banded_solve_matches_scipy_bit_for_bit(desk, rng):
 
 def _recorded_ladders(monkeypatch) -> list:
     """Record every _shifted_newton call as (c, m, rungs): the phase
-    curvature c of assemble_banded_hessian at its fields, m = M + 1, and per
-    banded_solve call (ab, mu, factored), in order."""
+    curvature c of assemble_banded_hessian at its point (f, phi, a,
+    stencil), m = M + 1, and per banded_solve call (ab, mu, factored), in
+    order."""
     solve, direction = minimize_mod.banded_solve, minimize_mod._shifted_newton
     ladders = []
 
-    def step(fields, g, params, grid, *args, **kwargs):
-        c = assemble_banded_hessian(*fields, params, grid)[2]
+    def step(point, g, params, grid, *args, **kwargs):
+        c = assemble_banded_hessian(*point[:3], params, grid)[2]
         ladders.append((c, grid.M + 1, []))
-        return direction(fields, g, params, grid, *args, **kwargs)
+        return direction(point, g, params, grid, *args, **kwargs)
 
     def recorded(ab, rhs, definite, mu):
         out = solve(ab, rhs, definite, mu)
@@ -612,9 +613,46 @@ def test_banded_assembly_matches_hessian_apply(desk, rng):
         assert ab.shape == (2 * bw + 1, n)
         band = _dense(ab)
         assert np.max(np.abs(band - H)) <= 1e-13 * np.max(np.abs(H))
-        for k in range(1, bw + 1):
-            assert np.array_equal(ab[bw + k, :n - k], ab[bw - k, k:])
-            assert not ab[bw + k, n - k:].any() and not ab[bw - k, :k].any()
+        _assert_exact_band(ab)
+
+
+def _assert_exact_band(ab: np.ndarray) -> None:
+    """ab is exactly symmetric, ab[bw - k, j] = ab[bw + k, j - k], and exactly
+    0 outside the matrix."""
+    bw, n = (ab.shape[0] - 1) // 2, ab.shape[1]
+    for k in range(1, bw + 1):
+        assert np.array_equal(ab[bw - k, k:], ab[bw + k, :n - k])
+        assert not ab[bw - k, :k].any() and not ab[bw + k, n - k:].any()
+
+
+def test_band_from_the_kernel_stencil_is_the_band_of_the_raw_state(rng):
+    """The solvers hand assemble_banded_hessian the stencil that
+    energy_arrays returned; the band from it equals the band assembled from
+    the raw arrays to the bit, on rough, seed and random low-energy states at
+    N = 1, 2, 3.  Each stencil quantity is _fields, np.cos, np.sin or the
+    square of the same arrays to the bit, in float and in the complex
+    dtype of the complex-step checks; both bands and the norm matrix that
+    _scatter_band writes are exactly symmetric and 0 outside the matrix."""
+    for N in (1, 2, 3):
+        params = LdParameters(N, 1.0, 0.5, 1.0, 3.0, 1e-3)
+        grid = Grid1D.build(params, dx=1.0 / 16.0)
+        _assert_exact_band(discrete_norm_matrix(params, grid))
+        for s in (random_rough_state(params, grid, rng),
+                  seed_state(params, grid, vortex_plane_delta(params)),
+                  random_low_energy_state(params, grid, rng)):
+            stencil = energy_arrays(s.f, s.phi, s.a, params, grid)[2]
+            ab, bw, c = assemble_banded_hessian(s.f, s.phi, s.a, params, grid, stencil)
+            ref_ab, ref_bw, ref_c = assemble_banded_hessian(s.f, s.phi, s.a, params, grid)
+            assert np.array_equal(ab, ref_ab) and np.array_equal(c, ref_c) and bw == ref_bw
+            _assert_exact_band(ab)
+            step = 1e-30j * rng.standard_normal(3)
+            for fields in ((s.f, s.phi, s.a), (s.f + step[0], s.phi + step[1], s.a + step[2])):
+                V, fm, Phi, _ = observables_mod._fields(*fields, params, grid)
+                want = (V, fm, np.cos(Phi), np.sin(Phi), fields[0]**2, V**2, fm**2)
+                got = energy_arrays(*fields, params, grid)[2]
+                assert len(got) == len(want)
+                for x, y in zip(got, want):
+                    assert x.dtype == y.dtype == fields[0].dtype and np.array_equal(x, y)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -827,6 +865,40 @@ def test_descent_steps_off_a_phase_saddle_it_crept_along(monkeypatch):
     assert rep.converged and rep.grad_norm <= stop_tol(params) == 3e-6 * params.coupling
     assert rep.iterations <= 20 and rep.steepest_steps == 0
     assert any(0.0 < mu < floor for mu, floor in rungs)
+
+
+def test_solver_states_take_over_the_final_unpack(desk, desk_grid, rng, monkeypatch):
+    """newton_critical and minimize return a state over the arrays of their
+    last kernel call, the accepted trial of a converged run, without a
+    second copy: the very arrays of that unpack, read-only.  The public
+    constructor still copies its inputs for every caller: mutating an array
+    after passing it leaves the state unchanged."""
+    unpacked = []
+    kernel = minimize_mod.energy_arrays
+
+    def recorded(*args):
+        unpacked.append(args[:3])
+        return kernel(*args)
+
+    monkeypatch.setattr(minimize_mod, "energy_arrays", recorded)
+    seed = seed_state(desk, desk_grid, vortex_plane_delta(desk))
+    cp = newton_critical(seed, desk, desk_grid)
+    states = [(cp.state, unpacked[-1])]
+    rep = minimize(random_low_energy_state(desk, desk_grid, rng), desk, desk_grid)
+    states.append((rep.state, unpacked[-1]))
+    assert rep.converged and rep.iterations >= 2
+    for state, last in states:
+        for got, arr in zip((state.f, state.phi, state.a), last):
+            assert got is arr and not got.flags.writeable
+
+    final = (rep.state.f, rep.state.phi, rep.state.a)
+    again = LayeredState(*final)
+    assert not any(x is y for x, y in zip(final, (again.f, again.phi, again.a)))
+    mutable = [arr.copy() for arr in final]
+    copied = LayeredState(*mutable)
+    for arr in mutable:
+        arr += 1.0
+    assert all(np.array_equal(x, y) for x, y in zip((copied.f, copied.phi, copied.a), final))
 
 
 def test_one_kernel_call_per_line_search_trial(desk, desk_grid, rng, monkeypatch):
