@@ -75,35 +75,6 @@ def write_field_csv(path, state: LayeredState, params: LdParameters,
                 writer.writerow(row)
 
 
-def read_field_csv(path) -> dict[str, np.ndarray]:
-    """Parse a field CSV back into arrays keyed like the header; gap
-    columns come back with one row per gap, plane columns per plane."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[0] != FIELD_HEADER:
-        raise ValueError(f"unexpected header {rows[0]}")
-    body = rows[1:]
-    planes = sorted({int(r[1]) for r in body})
-    xs = sorted({float(r[0]) for r in body})
-    nx, npl = len(xs), len(planes)
-    out = {"x": np.array(xs),
-           "f": np.zeros((npl, nx)), "V": np.zeros((npl, nx)),
-           "jx": np.zeros((npl, nx)),
-           "Phi": np.zeros((npl - 1, nx)), "h": np.zeros((npl - 1, nx)),
-           "jz": np.zeros((npl - 1, nx))}
-    xi = {x: i for i, x in enumerate(xs)}
-    for r in body:
-        n, i = int(r[1]), xi[float(r[0])]
-        out["f"][n, i] = float(r[2])
-        out["V"][n, i] = float(r[3])
-        out["jx"][n, i] = float(r[6])
-        if n >= 1:
-            out["Phi"][n - 1, i] = float(r[4])
-            out["h"][n - 1, i] = float(r[5])
-            out["jz"][n - 1, i] = float(r[7])
-    return out
-
-
 def write_lift_csv(path, x: np.ndarray, z: np.ndarray, hmap: np.ndarray) -> None:
     """2D lift of the local field as a long-form grid x,z,h."""
     write_table_csv(path, ["x", "z", "h"],

@@ -34,13 +34,15 @@ along the negative mode instead of creeping off it at |g|/mu per step (More
 & Sorensen, Math. Prog. 16 (1979) 1; Nocedal & Wright (2006) 3.4).
 
 Inertia is the discrete Lyapunov-Schmidt reduction: with one phase per plane
-pinned, a Hessian whose other block factors by Cholesky has the inertia of
-the NxN Schur complement on the pinned phases (Haynsworth), the Morse index
-from one banded solve; where that block is indefinite, inertia raises.
-Shift-invert Lanczos on a banded Cholesky (nearest_eigenvalues) solves the
-spectral-gap pencil.  SciPy stays off the import path: every LAPACK driver
-comes from _lapack (scipy.linalg._flapack without scipy.linalg), and no
-other SciPy module loads.  banded_solve and nearest_eigenvalues run with
+pinned, a Hessian whose other block H_ff factors by Cholesky has the inertia
+of the NxN Schur complement S on the pinned phases (Haynsworth).  S =
+H_pp - Y^T Y with Y = L^-1 H_fp, H_ff = L L^T, so the Morse index takes one
+banded Cholesky and one forward solve, on the rows below the pins only
+(_pinned_schur); where H_ff is indefinite, inertia raises.  Shift-invert
+Lanczos on a banded Cholesky (nearest_eigenvalues) solves the spectral-gap
+pencil.  SciPy stays off the import path: every LAPACK driver comes from
+_lapack (scipy.linalg._flapack without scipy.linalg), and no other SciPy
+module loads.  banded_solve, _pinned_schur and nearest_eigenvalues run with
 SciPy's OpenBLAS capped at one thread (_lapack.one_blas_thread).
 
 At a few hundred free DOFs (the desk stack) a step is bound by the
@@ -204,16 +206,18 @@ def _residual_merit(e: float, g: np.ndarray) -> float:
 @one_blas_thread
 def banded_solve(ab: np.ndarray, rhs: np.ndarray, definite: bool,
                  mu: float) -> tuple | None:
-    """Solve (H + mu I) x = rhs for H in the (2*bw+1, n) band of
-    assemble_banded_hessian, factoring and solving in one LAPACK driver
-    call: dpbsv on the upper half when definite (its success is the
-    positive-definiteness test), dgbsv otherwise.  These are the routines
-    that scipy.linalg's cholesky_banded/cho_solve_banded and solve_banded
-    call, so x is the same to the bit; no finiteness check is made.
-    Returns (x, resolve), resolve(b) = (H + mu I)^-1 b by one dpbtrs or
-    dgbtrs on the factor dpbsv or dgbsv made, or None when the factorization
-    fails.  Runs on one OpenBLAS thread: at bandwidth 27 (N = 8) two
-    threads make dpbsv several times slower."""
+    """The solver step: solve (H + mu I) x = rhs for H in the (2*bw+1, n)
+    band of assemble_banded_hessian and the residual vector rhs, factoring
+    and solving in one LAPACK driver call: dpbsv on the upper half when
+    definite (the descent's Levenberg step; its success is the
+    positive-definiteness test), dgbsv otherwise (the Newton step).  These
+    are the routines that scipy.linalg's cholesky_banded/cho_solve_banded
+    and solve_banded call, so x is the same to the bit; no finiteness check
+    is made.  Returns (x, resolve), resolve(b) = (H + mu I)^-1 b by one
+    dpbtrs or dgbtrs on the factor dpbsv or dgbsv made (the correction of
+    the stopping rule), or None when the factorization fails.  Runs on one
+    OpenBLAS thread: at bandwidth 27 (N = 8) two threads make dpbsv several
+    times slower."""
     bw = (ab.shape[0] - 1) // 2
     if definite:
         upper = np.array(ab[:bw + 1], order="F")
@@ -583,32 +587,55 @@ def _eigvalsh(S: np.ndarray) -> np.ndarray:
     return w
 
 
-def inertia(state: LayeredState, params: LdParameters, grid: Grid1D) -> int:
-    """Number of negative eigenvalues of the free-DOF Hessian H.  The N
-    phases p at the middle grid column are pinned (three slots apart in the
-    packing, over a band width from both ends as M >= 16); one banded_solve
-    (dpbsv, N right-hand sides) on the other DOFs f gives
-    X = H_ff^-1 H_fp, and with H_ff positive definite the count, the Morse
-    index, is that of the Schur complement H_pp - H_fp^T X (Haynsworth).
-    Otherwise the phases are not the only soft modes, and it raises
-    FactorizationFailure."""
-    ab, bw, _ = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
-    pin = Layout.build(params.num_gaps, grid.M).idx_phi[:, grid.M // 2]
+@one_blas_thread
+def _pinned_schur(ab: np.ndarray, pin: np.ndarray) -> np.ndarray | None:
+    """The Schur complement S = H_pp - H_fp^T H_ff^-1 H_fp of the symmetric
+    H in the (2*bw+1, n) band ab on the ascending DOFs pin, each at least
+    bw from both ends, or None where the block H_ff of the other DOFs is not
+    positive definite.  One dpbtrf factors H_ff = L L^T on the lower half
+    of a copy of the band, with the identity's pinned rows and columns;
+    H_fp vanishes above s = min(pin) - bw, so L^-1 H_fp vanishes there too,
+    and one dtbtrs forward solve on the trailing factor gives Y = L^-1 H_fp
+    on rows s.. only.  S = H_pp - Y^T Y, an exact Gram form: symmetric to
+    the bit.  ab is left as it is.  Runs on one OpenBLAS thread, like
+    banded_solve."""
+    bw, n = (ab.shape[0] - 1) // 2, ab.shape[1]
+    s = int(pin[0]) - bw
     rows = pin[:, None] + np.arange(-bw, bw + 1)  # H[rows[k], pin[k]] = ab[:, pin[k]]
     k = np.arange(pin.size)[:, None]
-    E = np.zeros((ab.shape[1], pin.size), order="F")
-    E[rows, k] = ab[:, pin].T
-    H_pp, E[pin] = E[pin], 0.0
-    # ab becomes H_ff, with the identity on the pinned DOFs.
-    ab[:, pin] = ab[bw + pin[:, None] - rows, rows] = 0.0
-    ab[bw, pin] = 1.0
-    X, _ = banded_solve(ab, E, True, 0.0) or (None, None)
-    if X is None:
+    E = np.zeros((n - s, pin.size), order="F")  # rows s.. of the columns of H at pin
+    E[rows - s, k] = ab[:, pin].T
+    H_pp, E[pin - s] = E[pin - s], 0.0
+    # The lower half lower[i - j, j] = H[i, j] becomes H_ff's, with the
+    # identity on the pinned DOFs: their columns, then their rows.
+    lower = np.array(ab[bw:], order="F")
+    d = np.arange(bw + 1)
+    lower[:, pin] = lower[d, pin[:, None] - d] = 0.0
+    lower[0, pin] = 1.0
+    chol, info = flapack.dpbtrf(lower, lower=1, overwrite_ab=True)
+    if info != 0:
+        return None
+    # The factored diagonal is positive, so the triangular solve cannot fail.
+    Y = flapack.dtbtrs(chol[:, s:], E, uplo="L", overwrite_b=True)[0]
+    # einsum: numpy's BLAS would add ~0.5 MiB of buffers.
+    return H_pp - np.einsum("ik,il->kl", Y, Y)
+
+
+def inertia(state: LayeredState, params: LdParameters, grid: Grid1D) -> int:
+    """Number of negative eigenvalues of the free-DOF Hessian H.  The N
+    phases at the middle grid column are pinned (three slots apart in the
+    packing, over a band width from both ends as M >= 16); where the block
+    H_ff of the other DOFs is positive definite the count, the Morse index,
+    is that of the N x N Schur complement on the pins (_pinned_schur: one
+    lower banded Cholesky and one forward solve; Haynsworth).  Otherwise
+    the phases are not the only soft modes, and it raises
+    FactorizationFailure."""
+    ab, *_ = assemble_banded_hessian(state.f, state.phi, state.a, params, grid)
+    S = _pinned_schur(ab, Layout.build(params.num_gaps, grid.M).idx_phi[:, grid.M // 2])
+    if S is None:
         raise FactorizationFailure(
             "inertia: the pinned Hessian block H_ff is not positive definite")
-    # Column k of H_fp is nonzero only on rows[k].  einsum and SciPy's
-    # LAPACK: numpy's BLAS would add ~0.5 MiB of buffers.
-    schur = _eigvalsh(H_pp - np.einsum("kr,krj->kj", E[rows, k], X[rows]))
+    schur = _eigvalsh(S)
     log.debug("inertia: Schur complement eigenvalues %s", schur)
     return int(np.sum(schur < 0.0))
 

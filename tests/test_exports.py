@@ -9,8 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from ldvortex import cli
 from ldvortex.acceptance import run_criterion
-from ldvortex.exports import (jsonable, read_field_csv, write_field_csv,
-                              write_json)
+from ldvortex.exports import FIELD_HEADER, jsonable, write_field_csv, write_json
 from ldvortex.observables import mids_to_nodes, observables
 from ldvortex.params import Grid1D, LdParameters
 from ldvortex.state import LayeredState
@@ -51,13 +50,40 @@ def small_states(draw):
     return state, params, grid
 
 
+def _read_field_csv(path) -> dict[str, np.ndarray]:
+    """The arrays of a field CSV keyed like its header: gap columns with
+    one row per gap, plane columns with one row per plane."""
+    with open(path, newline="") as fh:
+        header, *body = csv.reader(fh)
+    assert header == FIELD_HEADER
+    planes = sorted({int(r[1]) for r in body})
+    xs = sorted({float(r[0]) for r in body})
+    nx, npl = len(xs), len(planes)
+    out = {"x": np.array(xs),
+           "f": np.zeros((npl, nx)), "V": np.zeros((npl, nx)),
+           "jx": np.zeros((npl, nx)),
+           "Phi": np.zeros((npl - 1, nx)), "h": np.zeros((npl - 1, nx)),
+           "jz": np.zeros((npl - 1, nx))}
+    xi = {x: i for i, x in enumerate(xs)}
+    for r in body:
+        n, i = int(r[1]), xi[float(r[0])]
+        out["f"][n, i] = float(r[2])
+        out["V"][n, i] = float(r[3])
+        out["jx"][n, i] = float(r[6])
+        if n >= 1:
+            out["Phi"][n - 1, i] = float(r[4])
+            out["h"][n - 1, i] = float(r[5])
+            out["jz"][n - 1, i] = float(r[7])
+    return out
+
+
 @given(small_states())
 @settings(max_examples=30, deadline=None)
 def test_field_csv_round_trips_bit_for_bit(tmp_path_factory, case):
     state, params, grid = case
     path = tmp_path_factory.mktemp("csv") / "fields.csv"
     write_field_csv(path, state, params, grid)
-    back = read_field_csv(path)
+    back = _read_field_csv(path)
     obs = observables(state, params, grid)
     written = {"x": grid.nodes, "f": state.f, "V": mids_to_nodes(obs.V),
                "Phi": obs.Phi, "h": mids_to_nodes(obs.h),

@@ -17,11 +17,12 @@ import scipy.linalg as sla
 from ldvortex import _lapack
 from ldvortex.harness import census
 from ldvortex.minimize import _eigvalsh
-from ldvortex.params import LdParameters
+from ldvortex.params import Grid1D, LdParameters
+from ldvortex.perturbation import seed_state
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DRIVERS = ("dpbsv", "dgbsv", "dgtsv", "dsyevr", "dsyevr_lwork", "dpbtrf", "dpbtrs",
-           "dgbtrs", "dstev")
+           "dgbtrs", "dstev", "dtbtrs")
 
 
 def test_scipy_linalg_reuses_the_loaded_wrappers():
@@ -64,9 +65,9 @@ def test_one_blas_thread_caps_and_restores_or_does_nothing(monkeypatch):
 
 def test_thread_controls_come_through_the_lapack_extension(tmp_path, monkeypatch):
     """The controls are found through the extension's file; a library
-    without the symbols, or no library, gives None.  The banded solves run
-    at one thread and restore the count they found, which starts no
-    thread."""
+    without the symbols, or no library, gives None.  The banded solves and
+    the factorization and forward solve of inertia run at one thread and
+    restore the count they found, which starts no thread."""
     assert _lapack.thread_controls(_ctypes.__file__) is None
     assert _lapack.thread_controls(str(tmp_path / "missing.so")) is None
     controls = _lapack.thread_controls(_lapack.flapack.__file__)
@@ -80,9 +81,9 @@ def test_thread_controls_come_through_the_lapack_extension(tmp_path, monkeypatch
     minimize_mod = importlib.import_module("ldvortex.minimize")
     real, seen = minimize_mod.flapack, []
     drivers = types.SimpleNamespace(**vars(real))
-    for name in ("dpbsv", "dpbtrf"):
-        def counted(*args, _driver=getattr(real, name), **kwargs):
-            seen.append(get())
+    for name in ("dpbsv", "dpbtrf", "dtbtrs"):
+        def counted(*args, _driver=getattr(real, name), _name=name, **kwargs):
+            seen.append((_name, get()))
             return _driver(*args, **kwargs)
         setattr(drivers, name, counted)
     monkeypatch.setattr(minimize_mod, "flapack", drivers)
@@ -92,7 +93,14 @@ def test_thread_controls_come_through_the_lapack_extension(tmp_path, monkeypatch
     eye[1] = 1.0
     assert minimize_mod.banded_solve(band, np.ones(6), True, 0.0) is not None
     assert minimize_mod.nearest_eigenvalues(band, 2, 0.5, eye) == pytest.approx([1.0, 2.0])
-    assert seen == [1, 1] and get() == before
+    assert seen == [("dpbsv", 1), ("dpbtrf", 1)] and get() == before
+    seen.clear()
+    params = LdParameters(1, 1.0, 0.5, 1.0, 3.0, 1e-3)
+    grid = Grid1D.build(params, dx=1.0 / 16.0)
+    point = minimize_mod.newton_critical(seed_state(params, grid, 0.0), params, grid)
+    assert seen == []  # Newton's LU is dgbsv
+    assert minimize_mod.inertia(point.state, params, grid) == 0
+    assert seen == [("dpbtrf", 1), ("dtbtrs", 1)] and get() == before
 
 
 def test_eigvalsh_equals_scipy_bit_for_bit():

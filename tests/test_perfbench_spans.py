@@ -1,7 +1,7 @@
 """The benchmark's span tracer (perfbench/spans.py, loaded read-only)
-installed around a tiny census: every factorization is one
-minimize.banded_solve span, and every band assembly one
-minimize.assemble_banded_hessian span."""
+installed around a tiny census: every solver factorization is one
+minimize.banded_solve span, every classification one minimize.inertia
+span, and every band assembly one minimize.assemble_banded_hessian span."""
 
 import importlib
 import importlib.util
@@ -47,17 +47,19 @@ def test_banded_solve_spans_equal_the_solves_the_reports_imply(monkeypatch):
     assert minimize_mod.banded_solve is solve
     assert rec.passed and len(descents) == 2 and len(points) == 2
 
-    # A descent step factors until a shift succeeds; a Newton step factors
-    # once, and the census's inertia of each point tries one Cholesky.
+    # A descent step factors until a shift succeeds and a Newton step
+    # factors once, each through banded_solve; the census's inertia of each
+    # point makes its own one Cholesky, outside banded_solve.
     assert all(d.steepest_steps == 0 and d.line_search_failures == 0
                for d in descents)
+    totals = tracer.layer_totals()
     implied = (sum(d.iterations + d.levenberg_shifts for d in descents)
-               + sum(c.newton_iterations + 1 for c in points))
-    assert tracer.layer_totals()["minimize.banded_solve"]["calls"] == implied
+               + sum(c.newton_iterations for c in points))
+    assert totals["minimize.banded_solve"]["calls"] == implied
+    assert totals["minimize.inertia"]["calls"] == len(points)
 
     # Every descent step and every Newton step assembles the band once
     # through the traced module global, and so does each census inertia.
     assembled = (sum(d.iterations for d in descents)
                  + sum(c.newton_iterations + 1 for c in points))
-    assert (tracer.layer_totals()["minimize.assemble_banded_hessian"]["calls"]
-            == assembled)
+    assert totals["minimize.assemble_banded_hessian"]["calls"] == assembled
